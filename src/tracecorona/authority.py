@@ -73,14 +73,6 @@ class HealthAuthority:
             tan.consumed = True
             return True
 
-    @property
-    def issued_count(self) -> int:
-        return len(self._tans)
-
-    @property
-    def consumed_count(self) -> int:
-        return sum(1 for t in self._tans.values() if t.consumed)
-
     def state_bytes(self) -> bytes:
         """Flat serialization of authority state, used by structural
         tests to show no token material is retained here."""

@@ -38,11 +38,6 @@ EXIT_CONFIG = 2
 ATTACK_SCENARIOS = ("relay_r1", "relay_r2", "kiss_replay", "fake_claim")
 
 
-def _bundled_names() -> list[str]:
-    root = resources.files("tracecorona") / "scenarios"
-    return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
-
-
 def _load_config(ref: str) -> ScenarioConfig:
     """A config reference is a file path or a bundled scenario name."""
     if os.path.exists(ref):

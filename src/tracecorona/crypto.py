@@ -31,16 +31,6 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 CURVE = ec.SECP384R1()
 
-# secp384r1 field prime and curve constant b (a = -3), used to validate
-# x-only public keys before handing them to the backend, which defers
-# on-curve checks until use.
-_P384_P = 2**384 - 2**128 - 2**96 + 2**32 - 1
-_P384_B = int(
-    "b3312fa7e23ee7e4988e056be3f82d19181d9c6efe8141120314088f5013875ac"
-    "656398d8a2ed19d2a85c8edd3ec2aef",
-    16,
-)
-
 PRIVATE_KEY_BYTES = 32
 PUBLIC_KEY_BYTES = 48
 TOKEN_SECRET_BYTES = 32
@@ -175,23 +165,23 @@ def generate_frame_keypair(frame_index: int, rng) -> FrameKeyPair:
     return FrameKeyPair(frame_index=frame_index, private_key=private, public_key=public)
 
 
-def validate_public_key(peer_public: bytes) -> None:
-    """Reject encodings that do not name a valid, non-identity point.
+def validate_public_key(peer_public: bytes) -> ec.EllipticCurvePublicKey:
+    """Decode a peer's x-only public key into a curve point, rejecting
+    encodings that do not name a valid, non-identity point.
 
     A single zero byte is the conventional encoding of the identity
     element and is rejected explicitly; everything else must be a
-    48-byte x coordinate for which the curve equation has a square root.
+    48-byte x coordinate below the field prime for which the curve
+    equation has a square root, which the backend's point decoder checks.
     """
     if peer_public == b"\x00":
         raise InvalidPoint("identity element")
     if len(peer_public) != PUBLIC_KEY_BYTES:
         raise InvalidPoint(f"public key must be {PUBLIC_KEY_BYTES} bytes")
-    x = int.from_bytes(peer_public, "big")
-    if x >= _P384_P:
-        raise InvalidPoint("x coordinate out of field range")
-    rhs = (pow(x, 3, _P384_P) - 3 * x + _P384_B) % _P384_P
-    if rhs != 0 and pow(rhs, (_P384_P - 1) // 2, _P384_P) != 1:
-        raise InvalidPoint("x coordinate is not on the curve")
+    try:
+        return ec.EllipticCurvePublicKey.from_encoded_point(CURVE, b"\x02" + peer_public)
+    except ValueError as exc:
+        raise InvalidPoint("x coordinate is not a point on the curve") from exc
 
 
 def derive_token(own_private: bytes, peer_public: bytes) -> bytes:
@@ -203,12 +193,11 @@ def derive_token(own_private: bytes, peer_public: bytes) -> bytes:
     """
     if len(own_private) != PRIVATE_KEY_BYTES:
         raise ValueError("private key must be 32 bytes")
-    validate_public_key(peer_public)
+    point = validate_public_key(peer_public)
     scalar = int.from_bytes(own_private, "big")
     if scalar == 0:
         raise ValueError("private scalar must be non-zero")
     private = ec.derive_private_key(scalar, CURVE)
-    point = ec.EllipticCurvePublicKey.from_encoded_point(CURVE, b"\x02" + peer_public)
     shared_x = private.exchange(ec.ECDH(), point)
     return _hkdf(shared_x, _LABEL_TOKEN, b"", TOKEN_SECRET_BYTES)
 

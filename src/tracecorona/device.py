@@ -48,10 +48,6 @@ class BeaconMessage:
 
     uuid: bytes
     ephemeral_id: bytes
-    carries_pubkey_offer: bool = True
-
-    def encode(self) -> bytes:
-        return self.uuid + self.ephemeral_id
 
 
 @dataclass
@@ -70,15 +66,6 @@ class HandshakeRequest:
     peer_ephemeral_id: bytes
     frame_index: int
     requested_at: int
-
-
-@dataclass(frozen=True)
-class ProtocolAction:
-    """Clock-driven action emitted by :meth:`Device.advance_clock`."""
-
-    kind: str  # advertise_open | advertise_close | scan_open | scan_close | rotate_frame
-    at: int  # local time
-    frame_index: int | None = None
 
 
 class TokenStore:
@@ -140,7 +127,6 @@ class Device:
         self._pending_handshakes: set[tuple[int, bytes]] = set()
         self._pending_derivations: dict[tuple[int, bytes], bytes] = {}
         self._keypair_cache: dict[int, FrameKeyPair] = {}
-        self._last_local: int | None = None
         self._open_channels = 0
         self.peak_open_channels = 0
 
@@ -180,39 +166,6 @@ class Device:
 
     def is_scanning(self, now: int) -> bool:
         return self.local_time(now) % SCAN_PERIOD < SCAN_ON
-
-    def advance_clock(self, now: int) -> list[ProtocolAction]:
-        """Process duty-cycle and frame boundaries in (last, now].
-
-        The first call only anchors the clock; subsequent calls emit one
-        action per boundary crossed.  ``now`` must not go backwards.
-        """
-        local = self.local_time(now)
-        if self._last_local is None:
-            self._last_local = local
-            return []
-        if local < self._last_local:
-            raise ValueError("device clock must be monotonic")
-        actions: list[ProtocolAction] = []
-        prev = self._last_local
-        for period, on, open_kind, close_kind in (
-            (ADVERTISE_PERIOD, ADVERTISE_ON, "advertise_open", "advertise_close"),
-            (SCAN_PERIOD, SCAN_ON, "scan_open", "scan_close"),
-        ):
-            t = (prev // period + 1) * period
-            while t <= local:
-                actions.append(ProtocolAction(open_kind, t))
-                if t + on <= local:
-                    actions.append(ProtocolAction(close_kind, t + on))
-                t += period
-        t = (prev // self.policy.frame_period + 1) * self.policy.frame_period
-        while t <= local:
-            frame = self.policy.frame_of(t)
-            actions.append(ProtocolAction("rotate_frame", t, frame_index=frame))
-            t += self.policy.frame_period
-        actions.sort(key=lambda a: (a.at, a.kind))
-        self._last_local = local
-        return actions
 
     # -- neighbor tracking --------------------------------------------------
 

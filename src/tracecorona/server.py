@@ -102,7 +102,8 @@ class TracingServer:
         self._records.append((self._epoch, record))
         if record.tag is Tag.DIRECT:
             self._direct_by_hash.setdefault(record.hash, []).append(index)
-        self._append_log_line(log_record_line(record))
+        if self._log_path is not None:
+            self._append_log_line(log_record_line(record))
 
     def upload_infected(
         self, tan_value: str, records: list[TokenUploadRecord]

@@ -6,6 +6,7 @@ of the offending field (``devices[1].id``) so the CLI can point at it.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -242,6 +243,9 @@ class ScenarioConfig:
     retention_days: int = 14
     version: int = 1
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     # -- parsing -------------------------------------------------------------
 
     @classmethod
@@ -336,7 +340,7 @@ class ScenarioConfig:
             ),
         )
 
-        config = cls(
+        return cls(
             name=_get(data, "name", "", types=str),
             seed=_get(data, "seed", "", types=int),
             duration_days=_get(data, "duration_days", "", types=int),
@@ -371,8 +375,6 @@ class ScenarioConfig:
             retention_days=_get(data, "retention_days", "", default=14, types=int),
             version=version,
         )
-        config.validate()
-        return config
 
     @staticmethod
     def _parse_device(entry, path: str) -> DeviceSpec:
@@ -570,6 +572,10 @@ class ScenarioConfig:
         )
         _require(self.retention_days >= 1, "retention_days", "must be >= 1")
         _require(len(self.devices) > 0, "devices", "must not be empty")
+        # Frozen, so the index is set past __setattr__; it is not a field.
+        object.__setattr__(
+            self, "_schemes", {d.id: d.scheme or self.scheme for d in self.devices}
+        )
         self.disease_timeline.validate("disease_timeline")
         horizon = self.duration_days * SECONDS_PER_DAY
         for i, interval in enumerate(self.colocation_schedule):
@@ -600,7 +606,7 @@ class ScenarioConfig:
         for i, adv in enumerate(self.adversaries):
             if adv.kind == "fake_claimer":
                 _require(
-                    self.scheme_for_claimer() in ("tracecorona", "decentralized"),
+                    self.scheme in ("tracecorona", "decentralized"),
                     f"adversaries[{i}].kind",
                     "fake_claimer requires scheme tracecorona or decentralized",
                 )
@@ -611,14 +617,8 @@ class ScenarioConfig:
                         "must be within scenario duration",
                     )
 
-    def scheme_for_claimer(self) -> str:
-        return self.scheme
-
     def scheme_of(self, device_id: str) -> str:
-        for device in self.devices:
-            if device.id == device_id:
-                return device.scheme or self.scheme
-        raise KeyError(device_id)
+        return self._schemes[device_id]
 
     # -- serialization -----------------------------------------------------------
 
@@ -665,8 +665,4 @@ class ScenarioConfig:
         return cls.from_dict(data)
 
     def replace(self, **changes) -> "ScenarioConfig":
-        import dataclasses
-
-        config = dataclasses.replace(self, **changes)
-        config.validate()
-        return config
+        return dataclasses.replace(self, **changes)

@@ -26,7 +26,8 @@ import hashlib
 import heapq
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from .. import baselines, crypto, exposure, payload, wire
 from ..authority import HealthAuthority
@@ -80,12 +81,14 @@ class _Link:
 
 
 class _Client:
-    """Engine-side wrapper around one device, scheme specific."""
+    """Engine-side state of one device that every scheme shares.
 
-    def __init__(self, spec, scheme: str, config: ScenarioConfig):
+    One subclass per scheme owns that scheme's state and its steps; the
+    engine is passed to them as an argument, never kept.
+    """
+
+    def __init__(self, spec, config: ScenarioConfig):
         self.id = spec.id
-        self.scheme = scheme
-        self.clock_offset = spec.clock_offset_s
         self.identity = _identity_seed(config.seed, spec.id)
         policy = TimeFramePolicy(
             frame_period=config.frame_period,
@@ -100,7 +103,34 @@ class _Client:
             retention_days=config.retention_days,
             derive_mode=spec.derive_mode,
         )
-        # feed/matching state
+
+    def register(self, engine: Engine) -> None:
+        """Enrol with the scheme's server before the run starts."""
+
+    def identifier_at(self, t: int) -> bytes:
+        """The identifier broadcast at true time t."""
+        raise NotImplementedError
+
+    def receive(
+        self, engine: Engine, src: _Client, identifier: bytes, rssi: float, t: int, link: _Link
+    ) -> None:
+        """A beacon from ``src`` heard while scanning at true time t."""
+        raise NotImplementedError
+
+    def upload(self, engine: Engine, t: int, day: int) -> None:
+        """The upload at noon of the device's test-result day."""
+        raise NotImplementedError
+
+    def midnight(self, day: int) -> None:
+        self.device.purge_expired(day * SECONDS_PER_DAY)
+
+    def fetch(self, engine: Engine, t: int) -> None:
+        """One feed fetch; a scheme whose server pushes has none."""
+
+
+class _TraceCoronaClient(_Client):
+    def __init__(self, spec, config: ScenarioConfig):
+        super().__init__(spec, config)
         self.next_since = 0
         self.last_record_count = 0
         self.seen_records: set[tuple[bytes, bytes]] = set()
@@ -108,35 +138,290 @@ class _Client:
         self.all_notifications: list = []
         self.second_level_done = False
         self.superspreader_done = False
-        # baseline state
+
+    def register(self, engine: Engine) -> None:
+        engine.server.register_active(self.id)
+
+    def identifier_at(self, t: int) -> bytes:
+        return self.device.ephemeral_id(self.device.current_frame(t))
+
+    def receive(self, engine, src, identifier, rssi, t, link) -> None:
+        beacon = BeaconMessage(uuid=APP_UUID, ephemeral_id=identifier)
+        request = self.device.on_beacon(beacon, rssi, t)
+        if request is not None:
+            engine.start_handshake(self, src, request, t, link)
+
+    def _eligible_tokens(self, engine: Engine):
+        self.device.charge()
+        drops = [r for r in engine.config.redactions if r.device == self.id]
+        return exposure.redact_tokens(
+            self.device.store,
+            lambda token: any(r.drop_start <= token.start_time < r.drop_end for r in drops),
+        )
+
+    def _submit(self, engine: Engine, encode, pairs, vias: dict) -> None:
+        """Send one upload of the (token, record) pairs; once it is
+        accepted, record each record's provenance under its uploader.  A
+        client never re-matches its own uploads."""
+        body = encode([record for _, record in pairs])
+        response = wire.handle_request(engine.server, body)
+        engine.payload_up += 4 + len(body)
+        engine.payload_down += 4 + len(response)
+        if response[0] != wire.STATUS_ACCEPTED:
+            return
+        for token, record in pairs:
+            self.seen_records.add((record.hash, record.ciphertext))
+            engine.gt_record_origin.setdefault(record.hash, {})[self.id] = {
+                "peer": token.peer_hint,
+                "via": vias.get(id(token)),
+            }
+
+    def upload(self, engine: Engine, t: int, day: int) -> None:
+        pairs = [
+            (token, exposure.build_upload_records([token])[0])
+            for token in self._eligible_tokens(engine)
+            if token.secret is not None
+        ]
+        if not pairs:
+            return
+        tan = engine.authority.issue_tan(self.id, t)
+        vias = {
+            id(token): engine.gt_token_prov.get((self.id, frame, peer_ei), {}).get("via")
+            for (frame, peer_ei), token in self.device.store.items()
+        }
+        self._submit(engine, partial(wire.encode_upload_infected, tan.value), pairs, vias)
+
+    def _unmatched_pairs(self, engine: Engine):
+        return [
+            (token, exposure.build_upload_records([token])[0])
+            for token in self._eligible_tokens(engine)
+            if token.secret is not None
+            and crypto.token_hash(token.secret) not in self.matched_direct_hashes
+        ]
+
+    def fetch(self, engine: Engine, t: int) -> None:
+        stats = engine.server.stats_snapshot()
+        if stats["records_published"] == self.last_record_count:
+            return
+        self.last_record_count = stats["records_published"]
+        self.device.charge()
+        shuffle_seed = _sub_seed(engine.config.seed, "shuffle", self.id, t) & (2**63 - 1)
+        body = wire.encode_fetch_feed(self.next_since, shuffle_seed)
+        response = wire.handle_request(engine.server, body)
+        engine.payload_up += 4 + len(body)
+        engine.payload_down += 4 + len(response)
+        (epoch,) = struct.unpack_from(">I", response, 1)
+        records, _ = wire.decode_records(response, 5)
+        self.next_since = epoch
+        unseen = []
+        for record in records:
+            key = (record.hash, record.ciphertext)
+            if key in self.seen_records:
+                continue
+            self.seen_records.add(key)
+            unseen.append(record)
+        if not unseen:
+            return
+        feed = wire.PublishedFeed(records=tuple(unseen), feed_epoch=epoch)
+        found = exposure.match_feed(self.device.store, feed, engine.config.epsilon)
+        if not found:
+            return
+        self.all_notifications.extend(found)
+        got_direct = False
+        for notification in found:
+            # Both sides of an encounter may upload its token; the
+            # notification comes from the other side's record.
+            origins = engine.gt_record_origin.get(notification.matched_hash, {})
+            source = next((u for u in origins if u != self.id), None)
+            origin = origins.get(source)
+            engine.record_notification(
+                self, t, notification.level.value, notification.superspreader_flag,
+                matched=notification.matched_hash.hex(),
+                source=source,
+                via=origin["via"] if origin else None,
+                genuine=bool(origin and origin["via"] is None and origin["peer"] == self.id),
+            )
+            engine.server.report_notification(
+                notification.level.value, notification.superspreader_flag
+            )
+            if notification.level is exposure.NotificationLevel.DIRECT:
+                got_direct = True
+                self.matched_direct_hashes.add(notification.matched_hash)
+        if got_direct:
+            self._react_to_direct(engine, t)
+
+    def _react_to_direct(self, engine: Engine, t: int) -> None:
+        config = engine.config
+        day = t // SECONDS_PER_DAY
+        timeline = config.disease_timeline
+        infection = engine.gt_infections.get(self.id)
+        if infection and not infection.uploaded:
+            triggered = day + timeline.symptoms_to_test_days + timeline.test_to_result_days
+            infection.result_day = min(infection.result_day, triggered)
+        if config.second_level_enabled and not self.second_level_done:
+            self.second_level_done = True
+            proofs = [
+                token.secret
+                for token in self.device.store.tokens()
+                if token.secret is not None
+                and crypto.token_hash(token.secret) in self.matched_direct_hashes
+            ]
+            if proofs:
+                encode = partial(wire.encode_upload_second_level, proofs[0])
+                self._submit(engine, encode, self._unmatched_pairs(engine), {})
+        if (
+            config.superspreader_enabled
+            and not self.superspreader_done
+            and len(self.matched_direct_hashes) >= config.superspreader_threshold
+        ):
+            self.superspreader_done = True
+            proofs = exposure.detect_superspreader_candidate(
+                self.device.store,
+                [
+                    n
+                    for n in self.all_notifications
+                    if n.level is exposure.NotificationLevel.DIRECT
+                ],
+                config.superspreader_threshold,
+            )
+            if proofs is not None:
+                encode = partial(wire.encode_upload_superspreader, proofs)
+                self._submit(engine, encode, self._unmatched_pairs(engine), {})
+
+
+class _BaselineClient(_Client):
+    """What the two baseline schemes share: a log of the identifiers
+    heard, kept for the retention period."""
+
+    def __init__(self, spec, config: ScenarioConfig):
+        super().__init__(spec, config)
         self.observations: list[baselines.Observation] = []
+        self.retention_s = config.retention_days * SECONDS_PER_DAY
+
+    def receive(self, engine, src, identifier, rssi, t, link) -> None:
+        local = self.device.local_time(t)
+        self.observations.append(baselines.Observation(identifier, local, rssi))
+        engine.gt_obs_prov[(self.id, identifier, local)] = {
+            "source": src.id,
+            "via": link.adversary,
+        }
+
+    def midnight(self, day: int) -> None:
+        super().midnight(day)
+        horizon = self.device.local_time(day * SECONDS_PER_DAY) - self.retention_s
+        self.observations = [obs for obs in self.observations if obs.time >= horizon]
+
+
+class _DecentralizedClient(_BaselineClient):
+    def __init__(self, spec, config: ScenarioConfig):
+        super().__init__(spec, config)
         self.last_key_count = 0
         self.notified_keys: set[tuple[bytes, int]] = set()
-        self.user_id: bytes | None = None
-
-    def local(self, t: int) -> int:
-        return t + self.clock_offset
-
-    def advertising(self, t: int) -> bool:
-        return self.device.is_advertising(t)
-
-    def scanning(self, t: int) -> bool:
-        return self.device.is_scanning(t)
 
     def daily_key(self, day: int) -> baselines.DecentralizedDailyKey:
         return baselines.new_daily_key(self.identity, day)
 
     def identifier_at(self, t: int) -> bytes:
-        """The identifier broadcast at true time t, per scheme."""
-        local = self.local(t)
-        if self.scheme == "tracecorona":
-            return self.device.ephemeral_id(self.device.policy.frame_of(local))
-        if self.scheme == "decentralized":
-            return baselines.tempid_at(self.daily_key(local // SECONDS_PER_DAY), local)
-        return self._central_tempid(local)
+        local = self.device.local_time(t)
+        return baselines.tempid_at(self.daily_key(local // SECONDS_PER_DAY), local)
 
-    def _central_tempid(self, local: int) -> bytes:
-        raise RuntimeError("centralized client not registered")
+    def upload(self, engine: Engine, t: int, day: int) -> None:
+        first = max(0, day - engine.config.retention_days + 1)
+        keys = [self.daily_key(d) for d in range(first, day + 1)]
+        engine.dec_server.publish(keys)
+        engine.gt_published_keys.extend((self.id, key) for key in keys)
+        engine.payload_up += 4 + 1 + len(keys) * 20
+
+    def fetch(self, engine: Engine, t: int) -> None:
+        published = engine.dec_server.download()
+        if len(published) == self.last_key_count:
+            return
+        new_keys = published[self.last_key_count :]
+        self.last_key_count = len(published)
+        engine.payload_up += 4 + 5
+        engine.payload_down += 4 + 1 + 20 * len(new_keys)
+        matches = baselines.match_observations(
+            new_keys,
+            self.observations,
+            replay_window=engine.config.replay_window,
+            kiss_bug=engine.config.kiss_bug,
+        )
+        owners = {(key.tek, key.day): owner for owner, key in engine.gt_published_keys}
+        for match in matches:
+            dedupe = (match.key.tek, match.key.day)
+            if dedupe in self.notified_keys:
+                continue
+            self.notified_keys.add(dedupe)
+            owner = owners.get(dedupe)
+            prov = engine.gt_obs_prov.get(
+                (self.id, match.observation.tempid, match.observation.time)
+            )
+            engine.record_notification(
+                self, t, "direct", False,
+                matched=match.observation.tempid.hex(),
+                source=owner,
+                via=prov["via"] if prov else None,
+                genuine=bool(
+                    prov and prov["via"] is None and owner is not None and prov["source"] == owner
+                ),
+            )
+
+
+class _CentralizedClient(_BaselineClient):
+    def register(self, engine: Engine) -> None:
+        self.cen_server = engine.cen_server
+        self.user_id = self.cen_server.register(self.id)
+
+    def identifier_at(self, t: int) -> bytes:
+        t_k = self.device.local_time(t) // baselines.CENTRAL_INTERVAL_SECONDS
+        return self.cen_server.tempid_for(self.user_id, t_k)
+
+    def upload(self, engine: Engine, t: int, day: int) -> None:
+        tan = engine.authority.issue_tan(self.id, t)
+        if not engine.authority.verify_tan(tan.value):
+            return
+        uploaded = [(obs.tempid, obs.time) for obs in self.observations]
+        engine.payload_up += 4 + 2 + len(tan.value) + 24 * len(uploaded)
+        matched = self.cen_server.ingest_upload(self.user_id, uploaded)
+        by_user = {
+            c.user_id: c for c in engine.clients.values() if isinstance(c, _CentralizedClient)
+        }
+        for user_id in matched:
+            target = by_user.get(user_id)
+            if target is None:
+                continue
+            genuine, via = self._match_provenance(engine, target, uploaded)
+            engine.payload_down += 21
+            engine.record_notification(
+                target, t, "direct", False,
+                matched=user_id.hex(),
+                source=self.id,
+                via=via,
+                genuine=genuine,
+            )
+
+    def _match_provenance(self, engine: Engine, target, uploaded):
+        """Did any genuinely observed identifier of `target` trigger the
+        match, or only relayed ones?"""
+        best_via = None
+        for tempid, timestamp in uploaded:
+            t_k = timestamp // baselines.CENTRAL_INTERVAL_SECONDS
+            if self.cen_server.tempid_for(target.user_id, t_k) != tempid:
+                continue
+            prov = engine.gt_obs_prov.get((self.id, tempid, timestamp))
+            if prov is None:
+                continue
+            if prov["via"] is None and prov["source"] == target.id:
+                return True, None
+            best_via = prov["via"]
+        return False, best_via
+
+
+_CLIENTS = {
+    "tracecorona": _TraceCoronaClient,
+    "decentralized": _DecentralizedClient,
+    "centralized": _CentralizedClient,
+}
 
 
 class Engine:
@@ -155,14 +440,15 @@ class Engine:
         self.cen_server = baselines.CentralizedServer(
             random.Random(_sub_seed(config.seed, "central")), bluetrace=config.bluetrace
         )
-        self.clients: dict[str, _Client] = {}
-        for spec in config.devices:
-            client = _Client(spec, spec.scheme or config.scheme, config)
-            self.clients[spec.id] = client
+        self.clients: dict[str, _Client] = {
+            spec.id: _CLIENTS[config.scheme_of(spec.id)](spec, config)
+            for spec in config.devices
+        }
 
         # ground truth, invisible to scheme state
         self.gt_token_prov: dict[tuple[str, int, bytes], dict] = {}
-        self.gt_record_origin: dict[bytes, dict] = {}
+        #: record hash -> uploader -> provenance of that uploader's record
+        self.gt_record_origin: dict[bytes, dict[str, dict]] = {}
         self.gt_obs_prov: dict[tuple[str, bytes, int], dict] = {}
         self.gt_published_keys: list[tuple[str, baselines.DecentralizedDailyKey]] = []
         self.gt_infections: dict[str, _Infection] = {}
@@ -209,15 +495,7 @@ class Engine:
     def run(self) -> ScenarioReport:
         config = self.config
         for client in self.clients.values():
-            if client.scheme == "tracecorona":
-                self.server.register_active(client.id)
-            elif client.scheme == "centralized":
-                client.user_id = self.cen_server.register(client.id)
-                client._central_tempid = (
-                    lambda local, c=client: self.cen_server.tempid_for(
-                        c.user_id, local // baselines.CENTRAL_INTERVAL_SECONDS
-                    )
-                )
+            client.register(self)
 
         for interval in config.colocation_schedule:
             link = _Link(
@@ -288,59 +566,28 @@ class Engine:
         if link.kind in ("direct", "relay_twoway"):
             directions.append((b, a))
         for src, dst in directions:
-            if not src.advertising(t):
+            if not src.device.is_advertising(t):
                 continue
-            dropped = self.rng_channel.random() < self.config.channel_loss
-            if dropped:
+            if self.rng_channel.random() < self.config.channel_loss:
                 continue
-            identifier = src.identifier_at(t)
-            rssi = link.rssi_at(t)
+            args = (src, dst, src.identifier_at(t), link.rssi_at(t), t + link.latency, link)
             if link.latency == 0:
-                self._deliver(src, dst, identifier, rssi, t, t, link)
+                self._deliver(*args)
             else:
-                self._push(
-                    t + link.latency,
-                    self._deliver,
-                    src,
-                    dst,
-                    identifier,
-                    rssi,
-                    t,
-                    t + link.latency,
-                    link,
-                )
+                self._push(t + link.latency, self._deliver, *args)
         self._push(t + 1, self._tick_link, link, t + 1)
 
     def _deliver(
-        self,
-        src: _Client,
-        dst: _Client,
-        identifier: bytes,
-        rssi: float,
-        t_emit: int,
-        t_arrive: int,
-        link: _Link,
+        self, src: _Client, dst: _Client, identifier: bytes, rssi: float, t: int, link: _Link
     ) -> None:
-        if not dst.scanning(t_arrive):
-            return
-        if dst.scheme == "tracecorona":
-            beacon = BeaconMessage(uuid=APP_UUID, ephemeral_id=identifier)
-            request = dst.device.on_beacon(beacon, rssi, t_arrive)
-            if request is not None:
-                self._handle_handshake(dst, src, request, t_arrive, link)
-        else:
-            local = dst.local(t_arrive)
-            dst.observations.append(baselines.Observation(identifier, local, rssi))
-            self.gt_obs_prov[(dst.id, identifier, local)] = {
-                "source": src.id,
-                "via": link.adversary,
-            }
+        if dst.device.is_scanning(t):
+            dst.receive(self, src, identifier, rssi, t, link)
 
     def _tick_sensor(self, coverage, t: int) -> None:
         if t >= coverage.end:
             return
         client = self.clients[coverage.device]
-        if client.advertising(t):
+        if client.device.is_advertising(t):
             self.sensor_log.append(
                 (coverage.sensor, t, client.id, client.identifier_at(t))
             )
@@ -348,7 +595,9 @@ class Engine:
 
     # -- handshakes --------------------------------------------------------------------
 
-    def _handle_handshake(self, requester: _Client, owner: _Client, request, t: int, link: _Link) -> None:
+    def start_handshake(
+        self, requester: _Client, owner: _Client, request, t: int, link: _Link
+    ) -> None:
         if link.kind == "relay_oneway":
             requester.device.abort_handshake(
                 request.frame_index, request.peer_ephemeral_id
@@ -440,7 +689,7 @@ class Engine:
     def _midnight(self, day: int) -> None:
         self.server.advance_epoch(day)
         for client in self.clients.values():
-            client.device.purge_expired(day * SECONDS_PER_DAY)
+            client.midnight(day)
 
     def _charge_tick(self) -> None:
         for client in self.clients.values():
@@ -451,312 +700,17 @@ class Engine:
         for device_id, infection in self.gt_infections.items():
             if infection.uploaded or infection.result_day != day:
                 continue
-            client = self.clients[device_id]
             infection.uploaded = True
-            if client.scheme == "tracecorona":
-                self._upload_tracecorona(client, t)
-            elif client.scheme == "decentralized":
-                self._upload_decentralized(client, t, day)
-            else:
-                self._upload_centralized(client, t)
-
-    def _eligible_tokens(self, client: _Client):
-        client.device.charge()
-        drops = [
-            r for r in self.config.redactions if r.device == client.id
-        ]
-
-        def redacted(token) -> bool:
-            return any(r.drop_start <= token.start_time < r.drop_end for r in drops)
-
-        return exposure.redact_tokens(client.device.store, redacted)
-
-    def _upload_tracecorona(self, client: _Client, t: int) -> None:
-        tokens = self._eligible_tokens(client)
-        pairs = [
-            (token, exposure.build_upload_records([token])[0])
-            for token in tokens
-            if token.secret is not None
-        ]
-        if not pairs:
-            return
-        records = [record for _, record in pairs]
-        tan = self.authority.issue_tan(client.id, t)
-        body = wire.encode_upload_infected(tan.value, records)
-        response = wire.handle_request(self.server, body)
-        self.payload_up += 4 + len(body)
-        self.payload_down += 4 + len(response)
-        if response[0] != wire.STATUS_ACCEPTED:
-            return
-        for token, record in pairs:
-            # A client never re-matches its own uploads.
-            client.seen_records.add((record.hash, record.ciphertext))
-            prov = self.gt_token_prov.get(
-                (client.id, token.frame_index, self._peer_ei_of(client, token))
-            )
-            self.gt_record_origin[record.hash] = {
-                "uploader": client.id,
-                "peer": token.peer_hint,
-                "via": prov["via"] if prov else None,
-                "tag": "direct",
-            }
-
-    def _peer_ei_of(self, client: _Client, token) -> bytes:
-        for (frame, peer_ei), stored in client.device.store.items():
-            if stored is token:
-                return peer_ei
-        return b""
-
-    def _upload_decentralized(self, client: _Client, t: int, day: int) -> None:
-        first = max(0, day - self.config.retention_days + 1)
-        keys = [client.daily_key(d) for d in range(first, day + 1)]
-        self.dec_server.publish(keys)
-        for key in keys:
-            self.gt_published_keys.append((client.id, key))
-        self.payload_up += 4 + 1 + len(keys) * 20
-
-    def _upload_centralized(self, client: _Client, t: int) -> None:
-        tan = self.authority.issue_tan(client.id, t)
-        if not self.authority.verify_tan(tan.value):
-            return
-        uploaded = [(obs.tempid, obs.time) for obs in client.observations]
-        self.payload_up += 4 + 2 + len(tan.value) + 24 * len(uploaded)
-        matched = self.cen_server.ingest_upload(client.user_id, uploaded)
-        id_to_client = {
-            c.user_id: c for c in self.clients.values() if c.user_id is not None
-        }
-        for user_id in matched:
-            target = id_to_client.get(user_id)
-            if target is None:
-                continue
-            genuine, via = self._central_match_provenance(client, target, uploaded)
-            self.payload_down += 21
-            self._record_notification(
-                target,
-                t,
-                "direct",
-                False,
-                matched=user_id.hex(),
-                source=client.id,
-                via=via,
-                genuine=genuine,
-            )
-
-    def _central_match_provenance(self, uploader, target, uploaded):
-        """Did any genuinely observed identifier of `target` trigger the
-        match, or only relayed ones?"""
-        best_via = None
-        for tempid, timestamp in uploaded:
-            t_k = timestamp // baselines.CENTRAL_INTERVAL_SECONDS
-            if self.cen_server.tempid_for(target.user_id, t_k) != tempid:
-                continue
-            prov = self.gt_obs_prov.get((uploader.id, tempid, timestamp))
-            if prov is None:
-                continue
-            if prov["via"] is None and prov["source"] == target.id:
-                return True, None
-            best_via = prov["via"]
-        return False, best_via
-
-    # -- feed matching ------------------------------------------------------------------------
+            self.clients[device_id].upload(self, t, day)
 
     def _fetch_round(self) -> None:
-        t = self._now
         for client in self.clients.values():
-            if client.scheme == "tracecorona":
-                self._fetch_tracecorona(client, t)
-            elif client.scheme == "decentralized":
-                self._fetch_decentralized(client, t)
-
-    def _fetch_tracecorona(self, client: _Client, t: int) -> None:
-        stats = self.server.stats_snapshot()
-        if stats["records_published"] == client.last_record_count:
-            return
-        client.last_record_count = stats["records_published"]
-        client.device.charge()
-        shuffle_seed = _sub_seed(self.config.seed, "shuffle", client.id, t) & (2**63 - 1)
-        body = wire.encode_fetch_feed(client.next_since, shuffle_seed)
-        response = wire.handle_request(self.server, body)
-        self.payload_up += 4 + len(body)
-        self.payload_down += 4 + len(response)
-        (epoch,) = struct.unpack_from(">I", response, 1)
-        records, _ = wire.decode_records(response, 5)
-        client.next_since = epoch
-        unseen = []
-        for record in records:
-            key = (record.hash, record.ciphertext)
-            if key in client.seen_records:
-                continue
-            client.seen_records.add(key)
-            unseen.append(record)
-        if not unseen:
-            return
-        feed = wire.PublishedFeed(records=tuple(unseen), feed_epoch=epoch)
-        found = exposure.match_feed(client.device.store, feed, self.config.epsilon)
-        if not found:
-            return
-        client.all_notifications.extend(found)
-        got_direct = False
-        for notification in found:
-            origin = self.gt_record_origin.get(notification.matched_hash)
-            genuine = bool(
-                origin and origin["via"] is None and origin["peer"] == client.id
-            )
-            via = origin["via"] if origin else None
-            self._record_notification(
-                client,
-                t,
-                notification.level.value,
-                notification.superspreader_flag,
-                matched=notification.matched_hash.hex(),
-                source=origin["uploader"] if origin else None,
-                via=via,
-                genuine=genuine,
-            )
-            self.server.report_notification(
-                notification.level.value, notification.superspreader_flag
-            )
-            if notification.level is exposure.NotificationLevel.DIRECT:
-                got_direct = True
-                client.matched_direct_hashes.add(notification.matched_hash)
-        if got_direct:
-            self._react_to_direct(client, t)
-
-    def _react_to_direct(self, client: _Client, t: int) -> None:
-        day = t // SECONDS_PER_DAY
-        timeline = self.config.disease_timeline
-        infection = self.gt_infections.get(client.id)
-        if infection and not infection.uploaded:
-            triggered = day + timeline.symptoms_to_test_days + timeline.test_to_result_days
-            infection.result_day = min(infection.result_day, triggered)
-        if self.config.second_level_enabled and not client.second_level_done:
-            client.second_level_done = True
-            self._upload_second_level(client, t)
-        if (
-            self.config.superspreader_enabled
-            and not client.superspreader_done
-            and len(client.matched_direct_hashes) >= self.config.superspreader_threshold
-        ):
-            client.superspreader_done = True
-            self._upload_superspreader(client, t)
-
-    def _own_records_excluding_matches(self, client: _Client):
-        tokens = [
-            token
-            for token in self._eligible_tokens(client)
-            if token.secret is not None
-            and crypto.token_hash(token.secret) not in client.matched_direct_hashes
-        ]
-        pairs = [
-            (token, exposure.build_upload_records([token])[0]) for token in tokens
-        ]
-        return pairs
-
-    def _proof_secrets(self, client: _Client) -> list[bytes]:
-        secrets = []
-        for token in client.device.store.tokens():
-            if token.secret is None:
-                continue
-            if crypto.token_hash(token.secret) in client.matched_direct_hashes:
-                secrets.append(token.secret)
-        return secrets
-
-    def _upload_second_level(self, client: _Client, t: int) -> None:
-        proofs = self._proof_secrets(client)
-        if not proofs:
-            return
-        pairs = self._own_records_excluding_matches(client)
-        records = [record for _, record in pairs]
-        body = wire.encode_upload_second_level(proofs[0], records)
-        response = wire.handle_request(self.server, body)
-        self.payload_up += 4 + len(body)
-        self.payload_down += 4 + len(response)
-        if response[0] != wire.STATUS_ACCEPTED:
-            return
-        for token, record in pairs:
-            client.seen_records.add((record.hash, record.ciphertext))
-            self.gt_record_origin[record.hash] = {
-                "uploader": client.id,
-                "peer": token.peer_hint,
-                "via": None,
-                "tag": "second_level",
-            }
-
-    def _upload_superspreader(self, client: _Client, t: int) -> None:
-        proofs = exposure.detect_superspreader_candidate(
-            client.device.store,
-            [
-                n
-                for n in client.all_notifications
-                if n.level is exposure.NotificationLevel.DIRECT
-            ],
-            self.config.superspreader_threshold,
-        )
-        if proofs is None:
-            return
-        pairs = self._own_records_excluding_matches(client)
-        records = [record for _, record in pairs]
-        body = wire.encode_upload_superspreader(proofs, records)
-        response = wire.handle_request(self.server, body)
-        self.payload_up += 4 + len(body)
-        self.payload_down += 4 + len(response)
-        if response[0] != wire.STATUS_ACCEPTED:
-            return
-        for token, record in pairs:
-            client.seen_records.add((record.hash, record.ciphertext))
-            self.gt_record_origin[record.hash] = {
-                "uploader": client.id,
-                "peer": token.peer_hint,
-                "via": None,
-                "tag": "possible_superspreader",
-            }
-
-    def _fetch_decentralized(self, client: _Client, t: int) -> None:
-        published = self.dec_server.download()
-        if len(published) == client.last_key_count:
-            return
-        new_keys = published[client.last_key_count :]
-        client.last_key_count = len(published)
-        self.payload_up += 4 + 5
-        self.payload_down += 4 + 1 + 20 * len(new_keys)
-        matches = baselines.match_observations(
-            new_keys,
-            client.observations,
-            replay_window=self.config.replay_window,
-            kiss_bug=self.config.kiss_bug,
-        )
-        owners = {
-            (key.tek, key.day): owner for owner, key in self.gt_published_keys
-        }
-        for match in matches:
-            dedupe = (match.key.tek, match.key.day)
-            if dedupe in client.notified_keys:
-                continue
-            client.notified_keys.add(dedupe)
-            owner = owners.get(dedupe)
-            prov = self.gt_obs_prov.get(
-                (client.id, match.observation.tempid, match.observation.time)
-            )
-            genuine = bool(
-                prov and prov["via"] is None and owner is not None and prov["source"] == owner
-            )
-            via = prov["via"] if prov else None
-            self._record_notification(
-                client,
-                t,
-                "direct",
-                False,
-                matched=match.observation.tempid.hex(),
-                source=owner,
-                via=via,
-                genuine=genuine,
-            )
+            client.fetch(self, self._now)
 
     # -- adversaries ---------------------------------------------------------------------------
 
     def _fake_claims(self, index: int, adv) -> None:
-        scheme = self.config.scheme
-        if scheme == "tracecorona":
+        if self.config.scheme == "tracecorona":
             accepted = 0
             for _ in range(adv.attempts):
                 proof = self.rng_adversary.randbytes(32)
@@ -775,16 +729,9 @@ class Engine:
 
     # -- notifications and report -----------------------------------------------------------------
 
-    def _record_notification(
-        self,
-        client: _Client,
-        t: int,
-        level: str,
-        superspreader_flag: bool,
-        matched: str,
-        source: str | None,
-        via: int | None,
-        genuine: bool,
+    def record_notification(
+        self, client: _Client, t: int, level: str, superspreader_flag: bool,
+        matched: str, source: str | None, via: int | None, genuine: bool,
     ) -> None:
         day = t // SECONDS_PER_DAY
         latency = None
@@ -907,5 +854,4 @@ class Engine:
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     """Execute one scenario; bit-identical reports for identical
     (config, seed)."""
-    config.validate()
     return Engine(config).run()

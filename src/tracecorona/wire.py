@@ -131,8 +131,9 @@ def read_log(path) -> list[tuple[int, TokenUploadRecord]]:
                 if len(parts) == 3 and parts[1] == "epoch":
                     epoch = int(parts[2])
                 continue
-            record, used = decode_record(base64.b64decode(line))
-            if used != len(base64.b64decode(line)):
+            frame = base64.b64decode(line)
+            record, used = decode_record(frame)
+            if used != len(frame):
                 raise WireError("trailing bytes in log line")
             out.append((epoch, record))
     return out
@@ -249,7 +250,7 @@ def handle_request(server, body: bytes) -> bytes:
             return bytes([STATUS_ACCEPTED]) + tan.value.encode("ascii")
         else:
             return bytes([STATUS_MALFORMED]) + f"unknown opcode {op}".encode()
-    except (WireError, IndexError, struct.error) as exc:
+    except (WireError, IndexError, struct.error, UnicodeDecodeError) as exc:
         return bytes([STATUS_MALFORMED]) + str(exc).encode()
     status = STATUS_ACCEPTED if result.accepted else STATUS_REJECTED
     reason = (result.reason or "").encode("ascii")

@@ -5,7 +5,7 @@ import random
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ec_oracle
@@ -90,6 +90,20 @@ class TestDeriveToken:
         a = keypair(1)
         with pytest.raises(crypto.InvalidPoint):
             crypto.derive_token(a.private_key, b"\xff" * 48)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**384 - 1))
+    @example(ec_oracle.P)
+    @example(ec_oracle.P + 1)
+    @example(2**384 - 1)
+    def test_accepts_exactly_the_oracle_points(self, x):
+        on_curve = x < ec_oracle.P and ec_oracle.lift_x(x) is not None
+        try:
+            crypto.validate_public_key(x.to_bytes(48, "big"))
+        except crypto.InvalidPoint:
+            assert not on_curve
+        else:
+            assert on_curve
 
 
 class TestTokenHash:

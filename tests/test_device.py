@@ -60,32 +60,10 @@ def run_encounter(a, b, start, seconds, rssi=-55.0):
 
 
 class TestClockActions:
-    def test_two_advertise_windows_in_120s(self):
-        device = make_device("a")
-        device.advance_clock(0)
-        actions = device.advance_clock(120)
-        opens = [a for a in actions if a.kind == "advertise_open"]
-        assert len(opens) == 2
-
-    def test_scan_windows_in_150s(self):
-        device = make_device("a")
-        device.advance_clock(0)
-        actions = device.advance_clock(150)
-        assert len([a for a in actions if a.kind == "scan_open"]) == 3
-
     def test_frame_rotation_changes_ephemeral_id(self):
         device = make_device("a")
-        device.advance_clock(0)
-        ei_before = device.beacon(10).ephemeral_id
-        actions = device.advance_clock(900)
-        assert any(a.kind == "rotate_frame" for a in actions)
-        assert device.beacon(901).ephemeral_id != ei_before
-
-    def test_clock_must_be_monotonic(self):
-        device = make_device("a")
-        device.advance_clock(100)
-        with pytest.raises(ValueError):
-            device.advance_clock(50)
+        assert device.current_frame(10) != device.current_frame(901)
+        assert device.beacon(901).ephemeral_id != device.beacon(10).ephemeral_id
 
     def test_duty_cycle_shapes(self):
         device = make_device("a")

@@ -421,6 +421,18 @@ class TestSecondLevelTagging:
         assert by_device["k"]["day"] == by_device["j"]["day"]
 
 
+class TestProvenance:
+    def test_two_uploaders_credit_each_other(self):
+        # both sides of the encounter are infected and upload its token
+        config = ScenarioConfig.from_dict(
+            config_dict(infections=[{"device": "a", "day": 0}, {"device": "b", "day": 0}])
+        )
+        report = run_scenario(config)
+        got = sorted((n["device"], n["source"], n["genuine"]) for n in report.notifications)
+        assert got == [("a", "b", True), ("b", "a", True)]
+        assert report.false_notification_count == 0
+
+
 class TestCentralizedScheme:
     def test_honest_pair_notified_on_upload_day(self):
         config = ScenarioConfig.from_dict(config_dict(scheme="centralized"))
@@ -436,3 +448,16 @@ class TestCentralizedScheme:
         )
         report = run_scenario(config)
         assert len(report.notifications) == 1
+
+    def test_observations_expire_after_retention(self):
+        # met on day 0; the upload on day 16 is past the 14-day retention
+        schedule = [{"device_a": "a", "device_b": "b", "start": 36000, "end": 37800}]
+        config = ScenarioConfig.from_dict(
+            config_dict(
+                scheme="centralized",
+                duration_days=17,
+                colocation_schedule=schedule,
+                infections=[{"device": "a", "day": 8}],
+            )
+        )
+        assert run_scenario(config).notifications == []

@@ -4,6 +4,8 @@ import base64
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tracecorona import crypto, wire
 from tracecorona.authority import HealthAuthority
@@ -159,3 +161,21 @@ class TestHandleRequest:
         ha = HealthAuthority(random.Random(0))
         server = TracingServer(ha)
         assert wire.handle_request(server, b"\x2a")[0] == wire.STATUS_MALFORMED
+
+    @given(
+        st.one_of(
+            st.binary(max_size=64),
+            st.tuples(st.integers(0, 7), st.binary(max_size=300)).map(
+                lambda parts: bytes([parts[0]]) + parts[1]
+            ),
+        )
+    )
+    @example(bytes([wire.OP_UPLOAD_INFECTED, 2]) + b"\xff\xfe" + wire.encode_records([]))
+    def test_every_body_gets_a_status(self, body):
+        server = TracingServer(HealthAuthority(random.Random(0)))
+        response = wire.handle_request(server, body)
+        assert response and response[0] in (
+            wire.STATUS_ACCEPTED,
+            wire.STATUS_REJECTED,
+            wire.STATUS_MALFORMED,
+        )
