@@ -114,7 +114,8 @@ class _Client:
     def receive(
         self, engine: Engine, src: _Client, identifier: bytes, rssi: float, t: int, link: _Link
     ) -> None:
-        """A beacon from ``src`` heard while scanning at true time t."""
+        """A beacon from ``src`` arriving at true time t; only heard while
+        the device scans."""
         raise NotImplementedError
 
     def upload(self, engine: Engine, t: int, day: int) -> None:
@@ -146,6 +147,8 @@ class _TraceCoronaClient(_Client):
         return self.device.ephemeral_id(self.device.current_frame(t))
 
     def receive(self, engine, src, identifier, rssi, t, link) -> None:
+        if not self.device.is_scanning(t):
+            return
         beacon = BeaconMessage(uuid=APP_UUID, ephemeral_id=identifier)
         request = self.device.on_beacon(beacon, rssi, t)
         if request is not None:
@@ -299,6 +302,8 @@ class _BaselineClient(_Client):
         self.retention_s = config.retention_days * SECONDS_PER_DAY
 
     def receive(self, engine, src, identifier, rssi, t, link) -> None:
+        if not self.device.is_scanning(t):
+            return
         local = self.device.local_time(t)
         self.observations.append(baselines.Observation(identifier, local, rssi))
         engine.gt_obs_prov[(self.id, identifier, local)] = {
@@ -570,18 +575,13 @@ class Engine:
                 continue
             if self.rng_channel.random() < self.config.channel_loss:
                 continue
-            args = (src, dst, src.identifier_at(t), link.rssi_at(t), t + link.latency, link)
+            identifier, rssi = src.identifier_at(t), link.rssi_at(t)
             if link.latency == 0:
-                self._deliver(*args)
+                dst.receive(self, src, identifier, rssi, t, link)
             else:
-                self._push(t + link.latency, self._deliver, *args)
+                arrival = t + link.latency
+                self._push(arrival, dst.receive, self, src, identifier, rssi, arrival, link)
         self._push(t + 1, self._tick_link, link, t + 1)
-
-    def _deliver(
-        self, src: _Client, dst: _Client, identifier: bytes, rssi: float, t: int, link: _Link
-    ) -> None:
-        if dst.device.is_scanning(t):
-            dst.receive(self, src, identifier, rssi, t, link)
 
     def _tick_sensor(self, coverage, t: int) -> None:
         if t >= coverage.end:
