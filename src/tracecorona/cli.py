@@ -24,10 +24,10 @@ from importlib import resources
 from . import crypto
 from .authority import HealthAuthority
 from .server import TracingServer
-from .simnet.config import ConfigError, ScenarioConfig
+from .simnet.config import SCHEMES, ConfigError, ScenarioConfig
 from .simnet.engine import run_scenario
 from .simnet.report import ScenarioReport
-from .wire import WireServer, decode_record, log_record_line
+from .wire import WireError, WireServer, log_epoch_line, log_record_line, read_log
 
 log = logging.getLogger("tracecorona")
 
@@ -77,17 +77,13 @@ def _write_report(report: ScenarioReport, out: str | None, multi: bool) -> None:
 
 def cmd_run(args) -> int:
     refs = args.config
-    try:
-        if args.jobs > 1 and len(refs) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(
-                    pool.map(_run_one, refs, [args.seed] * len(refs), [args.scheme] * len(refs))
-                )
-        else:
-            reports = [_run_one(ref, args.seed, args.scheme) for ref in refs]
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.jobs > 1 and len(refs) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            reports = list(
+                pool.map(_run_one, refs, [args.seed] * len(refs), [args.scheme] * len(refs))
+            )
+    else:
+        reports = [_run_one(ref, args.seed, args.scheme) for ref in refs]
     for report in reports:
         _write_report(report, args.out, multi=len(reports) > 1)
     return EXIT_OK
@@ -111,25 +107,16 @@ def cmd_serve(args) -> int:
 
 def cmd_ingest(args) -> int:
     try:
-        import base64
-
-        lines = []
-        with open(args.input, "r", encoding="ascii") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                record, _ = decode_record(base64.b64decode(line))
-                lines.append(record)
-    except Exception as exc:
+        records = [record for _epoch, record in read_log(args.input)]
+    except (OSError, ValueError, WireError) as exc:
         print(f"cannot read records: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     with open(args.log, "a", encoding="ascii") as handle:
         if args.epoch is not None:
-            handle.write(f"# epoch {args.epoch}\n")
-        for record in lines:
+            handle.write(log_epoch_line(args.epoch) + "\n")
+        for record in records:
             handle.write(log_record_line(record) + "\n")
-    print(f"ingested {len(lines)} records into {args.log}")
+    print(f"ingested {len(records)} records into {args.log}")
     return EXIT_OK
 
 
@@ -166,20 +153,15 @@ def cmd_keys(args) -> int:
 
 def cmd_attack(args) -> int:
     names = args.name or list(ATTACK_SCENARIOS)
-    rc = EXIT_OK
     for name in names:
-        try:
-            report = _run_one(name, args.seed, args.scheme)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        report = _run_one(name, args.seed, args.scheme)
         _write_report(report, args.out, multi=True)
         print(
             f"{report.name} scheme={report.scheme} "
             f"attack_success_rate={report.attack_success_rate:.4f} "
             f"false_notifications={report.false_notification_count}"
         )
-    return rc
+    return EXIT_OK
 
 
 def cmd_report(args) -> int:
@@ -319,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="config path(s) or bundled scenario name(s)")
     p_run.add_argument("--seed", type=int, default=None, help="seed override")
     p_run.add_argument("--scheme", default=None,
-                       choices=["tracecorona", "centralized", "decentralized"])
+                       choices=SCHEMES)
     p_run.add_argument("--out", default=None, help="report file or directory")
     p_run.add_argument("--jobs", type=int, default=1)
     p_run.set_defaults(fn=cmd_run)
@@ -352,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"scenario names (default: {' '.join(ATTACK_SCENARIOS)})")
     p_attack.add_argument("--seed", type=int, default=None)
     p_attack.add_argument("--scheme", default=None,
-                          choices=["tracecorona", "centralized", "decentralized"])
+                          choices=SCHEMES)
     p_attack.add_argument("--out", default=None)
     p_attack.set_defaults(fn=cmd_attack)
 

@@ -1,21 +1,40 @@
 """Scenario configuration: schema, parsing, validation.
 
-Configs are versioned JSON documents.  Validation errors carry the path
-of the offending field (``devices[1].id``) so the CLI can point at it.
+Configs are versioned JSON documents.  Each dataclass below is the only
+schema of its JSON object: its field names are the keys, its defaults
+the defaults and its annotations the accepted types.  Parsing checks
+shape and type only; ``validate`` checks values and cross-references
+and runs from ``ScenarioConfig.__post_init__``, so ``from_dict``,
+``replace`` and direct construction check the same things.  Errors
+carry the path of the offending field (``devices[1].id``) so the CLI
+can point at it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 
 SCHEMES = ("tracecorona", "centralized", "decentralized")
-ADVERSARY_KINDS = ("relay_oneway", "relay_twoway", "eavesdropper", "fake_claimer")
 MAX_RELAY_FANOUT = 8
 
 SECONDS_PER_DAY = 86400
+
+_RELAY_REQUIRED = ("capture", "victims", "start", "end")
+#: Per adversary kind, the keys its JSON object must have, the optional
+#: keys that ``to_dict`` writes back, and the keys it accepts but does not write.
+_ADVERSARY_KEYS = {
+    "relay_oneway": (_RELAY_REQUIRED, ("latency_s", "emit_rssi"), ("fanout_limit",)),
+    "relay_twoway": (_RELAY_REQUIRED, ("latency_s", "emit_rssi", "fanout_limit"), ()),
+    "eavesdropper": (("sensors",), (), ()),
+    "fake_claimer": ((), ("attempts", "at_day"), ()),
+}
+ADVERSARY_KINDS = tuple(_ADVERSARY_KEYS)
 
 
 class ConfigError(Exception):
@@ -26,32 +45,139 @@ class ConfigError(Exception):
         self.problem = problem
         super().__init__(f"{path}: {problem}")
 
+    def __reduce__(self):
+        # Rebuilt from both arguments, so the error survives a worker process.
+        return ConfigError, (self.path, self.problem)
+
+    def within(self, prefix: str) -> "ConfigError":
+        """The same error, its path read from the object that holds ``prefix``."""
+        if not self.path or self.path.startswith("["):
+            return ConfigError(prefix + self.path, self.problem)
+        return ConfigError(f"{prefix}.{self.path}", self.problem)
+
 
 def _require(condition: bool, path: str, problem: str) -> None:
     if not condition:
         raise ConfigError(path, problem)
 
 
-def _get(d: dict, key: str, path: str, default=..., types=None, nullable=False):
-    if key not in d:
-        if default is ...:
-            raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
-        return default
-    value = d[key]
-    if nullable and value is None:
-        return None
-    if types is not None and not isinstance(value, types):
-        raise ConfigError(
-            f"{path}.{key}" if path else key,
-            f"expected {getattr(types, '__name__', types)}, got {type(value).__name__}",
-        )
+def _each(function, items, name: str = "") -> list:
+    """``function`` of each item; an error's path names the item ``name[i]``."""
+    out = []
+    for i, item in enumerate(items):
+        try:
+            out.append(function(item))
+        except ConfigError as exc:
+            raise exc.within(f"{name}[{i}]") from None
+    return out
+
+
+# -- JSON codecs ---------------------------------------------------------------
+#
+# A codec is a (parse, dump) pair.  ``parse`` takes a JSON value and returns
+# the stored one, raising ConfigError with a path relative to the value;
+# ``dump`` inverts it.  Each class's codecs are built once, from its
+# annotations, because reading them per object is several times slower.
+
+
+def _same(value):
     return value
 
 
-def _reject_unknown(d: dict, known: set[str], path: str) -> None:
-    for key in d:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
+def _scalar(tp: type):
+    accepted = (int, float) if tp is float else tp
+    convert = float if tp is float else _same
+
+    def parse(value):
+        if not isinstance(value, accepted):
+            raise ConfigError("", f"expected {tp.__name__}, got {type(value).__name__}")
+        return convert(value)
+
+    return parse, _same
+
+
+def _items(codec):
+    """A tuple stored from a JSON list."""
+    parse_item, dump_item = codec
+    parse_list = _scalar(list)[0]
+    return (
+        lambda values: tuple(_each(parse_item, parse_list(values))),
+        lambda values: list(map(dump_item, values)),
+    )
+
+
+def _codec(tp):
+    if dataclasses.is_dataclass(tp):
+        return functools.partial(_read, tp), _schema(tp)[1]
+    if typing.get_origin(tp) is tuple:
+        return _items(_codec(typing.get_args(tp)[0]))
+    if typing.get_origin(tp) is types.UnionType:  # T | None
+        parse, dump = _codec(typing.get_args(tp)[0])
+        return (lambda value: None if value is None else parse(value)), dump
+    return _scalar(tp)
+
+
+@functools.cache
+def _schema(cls) -> tuple[dict, typing.Callable, list]:
+    """The parser of each field, the serializer, and the required fields."""
+    hints = typing.get_type_hints(cls)
+    parsers, dumpers, required = {}, {}, []
+    for f in dataclasses.fields(cls):
+        parsers[f.name], dump = f.metadata.get("codec") or _codec(hints[f.name])
+        if dump is not _same:
+            dumpers[f"_{f.name}"] = dump
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            required.append(f.name)
+    # A dict display compiled once per class serializes as fast as a
+    # hand-written to_dict; reading the fields in a loop took twice as long.
+    items = ", ".join(
+        f"{name!r}: _{name}(o.{name})" if f"_{name}" in dumpers else f"{name!r}: o.{name}"
+        for name in parsers
+    )
+    write = eval(f"lambda o: {{{items}}}", dumpers)
+    return parsers, write, required
+
+
+def _read(cls, data):
+    """Build ``cls`` from a JSON object after checking its keys and types."""
+    if not isinstance(data, dict):
+        raise ConfigError("", "must be an object")
+    parsers, _, required = _schema(cls)
+    kwargs = {}
+    for key, value in data.items():
+        parse = parsers.get(key)
+        if parse is None:
+            raise ConfigError(key, "unknown field")
+        try:
+            kwargs[key] = parse(value)
+        except ConfigError as exc:
+            raise exc.within(key) from None
+    for name in required:
+        if name not in kwargs:
+            raise ConfigError(name, "missing required field")
+    return cls(**kwargs)
+
+
+def _parse_profile(value):
+    if isinstance(value, list):
+        segments = []
+        for j, seg in enumerate(value):
+            if not (
+                isinstance(seg, list)
+                and len(seg) == 2
+                and isinstance(seg[0], int)
+                and isinstance(seg[1], (int, float))
+            ):
+                raise ConfigError(f"[{j}]", "must be [offset_seconds, dbm]")
+            segments.append((seg[0], float(seg[1])))
+        return tuple(segments)
+    if not isinstance(value, (int, float)):
+        raise ConfigError("", f"expected float or list, got {type(value).__name__}")
+    return float(value)
+
+
+def _dump_profile(profile):
+    return [list(seg) for seg in profile] if isinstance(profile, tuple) else profile
 
 
 @dataclass(frozen=True)
@@ -63,35 +189,18 @@ class DiseaseTimeline:
     symptoms_to_test_days: int = 2
     test_to_result_days: int = 1
 
-    def validate(self, path: str) -> None:
-        _require(
-            self.incubation_to_contagious_days >= 0,
-            f"{path}.incubation_to_contagious_days",
-            "must be >= 0",
-        )
+    def validate(self, config: "ScenarioConfig") -> None:
+        for name in (
+            "incubation_to_contagious_days",
+            "symptoms_to_test_days",
+            "test_to_result_days",
+        ):
+            _require(getattr(self, name) >= 0, name, "must be >= 0")
         _require(
             self.contagious_to_symptoms_days in (1, 2),
-            f"{path}.contagious_to_symptoms_days",
+            "contagious_to_symptoms_days",
             "must be 1 or 2",
         )
-        _require(
-            self.symptoms_to_test_days >= 0,
-            f"{path}.symptoms_to_test_days",
-            "must be >= 0",
-        )
-        _require(
-            self.test_to_result_days >= 0,
-            f"{path}.test_to_result_days",
-            "must be >= 0",
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "incubation_to_contagious_days": self.incubation_to_contagious_days,
-            "contagious_to_symptoms_days": self.contagious_to_symptoms_days,
-            "symptoms_to_test_days": self.symptoms_to_test_days,
-            "test_to_result_days": self.test_to_result_days,
-        }
 
 
 @dataclass(frozen=True)
@@ -101,13 +210,14 @@ class DeviceSpec:
     scheme: str | None = None
     derive_mode: str = "eager"
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "clock_offset_s": self.clock_offset_s,
-            "scheme": self.scheme,
-            "derive_mode": self.derive_mode,
-        }
+    def validate(self, config: "ScenarioConfig") -> None:
+        if self.scheme is not None and self.scheme not in SCHEMES:
+            raise ConfigError("scheme", f"must be one of {SCHEMES}")
+        _require(
+            self.derive_mode in ("eager", "deferred"),
+            "derive_mode",
+            "must be 'eager' or 'deferred'",
+        )
 
 
 @dataclass(frozen=True)
@@ -117,7 +227,9 @@ class ColocationInterval:
     start: int
     end: int
     #: constant dBm, or piecewise segments [[offset_from_start, dbm], ...]
-    rssi_profile: float | tuple = -55.0
+    rssi_profile: float | tuple = field(
+        default=-55.0, metadata={"codec": (_parse_profile, _dump_profile)}
+    )
 
     def rssi_at(self, t: int) -> float:
         if isinstance(self.rssi_profile, (int, float)):
@@ -128,33 +240,48 @@ class ColocationInterval:
                 value = float(dbm)
         return value
 
-    def to_dict(self) -> dict:
-        profile = self.rssi_profile
-        if isinstance(profile, tuple):
-            profile = [list(seg) for seg in profile]
-        return {
-            "device_a": self.device_a,
-            "device_b": self.device_b,
-            "start": self.start,
-            "end": self.end,
-            "rssi_profile": profile,
-        }
+    def validate(self, config: "ScenarioConfig") -> None:
+        schemes = config._schemes
+        _require(self.device_a in schemes, "device_a", "unknown device id")
+        _require(self.device_b in schemes, "device_b", "unknown device id")
+        _require(self.device_a != self.device_b, "device_b", "devices must differ")
+        _require(0 <= self.start < self.end, "end", "interval must satisfy 0 <= start < end")
+        _require(
+            self.end <= config.duration_days * SECONDS_PER_DAY,
+            "end",
+            "interval extends past scenario duration",
+        )
+        _require(
+            schemes[self.device_a] == schemes[self.device_b],
+            "device_b",
+            "co-located devices must run the same scheme",
+        )
+        if isinstance(self.rssi_profile, tuple):
+            _require(len(self.rssi_profile) > 0, "rssi_profile", "must not be empty")
+            previous = -1
+            for j, (offset, _dbm) in enumerate(self.rssi_profile):
+                if offset <= previous:
+                    raise ConfigError(
+                        f"rssi_profile[{j}]", "offsets must be strictly increasing"
+                    )
+                previous = offset
+            _require(
+                self.rssi_profile[0][0] == 0,
+                "rssi_profile[0]",
+                "first segment must start at offset 0",
+            )
 
 
 @dataclass(frozen=True)
 class SensorCoverage:
-    sensor: str
+    id: str
     device: str
     start: int
     end: int
 
-    def to_dict(self) -> dict:
-        return {
-            "sensor": self.sensor,
-            "device": self.device,
-            "start": self.start,
-            "end": self.end,
-        }
+    def validate(self, config: "ScenarioConfig") -> None:
+        _require(self.device in config._schemes, "device", "unknown device id")
+        _require(0 <= self.start < self.end, "end", "window must satisfy 0 <= start < end")
 
 
 @dataclass(frozen=True)
@@ -171,24 +298,62 @@ class AdversarySpec:
     attempts: int = 10000
     at_day: int | None = None
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
+    def validate(self, config: "ScenarioConfig") -> None:
+        _require(self.kind in ADVERSARY_KINDS, "kind", f"must be one of {ADVERSARY_KINDS}")
         if self.kind in ("relay_oneway", "relay_twoway"):
-            d.update(
-                capture=self.capture,
-                victims=list(self.victims),
-                start=self.start,
-                end=self.end,
-                latency_s=self.latency_s,
-                emit_rssi=self.emit_rssi,
+            schemes = config._schemes
+            _require(self.capture in schemes, "capture", "unknown device id")
+            _require(len(self.victims) > 0, "victims", "must not be empty")
+            for j, victim in enumerate(self.victims):
+                _require(victim in schemes, f"victims[{j}]", "unknown device id")
+                _require(victim != self.capture, f"victims[{j}]", "victim equals capture")
+                _require(
+                    schemes[self.capture] == schemes[victim],
+                    f"victims[{j}]",
+                    "relay endpoints must run the same scheme",
+                )
+            _require(0 <= self.start < self.end, "end", "window must satisfy 0 <= start < end")
+            _require(
+                1 <= self.fanout_limit <= MAX_RELAY_FANOUT,
+                "fanout_limit",
+                f"must be between 1 and {MAX_RELAY_FANOUT}",
             )
-            if self.kind == "relay_twoway":
-                d["fanout_limit"] = self.fanout_limit
         elif self.kind == "eavesdropper":
-            d["sensors"] = [s.to_dict() for s in self.sensors]
-        elif self.kind == "fake_claimer":
-            d.update(attempts=self.attempts, at_day=self.at_day)
-        return d
+            _require(len(self.sensors) > 0, "sensors", "must not be empty")
+            _each(lambda sensor: sensor.validate(config), self.sensors, "sensors")
+        else:  # fake_claimer
+            _require(self.attempts > 0, "attempts", "must be positive")
+            _require(
+                config.scheme in ("tracecorona", "decentralized"),
+                "kind",
+                "fake_claimer requires scheme tracecorona or decentralized",
+            )
+            if self.at_day is not None:
+                _require(
+                    0 <= self.at_day < config.duration_days,
+                    "at_day",
+                    "must be within scenario duration",
+                )
+
+
+def _parse_adversary(data) -> AdversarySpec:
+    adversary = _read(AdversarySpec, data)
+    keys = _ADVERSARY_KEYS.get(adversary.kind)
+    if keys is not None:  # an unknown kind is reported by validate
+        required, written, dropped = keys
+        for key in data:
+            if key != "kind" and key not in required + written + dropped:
+                raise ConfigError(key, "unknown field")
+        for key in required:
+            if key not in data:
+                raise ConfigError(key, "missing required field")
+    return adversary
+
+
+def _dump_adversary(adversary: AdversarySpec) -> dict:
+    required, written, _ = _ADVERSARY_KEYS[adversary.kind]
+    out = _schema(AdversarySpec)[1](adversary)
+    return {key: out[key] for key in ("kind", *required, *written)}
 
 
 @dataclass(frozen=True)
@@ -196,8 +361,10 @@ class InfectionSpec:
     device: str
     day: int
 
-    def to_dict(self) -> dict:
-        return {"device": self.device, "day": self.day}
+    def validate(self, config: "ScenarioConfig") -> None:
+        _require(self.device in config._schemes, "device", "unknown device id")
+        _require(self.day >= 0, "day", "must be >= 0")
+        _require(self.day < config.duration_days, "day", "must be before scenario end")
 
 
 @dataclass(frozen=True)
@@ -209,12 +376,9 @@ class RedactionSpec:
     drop_start: int
     drop_end: int
 
-    def to_dict(self) -> dict:
-        return {
-            "device": self.device,
-            "drop_start": self.drop_start,
-            "drop_end": self.drop_end,
-        }
+    def validate(self, config: "ScenarioConfig") -> None:
+        _require(self.device in config._schemes, "device", "unknown device id")
+        _require(self.drop_start < self.drop_end, "drop_end", "must exceed drop_start")
 
 
 @dataclass(frozen=True)
@@ -222,10 +386,12 @@ class ScenarioConfig:
     name: str
     seed: int
     duration_days: int
+    devices: tuple[DeviceSpec, ...]
     scheme: str = "tracecorona"
-    devices: tuple[DeviceSpec, ...] = ()
     colocation_schedule: tuple[ColocationInterval, ...] = ()
-    adversaries: tuple[AdversarySpec, ...] = ()
+    adversaries: tuple[AdversarySpec, ...] = field(
+        default=(), metadata={"codec": _items((_parse_adversary, _dump_adversary))}
+    )
     infections: tuple[InfectionSpec, ...] = ()
     redactions: tuple[RedactionSpec, ...] = ()
     disease_timeline: DiseaseTimeline = field(default_factory=DiseaseTimeline)
@@ -246,304 +412,16 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         self.validate()
 
-    # -- parsing -------------------------------------------------------------
-
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        _require(isinstance(data, dict), "", "config must be an object")
-        known = {
-            "version",
-            "name",
-            "seed",
-            "scheme",
-            "duration_days",
-            "devices",
-            "colocation_schedule",
-            "adversaries",
-            "infections",
-            "redactions",
-            "disease_timeline",
-            "epsilon",
-            "frame_period",
-            "min_encounter_duration",
-            "feed_cadence",
-            "channel_loss",
-            "replay_window",
-            "kiss_bug",
-            "second_level_enabled",
-            "superspreader_enabled",
-            "superspreader_threshold",
-            "bluetrace",
-            "retention_days",
-        }
-        _reject_unknown(data, known, "")
-        version = _get(data, "version", "", default=1, types=int)
-        _require(version == 1, "version", "unsupported config version")
-
-        devices = tuple(
-            cls._parse_device(entry, f"devices[{i}]")
-            for i, entry in enumerate(_get(data, "devices", "", types=list))
-        )
-        ids = [d.id for d in devices]
-        for i, device_id in enumerate(ids):
-            _require(
-                ids.index(device_id) == i, f"devices[{i}].id", "duplicate device id"
-            )
-        id_set = set(ids)
-
-        schedule = tuple(
-            cls._parse_interval(entry, f"colocation_schedule[{i}]", id_set)
-            for i, entry in enumerate(
-                _get(data, "colocation_schedule", "", default=[], types=list)
-            )
-        )
-        adversaries = tuple(
-            cls._parse_adversary(entry, f"adversaries[{i}]", id_set)
-            for i, entry in enumerate(_get(data, "adversaries", "", default=[], types=list))
-        )
-        infections = tuple(
-            cls._parse_infection(entry, f"infections[{i}]", id_set)
-            for i, entry in enumerate(_get(data, "infections", "", default=[], types=list))
-        )
-        redactions = tuple(
-            cls._parse_redaction(entry, f"redactions[{i}]", id_set)
-            for i, entry in enumerate(_get(data, "redactions", "", default=[], types=list))
-        )
-
-        timeline_data = _get(data, "disease_timeline", "", default={}, types=dict)
-        _reject_unknown(
-            timeline_data,
-            {
-                "incubation_to_contagious_days",
-                "contagious_to_symptoms_days",
-                "symptoms_to_test_days",
-                "test_to_result_days",
-            },
-            "disease_timeline",
-        )
-        timeline = DiseaseTimeline(
-            incubation_to_contagious_days=_get(
-                timeline_data, "incubation_to_contagious_days", "disease_timeline",
-                default=3, types=int,
-            ),
-            contagious_to_symptoms_days=_get(
-                timeline_data, "contagious_to_symptoms_days", "disease_timeline",
-                default=2, types=int,
-            ),
-            symptoms_to_test_days=_get(
-                timeline_data, "symptoms_to_test_days", "disease_timeline",
-                default=2, types=int,
-            ),
-            test_to_result_days=_get(
-                timeline_data, "test_to_result_days", "disease_timeline",
-                default=1, types=int,
-            ),
-        )
-
-        return cls(
-            name=_get(data, "name", "", types=str),
-            seed=_get(data, "seed", "", types=int),
-            duration_days=_get(data, "duration_days", "", types=int),
-            scheme=_get(data, "scheme", "", default="tracecorona", types=str),
-            devices=devices,
-            colocation_schedule=schedule,
-            adversaries=adversaries,
-            infections=infections,
-            redactions=redactions,
-            disease_timeline=timeline,
-            epsilon=_get(data, "epsilon", "", default=30, types=int),
-            frame_period=_get(data, "frame_period", "", default=900, types=int),
-            min_encounter_duration=_get(
-                data, "min_encounter_duration", "", default=300, types=int
-            ),
-            feed_cadence=_get(data, "feed_cadence", "", default=SECONDS_PER_DAY, types=int),
-            channel_loss=_get(
-                data, "channel_loss", "", default=0.1, types=(int, float)
-            ),
-            replay_window=_get(data, "replay_window", "", default=7200, types=int),
-            kiss_bug=_get(data, "kiss_bug", "", default=False, types=bool),
-            second_level_enabled=_get(
-                data, "second_level_enabled", "", default=False, types=bool
-            ),
-            superspreader_enabled=_get(
-                data, "superspreader_enabled", "", default=True, types=bool
-            ),
-            superspreader_threshold=_get(
-                data, "superspreader_threshold", "", default=3, types=int
-            ),
-            bluetrace=_get(data, "bluetrace", "", default=False, types=bool),
-            retention_days=_get(data, "retention_days", "", default=14, types=int),
-            version=version,
-        )
-
-    @staticmethod
-    def _parse_device(entry, path: str) -> DeviceSpec:
-        _require(isinstance(entry, dict), path, "must be an object")
-        _reject_unknown(entry, {"id", "clock_offset_s", "scheme", "derive_mode"}, path)
-        scheme = _get(entry, "scheme", path, default=None, types=str, nullable=True)
-        if scheme is not None:
-            _require(scheme in SCHEMES, f"{path}.scheme", f"must be one of {SCHEMES}")
-        derive_mode = _get(entry, "derive_mode", path, default="eager", types=str)
-        _require(
-            derive_mode in ("eager", "deferred"),
-            f"{path}.derive_mode",
-            "must be 'eager' or 'deferred'",
-        )
-        return DeviceSpec(
-            id=_get(entry, "id", path, types=str),
-            clock_offset_s=_get(entry, "clock_offset_s", path, default=0, types=int),
-            scheme=scheme,
-            derive_mode=derive_mode,
-        )
-
-    @staticmethod
-    def _parse_interval(entry, path: str, ids: set[str]) -> ColocationInterval:
-        _require(isinstance(entry, dict), path, "must be an object")
-        _reject_unknown(
-            entry, {"device_a", "device_b", "start", "end", "rssi_profile"}, path
-        )
-        a = _get(entry, "device_a", path, types=str)
-        b = _get(entry, "device_b", path, types=str)
-        _require(a in ids, f"{path}.device_a", "unknown device id")
-        _require(b in ids, f"{path}.device_b", "unknown device id")
-        _require(a != b, f"{path}.device_b", "devices must differ")
-        start = _get(entry, "start", path, types=int)
-        end = _get(entry, "end", path, types=int)
-        _require(0 <= start < end, f"{path}.end", "interval must satisfy 0 <= start < end")
-        profile = _get(entry, "rssi_profile", path, default=-55.0, types=(int, float, list))
-        if isinstance(profile, list):
-            _require(len(profile) > 0, f"{path}.rssi_profile", "must not be empty")
-            previous = -1
-            segments = []
-            for j, seg in enumerate(profile):
-                _require(
-                    isinstance(seg, list)
-                    and len(seg) == 2
-                    and isinstance(seg[0], int)
-                    and isinstance(seg[1], (int, float)),
-                    f"{path}.rssi_profile[{j}]",
-                    "must be [offset_seconds, dbm]",
-                )
-                _require(
-                    seg[0] > previous,
-                    f"{path}.rssi_profile[{j}]",
-                    "offsets must be strictly increasing",
-                )
-                previous = seg[0]
-                segments.append((seg[0], float(seg[1])))
-            _require(
-                segments[0][0] == 0,
-                f"{path}.rssi_profile[0]",
-                "first segment must start at offset 0",
-            )
-            profile = tuple(segments)
-        else:
-            profile = float(profile)
-        return ColocationInterval(
-            device_a=a, device_b=b, start=start, end=end, rssi_profile=profile
-        )
-
-    @staticmethod
-    def _parse_adversary(entry, path: str, ids: set[str]) -> AdversarySpec:
-        _require(isinstance(entry, dict), path, "must be an object")
-        kind = _get(entry, "kind", path, types=str)
-        _require(kind in ADVERSARY_KINDS, f"{path}.kind", f"must be one of {ADVERSARY_KINDS}")
-        if kind in ("relay_oneway", "relay_twoway"):
-            allowed = {
-                "kind", "capture", "victims", "start", "end", "latency_s",
-                "emit_rssi", "fanout_limit",
-            }
-            _reject_unknown(entry, allowed, path)
-            capture = _get(entry, "capture", path, types=str)
-            _require(capture in ids, f"{path}.capture", "unknown device id")
-            victims = _get(entry, "victims", path, types=list)
-            _require(len(victims) > 0, f"{path}.victims", "must not be empty")
-            for j, victim in enumerate(victims):
-                _require(
-                    isinstance(victim, str) and victim in ids,
-                    f"{path}.victims[{j}]",
-                    "unknown device id",
-                )
-                _require(victim != capture, f"{path}.victims[{j}]", "victim equals capture")
-            start = _get(entry, "start", path, types=int)
-            end = _get(entry, "end", path, types=int)
-            _require(0 <= start < end, f"{path}.end", "window must satisfy 0 <= start < end")
-            fanout = _get(entry, "fanout_limit", path, default=MAX_RELAY_FANOUT, types=int)
-            _require(
-                1 <= fanout <= MAX_RELAY_FANOUT,
-                f"{path}.fanout_limit",
-                f"must be between 1 and {MAX_RELAY_FANOUT}",
-            )
-            return AdversarySpec(
-                kind=kind,
-                capture=capture,
-                victims=tuple(victims),
-                start=start,
-                end=end,
-                latency_s=_get(entry, "latency_s", path, default=0, types=int),
-                emit_rssi=float(
-                    _get(entry, "emit_rssi", path, default=-55.0, types=(int, float))
-                ),
-                fanout_limit=fanout,
-            )
-        if kind == "eavesdropper":
-            _reject_unknown(entry, {"kind", "sensors"}, path)
-            sensors_data = _get(entry, "sensors", path, types=list)
-            _require(len(sensors_data) > 0, f"{path}.sensors", "must not be empty")
-            sensors = []
-            for j, sensor in enumerate(sensors_data):
-                spath = f"{path}.sensors[{j}]"
-                _require(isinstance(sensor, dict), spath, "must be an object")
-                _reject_unknown(sensor, {"id", "device", "start", "end"}, spath)
-                device = _get(sensor, "device", spath, types=str)
-                _require(device in ids, f"{spath}.device", "unknown device id")
-                start = _get(sensor, "start", spath, types=int)
-                end = _get(sensor, "end", spath, types=int)
-                _require(0 <= start < end, f"{spath}.end", "window must satisfy 0 <= start < end")
-                sensors.append(
-                    SensorCoverage(
-                        sensor=_get(sensor, "id", spath, types=str),
-                        device=device,
-                        start=start,
-                        end=end,
-                    )
-                )
-            return AdversarySpec(kind=kind, sensors=tuple(sensors))
-        # fake_claimer
-        _reject_unknown(entry, {"kind", "attempts", "at_day"}, path)
-        attempts = _get(entry, "attempts", path, default=10000, types=int)
-        _require(attempts > 0, f"{path}.attempts", "must be positive")
-        return AdversarySpec(
-            kind=kind,
-            attempts=attempts,
-            at_day=_get(entry, "at_day", path, default=None, types=int, nullable=True),
-        )
-
-    @staticmethod
-    def _parse_infection(entry, path: str, ids: set[str]) -> InfectionSpec:
-        _require(isinstance(entry, dict), path, "must be an object")
-        _reject_unknown(entry, {"device", "day"}, path)
-        device = _get(entry, "device", path, types=str)
-        _require(device in ids, f"{path}.device", "unknown device id")
-        day = _get(entry, "day", path, types=int)
-        _require(day >= 0, f"{path}.day", "must be >= 0")
-        return InfectionSpec(device=device, day=day)
-
-    @staticmethod
-    def _parse_redaction(entry, path: str, ids: set[str]) -> RedactionSpec:
-        _require(isinstance(entry, dict), path, "must be an object")
-        _reject_unknown(entry, {"device", "drop_start", "drop_end"}, path)
-        device = _get(entry, "device", path, types=str)
-        _require(device in ids, f"{path}.device", "unknown device id")
-        drop_start = _get(entry, "drop_start", path, types=int)
-        drop_end = _get(entry, "drop_end", path, types=int)
-        _require(drop_start < drop_end, f"{path}.drop_end", "must exceed drop_start")
-        return RedactionSpec(device=device, drop_start=drop_start, drop_end=drop_end)
+        return _read(cls, data)
 
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> None:
-        _require(self.duration_days >= 1, "duration_days", "must be >= 1")
+        _require(self.version == 1, "version", "unsupported config version")
+        for name in ("duration_days", "superspreader_threshold", "retention_days"):
+            _require(getattr(self, name) >= 1, name, "must be >= 1")
         _require(self.scheme in SCHEMES, "scheme", f"must be one of {SCHEMES}")
         _require(self.frame_period > 0, "frame_period", "must be positive")
         _require(
@@ -565,57 +443,20 @@ class ScenarioConfig:
             0.0 <= self.channel_loss < 1.0, "channel_loss", "must be in [0, 1)"
         )
         _require(self.replay_window >= 0, "replay_window", "must be >= 0")
-        _require(
-            self.superspreader_threshold >= 1,
-            "superspreader_threshold",
-            "must be >= 1",
-        )
-        _require(self.retention_days >= 1, "retention_days", "must be >= 1")
         _require(len(self.devices) > 0, "devices", "must not be empty")
+        schemes = {}
+        for i, device in enumerate(self.devices):
+            if device.id in schemes:
+                raise ConfigError(f"devices[{i}].id", "duplicate device id")
+            schemes[device.id] = device.scheme or self.scheme
         # Frozen, so the index is set past __setattr__; it is not a field.
-        object.__setattr__(
-            self, "_schemes", {d.id: d.scheme or self.scheme for d in self.devices}
-        )
-        self.disease_timeline.validate("disease_timeline")
-        horizon = self.duration_days * SECONDS_PER_DAY
-        for i, interval in enumerate(self.colocation_schedule):
-            _require(
-                interval.end <= horizon,
-                f"colocation_schedule[{i}].end",
-                "interval extends past scenario duration",
-            )
-            _require(
-                self.scheme_of(interval.device_a) == self.scheme_of(interval.device_b),
-                f"colocation_schedule[{i}].device_b",
-                "co-located devices must run the same scheme",
-            )
-        for i, adv in enumerate(self.adversaries):
-            if adv.kind in ("relay_oneway", "relay_twoway"):
-                for j, victim in enumerate(adv.victims):
-                    _require(
-                        self.scheme_of(adv.capture) == self.scheme_of(victim),
-                        f"adversaries[{i}].victims[{j}]",
-                        "relay endpoints must run the same scheme",
-                    )
-        for i, infection in enumerate(self.infections):
-            _require(
-                infection.day < self.duration_days,
-                f"infections[{i}].day",
-                "must be before scenario end",
-            )
-        for i, adv in enumerate(self.adversaries):
-            if adv.kind == "fake_claimer":
-                _require(
-                    self.scheme in ("tracecorona", "decentralized"),
-                    f"adversaries[{i}].kind",
-                    "fake_claimer requires scheme tracecorona or decentralized",
-                )
-                if adv.at_day is not None:
-                    _require(
-                        0 <= adv.at_day < self.duration_days,
-                        f"adversaries[{i}].at_day",
-                        "must be within scenario duration",
-                    )
+        object.__setattr__(self, "_schemes", schemes)
+        try:
+            self.disease_timeline.validate(self)
+        except ConfigError as exc:
+            raise exc.within("disease_timeline") from None
+        for name in ("devices", "colocation_schedule", "adversaries", "infections", "redactions"):
+            _each(lambda item: item.validate(self), getattr(self, name), name)
 
     def scheme_of(self, device_id: str) -> str:
         return self._schemes[device_id]
@@ -623,31 +464,7 @@ class ScenarioConfig:
     # -- serialization -----------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "name": self.name,
-            "seed": self.seed,
-            "scheme": self.scheme,
-            "duration_days": self.duration_days,
-            "devices": [d.to_dict() for d in self.devices],
-            "colocation_schedule": [c.to_dict() for c in self.colocation_schedule],
-            "adversaries": [a.to_dict() for a in self.adversaries],
-            "infections": [i.to_dict() for i in self.infections],
-            "redactions": [r.to_dict() for r in self.redactions],
-            "disease_timeline": self.disease_timeline.to_dict(),
-            "epsilon": self.epsilon,
-            "frame_period": self.frame_period,
-            "min_encounter_duration": self.min_encounter_duration,
-            "feed_cadence": self.feed_cadence,
-            "channel_loss": self.channel_loss,
-            "replay_window": self.replay_window,
-            "kiss_bug": self.kiss_bug,
-            "second_level_enabled": self.second_level_enabled,
-            "superspreader_enabled": self.superspreader_enabled,
-            "superspreader_threshold": self.superspreader_threshold,
-            "bluetrace": self.bluetrace,
-            "retention_days": self.retention_days,
-        }
+        return _schema(ScenarioConfig)[1](self)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -589,7 +589,7 @@ class Engine:
         client = self.clients[coverage.device]
         if client.device.is_advertising(t):
             self.sensor_log.append(
-                (coverage.sensor, t, client.id, client.identifier_at(t))
+                (coverage.id, t, client.id, client.identifier_at(t))
             )
         self._push(t + 1, self._tick_sensor, coverage, t + 1)
 

@@ -11,38 +11,15 @@ Identical (config, seed) pairs produce byte-identical output in both.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 REPORT_VERSION = 1
-
-#: Field order of the text rendering; also the JSON key inventory.
-FIELD_ORDER = [
-    "version",
-    "name",
-    "scheme",
-    "seed",
-    "config_digest",
-    "duration_days",
-    "notifications",
-    "false_notification_count",
-    "attack_success_rate",
-    "attack_details",
-    "relay_fanout",
-    "max_linkability_window_s",
-    "linkability_recovered",
-    "gt_day_identifiers",
-    "notification_latency_days",
-    "first_notification_day",
-    "payload_bytes_uploaded",
-    "payload_bytes_downloaded",
-    "server_stats",
-    "device_token_counts",
-    "payload_notes",
-]
 
 
 @dataclass
 class ScenarioReport:
+    # First in the text rendering; keyword-only, so it may precede required fields.
+    version: int = field(default=REPORT_VERSION, kw_only=True)
     name: str
     scheme: str
     seed: int
@@ -63,7 +40,6 @@ class ScenarioReport:
     server_stats: dict = field(default_factory=dict)
     device_token_counts: dict = field(default_factory=dict)
     payload_notes: dict = field(default_factory=dict)
-    version: int = REPORT_VERSION
 
     def to_dict(self) -> dict:
         return {key: getattr(self, key) for key in FIELD_ORDER}
@@ -107,3 +83,7 @@ class ScenarioReport:
         if stripped.startswith("{"):
             return cls.from_json(content)
         return cls.from_text(content)
+
+
+#: Field order of the text rendering; also the JSON key inventory.
+FIELD_ORDER = [f.name for f in fields(ScenarioReport)]

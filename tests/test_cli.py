@@ -35,6 +35,13 @@ class TestRun:
     def test_missing_scenario_exit_2(self, capsys):
         assert run_cli(["run", "--config", "no_such_scenario"]) == 2
 
+    def test_config_error_in_worker_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"name": "x", "seed": 1, "duration_days": 0,
+                                   "devices": [{"id": "a"}]}))
+        assert run_cli(["run", "--config", str(bad), str(bad), "--jobs", "2"]) == 2
+        assert "config error: duration_days: must be >= 1" in capsys.readouterr().err
+
     def test_scheme_override_changes_attack_rate(self, tmp_path):
         out_dec = tmp_path / "dec.json"
         out_tc = tmp_path / "tc.json"
@@ -144,10 +151,14 @@ class TestIngestAndStats:
         assert stats["records_by_tag"]["direct"] == 1
 
     def test_ingest_bad_input_exit_2(self, tmp_path):
+        record = wire.TokenUploadRecord(hash=bytes(16), ciphertext=bytes(12))
+        trailing = base64.b64encode(wire.encode_record(record) + b"\0\0").decode()
         bad = tmp_path / "bad.b64"
-        bad.write_text("!!!not-base64!!!\n")
         log = tmp_path / "log"
-        assert run_cli(["ingest", "--log", str(log), "--input", str(bad)]) == 2
+        for text in ("!!!not-base64!!!\n", trailing + "\n"):
+            bad.write_text(text)
+            assert run_cli(["ingest", "--log", str(log), "--input", str(bad)]) == 2
+        assert not log.exists()
 
     def test_dump_stats_missing_log_exit_2(self):
         assert run_cli(["dump-stats", "--log", "/nonexistent/log"]) == 2

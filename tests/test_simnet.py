@@ -2,10 +2,11 @@
 
 import json
 import re
+from importlib import resources
 
 import pytest
 
-from tracecorona.simnet.config import ConfigError, ScenarioConfig
+from tracecorona.simnet.config import ConfigError, InfectionSpec, ScenarioConfig
 from tracecorona.simnet.engine import Engine, run_scenario
 from tracecorona.simnet.report import ScenarioReport
 
@@ -34,12 +35,103 @@ def config_dict(**overrides):
     return base
 
 
+SCENARIOS = resources.files("tracecorona") / "scenarios"
+BUNDLED = sorted(p.name[:-5] for p in SCENARIOS.iterdir() if p.name.endswith(".json"))
+
+
+def bundled_dict(name):
+    return json.loads((SCENARIOS / f"{name}.json").read_text())
+
+
+RELAY = {"kind": "relay_oneway", "capture": "a", "victims": ["b"], "start": 0, "end": 100}
+
+
+def without(entry, key):
+    return {k: v for k, v in entry.items() if k != key}
+
+
+#: Single-fault configs, the path each error names and its problem; the
+#: problem is None for type errors, whose wording is not pinned.
+BAD_CONFIGS = [
+    (config_dict(adversaries=[without(RELAY, key)]), f"adversaries[0].{key}",
+     "missing required field")
+    for key in ("capture", "victims", "start", "end")
+] + [
+    (config_dict(adversaries=[{"kind": "eavesdropper"}]), "adversaries[0].sensors",
+     "missing required field"),
+    (without(config_dict(), "devices"), "devices", "missing required field"),
+    (config_dict(channel_loss="x"), "channel_loss", None),
+    (config_dict(adversaries=[dict(RELAY, victims=[3])]), "adversaries[0].victims[0]", None),
+    (config_dict(version=2), "version", "unsupported config version"),
+    (config_dict(adversaries=[{"kind": 3}]), "adversaries[0].kind", None),
+]
+
+#: ``config_digest`` of each bundled scenario; a change here changes every
+#: report's ``config_digest``.
+BUNDLED_DIGESTS = {
+    "eavesdropper": "f24fe1f52d4cd3ab548461ae08222f6d02fe17e2a42fef4f5304365aed78defc",
+    "eavesdropper_decentralized":
+        "c100b0a481d5c87815a18f963de4d5c52f8fbfa85d1f62a2827373bf5c483dc5",
+    "fake_claim": "d4827566e3f53bc3373e94db16724867991f0784bdbcc326d460e880f52fbb97",
+    "honest_pair": "29c2a594bd88f65b873ceed042736dd13aeebfd1467fb826981ce48d3bbb3ba5",
+    "kiss_replay": "41d4c9e5c663ecbeddd0f5fe0d53c7993b33ba616af7f871acc41d8fde4c024a",
+    "relay_r1": "35dcabee115fffa12da1a40eb9a91bf4c0c244747454451f337ebbf4bd3bbf83",
+    "relay_r2": "f2d8ca7f4c83993ec9f275bb387bd28eff520e8b675e4adf8d8f447408d4361e",
+    "timeline_chain": "c21e98841998bd5afdf44ed3ce57fb47e3be78bc073e209e21dccb6eb3f1ce58",
+    "timeline_chain_early":
+        "9db453ed804fa65e2af8b762b2cd01cbf1909ec674d0455808146827c3ab0c0b",
+}
+
+
 class TestConfig:
-    def test_round_trip(self):
-        config = ScenarioConfig.from_dict(config_dict())
+    @pytest.mark.parametrize(
+        "data", [config_dict(), *map(bundled_dict, BUNDLED)], ids=["config_dict", *BUNDLED]
+    )
+    def test_round_trip(self, data):
+        config = ScenarioConfig.from_dict(data)
         again = ScenarioConfig.from_dict(config.to_dict())
         assert config == again
         assert config.digest() == again.digest()
+
+    def test_bundled_digests(self):
+        digests = {name: ScenarioConfig.from_dict(bundled_dict(name)).digest() for name in BUNDLED}
+        assert digests == BUNDLED_DIGESTS
+
+    @pytest.mark.parametrize(
+        "data, path, problem", BAD_CONFIGS, ids=[path for _, path, _ in BAD_CONFIGS]
+    )
+    def test_error_paths(self, data, path, problem):
+        with pytest.raises(ConfigError) as excinfo:
+            ScenarioConfig.from_dict(data)
+        assert excinfo.value.path == path
+        if problem is not None:
+            assert excinfo.value.problem == problem
+
+    def test_replace_checks_devices(self):
+        config = ScenarioConfig.from_dict(bundled_dict("honest_pair"))
+        with pytest.raises(ConfigError) as excinfo:
+            config.replace(devices=config.devices[:1])
+        assert excinfo.value.path == "colocation_schedule[0].device_b"
+
+    def test_replace_checks_infections(self):
+        config = ScenarioConfig.from_dict(bundled_dict("honest_pair"))
+        with pytest.raises(ConfigError) as excinfo:
+            config.replace(infections=(InfectionSpec("zz", 0),))
+        assert excinfo.value.path == "infections[0].device"
+
+    def test_float_field_stores_float(self):
+        config = ScenarioConfig.from_dict(config_dict(channel_loss=0))
+        assert isinstance(config.channel_loss, float)
+        assert '"channel_loss":0.0' in config.canonical_json()
+
+    def test_adversary_keys_follow_kind(self):
+        oneway = dict(RELAY, fanout_limit=3)
+        twoway = dict(oneway, kind="relay_twoway")
+        config = ScenarioConfig.from_dict(config_dict(adversaries=[oneway, twoway]))
+        written = config.to_dict()["adversaries"]
+        assert config.adversaries[0].fanout_limit == 3
+        assert "fanout_limit" not in written[0]
+        assert written[1]["fanout_limit"] == 3
 
     def test_unknown_field_has_path(self):
         with pytest.raises(ConfigError, match="bogus"):
