@@ -77,33 +77,31 @@ class CentralizedServer:
             user_id = self._rng.randbytes(16)
             if user_id not in self._registry:
                 break
-        self._registry[user_id] = {"context": context, "ivs": {}}
+        self._registry[user_id] = {"context": context, "ivs": {}, "tempids": {}}
         return user_id
-
-    def _bluetrace_iv(self, user_id: bytes, t_k: int) -> bytes:
-        ivs = self._registry[user_id]["ivs"]
-        if t_k not in ivs:
-            ivs[t_k] = self._rng.randbytes(16)
-        return ivs[t_k]
 
     def tempid_for(self, user_id: bytes, t_k: int) -> bytes:
         """Identifier of a registered user for interval ``t_k``.
 
         In the BlueTrace variant only the server can compute this; in
         the plain variant clients rederive it from their pseudonym.
+        Each identifier is derived once and kept in the user's registry
+        entry, so BlueTrace IVs are drawn in first-request order.
         """
-        if user_id not in self._registry:
+        entry = self._registry.get(user_id)
+        if entry is None:
             raise KeyError("unknown user")
-        if self.bluetrace:
-            iv = self._bluetrace_iv(user_id, t_k)
-            return crypto.derive_tempid_bluetrace(
-                user_id, t_k, iv, b"auth", self._master_key
-            )
-        return crypto.derive_tempid_centralized(user_id, t_k)
-
-    def tempid_batch(self, user_id: bytes, t_ks: list[int]) -> list[bytes]:
-        """Pre-generated identifiers delivered to the client app."""
-        return [self.tempid_for(user_id, t_k) for t_k in t_ks]
+        tempid = entry["tempids"].get(t_k)
+        if tempid is None:
+            if self.bluetrace:
+                iv = entry["ivs"][t_k] = self._rng.randbytes(16)
+                tempid = crypto.derive_tempid_bluetrace(
+                    user_id, t_k, iv, b"auth", self._master_key
+                )
+            else:
+                tempid = crypto.derive_tempid_centralized(user_id, t_k)
+            entry["tempids"][t_k] = tempid
+        return tempid
 
     def match(self, uploaded: list[tuple[bytes, int]]) -> list[bytes]:
         """UserIDs whose derived identifiers equal the uploaded ones at
@@ -181,17 +179,23 @@ def match_observations(
     derived slot identifiers and its timestamp lies within the slot's
     validity widened by ``replay_window`` seconds.  With ``kiss_bug``
     set, any observation made on the key's own day matches regardless
-    of slot timing (the same-day acceptance flaw).
+    of slot timing (the same-day acceptance flaw).  Matches come in key
+    order, then observation order; the observations are indexed by
+    identifier once, so each key costs its 144 lookups.
     """
+    positions: dict[bytes, list[int]] = {}
+    for i, obs in enumerate(observations):
+        positions.setdefault(obs.tempid, []).append(i)
     matches = []
     for key in teks:
         derived = crypto.derive_tempids_decentralized(key.tek, key.day)
         slots = {tempid: slot for slot, tempid in enumerate(derived)}
+        hits = sorted(
+            (i, slot) for tempid, slot in slots.items() for i in positions.get(tempid, ())
+        )
         day_start = key.day * 86400
-        for obs in observations:
-            slot = slots.get(obs.tempid)
-            if slot is None:
-                continue
+        for i, slot in hits:
+            obs = observations[i]
             slot_start = day_start + slot * crypto.DECENTRALIZED_SLOT_SECONDS
             slot_end = slot_start + crypto.DECENTRALIZED_SLOT_SECONDS
             in_window = slot_start - replay_window <= obs.time <= slot_end + replay_window
@@ -199,18 +203,3 @@ def match_observations(
             if in_window or (kiss_bug and same_day):
                 matches.append(BaselineMatch(key, slot, obs))
     return matches
-
-
-def decentralized_publish_and_match(
-    server: DecentralizedServer,
-    teks: list[DecentralizedDailyKey],
-    client_observations: list[Observation],
-    replay_window: int = DEFAULT_REPLAY_WINDOW,
-    kiss_bug: bool = False,
-) -> list[BaselineMatch]:
-    """Publish keys through the server, then run one client's matching
-    over everything published so far."""
-    server.publish(teks)
-    return match_observations(
-        server.download(), client_observations, replay_window, kiss_bug
-    )

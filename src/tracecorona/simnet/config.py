@@ -84,12 +84,17 @@ def _same(value):
     return value
 
 
+def _is(value, accepted) -> bool:
+    """``isinstance``, except that JSON ``true`` and ``false`` are not numbers."""
+    return isinstance(value, accepted) and (type(value) is not bool or accepted is bool)
+
+
 def _scalar(tp: type):
     accepted = (int, float) if tp is float else tp
     convert = float if tp is float else _same
 
     def parse(value):
-        if not isinstance(value, accepted):
+        if not _is(value, accepted):
             raise ConfigError("", f"expected {tp.__name__}, got {type(value).__name__}")
         return convert(value)
 
@@ -165,13 +170,13 @@ def _parse_profile(value):
             if not (
                 isinstance(seg, list)
                 and len(seg) == 2
-                and isinstance(seg[0], int)
-                and isinstance(seg[1], (int, float))
+                and _is(seg[0], int)
+                and _is(seg[1], (int, float))
             ):
                 raise ConfigError(f"[{j}]", "must be [offset_seconds, dbm]")
             segments.append((seg[0], float(seg[1])))
         return tuple(segments)
-    if not isinstance(value, (int, float)):
+    if not _is(value, (int, float)):
         raise ConfigError("", f"expected float or list, got {type(value).__name__}")
     return float(value)
 

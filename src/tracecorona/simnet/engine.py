@@ -322,13 +322,28 @@ class _DecentralizedClient(_BaselineClient):
         super().__init__(spec, config)
         self.last_key_count = 0
         self.notified_keys: set[tuple[bytes, int]] = set()
+        #: local day -> that day's slot identifiers, each day derived once
+        self.slot_ids: dict[int, list[bytes]] = {}
 
     def daily_key(self, day: int) -> baselines.DecentralizedDailyKey:
         return baselines.new_daily_key(self.identity, day)
 
     def identifier_at(self, t: int) -> bytes:
         local = self.device.local_time(t)
-        return baselines.tempid_at(self.daily_key(local // SECONDS_PER_DAY), local)
+        day, offset = divmod(local, SECONDS_PER_DAY)
+        ids = self.slot_ids.get(day)
+        if ids is None:
+            key = self.daily_key(day)
+            ids = self.slot_ids[day] = crypto.derive_tempids_decentralized(key.tek, key.day)
+        return ids[offset // crypto.DECENTRALIZED_SLOT_SECONDS]
+
+    def midnight(self, day: int) -> None:
+        super().midnight(day)
+        # The last retention_days local days stay; with the day that begins
+        # before the next midnight, a table holds at most one more.
+        horizon = self.device.local_time(day * SECONDS_PER_DAY) // SECONDS_PER_DAY
+        horizon -= self.retention_s // SECONDS_PER_DAY
+        self.slot_ids = {d: ids for d, ids in self.slot_ids.items() if d > horizon}
 
     def upload(self, engine: Engine, t: int, day: int) -> None:
         first = max(0, day - engine.config.retention_days + 1)
@@ -772,21 +787,17 @@ class Engine:
         gt_ids: dict[str, dict] = {}
         for owner, key in self.gt_published_keys:
             derived = derive_tempids_decentralized(key.tek, key.day)
-            derived_set = set(derived)
-            times = [
-                t
-                for _sensor, t, device_id, identifier in self.sensor_log
-                if device_id == owner and identifier in derived_set
-            ]
+            times = [t for tempid in derived for t in by_identifier.get((owner, tempid), ())]
             if times:
                 spans[owner] = max(spans[owner], max(times) - min(times))
             recovered.setdefault(owner, {})[str(key.day)] = sorted(
                 tempid.hex() for tempid in derived
             )
             true_key = self.clients[owner].daily_key(key.day)
+            if true_key != key:
+                derived = derive_tempids_decentralized(true_key.tek, true_key.day)
             gt_ids.setdefault(owner, {})[str(key.day)] = sorted(
-                tempid.hex()
-                for tempid in derive_tempids_decentralized(true_key.tek, true_key.day)
+                tempid.hex() for tempid in derived
             )
         return spans, recovered, gt_ids
 

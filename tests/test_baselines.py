@@ -2,16 +2,21 @@
 
 import random
 
-from tracecorona import baselines, crypto
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import match_oracle
+from tracecorona import crypto
 from tracecorona.baselines import (
     CentralizedServer,
     DecentralizedServer,
     Observation,
-    decentralized_publish_and_match,
     match_observations,
     new_daily_key,
     tempid_at,
 )
+
+DAY = 86400
 
 
 class TestCentralized:
@@ -73,8 +78,8 @@ class TestCentralized:
         # stable server-side, but not the keyless client derivation
         assert tid == server.tempid_for(uid, 5)
         assert tid != crypto.derive_tempid_centralized(uid, 5)
-        batch = server.tempid_batch(uid, list(range(10)))
-        assert batch[5] == tid
+        day = [server.tempid_for(uid, t_k) for t_k in range(10)]
+        assert day[5] == tid and len(set(day)) == 10
 
 
 def obs_at(key, local_time, rssi=-55.0):
@@ -122,7 +127,8 @@ class TestDecentralized:
         server = DecentralizedServer()
         key = new_daily_key(b"x", 1)
         t = 1 * 86400 + 1000
-        matches = decentralized_publish_and_match(server, [key], [obs_at(key, t)])
+        server.publish([key])
+        matches = match_observations(server.download(), [obs_at(key, t)])
         assert matches and server.download() == [key]
 
     def test_published_tek_links_all_144_slot_ids(self):
@@ -133,3 +139,46 @@ class TestDecentralized:
         derived = set(crypto.derive_tempids_decentralized(key.tek, key.day))
         assert broadcast == derived
         assert len(derived) == 144
+
+
+#: Published keys for the matching property: two devices on day 1, one on day 2.
+KEYS = [new_daily_key(bytes([i]), day) for i, day in ((0, 1), (1, 1), (2, 2))]
+
+
+@st.composite
+def observation(draw):
+    """A slot identifier of one of KEYS, or a stranger's, heard up to a
+    day before or after its slot."""
+    key = draw(st.sampled_from(KEYS))
+    emitted = key.day * DAY + draw(st.integers(0, 143)) * crypto.DECENTRALIZED_SLOT_SECONDS
+    tempid = draw(st.one_of(st.just(tempid_at(key, emitted)), st.binary(min_size=16, max_size=16)))
+    return Observation(tempid, emitted + draw(st.integers(-DAY, DAY)), -55.0)
+
+
+@st.composite
+def observation_logs(draw):
+    """Observations in any order, some identifiers heard again later or earlier."""
+    heard = draw(st.lists(observation(), min_size=1, max_size=10))
+    again = draw(st.lists(st.tuples(st.sampled_from(heard), st.integers(-3 * 3600, 3 * 3600))))
+    return draw(st.permutations(heard + [obs._replace(time=obs.time + s) for obs, s in again]))
+
+
+class TestMatchingIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from(KEYS), max_size=4),
+        observation_logs(),
+        st.integers(0, 3 * 3600),
+        st.booleans(),
+    )
+    @example(
+        keys=[KEYS[0], KEYS[0]],
+        observations=[obs_at(KEYS[0], DAY + 600, rssi=-55.0)] * 2
+        + [Observation(tempid_at(KEYS[0], DAY + 600), DAY + 20 * 3600, -55.0)],
+        replay_window=7200,
+        kiss_bug=True,
+    )
+    def test_indexed_equals_naive_scan(self, keys, observations, replay_window, kiss_bug):
+        assert match_observations(keys, observations, replay_window, kiss_bug) == (
+            match_oracle.match_observations(keys, observations, replay_window, kiss_bug)
+        )

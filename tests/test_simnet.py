@@ -2,10 +2,12 @@
 
 import json
 import re
+from collections import Counter
 from importlib import resources
 
 import pytest
 
+from tracecorona import crypto
 from tracecorona.simnet.config import ConfigError, InfectionSpec, ScenarioConfig
 from tracecorona.simnet.engine import Engine, run_scenario
 from tracecorona.simnet.report import ScenarioReport
@@ -123,6 +125,27 @@ class TestConfig:
         config = ScenarioConfig.from_dict(config_dict(channel_loss=0))
         assert isinstance(config.channel_loss, float)
         assert '"channel_loss":0.0' in config.canonical_json()
+
+    @pytest.mark.parametrize(
+        "data, path",
+        [
+            (config_dict(epsilon=True), "epsilon"),
+            (
+                config_dict(colocation_schedule=[{"device_a": "a", "device_b": "b",
+                                                  "start": True, "end": 100}]),
+                "colocation_schedule[0].start",
+            ),
+        ],
+        ids=["epsilon", "start"],
+    )
+    def test_bool_is_not_an_int(self, data, path):
+        with pytest.raises(ConfigError) as excinfo:
+            ScenarioConfig.from_dict(data)
+        assert (excinfo.value.path, excinfo.value.problem) == (path, "expected int, got bool")
+
+    def test_bool_fields_still_parse(self):
+        config = ScenarioConfig.from_dict(config_dict(scheme="decentralized", kiss_bug=True))
+        assert config.kiss_bug is True and config.bluetrace is False
 
     def test_adversary_keys_follow_kind(self):
         oneway = dict(RELAY, fanout_limit=3)
@@ -553,3 +576,62 @@ class TestCentralizedScheme:
             )
         )
         assert run_scenario(config).notifications == []
+
+
+def daily_schedule(days):
+    return [
+        {"device_a": "a", "device_b": "b", "start": d * DAY + 36000, "end": d * DAY + 36600}
+        for d in days
+    ]
+
+
+class TestDerivationCounts:
+    """Each baseline identifier is derived once; later uses look it up."""
+
+    def test_decentralized_table_once_per_device_day(self, monkeypatch):
+        tables, slots = Counter(), Counter()
+        derive_all = crypto.derive_tempids_decentralized
+        derive_one = crypto.derive_tempid_decentralized
+
+        def counted_all(tek, day):
+            tables[(tek, day)] += 1
+            return derive_all(tek, day)
+
+        def counted_one(tek, day, slot):
+            slots[(tek, day)] += 1
+            return derive_one(tek, day, slot)
+
+        monkeypatch.setattr(crypto, "derive_tempids_decentralized", counted_all)
+        monkeypatch.setattr(crypto, "derive_tempid_decentralized", counted_one)
+        # no infections, so nothing is published or matched: every
+        # derivation is for broadcasting
+        config = ScenarioConfig.from_dict(
+            config_dict(scheme="decentralized", infections=[],
+                        colocation_schedule=daily_schedule([3, 5]))
+        )
+        run_scenario(config)
+        assert len(tables) == 4 and set(tables.values()) == {1}
+        assert slots == Counter(dict.fromkeys(tables, 144))
+
+    def test_centralized_tempid_once_per_user_interval(self, monkeypatch):
+        calls = Counter()
+        derive = crypto.derive_tempid_centralized
+
+        def counted(user_id, t_k):
+            calls[(user_id, t_k)] += 1
+            return derive(user_id, t_k)
+
+        monkeypatch.setattr(crypto, "derive_tempid_centralized", counted)
+        report = run_scenario(ScenarioConfig.from_dict(config_dict(scheme="centralized")))
+        assert len(report.notifications) == 1
+        assert calls and set(calls.values()) == {1}
+
+    def test_broadcast_tables_bounded_by_retention(self):
+        config = ScenarioConfig.from_dict(
+            config_dict(scheme="decentralized", duration_days=18,
+                        colocation_schedule=daily_schedule(range(18)))
+        )
+        engine = Engine(config)
+        engine.run()
+        for client in engine.clients.values():
+            assert 0 < len(client.slot_ids) <= config.retention_days + 1
