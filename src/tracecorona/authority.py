@@ -72,14 +72,3 @@ class HealthAuthority:
                 return False
             tan.consumed = True
             return True
-
-    def state_bytes(self) -> bytes:
-        """Flat serialization of authority state, used by structural
-        tests to show no token material is retained here."""
-        parts = []
-        for value in sorted(self._tans):
-            tan = self._tans[value]
-            parts.append(
-                f"{tan.value},{tan.issued_at},{int(tan.consumed)},{tan.user_context}"
-            )
-        return "\n".join(parts).encode()

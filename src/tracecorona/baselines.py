@@ -9,6 +9,7 @@ scheme where clients match published keys locally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from . import crypto
@@ -38,6 +39,12 @@ class DecentralizedDailyKey:
     def __post_init__(self) -> None:
         if len(self.tek) != crypto.TEK_BYTES:
             raise ValueError("tek must be 16 bytes")
+
+    @cached_property
+    def tempids(self) -> list[bytes]:
+        """The day's 144 slot identifiers in slot order, derived once per
+        key object; broadcasting, matching and linkability share them."""
+        return crypto.derive_tempids_decentralized(self.tek, self.day)
 
 
 class BaselineMatch(NamedTuple):
@@ -188,8 +195,7 @@ def match_observations(
         positions.setdefault(obs.tempid, []).append(i)
     matches = []
     for key in teks:
-        derived = crypto.derive_tempids_decentralized(key.tek, key.day)
-        slots = {tempid: slot for slot, tempid in enumerate(derived)}
+        slots = {tempid: slot for slot, tempid in enumerate(key.tempids)}
         hits = sorted(
             (i, slot) for tempid, slot in slots.items() for i in positions.get(tempid, ())
         )

@@ -106,9 +106,6 @@ class TimeFramePolicy:
     def frame_of(self, t: int) -> int:
         return t // self.frame_period
 
-    def frame_start(self, frame_index: int) -> int:
-        return frame_index * self.frame_period
-
     def frame_end(self, frame_index: int) -> int:
         return (frame_index + 1) * self.frame_period
 
@@ -120,7 +117,7 @@ class EncounterToken:
 
     ``secret`` is ``None`` while derivation is deferred to a charging
     tick.  ``peer_hint`` is simulator-side ground truth and is never
-    uploaded or included in snapshots.
+    uploaded or included in reports.
     """
 
     secret: bytes | None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import crypto
 from .crypto import EncounterToken, FrameKeyPair, TimeFramePolicy
@@ -55,7 +55,8 @@ class NeighborObservation:
     ephemeral_id: bytes
     first_seen: int
     last_seen: int
-    rssi_samples: list[tuple[int, float]] = field(default_factory=list)
+    #: strongest RSSI heard since ``first_seen``
+    max_rssi: float
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,6 @@ class Device:
         clock_offset: int = 0,
         retention_days: int = RETENTION_DAYS,
         derive_mode: str = "eager",
-        max_channels: int = MAX_OPEN_CHANNELS,
     ):
         if derive_mode not in ("eager", "deferred"):
             raise ValueError("derive_mode must be 'eager' or 'deferred'")
@@ -117,7 +117,6 @@ class Device:
         self.policy = policy or TimeFramePolicy()
         self.clock_offset = clock_offset
         self.derive_mode = derive_mode
-        self.max_channels = max_channels
         self.store = TokenStore(retention_days)
         self._identity_seed = identity_seed
         self._key_seed = int.from_bytes(
@@ -179,14 +178,12 @@ class Device:
         local = self.local_time(now)
         ei = beacon.ephemeral_id
         obs = self._neighbors.get(ei)
-        if obs is None:
-            obs = NeighborObservation(ei, first_seen=local, last_seen=local)
+        if obs is None or local - obs.last_seen > CONTINUITY_GAP:
+            obs = NeighborObservation(ei, first_seen=local, last_seen=local, max_rssi=rssi)
             self._neighbors[ei] = obs
-        elif local - obs.last_seen > CONTINUITY_GAP:
-            obs.first_seen = local
-            obs.rssi_samples.clear()
-        obs.last_seen = local
-        obs.rssi_samples.append((local, rssi))
+        else:
+            obs.last_seen = local
+            obs.max_rssi = max(obs.max_rssi, rssi)
 
         if local - obs.first_seen < self.policy.min_encounter_duration:
             return None
@@ -205,11 +202,7 @@ class Device:
             return
         frame_end = self.policy.frame_end(frame)
         token.duration = min(obs.last_seen, frame_end) - obs.first_seen
-        since_start = [s for t, s in obs.rssi_samples if t >= obs.first_seen]
-        if since_start:
-            token.max_signal_strength = max(
-                token.max_signal_strength, max(since_start)
-            )
+        token.max_signal_strength = max(token.max_signal_strength, obs.max_rssi)
 
     def abort_handshake(self, frame_index: int, peer_ephemeral_id: bytes) -> None:
         self._pending_handshakes.discard((frame_index, peer_ephemeral_id))
@@ -222,7 +215,7 @@ class Device:
     # -- connection budget --------------------------------------------------
 
     def try_open_channel(self) -> bool:
-        if self._open_channels >= self.max_channels:
+        if self._open_channels >= MAX_OPEN_CHANNELS:
             return False
         self._open_channels += 1
         self.peak_open_channels = max(self.peak_open_channels, self._open_channels)
@@ -231,10 +224,6 @@ class Device:
     def close_channel(self) -> None:
         if self._open_channels > 0:
             self._open_channels -= 1
-
-    @property
-    def open_channels(self) -> int:
-        return self._open_channels
 
     # -- handshake completion -----------------------------------------------
 
@@ -267,8 +256,7 @@ class Device:
         obs = self._neighbors.get(peer_ephemeral_id)
         if obs is not None:
             first_seen = obs.first_seen
-            samples = [s for t, s in obs.rssi_samples if t >= first_seen]
-            max_rssi = max(samples) if samples else -127.0
+            max_rssi = obs.max_rssi
         else:
             first_seen = local
             max_rssi = -127.0
@@ -311,27 +299,3 @@ class Device:
         for ei in stale:
             del self._neighbors[ei]
         return removed
-
-    # -- reporting ----------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Serializable state summary; contains no secrets, private
-        keys, or simulator ground truth."""
-        tokens = sorted(
-            self.store.tokens(), key=lambda t: (t.start_time, t.frame_index)
-        )
-        return {
-            "device_id": self.device_id,
-            "clock_offset": self.clock_offset,
-            "token_count": len(tokens),
-            "tokens": [
-                {
-                    "hash": crypto.token_hash(t.secret).hex() if t.secret else None,
-                    "start_time": t.start_time,
-                    "duration": t.duration,
-                    "max_signal_strength": t.max_signal_strength,
-                    "frame_index": t.frame_index,
-                }
-                for t in tokens
-            ],
-        }

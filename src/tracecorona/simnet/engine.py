@@ -31,7 +31,7 @@ from functools import partial
 
 from .. import baselines, crypto, exposure, payload, wire
 from ..authority import HealthAuthority
-from ..crypto import InvalidPoint, TimeFramePolicy, derive_tempids_decentralized
+from ..crypto import InvalidPoint, TimeFramePolicy
 from ..device import APP_UUID, BeaconMessage, Device, FrameMismatch
 from ..server import TracingServer
 from .config import ScenarioConfig, SECONDS_PER_DAY
@@ -134,7 +134,8 @@ class _TraceCoronaClient(_Client):
         super().__init__(spec, config)
         self.next_since = 0
         self.last_record_count = 0
-        self.seen_records: set[tuple[bytes, bytes]] = set()
+        #: whole records, as one uploader's copies of a token differ only by tag
+        self.seen_records: set[wire.TokenUploadRecord] = set()
         self.matched_direct_hashes: set[bytes] = set()
         self.all_notifications: list = []
         self.second_level_done = False
@@ -173,18 +174,21 @@ class _TraceCoronaClient(_Client):
         if response[0] != wire.STATUS_ACCEPTED:
             return
         for token, record in pairs:
-            self.seen_records.add((record.hash, record.ciphertext))
+            self.seen_records.add(record)
             engine.gt_record_origin.setdefault(record.hash, {})[self.id] = {
                 "peer": token.peer_hint,
                 "via": vias.get(id(token)),
             }
 
+    def _pairs(self, engine: Engine, tag: wire.Tag, skip_hashes=()) -> list:
+        """(token, record) for each eligible token, the record carrying
+        the tag the server publishes it under."""
+        tokens = [token for token in self._eligible_tokens(engine) if token.secret is not None]
+        records = exposure.build_upload_records(tokens, tag)
+        return [pair for pair in zip(tokens, records) if pair[1].hash not in skip_hashes]
+
     def upload(self, engine: Engine, t: int, day: int) -> None:
-        pairs = [
-            (token, exposure.build_upload_records([token])[0])
-            for token in self._eligible_tokens(engine)
-            if token.secret is not None
-        ]
+        pairs = self._pairs(engine, wire.Tag.DIRECT)
         if not pairs:
             return
         tan = engine.authority.issue_tan(self.id, t)
@@ -193,14 +197,6 @@ class _TraceCoronaClient(_Client):
             for (frame, peer_ei), token in self.device.store.items()
         }
         self._submit(engine, partial(wire.encode_upload_infected, tan.value), pairs, vias)
-
-    def _unmatched_pairs(self, engine: Engine):
-        return [
-            (token, exposure.build_upload_records([token])[0])
-            for token in self._eligible_tokens(engine)
-            if token.secret is not None
-            and crypto.token_hash(token.secret) not in self.matched_direct_hashes
-        ]
 
     def fetch(self, engine: Engine, t: int) -> None:
         stats = engine.server.stats_snapshot()
@@ -218,10 +214,9 @@ class _TraceCoronaClient(_Client):
         self.next_since = epoch
         unseen = []
         for record in records:
-            key = (record.hash, record.ciphertext)
-            if key in self.seen_records:
+            if record in self.seen_records:
                 continue
-            self.seen_records.add(key)
+            self.seen_records.add(record)
             unseen.append(record)
         if not unseen:
             return
@@ -271,7 +266,8 @@ class _TraceCoronaClient(_Client):
             ]
             if proofs:
                 encode = partial(wire.encode_upload_second_level, proofs[0])
-                self._submit(engine, encode, self._unmatched_pairs(engine), {})
+                pairs = self._pairs(engine, wire.Tag.SECOND_LEVEL, self.matched_direct_hashes)
+                self._submit(engine, encode, pairs, {})
         if (
             config.superspreader_enabled
             and not self.superspreader_done
@@ -289,7 +285,25 @@ class _TraceCoronaClient(_Client):
             )
             if proofs is not None:
                 encode = partial(wire.encode_upload_superspreader, proofs)
-                self._submit(engine, encode, self._unmatched_pairs(engine), {})
+                tag = wire.Tag.POSSIBLE_SUPERSPREADER
+                pairs = self._pairs(engine, tag, self.matched_direct_hashes)
+                self._submit(engine, encode, pairs, {})
+
+    @staticmethod
+    def fake_claims(engine: Engine, attempts: int) -> int:
+        """Second-level uploads with a random possession proof."""
+        rng = engine.rng_adversary
+        accepted = 0
+        for _ in range(attempts):
+            proof = rng.randbytes(32)
+            dummy = wire.TokenUploadRecord(
+                hash=rng.randbytes(16),
+                ciphertext=rng.randbytes(36),
+            )
+            result = engine.server.upload_second_level(proof, [dummy])
+            if result.accepted:
+                accepted += 1
+        return accepted
 
 
 class _BaselineClient(_Client):
@@ -322,28 +336,34 @@ class _DecentralizedClient(_BaselineClient):
         super().__init__(spec, config)
         self.last_key_count = 0
         self.notified_keys: set[tuple[bytes, int]] = set()
-        #: local day -> that day's slot identifiers, each day derived once
-        self.slot_ids: dict[int, list[bytes]] = {}
+        #: local day -> that day's key; broadcasting, the upload and every
+        #: reader of the published key share its identifier table
+        self.keys: dict[int, baselines.DecentralizedDailyKey] = {}
 
     def daily_key(self, day: int) -> baselines.DecentralizedDailyKey:
-        return baselines.new_daily_key(self.identity, day)
+        key = self.keys.get(day)
+        if key is None:
+            key = self.keys[day] = baselines.new_daily_key(self.identity, day)
+        return key
 
     def identifier_at(self, t: int) -> bytes:
         local = self.device.local_time(t)
         day, offset = divmod(local, SECONDS_PER_DAY)
-        ids = self.slot_ids.get(day)
-        if ids is None:
-            key = self.daily_key(day)
-            ids = self.slot_ids[day] = crypto.derive_tempids_decentralized(key.tek, key.day)
-        return ids[offset // crypto.DECENTRALIZED_SLOT_SECONDS]
+        return self.daily_key(day).tempids[offset // crypto.DECENTRALIZED_SLOT_SECONDS]
 
     def midnight(self, day: int) -> None:
         super().midnight(day)
         # The last retention_days local days stay; with the day that begins
-        # before the next midnight, a table holds at most one more.
+        # before the next midnight, the memo holds at most one more.
         horizon = self.device.local_time(day * SECONDS_PER_DAY) // SECONDS_PER_DAY
         horizon -= self.retention_s // SECONDS_PER_DAY
-        self.slot_ids = {d: ids for d, ids in self.slot_ids.items() if d > horizon}
+        self.keys = {d: key for d, key in self.keys.items() if d > horizon}
+
+    @staticmethod
+    def fake_claims(engine: Engine, attempts: int) -> int:
+        """Nothing authenticates a claimed exposure: every attempt succeeds
+        once any key is published."""
+        return attempts if engine.dec_server.download() else 0
 
     def upload(self, engine: Engine, t: int, day: int) -> None:
         first = max(0, day - engine.config.retention_days + 1)
@@ -725,22 +745,9 @@ class Engine:
     # -- adversaries ---------------------------------------------------------------------------
 
     def _fake_claims(self, index: int, adv) -> None:
-        if self.config.scheme == "tracecorona":
-            accepted = 0
-            for _ in range(adv.attempts):
-                proof = self.rng_adversary.randbytes(32)
-                dummy = wire.TokenUploadRecord(
-                    hash=self.rng_adversary.randbytes(16),
-                    ciphertext=self.rng_adversary.randbytes(36),
-                )
-                result = self.server.upload_second_level(proof, [dummy])
-                if result.accepted:
-                    accepted += 1
-            self.claim_results[index] = (adv.attempts, accepted)
-        else:
-            published = len(self.dec_server.download())
-            successes = adv.attempts if published > 0 else 0
-            self.claim_results[index] = (adv.attempts, successes)
+        # The config admits a fake claimer only where the client defines this.
+        accepted = _CLIENTS[self.config.scheme].fake_claims(self, adv.attempts)
+        self.claim_results[index] = (adv.attempts, accepted)
 
     # -- notifications and report -----------------------------------------------------------------
 
@@ -785,20 +792,15 @@ class Engine:
 
         recovered: dict[str, dict] = {}
         gt_ids: dict[str, dict] = {}
+        # Every published key is its owner's true key, so the identifiers an
+        # observer recovers from it are the owner's ground truth as well.
         for owner, key in self.gt_published_keys:
-            derived = derive_tempids_decentralized(key.tek, key.day)
-            times = [t for tempid in derived for t in by_identifier.get((owner, tempid), ())]
+            times = [t for tempid in key.tempids for t in by_identifier.get((owner, tempid), ())]
             if times:
                 spans[owner] = max(spans[owner], max(times) - min(times))
-            recovered.setdefault(owner, {})[str(key.day)] = sorted(
-                tempid.hex() for tempid in derived
-            )
-            true_key = self.clients[owner].daily_key(key.day)
-            if true_key != key:
-                derived = derive_tempids_decentralized(true_key.tek, true_key.day)
-            gt_ids.setdefault(owner, {})[str(key.day)] = sorted(
-                tempid.hex() for tempid in derived
-            )
+            ids = sorted(tempid.hex() for tempid in key.tempids)
+            recovered.setdefault(owner, {})[str(key.day)] = ids
+            gt_ids.setdefault(owner, {})[str(key.day)] = ids
         return spans, recovered, gt_ids
 
     def _build_report(self) -> ScenarioReport:

@@ -194,8 +194,14 @@ def test_criterion_7_timeline_reproduction():
             - early.first_notification_day["second_contact"]
         )
         assert gained >= 2
-        levels = {n["device"]: n["level"] for n in early.notifications}
-        assert levels["second_contact"] == "second_level"
+        # warned at second level the day first_contact is notified, then
+        # directly once first_contact uploads their shared token
+        notified = [n for n in early.notifications if n["device"] == "second_contact"]
+        assert notified[0]["level"] == "second_level"
+        assert notified[0]["day"] == early.first_notification_day["first_contact"]
+        assert any(
+            n["level"] == "direct" and n["source"] == "first_contact" for n in notified[1:]
+        )
 
 
 def _oracle_match(tokens, records, epsilon):

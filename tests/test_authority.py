@@ -3,7 +3,10 @@
 import random
 import threading
 
+from tracecorona import crypto
 from tracecorona.authority import TAN_ALPHABET, HealthAuthority
+from tracecorona.server import TracingServer
+from tracecorona.wire import TokenUploadRecord
 
 
 def make_ha(seed=0, expiry=None):
@@ -65,13 +68,19 @@ class TestVerify:
 
 class TestStateBoundary:
     def test_no_token_material_in_state(self):
-        from tracecorona import crypto
-
         ha = make_ha()
-        for i in range(50):
-            ha.issue_tan(f"user{i}", i)
-            ha.verify_tan("BOGUS")
         secret = bytes(range(32))
-        state = ha.state_bytes()
-        assert crypto.token_hash(secret) not in state
-        assert crypto.token_hash(secret).hex().encode() not in state
+        record = TokenUploadRecord(
+            crypto.token_hash(secret), crypto.encrypt_metadata(secret, 1000)
+        )
+        for i in range(50):
+            tan = ha.issue_tan(f"user{i}", i)
+            ha.verify_tan("BOGUS")
+        assert TracingServer(ha).upload_infected(tan.value, [record]).accepted
+        # the TAN table is all the authority keeps: short scalars per TAN
+        assert len(ha._tans) == 50
+        for kept in ha._tans.values():
+            for value in vars(kept).values():
+                assert value is None or isinstance(value, (str, int))
+                for material in (secret, record.hash, record.ciphertext):
+                    assert material.hex() not in str(value)

@@ -246,7 +246,6 @@ class TestTimeFramePolicy:
         assert policy.frame_of(0) == 0
         assert policy.frame_of(899) == 0
         assert policy.frame_of(900) == 1
-        assert policy.frame_start(2) == 1800
         assert policy.frame_end(2) == 2700
 
 

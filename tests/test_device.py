@@ -186,13 +186,25 @@ class TestCompleteHandshake:
         assert frames == [0, 1]
         assert len(tokens) == 4
 
-    def test_duration_extends_and_rssi_tracks_maximum(self):
+    @pytest.mark.parametrize(
+        "heard, expected_rssi",
+        [
+            ({t: -80.0 if t < 400 else -52.0 for t in range(600)}, -52.0),
+            # a louder run ends in a silence longer than CONTINUITY_GAP, so
+            # the token is made from the run that starts after it
+            (
+                {**dict.fromkeys(range(100), -40.0), **dict.fromkeys(range(300, 850), -80.0)},
+                -80.0,
+            ),
+        ],
+        ids=["louder_later", "louder_before_gap"],
+    )
+    def test_duration_extends_and_rssi_tracks_maximum(self, heard, expected_rssi):
         a, b = make_device("a"), make_device("b")
         completed = False
-        for t in range(0, 600):
+        for t, rssi in heard.items():
             if not (a.is_advertising(t) and b.is_scanning(t)):
                 continue
-            rssi = -80.0 if t < 400 else -52.0
             request = b.on_beacon(a.beacon(t), rssi, t)
             if request and not completed:
                 frame = b.current_frame(t)
@@ -202,8 +214,8 @@ class TestCompleteHandshake:
                 )
                 completed = True
         token = b.store.tokens()[0]
-        assert token.duration >= 500
-        assert token.max_signal_strength == -52.0
+        assert 500 <= token.duration < 600
+        assert token.max_signal_strength == expected_rssi
 
     def test_no_token_without_dwell(self):
         a, b = make_device("a"), make_device("b")
@@ -231,7 +243,6 @@ class TestChannels:
         device = make_device("a")
         opened = sum(device.try_open_channel() for _ in range(12))
         assert opened == 8
-        assert device.open_channels == 8
         device.close_channel()
         assert device.try_open_channel()
         assert device.peak_open_channels == 8
@@ -270,16 +281,3 @@ class TestTokenStore:
         store.add(1, b"new" + bytes(13), fresh)
         assert store.purge(now) == 1
         assert store.tokens() == [fresh]
-
-
-class TestSnapshot:
-    def test_snapshot_contains_no_secret_material(self):
-        a, b = make_device("a"), make_device("b")
-        run_encounter(a, b, 0, 400)
-        snapshot = str(a.snapshot()).encode()
-        token = a.store.tokens()[0]
-        assert token.secret.hex().encode() not in snapshot
-        kp = a.keypair(0)
-        assert kp.private_key.hex().encode() not in snapshot
-        assert b"peer_hint" not in snapshot
-        assert a.snapshot()["token_count"] == 1

@@ -77,7 +77,7 @@ DIGESTS = {
     "timeline_chain_early-decentralized":
         "742c35434cc9cb7ae48951daf38c66992eca3965ceb6ec600d95798dd09dbf4c",
     "timeline_chain_early-tracecorona":
-        "d7a6586b669e840a0e6de8233400ff17cf6b80cbdfc2169ddcd71603670a24ad",
+        "d2a494a75144e854980844b86e84f1067fd1d8a4cffe499893e8c3d8ec31e8bd",
 }
 
 

@@ -535,6 +535,35 @@ class TestSecondLevelTagging:
         assert by_device["k"]["level"] == "second_level"
         assert by_device["k"]["day"] == by_device["j"]["day"]
 
+    @staticmethod
+    def notified(offsets):
+        """(device, source, level) notifications of a chain in which
+        ``contact`` is warned directly by ``index``, warns ``peer`` at second
+        level, and is warned directly when ``peer`` uploads as infected."""
+        ids = ("index", "contact", "peer", "other")
+        meetings = [("index", "contact", 2), ("contact", "peer", 3), ("peer", "other", 4)]
+        config = ScenarioConfig.from_dict(
+            config_dict(
+                devices=[{"id": d, "clock_offset_s": o} for d, o in zip(ids, offsets)],
+                colocation_schedule=[
+                    {"device_a": a, "device_b": b,
+                     "start": day * DAY + 36000, "end": day * DAY + 37800}
+                    for a, b, day in meetings
+                ],
+                infections=[{"device": "index", "day": 0}, {"device": "peer", "day": 2}],
+                second_level_enabled=True,
+                duration_days=12,
+            )
+        )
+        return {(n["device"], n["source"], n["level"]) for n in run_scenario(config).notifications}
+
+    def test_equal_clocks_notify_as_distinct_clocks(self):
+        # With equal clocks both sides' records of a token have the same
+        # hash and ciphertext; only the tag tells them apart.
+        distinct = self.notified((0, 3, -4, 7))
+        assert ("contact", "peer", "direct") in distinct
+        assert self.notified((0, 0, 0, 0)) == distinct
+
 
 class TestProvenance:
     def test_two_uploaders_credit_each_other(self):
@@ -585,10 +614,25 @@ def daily_schedule(days):
     ]
 
 
+#: decentralized configs for the derivation count: the first publishes
+#: nothing, so every derivation is for broadcasting; the bundled ones
+#: publish keys that clients match and the report links
+DERIVATION_CONFIGS = {
+    "broadcast_only": config_dict(
+        scheme="decentralized", infections=[], colocation_schedule=daily_schedule([3, 5])
+    ),
+    **{
+        name: {**bundled_dict(name), "scheme": "decentralized"}
+        for name in ("eavesdropper_decentralized", "relay_r1", "kiss_replay")
+    },
+}
+
+
 class TestDerivationCounts:
     """Each baseline identifier is derived once; later uses look it up."""
 
-    def test_decentralized_table_once_per_device_day(self, monkeypatch):
+    @pytest.mark.parametrize("name", sorted(DERIVATION_CONFIGS))
+    def test_decentralized_table_once_per_device_day(self, monkeypatch, name):
         tables, slots = Counter(), Counter()
         derive_all = crypto.derive_tempids_decentralized
         derive_one = crypto.derive_tempid_decentralized
@@ -603,15 +647,13 @@ class TestDerivationCounts:
 
         monkeypatch.setattr(crypto, "derive_tempids_decentralized", counted_all)
         monkeypatch.setattr(crypto, "derive_tempid_decentralized", counted_one)
-        # no infections, so nothing is published or matched: every
-        # derivation is for broadcasting
-        config = ScenarioConfig.from_dict(
-            config_dict(scheme="decentralized", infections=[],
-                        colocation_schedule=daily_schedule([3, 5]))
-        )
-        run_scenario(config)
-        assert len(tables) == 4 and set(tables.values()) == {1}
+        report = run_scenario(ScenarioConfig.from_dict(DERIVATION_CONFIGS[name]))
+        assert tables and set(tables.values()) == {1}
         assert slots == Counter(dict.fromkeys(tables, 144))
+        if name == "broadcast_only":
+            assert len(tables) == 4
+        else:
+            assert report.linkability_recovered
 
     def test_centralized_tempid_once_per_user_interval(self, monkeypatch):
         calls = Counter()
@@ -634,4 +676,4 @@ class TestDerivationCounts:
         engine = Engine(config)
         engine.run()
         for client in engine.clients.values():
-            assert 0 < len(client.slot_ids) <= config.retention_days + 1
+            assert 0 < len(client.keys) <= config.retention_days + 1
