@@ -107,7 +107,7 @@ def cmd_serve(args) -> int:
 
 def cmd_ingest(args) -> int:
     try:
-        records = [record for _epoch, record in read_log(args.input)]
+        records = [record for _epoch, record in read_log(args.input)[1]]
     except (OSError, ValueError, WireError) as exc:
         print(f"cannot read records: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,11 +2,14 @@
 verification, shuffled feed distribution, and anonymous aggregates.
 
 Records are stored individually the moment an upload is accepted; no
-persisted structure remembers which records arrived together.
+persisted structure remembers which records arrived together.  An
+accepted upload's log lines go out in one write and are fsynced before
+the upload is answered.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass
 
@@ -16,6 +19,7 @@ from .wire import (
     PublishedFeed,
     Tag,
     TokenUploadRecord,
+    end_log_at_line,
     log_epoch_line,
     log_record_line,
     read_log,
@@ -86,24 +90,40 @@ class TracingServer:
             if epoch < self._epoch:
                 raise ValueError("epoch must not go backwards")
             if epoch != self._epoch:
+                self._append_log([log_epoch_line(epoch)])
                 self._epoch = epoch
-                self._append_log_line(log_epoch_line(epoch))
 
     # -- ingestion ---------------------------------------------------------------
 
-    def _append_log_line(self, line: str) -> None:
+    def _append_log(self, lines: list[str]) -> None:
+        """Append the lines with one write and make them durable."""
         if self._log_path is None:
             return
-        with open(self._log_path, "a", encoding="ascii") as handle:
-            handle.write(line + "\n")
+        with open(self._log_path, "a+b") as handle:
+            end_log_at_line(handle)
+            handle.write("".join(line + "\n" for line in lines).encode("ascii"))
+            handle.flush()
+            os.fsync(handle.fileno())
 
-    def _store(self, record: TokenUploadRecord) -> None:
-        index = len(self._records)
-        self._records.append((self._epoch, record))
-        if record.tag is Tag.DIRECT:
-            self._direct_by_hash.setdefault(record.hash, []).append(index)
-        if self._log_path is not None:
-            self._append_log_line(log_record_line(record))
+    def _hold(self, entries: list[tuple[int, TokenUploadRecord]]) -> None:
+        """Hold (epoch, record) entries, indexing the direct records by hash."""
+        for entry in entries:
+            record = entry[1]
+            if record.tag is Tag.DIRECT:
+                self._direct_by_hash.setdefault(record.hash, []).append(len(self._records))
+            self._records.append(entry)
+
+    def _store(self, records: list[TokenUploadRecord], tag: Tag) -> UploadResult:
+        """Log an accepted upload's records under the tag they are
+        published with, then hold them."""
+        tagged = [
+            r if r.tag is tag else TokenUploadRecord(r.hash, r.ciphertext, tag)
+            for r in records
+        ]
+        if tagged and self._log_path is not None:
+            self._append_log([log_record_line(r) for r in tagged])
+        self._hold([(self._epoch, r) for r in tagged])
+        return UploadResult(True, stored=len(tagged))
 
     def upload_infected(
         self, tan_value: str, records: list[TokenUploadRecord]
@@ -113,12 +133,9 @@ class TracingServer:
         with self._ingest_lock:
             if not self.authority.verify_tan(tan_value):
                 return UploadResult(False, REASON_INVALID_TAN)
-            for record in records:
-                self._store(
-                    TokenUploadRecord(record.hash, record.ciphertext, Tag.DIRECT)
-                )
+            result = self._store(records, Tag.DIRECT)
             self._infected_uploads += 1
-            return UploadResult(True, stored=len(records))
+            return result
 
     def _proof_matches(self, proof: bytes) -> list[int]:
         """Indices of published direct records this proof opens."""
@@ -142,12 +159,9 @@ class TracingServer:
         with self._ingest_lock:
             if not self._proof_matches(possession_proof):
                 return UploadResult(False, REASON_NO_MATCHING_TOKEN)
-            for record in records:
-                self._store(
-                    TokenUploadRecord(record.hash, record.ciphertext, Tag.SECOND_LEVEL)
-                )
+            result = self._store(records, Tag.SECOND_LEVEL)
             self._second_level_uploads += 1
-            return UploadResult(True, stored=len(records))
+            return result
 
     def upload_superspreader_proof(
         self, proofs: list[bytes], records: list[TokenUploadRecord]
@@ -159,14 +173,9 @@ class TracingServer:
                 return UploadResult(False, REASON_INSUFFICIENT_PROOFS)
             if not self._distinct_assignment(proofs):
                 return UploadResult(False, REASON_INSUFFICIENT_PROOFS)
-            for record in records:
-                self._store(
-                    TokenUploadRecord(
-                        record.hash, record.ciphertext, Tag.POSSIBLE_SUPERSPREADER
-                    )
-                )
+            result = self._store(records, Tag.POSSIBLE_SUPERSPREADER)
             self._superspreader_uploads += 1
-            return UploadResult(True, stored=len(records))
+            return result
 
     def _distinct_assignment(self, proofs: list[bytes]) -> bool:
         """Every proof must open its own distinct published record
@@ -236,11 +245,7 @@ class TracingServer:
         log (they would group records) and restart at zero.
         """
         server = cls(authority, superspreader_threshold=superspreader_threshold)
-        highest = 0
-        for epoch, record in read_log(log_path):
-            server._epoch = epoch
-            server._store(record)
-            highest = max(highest, epoch)
-        server._epoch = highest
+        server._epoch, entries = read_log(log_path)
+        server._hold(entries)
         server._log_path = log_path
         return server

@@ -6,18 +6,27 @@ Record frame (exact layout, big endian):
 
 Append-only log: one framed record per line of base64.  Epoch
 boundaries are interleaved as ``# epoch <n>`` control lines so a log
-replay restores feed paging.
+replay restores feed paging.  The server appends an accepted upload's
+lines (or an epoch line) with one write, then flushes and fsyncs the
+file before it answers the upload.  A crash can therefore leave only
+the last line torn: ``read_log`` drops a final line that has no
+newline unless it is a record that decodes, and raises ``WireError`` on
+any other bad line; the server's next append first ends the file at a
+line boundary (``end_log_at_line``).
 
 Socket protocol: each message is a 4-byte length prefix followed by the
 body.  Request bodies start with a 1-byte opcode; responses with a
-1-byte status (0 accepted, 1 rejected, 2 malformed).
+1-byte status (0 accepted, 1 rejected, 2 malformed).  The server closes
+a connection whose request prefix exceeds ``MAX_REQUEST_BYTES`` without
+reading the body; responses, such as the feed, are not capped.
 """
 
 from __future__ import annotations
 
-import base64
+import binascii
 import enum
 import json
+import os
 import socket
 import socketserver
 import struct
@@ -26,6 +35,17 @@ from dataclasses import dataclass
 
 TOKEN_HASH_BYTES = 16
 PROOF_BYTES = 32
+#: Most records one upload may carry.  The paper's upload is 14 days of
+#: 20 encounters, 280 records; the cap leaves room for busier contacts.
+MAX_UPLOAD_RECORDS = 1024
+#: Largest request the server reads: the longest upload header (255
+#: superspreader proofs), then ``MAX_UPLOAD_RECORDS`` frames holding the
+#: metadata ciphertext a client makes (12-byte nonce, 8-byte timestamp,
+#: 16-byte AEAD tag).
+MAX_REQUEST_BYTES = (
+    2 + 255 * PROOF_BYTES + 4
+    + MAX_UPLOAD_RECORDS * (TOKEN_HASH_BYTES + 4 + 12 + 8 + 16 + 1)
+)
 
 
 class Tag(enum.IntEnum):
@@ -36,7 +56,7 @@ class Tag(enum.IntEnum):
     POSSIBLE_SUPERSPREADER = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenUploadRecord:
     """Published pair: truncated token hash and encrypted timestamp."""
 
@@ -63,30 +83,30 @@ class WireError(Exception):
 
 # -- record framing ---------------------------------------------------------
 
+_FRAME_HEAD = struct.Struct(">16sI")
+_TAGS = tuple(Tag)
+
 
 def encode_record(record: TokenUploadRecord) -> bytes:
     return (
-        record.hash
-        + struct.pack(">I", len(record.ciphertext))
+        _FRAME_HEAD.pack(record.hash, len(record.ciphertext))
         + record.ciphertext
-        + bytes([record.tag])
+        + bytes((record.tag,))
     )
 
 
 def decode_record(buf: bytes, offset: int = 0) -> tuple[TokenUploadRecord, int]:
-    if len(buf) - offset < TOKEN_HASH_BYTES + 4 + 1:
+    if len(buf) - offset < _FRAME_HEAD.size + 1:
         raise WireError("record frame truncated")
-    h = buf[offset : offset + 16]
-    (ct_len,) = struct.unpack_from(">I", buf, offset + 16)
-    end = offset + 20 + ct_len
-    if len(buf) < end + 1:
+    h, ct_len = _FRAME_HEAD.unpack_from(buf, offset)
+    start = offset + _FRAME_HEAD.size
+    end = start + ct_len
+    if len(buf) <= end:
         raise WireError("record ciphertext truncated")
-    ct = buf[offset + 20 : end]
-    try:
-        tag = Tag(buf[end])
-    except ValueError as exc:
-        raise WireError(f"unknown record tag {buf[end]}") from exc
-    return TokenUploadRecord(hash=h, ciphertext=ct, tag=tag), end + 1
+    tag = buf[end]
+    if tag >= len(_TAGS):
+        raise WireError(f"unknown record tag {tag}")
+    return TokenUploadRecord(h, buf[start:end], _TAGS[tag]), end + 1
 
 
 def encode_records(records: list[TokenUploadRecord]) -> bytes:
@@ -110,33 +130,81 @@ def decode_records(buf: bytes, offset: int = 0) -> tuple[list[TokenUploadRecord]
 
 
 def log_record_line(record: TokenUploadRecord) -> str:
-    return base64.b64encode(encode_record(record)).decode("ascii")
+    return binascii.b2a_base64(encode_record(record), newline=False).decode("ascii")
 
 
 def log_epoch_line(epoch: int) -> str:
     return f"# epoch {epoch}"
 
 
-def read_log(path) -> list[tuple[int, TokenUploadRecord]]:
-    """Replay a log file into (epoch, record) pairs."""
+def _log_frame(line: bytes) -> TokenUploadRecord:
+    try:
+        frame = binascii.a2b_base64(line)
+    except binascii.Error as exc:
+        raise WireError(f"log line is not base64: {exc}") from exc
+    record, used = decode_record(frame)
+    if used != len(frame):
+        raise WireError("trailing bytes in log line")
+    return record
+
+
+def _is_record_line(line: bytes) -> bool:
+    try:
+        _log_frame(line)
+    except WireError:
+        return False
+    return True
+
+
+def end_log_at_line(handle) -> None:
+    """Make a log opened with ``a+b`` end at a line boundary, so the next
+    append starts a line of its own.
+
+    A final line without a newline is the torn tail of a write a crash
+    cut short.  It gets its newline if it is a whole record line, which
+    ``read_log`` keeps, and is cut off otherwise.
+    """
+    size = handle.seek(0, os.SEEK_END)
+    if size == 0:
+        return
+    handle.seek(size - 1)
+    if handle.read(1) == b"\n":
+        return
+    handle.seek(0)
+    data = handle.read()
+    start = data.rfind(b"\n") + 1
+    tail = data[start:].strip()
+    if not tail.startswith(b"#") and _is_record_line(tail):
+        handle.write(b"\n")
+    else:
+        handle.truncate(start)
+
+
+def read_log(path) -> tuple[int, list[tuple[int, TokenUploadRecord]]]:
+    """Replay a log file into its last epoch and (epoch, record) pairs.
+
+    A final line without a newline is the torn tail of a write a crash
+    cut short: it is dropped unless it is a record line that decodes.
+    """
     epoch = 0
     out: list[tuple[int, TokenUploadRecord]] = []
-    with open(path, "r", encoding="ascii") as handle:
-        for line in handle:
-            line = line.strip()
+    with open(path, "rb") as handle:
+        for raw in handle:
+            line = raw.strip()
             if not line:
                 continue
-            if line.startswith("#"):
+            whole = raw.endswith(b"\n")
+            if line.startswith(b"#"):
                 parts = line.split()
-                if len(parts) == 3 and parts[1] == "epoch":
+                if whole and len(parts) == 3 and parts[1] == b"epoch":
                     epoch = int(parts[2])
                 continue
-            frame = base64.b64decode(line)
-            record, used = decode_record(frame)
-            if used != len(frame):
-                raise WireError("trailing bytes in log line")
-            out.append((epoch, record))
-    return out
+            try:
+                out.append((epoch, _log_frame(line)))
+            except WireError:
+                if whole:
+                    raise
+    return epoch, out
 
 
 # -- socket protocol ----------------------------------------------------------
@@ -197,8 +265,10 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def _recv_message(sock: socket.socket) -> bytes:
+def _recv_message(sock: socket.socket, limit: int | None = None) -> bytes:
     (length,) = struct.unpack(">I", _recv_exact(sock, 4))
+    if limit is not None and length > limit:
+        raise WireError(f"message of {length} bytes exceeds {limit}")
     return _recv_exact(sock, length)
 
 
@@ -267,7 +337,7 @@ class WireServer:
             def handle(self) -> None:
                 try:
                     while True:
-                        body = _recv_message(self.request)
+                        body = _recv_message(self.request, MAX_REQUEST_BYTES)
                         _send_message(
                             self.request, handle_request(outer.tracing_server, body)
                         )

@@ -292,3 +292,135 @@ class TestStorageGranularity:
         assert original == restored
         # replayed possession verification still works
         assert replayed.upload_second_level(secrets[1], []).accepted
+
+
+def frame_line(record):
+    """A record's log line, spelled out: base64 of its frame, then a newline."""
+    import base64
+
+    from tracecorona.wire import encode_record
+
+    return base64.b64encode(encode_record(record)).decode("ascii") + "\n"
+
+
+class TestDurableLog:
+    def test_log_contract_one_fsync_per_accepted_upload(self, tmp_path, monkeypatch):
+        import os
+
+        from tracecorona import wire
+
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd)))
+        log = tmp_path / "server.log"
+        server, ha = make_server(log_path=log)
+        rng = random.Random(40)
+        secrets, infected = random_records(rng, 3)
+        _, second = random_records(rng, 2)
+        _, flagged = random_records(rng, 1)
+        expected, writes = [], 0
+
+        def retagged(record, tag):
+            return TokenUploadRecord(record.hash, record.ciphertext, tag)
+
+        def check(lines):
+            """The step appended these lines, with one fsync if any."""
+            nonlocal writes
+            expected.extend(lines)
+            writes += bool(lines)
+            assert log.read_text() == "".join(expected)
+            assert len(fsyncs) == writes
+
+        assert server.upload_infected(ha.issue_tan("u", 0).value, infected).accepted
+        check([frame_line(r) for r in infected])
+        assert not server.upload_infected("NOTISSUED", infected).accepted
+        check([])
+        assert not server.upload_infected(ha.issue_tan("u", 0).value, []).accepted
+        check([])
+        malformed = wire.encode_upload_infected(ha.issue_tan("u", 0).value, infected)[:-3]
+        assert wire.handle_request(server, malformed)[0] == wire.STATUS_MALFORMED
+        check([])
+        server.advance_epoch(2)
+        check(["# epoch 2\n"])
+        server.advance_epoch(2)
+        check([])
+        assert server.upload_second_level(secrets[0], second).accepted
+        check([frame_line(retagged(r, Tag.SECOND_LEVEL)) for r in second])
+        assert not server.upload_second_level(rng.randbytes(32), second).accepted
+        check([])
+        empty = TokenUploadRecord(hash=bytes(16), ciphertext=b"")
+        assert not server.upload_second_level(secrets[0], [empty]).accepted
+        check([])
+        assert not server.upload_superspreader_proof(secrets[:2], flagged).accepted
+        check([])
+        assert server.upload_superspreader_proof(secrets, flagged).accepted
+        check([frame_line(retagged(r, Tag.POSSIBLE_SUPERSPREADER)) for r in flagged])
+        # one line per stored record, in store order, and nothing else
+        stored = [r for _, r in server._records]
+        record_lines = [l for l in log.read_text().splitlines(True) if not l.startswith("#")]
+        assert record_lines == [frame_line(r) for r in stored]
+        assert len(fsyncs) == 4
+
+
+def torn_fixture(path):
+    """A log of four records over epochs 0, 2 and 12, written by a server;
+    the (epoch, record) entries in log order."""
+    server, ha = make_server(log_path=path)
+    secrets, infected = random_records(random.Random(50), 2)
+    assert server.upload_infected(ha.issue_tan("u", 0).value, infected).accepted
+    server.advance_epoch(2)
+    _, second = random_records(random.Random(51), 1)
+    assert server.upload_second_level(secrets[0], second).accepted
+    server.advance_epoch(12)
+    _, later = random_records(random.Random(52), 1)
+    assert server.upload_infected(ha.issue_tan("u", 0).value, later).accepted
+    return list(server._records)
+
+
+class TestTornLog:
+    def test_every_cut_replays_the_whole_records_before_it(self, tmp_path):
+        log = tmp_path / "server.log"
+        entries = torn_fixture(log)
+        data = log.read_bytes()
+        # where each record's line ends (without its newline), and the
+        # epoch of each epoch line with the offset just past its newline
+        ends, epochs = [], []
+        offset = 0
+        for line in data.split(b"\n")[:-1]:
+            offset += len(line) + 1
+            if line.startswith(b"#"):
+                epochs.append((int(line.split()[2]), offset))
+            else:
+                ends.append(offset - 1)
+        assert len(ends) == len(entries) == 4
+        assert [epoch for epoch, _ in epochs] == [2, 12]
+        _, (extra,) = random_records(random.Random(53), 1)
+        cut_log = tmp_path / "cut.log"
+        for cut in range(len(data) + 1):
+            cut_log.write_bytes(data[:cut])
+            replayed = TracingServer.replay_log(cut_log, HealthAuthority(random.Random(0)))
+            whole = [entry for entry, end in zip(entries, ends) if end <= cut]
+            assert replayed._records == whole, cut
+            epoch = max((epoch for epoch, end in epochs if end <= cut), default=0)
+            assert replayed.epoch == epoch, cut
+            # the restarted server's next upload starts a line of its own
+            tan = replayed.authority.issue_tan("u", 0).value
+            assert replayed.upload_infected(tan, [extra]).accepted
+            again = TracingServer.replay_log(cut_log, HealthAuthority(random.Random(0)))
+            assert again._records == whole + [(epoch, extra)], cut
+
+    def test_bad_line_before_the_last_still_raises(self, tmp_path):
+        from tracecorona.wire import WireError
+
+        log = tmp_path / "server.log"
+        torn_fixture(log)
+        lines = log.read_bytes().split(b"\n")
+        for bad in (lines[0][:-4], b"!!not base64!!", lines[0] + b"AAAA"):
+            broken = tmp_path / "broken.log"
+            broken.write_bytes(b"\n".join([bad] + lines[1:]))
+            with pytest.raises(WireError):
+                TracingServer.replay_log(broken, HealthAuthority(random.Random(0)))
+            # the same line last, newline and all, is not torn either
+            broken.write_bytes(b"\n".join(lines[:-1] + [bad, b""]))
+            with pytest.raises(WireError):
+                TracingServer.replay_log(broken, HealthAuthority(random.Random(0)))

@@ -2,6 +2,7 @@
 
 import base64
 import random
+import socket
 
 import pytest
 from hypothesis import example, given
@@ -58,8 +59,47 @@ class TestRecordFraming:
         assert decoded == records
 
     def test_hash_length_enforced(self):
-        with pytest.raises(ValueError):
-            wire.TokenUploadRecord(hash=b"short", ciphertext=b"x")
+        # struct's "16s" would pad or cut a 15- or 17-byte hash without complaint
+        for size in (5, 15, 17):
+            with pytest.raises(ValueError):
+                wire.TokenUploadRecord(hash=bytes(size), ciphertext=b"x")
+
+
+arbitrary_records = st.builds(
+    wire.TokenUploadRecord,
+    hash=st.binary(min_size=16, max_size=16),
+    ciphertext=st.binary(min_size=1, max_size=300),
+    tag=st.sampled_from(wire.Tag),
+)
+
+
+class TestCodecProperties:
+    @given(arbitrary_records)
+    def test_round_trip(self, record):
+        frame = wire.encode_record(record)
+        assert wire.decode_record(frame) == (record, len(frame))
+        assert wire.decode_record(b"pad" + frame, 3) == (record, 3 + len(frame))
+
+    @given(arbitrary_records)
+    def test_every_proper_prefix_rejected(self, record):
+        frame = wire.encode_record(record)
+        for cut in range(len(frame)):
+            with pytest.raises(wire.WireError):
+                wire.decode_record(frame[:cut])
+
+    @given(st.lists(arbitrary_records, min_size=1, max_size=3))
+    def test_every_proper_prefix_of_a_list_rejected(self, batch):
+        frame = wire.encode_records(batch)
+        assert wire.decode_records(frame) == (batch, len(frame))
+        for cut in range(len(frame)):
+            with pytest.raises(wire.WireError):
+                wire.decode_records(frame[:cut])
+
+    @given(arbitrary_records, st.integers(len(wire.Tag), 255))
+    def test_unknown_tag_rejected(self, record, tag):
+        frame = wire.encode_record(record)[:-1] + bytes([tag])
+        with pytest.raises(wire.WireError, match=f"^unknown record tag {tag}$"):
+            wire.decode_record(frame)
 
 
 class TestLog:
@@ -77,7 +117,8 @@ class TestLog:
             handle.write(wire.log_epoch_line(3) + "\n")
             for record in records[1:]:
                 handle.write(wire.log_record_line(record) + "\n")
-        entries = wire.read_log(path)
+        epoch, entries = wire.read_log(path)
+        assert epoch == 3
         assert [e for e, _ in entries] == [0, 3, 3, 3]
         assert [r for _, r in entries] == records
 
@@ -149,6 +190,33 @@ class TestSocketApi:
         assert accepted
         accepted, reason = client.upload_infected(tan, [record])
         assert not accepted and reason == "invalid_tan"
+
+
+class TestRequestCap:
+    def test_largest_request_fits_the_cap(self):
+        _, record = sample_record(80)
+        assert len(record.ciphertext) == 36
+        largest = wire.encode_upload_superspreader(
+            [bytes(wire.PROOF_BYTES)] * 255, [record] * wire.MAX_UPLOAD_RECORDS
+        )
+        assert len(largest) == wire.MAX_REQUEST_BYTES
+        # the paper's upload of 14 days x 20 encounters is well inside it
+        assert wire.MAX_UPLOAD_RECORDS >= 14 * 20
+
+    @pytest.mark.parametrize("length", [wire.MAX_REQUEST_BYTES + 1, 0xFFFFFFFF])
+    def test_longer_prefix_closes_connection_unread(self, length):
+        server = TracingServer(HealthAuthority(random.Random(0)))
+        wire_server = wire.WireServer(server)
+        wire_server.start()
+        try:
+            with socket.create_connection(wire_server.address, timeout=10) as sock:
+                # only the header: a server waiting for the body would time out
+                sock.sendall(length.to_bytes(4, "big"))
+                assert sock.recv(1) == b""
+            with wire.WireClient(*wire_server.address) as client:
+                assert client.stats()["records_published"] == 0
+        finally:
+            wire_server.shutdown()
 
 
 class TestHandleRequest:
