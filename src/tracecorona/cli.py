@@ -27,7 +27,14 @@ from .server import TracingServer
 from .simnet.config import SCHEMES, ConfigError, ScenarioConfig
 from .simnet.engine import run_scenario
 from .simnet.report import ScenarioReport
-from .wire import WireError, WireServer, log_epoch_line, log_record_line, read_log
+from .wire import (
+    WireError,
+    WireServer,
+    append_log,
+    log_epoch_line,
+    log_record_line,
+    read_log,
+)
 
 log = logging.getLogger("tracecorona")
 
@@ -111,11 +118,8 @@ def cmd_ingest(args) -> int:
     except (OSError, ValueError, WireError) as exc:
         print(f"cannot read records: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    with open(args.log, "a", encoding="ascii") as handle:
-        if args.epoch is not None:
-            handle.write(log_epoch_line(args.epoch) + "\n")
-        for record in records:
-            handle.write(log_record_line(record) + "\n")
+    epoch = [] if args.epoch is None else [log_epoch_line(args.epoch)]
+    append_log(args.log, epoch + [log_record_line(record) for record in records])
     print(f"ingested {len(records)} records into {args.log}")
     return EXIT_OK
 

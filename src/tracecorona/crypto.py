@@ -21,7 +21,7 @@ from a scenario seed.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -70,12 +70,15 @@ class FrameKeyPair:
     """Ephemeral ECDH keypair for one rolling time frame.
 
     ``private_key`` must never leave the device: it is excluded from
-    wire messages, logs, and report snapshots.
+    wire messages, logs, and report snapshots.  ``key`` is the same
+    scalar as a curve key object, built once with the public key so that
+    each exchange need not build it again.
     """
 
     frame_index: int
     private_key: bytes
     public_key: bytes
+    key: ec.EllipticCurvePrivateKey = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.private_key) != PRIVATE_KEY_BYTES:
@@ -157,9 +160,9 @@ def generate_frame_keypair(frame_index: int, rng) -> FrameKeyPair:
     # the modulo bias negligible.
     scalar = int.from_bytes(widened, "big") % (2**256 - 1) + 1
     private = scalar.to_bytes(PRIVATE_KEY_BYTES, "big")
-    point = ec.derive_private_key(scalar, CURVE).public_key().public_numbers()
-    public = point.x.to_bytes(PUBLIC_KEY_BYTES, "big")
-    return FrameKeyPair(frame_index=frame_index, private_key=private, public_key=public)
+    key = ec.derive_private_key(scalar, CURVE)
+    public = key.public_key().public_numbers().x.to_bytes(PUBLIC_KEY_BYTES, "big")
+    return FrameKeyPair(frame_index=frame_index, private_key=private, public_key=public, key=key)
 
 
 def validate_public_key(peer_public: bytes) -> ec.EllipticCurvePublicKey:
@@ -181,21 +184,26 @@ def validate_public_key(peer_public: bytes) -> ec.EllipticCurvePublicKey:
         raise InvalidPoint("x coordinate is not a point on the curve") from exc
 
 
-def derive_token(own_private: bytes, peer_public: bytes) -> bytes:
+def derive_token(
+    own_private: bytes | ec.EllipticCurvePrivateKey, peer_public: bytes
+) -> bytes:
     """ECDH-agree on a 32-byte encounter token secret.
 
-    Commutative: ``derive_token(d_i, Q_j) == derive_token(d_j, Q_i)``.
-    The shared x coordinate is passed through HKDF so the token secret
-    is uniformly 32 bytes regardless of curve structure.
+    ``own_private`` is the 32-byte scalar or, as a device passes it, the
+    key object of its ``FrameKeyPair``.  Commutative:
+    ``derive_token(d_i, Q_j) == derive_token(d_j, Q_i)``.  The shared x
+    coordinate is passed through HKDF so the token secret is uniformly
+    32 bytes regardless of curve structure.
     """
-    if len(own_private) != PRIVATE_KEY_BYTES:
-        raise ValueError("private key must be 32 bytes")
+    if isinstance(own_private, bytes):
+        if len(own_private) != PRIVATE_KEY_BYTES:
+            raise ValueError("private key must be 32 bytes")
+        scalar = int.from_bytes(own_private, "big")
+        if scalar == 0:
+            raise ValueError("private scalar must be non-zero")
+        own_private = ec.derive_private_key(scalar, CURVE)
     point = validate_public_key(peer_public)
-    scalar = int.from_bytes(own_private, "big")
-    if scalar == 0:
-        raise ValueError("private scalar must be non-zero")
-    private = ec.derive_private_key(scalar, CURVE)
-    shared_x = private.exchange(ec.ECDH(), point)
+    shared_x = own_private.exchange(ec.ECDH(), point)
     return _hkdf(shared_x, _LABEL_TOKEN, b"", TOKEN_SECRET_BYTES)
 
 

@@ -12,7 +12,9 @@ recorded timestamp is local.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 
@@ -190,12 +192,46 @@ class Device:
         frame = self.policy.frame_of(local)
         key = (frame, ei)
         if self.store.get(frame, ei) is not None or key in self._pending_handshakes:
-            self._refresh_token(frame, ei, local)
+            self._refresh_token(frame, ei)
             return None
         self._pending_handshakes.add(key)
         return HandshakeRequest(peer_ephemeral_id=ei, frame_index=frame, requested_at=local)
 
-    def _refresh_token(self, frame: int, ei: bytes, local: int) -> None:
+    def on_sighting_run(
+        self, beacon: BeaconMessage, rssi: float, seconds
+    ) -> tuple[HandshakeRequest | None, float]:
+        """Record the beacons of one peer heard at the true times in
+        ``seconds``: increasing, within one frame of this device, at one
+        RSSI and less than ``CONTINUITY_GAP`` apart.
+
+        The first beacon takes ``on_beacon``'s rules.  If it asks for a
+        handshake the rest are left to the caller, since the next beacon
+        asks again should the handshake fail to start.  Otherwise the
+        beacons before the dwell threshold, or all of them once it is
+        crossed, only extend the sighting: RSSI is constant and a
+        refresh only moves the token forward, so one update of
+        ``last_seen`` and one refresh stand for them all.
+
+        Returns the request, if any, and the true time before which
+        every beacon was recorded and later ones of the run need no
+        rule: the caller hands the beacons from there on in again.
+        """
+        now = seconds[0]
+        request = self.on_beacon(beacon, rssi, now)
+        local = self.local_time(now)
+        obs = self._neighbors.get(beacon.ephemeral_id)
+        if request is not None or obs is None or obs.last_seen != local:
+            return request, now + 1
+        dwell = obs.first_seen + self.policy.min_encounter_duration
+        until = dwell - self.clock_offset if local < dwell else math.inf
+        last = seconds[bisect.bisect_left(seconds, until) - 1]
+        if last != now:
+            obs.last_seen = self.local_time(last)
+            if local >= dwell:
+                self._refresh_token(self.policy.frame_of(local), beacon.ephemeral_id)
+        return None, until
+
+    def _refresh_token(self, frame: int, ei: bytes) -> None:
         token = self.store.get(frame, ei)
         obs = self._neighbors.get(ei)
         if token is None or obs is None:
@@ -249,7 +285,7 @@ class Device:
             raise FrameMismatch(f"peer frame {peer_frame} != own frame {frame}")
         kp = self.keypair(frame)
         if self.derive_mode == "eager":
-            secret = crypto.derive_token(kp.private_key, peer_public)
+            secret = crypto.derive_token(kp.key, peer_public)
         else:
             crypto.validate_public_key(peer_public)
             secret = None
@@ -283,7 +319,7 @@ class Device:
                 del self._pending_derivations[(frame, ei)]
                 continue
             kp = self.keypair(frame)
-            token.secret = crypto.derive_token(kp.private_key, peer_public)
+            token.secret = crypto.derive_token(kp.key, peer_public)
             del self._pending_derivations[(frame, ei)]
             derived += 1
         return derived

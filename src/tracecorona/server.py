@@ -9,7 +9,6 @@ the upload is answered.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ from .wire import (
     PublishedFeed,
     Tag,
     TokenUploadRecord,
-    end_log_at_line,
+    append_log,
     log_epoch_line,
     log_record_line,
     read_log,
@@ -96,14 +95,8 @@ class TracingServer:
     # -- ingestion ---------------------------------------------------------------
 
     def _append_log(self, lines: list[str]) -> None:
-        """Append the lines with one write and make them durable."""
-        if self._log_path is None:
-            return
-        with open(self._log_path, "a+b") as handle:
-            end_log_at_line(handle)
-            handle.write("".join(line + "\n" for line in lines).encode("ascii"))
-            handle.flush()
-            os.fsync(handle.fileno())
+        if self._log_path is not None:
+            append_log(self._log_path, lines)
 
     def _hold(self, entries: list[tuple[int, TokenUploadRecord]]) -> None:
         """Hold (epoch, record) entries, indexing the direct records by hash."""

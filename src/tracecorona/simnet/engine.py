@@ -1,17 +1,37 @@
 """Discrete-event proximity simulator.
 
-One event queue drives everything: per-second link ticks for
-co-location intervals, relay tunnels and eavesdropping sensors,
-delayed beacon deliveries, handshake completions, and the daily cadence
-(epoch advance, uploads at noon, charging at 22:00, feed fetches at
-23:00 and 23:30, adversary actions at 23:45).
+One event queue drives everything: the radio of co-location intervals,
+relay tunnels and eavesdropping sensors, handshake completions, and the
+daily cadence (epoch advance, uploads at noon, charging at 22:00, feed
+fetches at 23:00 and 23:30, adversary actions at 23:45).
+
+The radio works in sighting runs.  A beacon is deliverable when its
+source advertises at the beacon second and its receiver scans at
+arrival, clock offsets and relay latency applied; both duty cycles are
+fixed, so the engine finds the stretches of deliverable seconds by
+arithmetic.  A run is such a stretch cut at every frame (identifier)
+boundary of either clock and every RSSI change, so that a receiver can
+take it whole: the first beacon with the per-beacon rules, the rest as
+one extension of the sighting (``Device.on_sighting_run``).  A link's
+event hands over runs of both directions in time order up to the next
+event that touches its devices, a cadence event or a handshake
+completion, and cuts a run at the dwell threshold, so no other event
+sees a run half applied.  A link that shares a device with another link
+at the time keeps one event per second: which of them gets a connection
+slot or a relay admission depends on the order of their beacons within
+each second.  Sensors log the first and last second of each advertising
+stretch per identifier.  ``tests/engine_oracle.py`` keeps the per-second
+loop; reports must match it byte for byte.
 
 Determinism: all randomness flows from the scenario seed through named
-substreams (channel loss, feed shuffles, TAN issuance, adversary
-noise); events are processed in (time, insertion order); device
-iteration follows config order.  Attack bookkeeping (which encounters
-were injected) lives only in the engine's ground-truth tables, never in
-scheme state.
+substreams (feed shuffles, TAN issuance, adversary noise, and channel
+loss per link direction); events are processed in (time, insertion
+order); device iteration follows config order.  Whether a beacon is
+lost is drawn from its link direction's own generator, once per
+deliverable second in time order, so it depends on the seed, the link,
+the direction and the second only, never on the order of events.
+Attack bookkeeping (which encounters were injected) lives only in the
+engine's ground-truth tables, never in scheme state.
 
 Nominal wire sizes for the baseline schemes, used for payload
 accounting: a published daily key frames as 4-byte day || 16-byte key;
@@ -22,17 +42,29 @@ traffic is measured by encoding the real wire messages.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import heapq
+import math
 import random
 import struct
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import partial
 
 from .. import baselines, crypto, exposure, payload, wire
 from ..authority import HealthAuthority
 from ..crypto import InvalidPoint, TimeFramePolicy
-from ..device import APP_UUID, BeaconMessage, Device, FrameMismatch
+from ..device import (
+    ADVERTISE_ON,
+    ADVERTISE_PERIOD,
+    APP_UUID,
+    SCAN_ON,
+    SCAN_PERIOD,
+    BeaconMessage,
+    Device,
+    FrameMismatch,
+)
 from ..server import TracingServer
 from .config import ScenarioConfig, SECONDS_PER_DAY
 from .report import ScenarioReport
@@ -61,23 +93,124 @@ class _Infection:
     uploaded: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class _Link:
-    kind: str  # "direct" | "relay_oneway" | "relay_twoway" | "sensor"
+    kind: str  # "direct" | "relay_oneway" | "relay_twoway"
     a: str
-    b: str  # receiver for one-way kinds; sensor id for "sensor"
+    b: str  # receiver for one-way kinds
     start: int
     end: int
+    #: names the link's loss draws: ("colocation", i) or ("relay", adversary, victim)
+    key: tuple
     latency: int = 0
     adversary: int | None = None
     rssi: object = -55.0  # float or ColocationInterval
     capture_id: str | None = None
     fanout_limit: int = 0
+    beams: list = field(default_factory=list)
+    #: times of the handshake completions it scheduled
+    completions: list = field(default_factory=list)
 
     def rssi_at(self, t: int) -> float:
         if isinstance(self.rssi, (int, float)):
             return float(self.rssi)
         return self.rssi.rssi_at(t)
+
+    def rssi_change_after(self, t: int) -> float:
+        """The first second after t at which the RSSI changes."""
+        profile = getattr(self.rssi, "rssi_profile", ())
+        if not isinstance(profile, tuple):
+            return math.inf
+        return next((self.start + o for o, _ in profile if self.start + o > t), math.inf)
+
+
+class _Beam:
+    """One direction of a link: the beacons ``src`` sends and ``dst``
+    hears, in arrival seconds (beacon second plus the link's latency).
+
+    An arrival second is deliverable when ``src`` advertises at the
+    beacon second and ``dst`` scans at arrival.  The beam walks the
+    deliverable seconds as sighting runs, each a stretch of consecutive
+    deliverable seconds cut at frame boundaries of both clocks and at
+    RSSI changes, so that identifier, frames and RSSI are constant over
+    a run.  Loss is drawn from the beam's own generator, once per
+    deliverable second in time order, so what is lost does not depend on
+    the order in which the engine handles other links.
+    """
+
+    def __init__(self, link: _Link, src: _Client, dst: _Client, direction: int, config):
+        self.link, self.src, self.dst = link, src, dst
+        self.src_shift = src.device.clock_offset - link.latency
+        self.dst_shift = dst.device.clock_offset
+        total = config.duration_days * SECONDS_PER_DAY
+        self.hi = min(link.end + link.latency, total)
+        self.loss = config.channel_loss
+        #: seeds the loss draws; the generator is built on the first draw
+        #: and dropped once the beam has no run left
+        self.seed = _sub_seed(config.seed, "channel", *link.key, direction)
+        self.rng: random.Random | None = None
+        #: heard seconds of the current run not yet handed to ``dst``
+        self.pending: Sequence[int] = ()
+        self.run_end = link.start + link.latency
+        #: before this second the pending beacons need no rule of ``dst``
+        self.until: float = 0
+        self.identifier = b""
+        self.rssi = 0.0
+
+    def hears(self, u: int) -> bool:
+        """Is arrival second u deliverable and not lost?"""
+        if (
+            u >= self.hi
+            or (u + self.src_shift) % ADVERTISE_PERIOD >= ADVERTISE_ON
+            or (u + self.dst_shift) % SCAN_PERIOD >= SCAN_ON
+        ):
+            return False
+        return not (self.loss and self._draw()() < self.loss)
+
+    def _draw(self):
+        if self.rng is None:
+            self.rng = random.Random(self.seed)
+        return self.rng.random
+
+    def load(self) -> None:
+        """Move to the next run with a heard beacon; none left leaves
+        ``pending`` empty."""
+        u, lat = self.run_end, self.link.latency
+        src_period, dst_period = self.src.rotation_period, self.dst.rotation_period
+        while u < self.hi:
+            adv = (u + self.src_shift) % ADVERTISE_PERIOD
+            if adv >= ADVERTISE_ON:
+                u += ADVERTISE_PERIOD - adv
+                continue
+            scan = (u + self.dst_shift) % SCAN_PERIOD
+            if scan >= SCAN_ON:
+                u += SCAN_PERIOD - scan
+                continue
+            end = min(
+                self.hi,
+                u + ADVERTISE_ON - adv,
+                u + SCAN_ON - scan,
+                u + src_period - (u + self.src_shift) % src_period,
+                u + dst_period - (u + self.dst_shift) % dst_period,
+                self.link.rssi_change_after(u - lat) + lat,
+            )
+            heard = range(u, end)
+            if self.loss:
+                draw = self._draw()
+                heard = [t for t in heard if draw() >= self.loss]
+            self.run_end = u = end
+            if heard:
+                self.pending, self.until = heard, 0
+                self.identifier = self.src.identifier_at(heard[0] - lat)
+                self.rssi = self.link.rssi_at(heard[0] - lat)
+                return
+        self.pending, self.rng = (), None
+
+    def next_rule(self) -> float:
+        """No pending beacon before this second may ask for a handshake."""
+        if not self.pending:
+            return math.inf
+        return max(self.pending[0], min(self.until, self.run_end))
 
 
 class _Client:
@@ -86,6 +219,9 @@ class _Client:
     One subclass per scheme owns that scheme's state and its steps; the
     engine is passed to them as an argument, never kept.
     """
+
+    #: seconds of the device's clock between identifier changes
+    rotation_period: int
 
     def __init__(self, spec, config: ScenarioConfig):
         self.id = spec.id
@@ -111,11 +247,12 @@ class _Client:
         """The identifier broadcast at true time t."""
         raise NotImplementedError
 
-    def receive(
-        self, engine: Engine, src: _Client, identifier: bytes, rssi: float, t: int, link: _Link
-    ) -> None:
-        """A beacon from ``src`` arriving at true time t; only heard while
-        the device scans."""
+    def on_run(
+        self, engine: Engine, src: _Client, identifier: bytes, rssi: float, seconds, link: _Link
+    ) -> float:
+        """Beacons from ``src`` heard at the true times in ``seconds``, one
+        sighting run or the start of one.  Returns the time before which
+        all of them were recorded; the engine hands the rest in again."""
         raise NotImplementedError
 
     def upload(self, engine: Engine, t: int, day: int) -> None:
@@ -132,6 +269,7 @@ class _Client:
 class _TraceCoronaClient(_Client):
     def __init__(self, spec, config: ScenarioConfig):
         super().__init__(spec, config)
+        self.rotation_period = config.frame_period
         self.next_since = 0
         self.last_record_count = 0
         #: whole records, as one uploader's copies of a token differ only by tag
@@ -147,13 +285,12 @@ class _TraceCoronaClient(_Client):
     def identifier_at(self, t: int) -> bytes:
         return self.device.ephemeral_id(self.device.current_frame(t))
 
-    def receive(self, engine, src, identifier, rssi, t, link) -> None:
-        if not self.device.is_scanning(t):
-            return
+    def on_run(self, engine, src, identifier, rssi, seconds, link) -> float:
         beacon = BeaconMessage(uuid=APP_UUID, ephemeral_id=identifier)
-        request = self.device.on_beacon(beacon, rssi, t)
+        request, until = self.device.on_sighting_run(beacon, rssi, seconds)
         if request is not None:
-            engine.start_handshake(self, src, request, t, link)
+            engine.start_handshake(self, src, request, seconds[0], link)
+        return until
 
     def _eligible_tokens(self, engine: Engine):
         self.device.charge()
@@ -315,15 +452,16 @@ class _BaselineClient(_Client):
         self.observations: list[baselines.Observation] = []
         self.retention_s = config.retention_days * SECONDS_PER_DAY
 
-    def receive(self, engine, src, identifier, rssi, t, link) -> None:
-        if not self.device.is_scanning(t):
-            return
-        local = self.device.local_time(t)
-        self.observations.append(baselines.Observation(identifier, local, rssi))
-        engine.gt_obs_prov[(self.id, identifier, local)] = {
-            "source": src.id,
-            "via": link.adversary,
-        }
+    def on_run(self, engine, src, identifier, rssi, seconds, link) -> float:
+        """One observation, and its provenance, per beacon: the
+        centralized upload carries each of them."""
+        offset = self.device.clock_offset
+        prov = {"source": src.id, "via": link.adversary}
+        for t in seconds:
+            local = t + offset
+            self.observations.append(baselines.Observation(identifier, local, rssi))
+            engine.gt_obs_prov[(self.id, identifier, local)] = prov
+        return math.inf
 
     def midnight(self, day: int) -> None:
         super().midnight(day)
@@ -332,6 +470,8 @@ class _BaselineClient(_Client):
 
 
 class _DecentralizedClient(_BaselineClient):
+    rotation_period = crypto.DECENTRALIZED_SLOT_SECONDS
+
     def __init__(self, spec, config: ScenarioConfig):
         super().__init__(spec, config)
         self.last_key_count = 0
@@ -408,6 +548,8 @@ class _DecentralizedClient(_BaselineClient):
 
 
 class _CentralizedClient(_BaselineClient):
+    rotation_period = baselines.CENTRAL_INTERVAL_SECONDS
+
     def register(self, engine: Engine) -> None:
         self.cen_server = engine.cen_server
         self.user_id = self.cen_server.register(self.id)
@@ -464,13 +606,37 @@ _CLIENTS = {
 }
 
 
+def _next_heard(beam: _Beam) -> float:
+    return beam.pending[0] if beam.pending else math.inf
+
+
+def _crowded(links: list[_Link]) -> set[_Link]:
+    """The links that share a device with another link while either
+    may still deliver a beacon or complete a handshake."""
+    spans: dict[str, list] = {}
+    for link in links:
+        span = (link.start, link.end + 3 * link.latency + 1, id(link), link)
+        for device in (link.a, link.b):
+            spans.setdefault(device, []).append(span)
+    crowded = set()
+    for device_spans in spans.values():
+        device_spans.sort()
+        for i, (_, end, _, link) in enumerate(device_spans):
+            for start, _, _, other in device_spans[i + 1:]:
+                if start >= end:
+                    break
+                crowded.update((link, other))
+    return crowded
+
+
 class Engine:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self._queue: list = []
         self._seq = 0
         self._now = 0
-        self.rng_channel = random.Random(_sub_seed(config.seed, "channel"))
+        #: times of the events that touch devices outside any link, then inf
+        self._cadence: list = []
         self.rng_adversary = random.Random(_sub_seed(config.seed, "adversary"))
         self.authority = HealthAuthority(random.Random(_sub_seed(config.seed, "tan")))
         self.server = TracingServer(
@@ -532,63 +698,93 @@ class Engine:
         self._seq += 1
         heapq.heappush(self._queue, (t, self._seq, fn, args))
 
-    def run(self) -> ScenarioReport:
-        config = self.config
-        for client in self.clients.values():
-            client.register(self)
+    def _push_cadence(self, t: int, fn, *args) -> None:
+        """Push an event that touches devices outside any link; radio
+        events never take a run across its time."""
+        self._cadence.append(t)
+        self._push(t, fn, *args)
 
-        for interval in config.colocation_schedule:
-            link = _Link(
+    def _links(self) -> list[_Link]:
+        config = self.config
+        links = [
+            _Link(
                 kind="direct",
                 a=interval.device_a,
                 b=interval.device_b,
                 start=interval.start,
                 end=interval.end,
+                key=("colocation", i),
                 rssi=interval,
             )
-            self._push(interval.start, self._tick_link, link, interval.start)
+            for i, interval in enumerate(config.colocation_schedule)
+        ]
+        for index, adv in enumerate(config.adversaries):
+            if adv.kind not in ("relay_oneway", "relay_twoway"):
+                continue
+            self.adv_attempts[index] = len(adv.victims)
+            self.adv_successes[index] = set()
+            links += [
+                _Link(
+                    kind=adv.kind,
+                    a=adv.capture,
+                    b=victim,
+                    start=adv.start,
+                    end=adv.end,
+                    key=("relay", index, victim),
+                    latency=adv.latency_s,
+                    adversary=index,
+                    rssi=adv.emit_rssi,
+                    capture_id=adv.capture,
+                    fanout_limit=adv.fanout_limit,
+                )
+                for victim in adv.victims
+            ]
+        for link in links:
+            a, b = self.clients[link.a], self.clients[link.b]
+            link.beams.append(_Beam(link, a, b, 0, config))
+            if link.kind != "relay_oneway":
+                link.beams.append(_Beam(link, b, a, 1, config))
+        return links
+
+    def run(self) -> ScenarioReport:
+        config = self.config
+        for client in self.clients.values():
+            client.register(self)
+
+        links = self._links()
+        crowded = _crowded(links)
+        for link in links:
+            if link in crowded:
+                self._push(link.start, self._tick_crowded, link, link.start)
+            else:
+                self._push(link.start, self._run_link, link, True)
 
         for index, adv in enumerate(config.adversaries):
-            if adv.kind in ("relay_oneway", "relay_twoway"):
-                self.adv_attempts[index] = len(adv.victims)
-                self.adv_successes[index] = set()
-                for victim in adv.victims:
-                    link = _Link(
-                        kind=adv.kind,
-                        a=adv.capture,
-                        b=victim,
-                        start=adv.start,
-                        end=adv.end,
-                        latency=adv.latency_s,
-                        adversary=index,
-                        rssi=adv.emit_rssi,
-                        capture_id=adv.capture,
-                        fanout_limit=adv.fanout_limit,
-                    )
-                    self._push(adv.start, self._tick_link, link, adv.start)
-            elif adv.kind == "eavesdropper":
+            if adv.kind == "eavesdropper":
                 for coverage in adv.sensors:
-                    self._push(
-                        coverage.start, self._tick_sensor, coverage, coverage.start
-                    )
+                    self._push(coverage.start, self._sense, coverage)
             elif adv.kind == "fake_claimer":
                 self.adv_attempts[index] = adv.attempts
                 self.adv_successes[index] = set()
                 day = adv.at_day if adv.at_day is not None else config.duration_days - 1
-                self._push(day * SECONDS_PER_DAY + CLAIM_TIME, self._fake_claims, index, adv)
+                self._push_cadence(
+                    day * SECONDS_PER_DAY + CLAIM_TIME, self._fake_claims, index, adv
+                )
 
         total_seconds = config.duration_days * SECONDS_PER_DAY
         for day in range(config.duration_days):
             base = day * SECONDS_PER_DAY
-            self._push(base, self._midnight, day)
-            self._push(base + NOON, self._noon_uploads, day)
-            self._push(base + CHARGE_TIME, self._charge_tick)
+            self._push_cadence(base, self._midnight, day)
+            self._push_cadence(base + NOON, self._noon_uploads, day)
+            self._push_cadence(base + CHARGE_TIME, self._charge_tick)
         boundary = config.feed_cadence
         while boundary <= total_seconds:
             for offset in FETCH_OFFSETS:
                 if boundary - offset >= 0:
-                    self._push(boundary - offset, self._fetch_round)
+                    self._push_cadence(boundary - offset, self._fetch_round)
             boundary += config.feed_cadence
+        self._cadence.sort()
+        self._cadence.append(math.inf)
 
         while self._queue:
             t, _, fn, args = heapq.heappop(self._queue)
@@ -598,35 +794,86 @@ class Engine:
 
     # -- radio ----------------------------------------------------------------------
 
-    def _tick_link(self, link: _Link, t: int) -> None:
+    def _run_link(self, link: _Link, first: bool = False) -> None:
+        """Hand a link's sighting runs to their receivers, both
+        directions in time order, up to the next event that touches its
+        devices: a cadence event or a handshake completion.
+
+        The link shares its devices with no other link at the time, so
+        only its own two directions need interleaving.  A run's first
+        beacon, and any later one its receiver asks for, may ask for a
+        handshake, whose completions come no earlier than one second
+        plus the latency later; the other direction's beacons before
+        that only extend sightings, which commutes with the handshake.
+        """
+        now, lat, beams = self._now, link.latency, link.beams
+        # Beacons at a link's first second come before cadence events at
+        # that second; every later one comes after them.
+        cut = now + 1 if first else self._cadence[bisect.bisect_right(self._cadence, now)]
+        link.completions = [c for c in link.completions if c > now]
+        cut = min([cut, *link.completions])
+        for beam in beams:
+            if first:
+                beam.load()
+            beam.until = 0  # a cadence event or completion may have changed the state
+        while True:
+            beam = min(beams, key=_next_heard)
+            if not beam.pending or beam.pending[0] >= cut:
+                break
+            others = (o.next_rule() + 1 + lat for o in beams if o is not beam)
+            bound = min(cut, beam.run_end, *others)
+            seconds = beam.pending[: bisect.bisect_left(beam.pending, bound)]
+            scheduled = len(link.completions)
+            beam.until = beam.dst.on_run(
+                self, beam.src, beam.identifier, beam.rssi, seconds, link
+            )
+            beam.pending = beam.pending[bisect.bisect_left(seconds, beam.until):]
+            if not beam.pending:
+                beam.load()
+            if len(link.completions) > scheduled:
+                cut = min(cut, link.completions[scheduled])
+        heard = [beam.pending[0] for beam in beams if beam.pending]
+        if heard:
+            self._push(min(heard), self._run_link, link)
+
+    def _tick_crowded(self, link: _Link, t: int) -> None:
+        """One second of a link that shares a device with another link
+        at the time.  Which of them gets a connection slot or a relay
+        admission first depends on the order of their beacons within
+        each second, so such links keep one event per second."""
         if t >= link.end:
             return
-        a, b = self.clients[link.a], self.clients[link.b]
-        directions = [(a, b)]
-        if link.kind in ("direct", "relay_twoway"):
-            directions.append((b, a))
-        for src, dst in directions:
-            if not src.device.is_advertising(t):
+        arrival = t + link.latency
+        for beam in link.beams:
+            if not beam.hears(arrival):
                 continue
-            if self.rng_channel.random() < self.config.channel_loss:
-                continue
-            identifier, rssi = src.identifier_at(t), link.rssi_at(t)
+            identifier, rssi = beam.src.identifier_at(t), link.rssi_at(t)
             if link.latency == 0:
-                dst.receive(self, src, identifier, rssi, t, link)
+                beam.dst.on_run(self, beam.src, identifier, rssi, (t,), link)
             else:
-                arrival = t + link.latency
-                self._push(arrival, dst.receive, self, src, identifier, rssi, arrival, link)
-        self._push(t + 1, self._tick_link, link, t + 1)
+                self._push(
+                    arrival, beam.dst.on_run, self, beam.src, identifier, rssi, (arrival,), link
+                )
+        self._push(t + 1, self._tick_crowded, link, t + 1)
 
-    def _tick_sensor(self, coverage, t: int) -> None:
-        if t >= coverage.end:
-            return
+    def _sense(self, coverage) -> None:
+        """Log, for each advertising stretch of the covered device and
+        each identifier in it, the first and the last second heard:
+        linkability needs no more."""
         client = self.clients[coverage.device]
-        if client.device.is_advertising(t):
-            self.sensor_log.append(
-                (coverage.id, t, client.id, client.identifier_at(t))
-            )
-        self._push(t + 1, self._tick_sensor, coverage, t + 1)
+        shift, period = client.device.clock_offset, client.rotation_period
+        t = coverage.start
+        end = min(coverage.end, self.config.duration_days * SECONDS_PER_DAY)
+        while t < end:
+            phase = (t + shift) % ADVERTISE_PERIOD
+            if phase >= ADVERTISE_ON:
+                t += ADVERTISE_PERIOD - phase
+                continue
+            stop = min(end, t + ADVERTISE_ON - phase, t + period - (t + shift) % period)
+            identifier = client.identifier_at(t)
+            self.sensor_log.append((coverage.id, t, client.id, identifier))
+            self.sensor_log.append((coverage.id, stop - 1, client.id, identifier))
+            t = stop
 
     # -- handshakes --------------------------------------------------------------------
 
@@ -679,6 +926,7 @@ class Engine:
         init_pub = initiator.device.keypair(init_frame).public_key
         resp_frame = responder.device.current_frame(t + latency)
         resp_pub = responder.device.keypair(resp_frame).public_key
+        link.completions += [t + 1 + latency, t + 1 + 2 * latency]
         self._push(
             t + 1 + latency,
             self._complete_handshake,

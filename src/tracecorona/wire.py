@@ -180,6 +180,16 @@ def end_log_at_line(handle) -> None:
         handle.truncate(start)
 
 
+def append_log(path, lines: list[str]) -> None:
+    """Append the lines to a log with one write and make them durable,
+    after ``end_log_at_line`` has mended or cut a torn last line."""
+    with open(path, "a+b") as handle:
+        end_log_at_line(handle)
+        handle.write("".join(line + "\n" for line in lines).encode("ascii"))
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 def read_log(path) -> tuple[int, list[tuple[int, TokenUploadRecord]]]:
     """Replay a log file into its last epoch and (epoch, record) pairs.
 
@@ -197,6 +207,8 @@ def read_log(path) -> tuple[int, list[tuple[int, TokenUploadRecord]]]:
             if line.startswith(b"#"):
                 parts = line.split()
                 if whole and len(parts) == 3 and parts[1] == b"epoch":
+                    if not parts[2].isdigit():
+                        raise WireError(f"log epoch line has no epoch number: {line[:40]!r}")
                     epoch = int(parts[2])
                 continue
             try:

@@ -150,6 +150,30 @@ class TestIngestAndStats:
         assert stats["records_published"] == 1
         assert stats["records_by_tag"]["direct"] == 1
 
+    def test_ingest_after_torn_log(self, tmp_path, capsys):
+        records = [
+            wire.TokenUploadRecord(
+                hash=crypto.token_hash(bytes([i]) * 32),
+                ciphertext=crypto.encrypt_metadata(bytes([i]) * 32, 1234),
+            )
+            for i in range(1, 5)
+        ]
+        inputs = []
+        for name, batch in (("three", records[:3]), ("one", records[3:])):
+            inputs.append(tmp_path / name)
+            inputs[-1].write_text(
+                "".join(base64.b64encode(wire.encode_record(r)).decode() + "\n" for r in batch)
+            )
+        log = tmp_path / "server.log"
+        assert run_cli(["ingest", "--log", str(log), "--input", str(inputs[0])]) == 0
+        with open(log, "r+b") as handle:  # a crash cut the last write short
+            handle.truncate(log.stat().st_size - 30)
+        assert run_cli(["ingest", "--log", str(log), "--input", str(inputs[1])]) == 0
+        capsys.readouterr()
+        assert run_cli(["dump-stats", "--log", str(log)]) == 0
+        assert json.loads(capsys.readouterr().out)["records_published"] == 3
+        assert [r for _, r in wire.read_log(log)[1]] == records[:2] + records[3:]
+
     def test_ingest_bad_input_exit_2(self, tmp_path):
         record = wire.TokenUploadRecord(hash=bytes(16), ciphertext=bytes(12))
         trailing = base64.b64encode(wire.encode_record(record) + b"\0\0").decode()

@@ -1,0 +1,167 @@
+"""Sighting runs against the per-second oracle, and the radio's
+arithmetic and loss draws against brute force."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import engine_oracle
+from test_report_digests import CONFIGS, populations
+from tracecorona.device import ADVERTISE_ON, ADVERTISE_PERIOD, SCAN_ON, SCAN_PERIOD
+from tracecorona.simnet.config import SCHEMES, ScenarioConfig
+from tracecorona.simnet.engine import Engine
+
+DAY = 86400
+
+CASES = {
+    f"{case}-loss{loss}": config.replace(channel_loss=loss)
+    for loss in (0.0, 0.1)
+    for case, config in {**CONFIGS, **populations(loss)}.items()
+}
+
+
+def device_state(engine: Engine) -> dict:
+    """What each device holds at the end: tokens with their metadata,
+    and a baseline device's observation log."""
+    state = {}
+    for client in engine.clients.values():
+        tokens = sorted(
+            (key, vars(token)) for key, token in client.device.store.items()
+        )
+        state[client.id] = (tokens, getattr(client, "observations", None))
+    return state
+
+
+def assert_same_run(config: ScenarioConfig) -> None:
+    engine, oracle = Engine(config), engine_oracle.OracleEngine(config)
+    assert engine.run().to_json() == oracle.run().to_json()
+    assert device_state(engine) == device_state(oracle)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_matches_per_second_oracle(case):
+    assert_same_run(CASES[case])
+
+
+# -- random schedules, crowded links included -----------------------------------
+
+offsets = st.integers(-30, 30)
+# starts past the largest negative clock offset: frames are never negative
+windows = st.tuples(st.integers(60, 4 * 3600), st.integers(1, 1800))
+
+
+@st.composite
+def small_configs(draw):
+    ids = ["a", "b", "c"]
+    schedule = []
+    for start, length in draw(st.lists(windows, max_size=4)):
+        a, b = draw(st.permutations(ids))[:2]
+        profile = draw(st.sampled_from([-55, [[0, -70], [draw(st.integers(1, 600)), -50]]]))
+        schedule.append({"device_a": a, "device_b": b, "start": start,
+                         "end": start + length, "rssi_profile": profile})
+    adversaries = []
+    if draw(st.booleans()):
+        start, length = draw(windows)
+        adversaries.append({
+            "kind": draw(st.sampled_from(["relay_oneway", "relay_twoway"])),
+            "capture": "a", "victims": draw(st.sampled_from([["b"], ["b", "c"]])),
+            "start": start, "end": start + length, "latency_s": draw(st.integers(0, 5)),
+        })
+    return ScenarioConfig.from_dict({
+        "name": "random", "seed": draw(st.integers(0, 99)), "duration_days": 1,
+        "scheme": draw(st.sampled_from(SCHEMES)),
+        "devices": [{"id": i, "clock_offset_s": draw(offsets)} for i in ids],
+        "colocation_schedule": schedule, "adversaries": adversaries,
+        "min_encounter_duration": draw(st.sampled_from([1, 60, 300])),
+        "frame_period": draw(st.sampled_from([300, 900])),
+        "channel_loss": draw(st.sampled_from([0.0, 0.1, 0.5])),
+    })
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_configs())
+def test_random_schedules_match_oracle(config):
+    assert_same_run(config)
+
+
+# -- run boundaries ----------------------------------------------------------------
+
+
+def relay(offset_a, offset_b, start, length, latency, scheme):
+    return ScenarioConfig.from_dict({
+        "name": "runs", "seed": 1, "duration_days": 1, "scheme": scheme,
+        "devices": [{"id": "a", "clock_offset_s": offset_a},
+                    {"id": "b", "clock_offset_s": offset_b}],
+        "adversaries": [{"kind": "relay_twoway", "capture": "a", "victims": ["b"],
+                         "start": start, "end": start + length, "latency_s": latency}],
+        "channel_loss": 0.0,
+    })
+
+
+@settings(max_examples=200, deadline=None)
+@given(offsets, offsets, st.integers(60, DAY - 3600), st.integers(1, 3600), st.integers(0, 5),
+       st.sampled_from(SCHEMES))
+def test_runs_are_the_deliverable_seconds(offset_a, offset_b, start, length, latency, scheme):
+    engine = Engine(relay(offset_a, offset_b, start, length, latency, scheme))
+    for client in engine.clients.values():
+        client.register(engine)  # a centralized identifier needs the server's pseudonym
+    (link,) = engine._links()
+    for beam in link.beams:
+        src, dst = beam.src.device, beam.dst.device
+        deliverable = [
+            u for u in range(start + latency, min(start + length + latency, DAY))
+            if src.is_advertising(u - latency) and dst.is_scanning(u)
+        ]
+        runs = []
+        beam.load()
+        while beam.pending:
+            runs.append((beam.pending, beam.identifier, beam.rssi))
+            beam.load()
+        assert [u for seconds, _, _ in runs for u in seconds] == deliverable
+        for seconds, identifier, _ in runs:
+            assert list(seconds) == list(range(seconds[0], seconds[-1] + 1))
+            assert {beam.src.identifier_at(u - latency) for u in seconds} == {identifier}
+            assert len({dst.current_frame(u) for u in seconds}) == 1
+        # maximal: two runs that touch differ in identifier or frame
+        for (before, id_before, _), (after, id_after, _) in zip(runs, runs[1:]):
+            if before[-1] + 1 == after[0]:
+                assert (id_before, dst.current_frame(before[-1])) != (
+                    id_after, dst.current_frame(after[0]))
+
+
+def test_duty_cycles_match_the_arithmetic():
+    # the run search steps by these periods
+    device = Engine(relay(0, 0, 0, 1, 0, "tracecorona")).clients["a"].device
+    assert [device.is_advertising(t) for t in range(ADVERTISE_PERIOD)] == [
+        t < ADVERTISE_ON for t in range(ADVERTISE_PERIOD)]
+    assert [device.is_scanning(t) for t in range(SCAN_PERIOD)] == [
+        t < SCAN_ON for t in range(SCAN_PERIOD)]
+
+
+# -- loss ------------------------------------------------------------------------------
+
+
+def heard(config: ScenarioConfig) -> dict:
+    engine = Engine(config)
+    engine.run()
+    return {c.id: c.observations for c in engine.clients.values()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(offsets, offsets, windows, windows, st.sampled_from(["decentralized", "centralized"]))
+def test_unrelated_colocation_leaves_losses_alone(offset_a, offset_b, pair, other, scheme):
+    def config(schedule):
+        return ScenarioConfig.from_dict({
+            "name": "loss", "seed": 3, "duration_days": 1, "scheme": scheme,
+            "devices": [{"id": "a", "clock_offset_s": offset_a},
+                        {"id": "b", "clock_offset_s": offset_b}, {"id": "c"}, {"id": "d"}],
+            "colocation_schedule": schedule, "channel_loss": 0.3,
+        })
+
+    def colocation(a, b, window):
+        start, length = window
+        return {"device_a": a, "device_b": b, "start": start, "end": start + length}
+
+    alone = heard(config([colocation("a", "b", pair)]))
+    crowded = heard(config([colocation("a", "b", pair), colocation("c", "d", other)]))
+    assert crowded["a"] == alone["a"] and crowded["b"] == alone["b"]

@@ -2,14 +2,20 @@
 
 Pins the SHA-256 of ``run_scenario(config).to_json()`` for every bundled
 scenario at seed 1 under each scheme its config accepts, plus one
-centralized BlueTrace variant.  A change meant to alter only what a run
-costs must leave every digest as it is; a change that alters what a run
-computes must say why and update the digests it moves.
+centralized BlueTrace variant, as bundled (10% channel loss) and
+lossless.  The lossless set adds three seeded populations per scheme,
+built by the benchmark's generator.  A change meant to alter only what a
+run costs must leave every digest as it is; a change that alters what a
+run computes must say why and update the digests it moves.  Without
+loss a report depends on no random draw of the radio, so the lossless
+digests also hold across changes to how loss is drawn.
 """
 
 import hashlib
+import importlib.util
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +43,36 @@ def _configs() -> dict[str, ScenarioConfig]:
 
 CONFIGS = _configs()
 
+_spec = importlib.util.spec_from_file_location(
+    "bench_population", Path(__file__).resolve().parents[1] / "bench" / "population.py"
+)
+population = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(population)
+
+#: small populations: four devices over ten days, so that infected
+#: devices upload inside the run
+POPULATION = dict(
+    devices=4, days=10, contacts_per_device_day=3, duration_s=(600, 1800),
+    infection_fraction=0.5, clock_offset_s=10, deferred_fraction=0.25,
+)
+
+
+def populations(channel_loss: float) -> dict[str, ScenarioConfig]:
+    return {
+        f"population-{scheme}-{seed}": population.generate(
+            **POPULATION, channel_loss=channel_loss, scheme=scheme, seed=seed,
+            second_level=scheme == "tracecorona",
+        )
+        for scheme in SCHEMES
+        for seed in (1, 2, 3)
+    }
+
+
+LOSSLESS = {
+    **{case: config.replace(channel_loss=0.0) for case, config in CONFIGS.items()},
+    **populations(0.0),
+}
+
 DIGESTS = {
     "eavesdropper-centralized": "c556c5dcd0b7bd9404118fceadb471d6eaf62fbf1245edb622cc32978df3f13a",
     "eavesdropper-decentralized":
@@ -50,7 +86,7 @@ DIGESTS = {
         "b568660b4f4d31845235cf509c041ffbfccdf4b94830e7fc82cd396cef9ea683",
     "fake_claim-decentralized": "7e52919404e9033a3d0ea1b399eccb570821564d05892b8b948fd4456153d35d",
     "fake_claim-tracecorona": "1ced89fcbf7c823e74c7ed53b05b71adb9c3a1d2fbe85f59874d69747fe7ea4d",
-    "honest_pair-centralized": "373621edccccbbe626f6de99066dcb35d91f057d2c81d59ec7ce102cf0d9d3f8",
+    "honest_pair-centralized": "630ef4878a2dfd20bc646a81944787fab006d2f56b8046c5158ad59f8249f49c",
     "honest_pair-decentralized":
         "a668b7c075a73168a24ac621a0538709cb933596077d1d14930102a521e4e483",
     "honest_pair-tracecorona": "879d76f8c7bde482e5ad3413e4340b57f5abf4c55ca0c3dde81df54001943a97",
@@ -63,17 +99,17 @@ DIGESTS = {
         "82f30fb0ad5ea62fb1606ac83823fba8666cc5e77fb9fd68c6e45487265cd835",
     "relay_r1-decentralized": "4064e2ba2493e6956b8a51a77b1ea21a8eeefafa73c58a3081d30b46e0cd8ef8",
     "relay_r1-tracecorona": "a0bd1a7d93597684c16ca86a2a6ed1c5ea3678de7c538fc5324dc9ee6c91bf2f",
-    "relay_r2-centralized": "3ff6448d57112427173999305c231a2a09cefbfacfff528bb69d12a25de61f23",
+    "relay_r2-centralized": "f667159b69b618c3d31155801a3825e64b92a01f1a5b0681cbe3cf9ef8d77965",
     "relay_r2-decentralized": "125d01ee304e1b7422540cebdb7415e8dbdc1b6ab083bad923f55ca021849046",
-    "relay_r2-tracecorona": "0fe70c8d8bb43ec5785aefd742dd3568c5619c005a093d2bd0e2d3969e1c0f7e",
+    "relay_r2-tracecorona": "69add42eaba71ec64329a12fb87985c67d0d0e33c4f6c046e875dad52679059a",
     "timeline_chain-centralized":
-        "7ab62518bd0d640a8ce8be39e6a6543ae6e0fd73cab18b1222b2f9913b56d115",
+        "6fcc1e6f37372a3af263677db033a388f34eed4aff92393884640b20e9f903b1",
     "timeline_chain-decentralized":
         "24ae81d7370d917281af4ea9ef813f185521a4543a7d0add62dd59230bc4e559",
     "timeline_chain-tracecorona":
         "548bf5f79b1395317ace0282790e9518aff4c6d5a4f7165c7c40bd6f988a254c",
     "timeline_chain_early-centralized":
-        "10dc326e06e1721874ff600cc9f54bd2337da4e8eab2ba162190868f718e41be",
+        "1df4a58db67d183f5f1d96ec9a7a8596edfe8efc165cf56dbb15e38b439d7d5a",
     "timeline_chain_early-decentralized":
         "742c35434cc9cb7ae48951daf38c66992eca3965ceb6ec600d95798dd09dbf4c",
     "timeline_chain_early-tracecorona":
@@ -81,11 +117,76 @@ DIGESTS = {
 }
 
 
+LOSSLESS_DIGESTS = {
+    "eavesdropper-centralized": "87c9b8dfd0fb6b63745ce0952bc80d4b3c63368f78df729550f3307b6f893e69",
+    "eavesdropper-decentralized":
+        "4313c23cf36a30f93a5e20de921aeafd2a514dcd96f61071f2bfa21010ed22a9",
+    "eavesdropper-tracecorona": "f44513434a3ea1de2eb0748b311f364cf392f2b5355811aa6e259c2a290d9c75",
+    "eavesdropper_decentralized-centralized":
+        "ed0ee71f00a82c4ad44f67803bf71fd9eb06438bc2ea5d6bcc047d3acb4c2409",
+    "eavesdropper_decentralized-decentralized":
+        "9dc92baebf7ed63716aa93a489fe623744bd288593d92ae311d44e76e41f2665",
+    "eavesdropper_decentralized-tracecorona":
+        "691b3c08bb3f74f036fc58f5419e6c724d1ec41b8de6f925c3eb5b8a0615c65b",
+    "fake_claim-decentralized": "cd7002c4a38c9bd99ba313aa8acb7642b8bbfbc2d29031df33a0e8bc8557fb16",
+    "fake_claim-tracecorona": "30fd3506c593505f7828c946d8783cbc1540438a8ae6fdcd99341117d57470bc",
+    "honest_pair-centralized": "0c831cad48498c2c4b44a130c966d7ad857d52d82f28fd62c5bc6c14c45ab77c",
+    "honest_pair-decentralized":
+        "ec24b30ac3f82681a194b4c7cbdce30f624b83d591f51487b55082b338e575f3",
+    "honest_pair-tracecorona": "4f67d169a574e6869e70114ff33e871ee6a7587d2d78a59db33baa6f0f6f1890",
+    "kiss_replay-centralized": "c3d6ef3b85ac63fbc07fadfe12f8fc3e01d8d82bd363f43734274f2a77c497d1",
+    "kiss_replay-decentralized":
+        "7f35ac07ffbef46e8fbd2d918c14110358cdd95760ae6e91d5eb0efc17f747c7",
+    "kiss_replay-tracecorona": "fd0f6c7f277a53cfe648ff4310dcbc298c1be17e86382f091efcf119565795f7",
+    "population-centralized-1": "2063c891341031fdec22f2892bb7335ee79ea7d130afe9c9e88c86e52f394c42",
+    "population-centralized-2": "a2f58eb6fb76378858037e8cec4df47309d964386f3f08752b926fb7fc7fbf34",
+    "population-centralized-3": "0547c081d41a250c7541d6051a0e4ba21d8e5f1379bcf55c5dcad360d602546f",
+    "population-decentralized-1":
+        "2730b3f6c1128b6506176df283a24e39a2c2a619e874af8a4f22f157811600f2",
+    "population-decentralized-2":
+        "55d11eb42eaf2ad5c55af51bf82933accf3ed2e38d3fc071cf44693b129d9f94",
+    "population-decentralized-3":
+        "a694e7fe5b18d1cdcc09ae325f050ec36be80e93d8328ad05c62ed3c49a1469a",
+    "population-tracecorona-1": "bfcf61bbe85910d79f82e97e3e22a0c2effbe4b8b78b29dc0c53a7ee8d1a1edf",
+    "population-tracecorona-2": "8ced094e4038cf2ae771950f74e2a28495c1f354a81e9bd36bdafacdb09feb78",
+    "population-tracecorona-3": "6e5cd090118f9ca94a00067b598455384efbc3d3f7783b36fced206298a51842",
+    "relay_r1-centralized": "b35cc612f04c46b79129cecc776cc578426c596f89478811226ce4e9193ba62c",
+    "relay_r1-centralized-bluetrace":
+        "83ed2abf05cc8a0ef18cb1b9d4eff2bfc20253f5502b092ee54933fd58414ef5",
+    "relay_r1-decentralized": "3b0cb4cb4a9cf321651af0b90479f70053506004edd6e16a29934251d054a85a",
+    "relay_r1-tracecorona": "e004da2071c3043e32e1f4605237aba5c23a66a7cf520e93119607a7c56f068d",
+    "relay_r2-centralized": "7b2c5afa91e71b332d3a1f2d4be0c0c78a21dafa7e65b2efe7acaacdee3ea78d",
+    "relay_r2-decentralized": "599ac63d62f2e49e6fcd188443674206bf680b8193461a3a631c4118a9d8de2f",
+    "relay_r2-tracecorona": "3bc5eb94ff9ca46366a16c1518f45869e74ca955e96192cf43e6977ed6c22883",
+    "timeline_chain-centralized":
+        "c233d3a312f4cf19f3469405401374f3a79e569535a3e743d1f7545b52936434",
+    "timeline_chain-decentralized":
+        "4879e91300f7e3fc3593cadf3a19464ca4d6fa18cd313edcacbc6ef5ea0f0da6",
+    "timeline_chain-tracecorona":
+        "24da4245ed611cc27b4430e5ea079bbecd564183df72579ca1940bc0725c774a",
+    "timeline_chain_early-centralized":
+        "ab20d3e617e355fcb2c1fbf7bb55fa69a1bc1936f867750bd43394eaed219492",
+    "timeline_chain_early-decentralized":
+        "7ed610541300a0a96889b2bec4f1176d316b7e691b0d8be9bfa1b4f87cbf6d4a",
+    "timeline_chain_early-tracecorona":
+        "7c0050352d89b8a47a3adff26bb6838b9800a8517cbf70c9d1f4ee61bdd6d1cc",
+}
+
+
+def _digest(config: ScenarioConfig) -> str:
+    return hashlib.sha256(run_scenario(config).to_json().encode()).hexdigest()
+
+
 def test_every_accepted_case_is_pinned():
     assert sorted(CONFIGS) == sorted(DIGESTS)
+    assert sorted(LOSSLESS) == sorted(LOSSLESS_DIGESTS)
 
 
 @pytest.mark.parametrize("case", sorted(CONFIGS))
 def test_report_digest(case):
-    text = run_scenario(CONFIGS[case]).to_json()
-    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[case]
+    assert _digest(CONFIGS[case]) == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(LOSSLESS))
+def test_lossless_report_digest(case):
+    assert _digest(LOSSLESS[case]) == LOSSLESS_DIGESTS[case]

@@ -122,6 +122,20 @@ class TestLog:
         assert [e for e, _ in entries] == [0, 3, 3, 3]
         assert [r for _, r in entries] == records
 
+    def test_whole_epoch_line_without_a_number_rejected(self, tmp_path):
+        path = tmp_path / "log"
+        path.write_text(wire.log_record_line(sample_record(1)[1]) + "\n# epoch x\n")
+        with pytest.raises(wire.WireError, match="no epoch number"):
+            wire.read_log(path)
+
+    def test_torn_epoch_line_dropped(self, tmp_path):
+        path = tmp_path / "log"
+        record = sample_record(1)[1]
+        for tail in ("# epoch 7", "# epoch x", "# ep"):
+            lines = [wire.log_epoch_line(3), wire.log_record_line(record), tail]
+            path.write_text("\n".join(lines))
+            assert wire.read_log(path) == (3, [(3, record)])
+
 
 class TestSocketApi:
     @pytest.fixture()
