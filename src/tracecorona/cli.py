@@ -28,11 +28,12 @@ from .simnet.config import SCHEMES, ConfigError, ScenarioConfig
 from .simnet.engine import run_scenario
 from .simnet.report import ScenarioReport
 from .wire import (
+    Tag,
     WireError,
     WireServer,
     append_log,
     log_epoch_line,
-    log_record_line,
+    log_frame_line,
     read_log,
 )
 
@@ -114,13 +115,20 @@ def cmd_serve(args) -> int:
 
 def cmd_ingest(args) -> int:
     try:
-        records = [record for _epoch, record in read_log(args.input)[1]]
+        frames = read_log(args.input)[2]
     except (OSError, ValueError, WireError) as exc:
         print(f"cannot read records: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    epoch = [] if args.epoch is None else [log_epoch_line(args.epoch)]
-    append_log(args.log, epoch + [log_record_line(record) for record in records])
-    print(f"ingested {len(records)} records into {args.log}")
+    epoch = []
+    if args.epoch is not None:
+        # replay refuses an epoch line that goes back
+        current = read_log(args.log)[0] if os.path.exists(args.log) else 0
+        if args.epoch < current:
+            print(f"epoch {args.epoch} is before the log's epoch {current}", file=sys.stderr)
+            return EXIT_CONFIG
+        epoch = [log_epoch_line(args.epoch)]
+    append_log(args.log, epoch + [log_frame_line(frame) for frame in frames])
+    print(f"ingested {len(frames)} records into {args.log}")
     return EXIT_OK
 
 
@@ -132,8 +140,8 @@ def cmd_dump_stats(args) -> int:
     server = TracingServer.replay_log(args.log, authority)
     stats = server.stats_snapshot()
     by_tag = {"direct": 0, "second_level": 0, "possible_superspreader": 0}
-    for _epoch, record in server._records:
-        by_tag[record.tag.name.lower()] += 1
+    for frame in server._records:
+        by_tag[Tag(frame[-1]).name.lower()] += 1
     stats["records_by_tag"] = by_tag
     print(json.dumps(stats, indent=2, sort_keys=True))
     return EXIT_OK

@@ -5,22 +5,32 @@ Records are stored individually the moment an upload is accepted; no
 persisted structure remembers which records arrived together.  An
 accepted upload's log lines go out in one write and are fsynced before
 the upload is answered.
+
+The server holds each published record as its wire frame, the bytes
+its log line encodes, with a non-decreasing list of the records' epochs
+beside the frames: a log replay only checks the frames, a feed is a
+slice of them joined, and only proof checks and ``fetch_feed`` decode
+held frames into record objects.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import crypto
 from .authority import HealthAuthority
 from .wire import (
+    TOKEN_HASH_BYTES,
     PublishedFeed,
     Tag,
     TokenUploadRecord,
     append_log,
+    decode_record,
+    encode_record,
     log_epoch_line,
-    log_record_line,
+    log_frame_line,
     read_log,
 )
 
@@ -66,8 +76,14 @@ class TracingServer:
         self.authority = authority
         self.superspreader_threshold = superspreader_threshold
         self._log_path = log_path
-        self._records: list[tuple[int, TokenUploadRecord]] = []
-        self._direct_by_hash: dict[bytes, list[int]] = {}
+        #: the frames of the published records, in the order they were
+        #: held, and the epoch each was ingested at
+        self._records: list[bytes] = []
+        self._epochs: list[int] = []
+        #: hash -> indices of the direct records; built by the first
+        #: proof check, so a server that only serves fetches never pays
+        #: for it, and kept current by every store after that
+        self._direct_by_hash: dict[bytes, list[int]] | None = None
         self._epoch = 0
         self._ingest_lock = threading.Lock()
         self._active_clients: set[str] = set()
@@ -98,25 +114,20 @@ class TracingServer:
         if self._log_path is not None:
             append_log(self._log_path, lines)
 
-    def _hold(self, entries: list[tuple[int, TokenUploadRecord]]) -> None:
-        """Hold (epoch, record) entries, indexing the direct records by hash."""
-        for entry in entries:
-            record = entry[1]
-            if record.tag is Tag.DIRECT:
-                self._direct_by_hash.setdefault(record.hash, []).append(len(self._records))
-            self._records.append(entry)
-
     def _store(self, records: list[TokenUploadRecord], tag: Tag) -> UploadResult:
         """Log an accepted upload's records under the tag they are
-        published with, then hold them."""
-        tagged = [
-            r if r.tag is tag else TokenUploadRecord(r.hash, r.ciphertext, tag)
+        published with, then hold their frames."""
+        frames = [
+            encode_record(r if r.tag is tag else TokenUploadRecord(r.hash, r.ciphertext, tag))
             for r in records
         ]
-        if tagged and self._log_path is not None:
-            self._append_log([log_record_line(r) for r in tagged])
-        self._hold([(self._epoch, r) for r in tagged])
-        return UploadResult(True, stored=len(tagged))
+        if frames and self._log_path is not None:
+            self._append_log([log_frame_line(frame) for frame in frames])
+        self._epochs += [self._epoch] * len(frames)
+        self._records += frames
+        if self._direct_by_hash is not None:
+            self._index_direct(len(self._records) - len(frames))
+        return UploadResult(True, stored=len(frames))
 
     def upload_infected(
         self, tan_value: str, records: list[TokenUploadRecord]
@@ -130,13 +141,23 @@ class TracingServer:
             self._infected_uploads += 1
             return result
 
+    def _index_direct(self, start: int) -> None:
+        """Index the direct records among the held frames from ``start`` on."""
+        for i in range(start, len(self._records)):
+            frame = self._records[i]
+            if frame[-1] == Tag.DIRECT:
+                self._direct_by_hash.setdefault(frame[:TOKEN_HASH_BYTES], []).append(i)
+
     def _proof_matches(self, proof: bytes) -> list[int]:
         """Indices of published direct records this proof opens."""
         if len(proof) != 32:
             return []
+        if self._direct_by_hash is None:
+            self._direct_by_hash = {}
+            self._index_direct(0)
         matches = []
         for index in self._direct_by_hash.get(crypto.token_hash(proof), []):
-            _, record = self._records[index]
+            record, _ = decode_record(self._records[index])
             try:
                 crypto.decrypt_metadata(proof, record.ciphertext)
             except crypto.AuthenticationFailure:
@@ -192,12 +213,20 @@ class TracingServer:
 
     # -- distribution -----------------------------------------------------------
 
+    def feed_frames(self, since_epoch: int, rng) -> tuple[int, list[bytes]]:
+        """The feed epoch and the frames of all records ingested at epochs
+        >= since_epoch, in an order independent of upload batches: a
+        seeded uniform shuffle of the order they were held in."""
+        feed_epoch = self._epoch
+        frames = self._records[bisect_left(self._epochs, since_epoch):]
+        rng.shuffle(frames)
+        return feed_epoch, frames
+
     def fetch_feed(self, since_epoch: int, rng) -> PublishedFeed:
-        """All records ingested at epochs >= since_epoch, in an order
-        independent of upload batches: a seeded uniform shuffle."""
-        selected = [r for epoch, r in self._records if epoch >= since_epoch]
-        rng.shuffle(selected)
-        return PublishedFeed(records=tuple(selected), feed_epoch=self._epoch)
+        """``feed_frames`` as a feed of records."""
+        feed_epoch, frames = self.feed_frames(since_epoch, rng)
+        records = tuple(decode_record(frame)[0] for frame in frames)
+        return PublishedFeed(records=records, feed_epoch=feed_epoch)
 
     # -- aggregates ---------------------------------------------------------------
 
@@ -238,7 +267,6 @@ class TracingServer:
         log (they would group records) and restart at zero.
         """
         server = cls(authority, superspreader_threshold=superspreader_threshold)
-        server._epoch, entries = read_log(log_path)
-        server._hold(entries)
+        server._epoch, server._epochs, server._records = read_log(log_path)
         server._log_path = log_path
         return server

@@ -61,6 +61,17 @@ def _require(condition: bool, path: str, problem: str) -> None:
         raise ConfigError(path, problem)
 
 
+def _require_clocks_started(config: "ScenarioConfig", start: int, devices) -> None:
+    """Devices advertise and scan from ``start`` on, so the local clock of
+    each must have reached 0 by then: frame indices are unsigned."""
+    for device in devices:
+        _require(
+            start + config._clock_offsets[device] >= 0,
+            "start",
+            f"starts before the local clock of device {device!r} reaches 0",
+        )
+
+
 def _each(function, items, name: str = "") -> list:
     """``function`` of each item; an error's path names the item ``name[i]``."""
     out = []
@@ -251,6 +262,7 @@ class ColocationInterval:
         _require(self.device_b in schemes, "device_b", "unknown device id")
         _require(self.device_a != self.device_b, "device_b", "devices must differ")
         _require(0 <= self.start < self.end, "end", "interval must satisfy 0 <= start < end")
+        _require_clocks_started(config, self.start, (self.device_a, self.device_b))
         _require(
             self.end <= config.duration_days * SECONDS_PER_DAY,
             "end",
@@ -287,6 +299,7 @@ class SensorCoverage:
     def validate(self, config: "ScenarioConfig") -> None:
         _require(self.device in config._schemes, "device", "unknown device id")
         _require(0 <= self.start < self.end, "end", "window must satisfy 0 <= start < end")
+        _require_clocks_started(config, self.start, (self.device,))
 
 
 @dataclass(frozen=True)
@@ -318,6 +331,7 @@ class AdversarySpec:
                     "relay endpoints must run the same scheme",
                 )
             _require(0 <= self.start < self.end, "end", "window must satisfy 0 <= start < end")
+            _require_clocks_started(config, self.start, (self.capture, *self.victims))
             _require(
                 1 <= self.fanout_limit <= MAX_RELAY_FANOUT,
                 "fanout_limit",
@@ -454,8 +468,11 @@ class ScenarioConfig:
             if device.id in schemes:
                 raise ConfigError(f"devices[{i}].id", "duplicate device id")
             schemes[device.id] = device.scheme or self.scheme
-        # Frozen, so the index is set past __setattr__; it is not a field.
+        # Frozen, so the indices are set past __setattr__; they are not fields.
         object.__setattr__(self, "_schemes", schemes)
+        object.__setattr__(
+            self, "_clock_offsets", {d.id: d.clock_offset_s for d in self.devices}
+        )
         try:
             self.disease_timeline.validate(self)
         except ConfigError as exc:

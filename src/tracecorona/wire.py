@@ -4,21 +4,29 @@ Record frame (exact layout, big endian):
 
     16-byte hash || 4-byte ciphertext length || ciphertext || 1-byte tag
 
+A record crosses the log, the server's store and the feed as its frame:
+the server holds each published record as the frame it logged, and a
+feed response is those frames joined.  ``decode_record`` and
+``read_log`` check a frame by the same rules (``_check_frame``); only
+``decode_record`` builds a record object from it.
+
 Append-only log: one framed record per line of base64.  Epoch
 boundaries are interleaved as ``# epoch <n>`` control lines so a log
-replay restores feed paging.  The server appends an accepted upload's
-lines (or an epoch line) with one write, then flushes and fsyncs the
-file before it answers the upload.  A crash can therefore leave only
-the last line torn: ``read_log`` drops a final line that has no
-newline unless it is a record that decodes, and raises ``WireError`` on
-any other bad line; the server's next append first ends the file at a
-line boundary (``end_log_at_line``).
+replay restores feed paging; epochs never go back.  The server appends
+an accepted upload's lines (or an epoch line) with one write, then
+flushes and fsyncs the file before it answers the upload.  A crash can
+therefore leave only the last line torn: ``read_log`` drops a final
+line that has no newline unless it is a record that decodes, and raises
+``WireError`` on any other bad line; the server's next append first
+ends the file at a line boundary (``end_log_at_line``).
 
 Socket protocol: each message is a 4-byte length prefix followed by the
 body.  Request bodies start with a 1-byte opcode; responses with a
 1-byte status (0 accepted, 1 rejected, 2 malformed).  The server closes
 a connection whose request prefix exceeds ``MAX_REQUEST_BYTES`` without
-reading the body; responses, such as the feed, are not capped.
+reading the body, and one that arrives while ``MAX_CONNECTIONS`` others
+are open without reading anything; responses, such as the feed, are
+not capped.
 """
 
 from __future__ import annotations
@@ -46,6 +54,8 @@ MAX_REQUEST_BYTES = (
     2 + 255 * PROOF_BYTES + 4
     + MAX_UPLOAD_RECORDS * (TOKEN_HASH_BYTES + 4 + 12 + 8 + 16 + 1)
 )
+#: Most connections the socket server serves at once, one thread each.
+MAX_CONNECTIONS = 64
 
 
 class Tag(enum.IntEnum):
@@ -84,6 +94,8 @@ class WireError(Exception):
 # -- record framing ---------------------------------------------------------
 
 _FRAME_HEAD = struct.Struct(">16sI")
+_CT_LEN = struct.Struct(">I")
+_HEAD = _FRAME_HEAD.size
 _TAGS = tuple(Tag)
 
 
@@ -95,18 +107,35 @@ def encode_record(record: TokenUploadRecord) -> bytes:
     )
 
 
-def decode_record(buf: bytes, offset: int = 0) -> tuple[TokenUploadRecord, int]:
-    if len(buf) - offset < _FRAME_HEAD.size + 1:
+def _check_frame(buf: bytes, offset: int = 0) -> int:
+    """Check the record frame at ``offset``: a whole head, its ciphertext
+    and a known tag.  Returns the offset of the tag byte."""
+    if len(buf) - offset <= _HEAD:
         raise WireError("record frame truncated")
-    h, ct_len = _FRAME_HEAD.unpack_from(buf, offset)
-    start = offset + _FRAME_HEAD.size
-    end = start + ct_len
-    if len(buf) <= end:
+    tag_at = offset + _HEAD + _CT_LEN.unpack_from(buf, offset + TOKEN_HASH_BYTES)[0]
+    if len(buf) <= tag_at:
         raise WireError("record ciphertext truncated")
-    tag = buf[end]
-    if tag >= len(_TAGS):
-        raise WireError(f"unknown record tag {tag}")
-    return TokenUploadRecord(h, buf[start:end], _TAGS[tag]), end + 1
+    if buf[tag_at] >= len(_TAGS):
+        raise WireError(f"unknown record tag {buf[tag_at]}")
+    return tag_at
+
+
+def _decode_frames(
+    buf: bytes, offset: int, count: int
+) -> tuple[list[TokenUploadRecord], int]:
+    records = []
+    for _ in range(count):
+        tag_at = _check_frame(buf, offset)
+        records.append(TokenUploadRecord(
+            buf[offset:offset + TOKEN_HASH_BYTES], buf[offset + _HEAD:tag_at], _TAGS[buf[tag_at]]
+        ))
+        offset = tag_at + 1
+    return records, offset
+
+
+def decode_record(buf: bytes, offset: int = 0) -> tuple[TokenUploadRecord, int]:
+    (record,), end = _decode_frames(buf, offset, 1)
+    return record, end
 
 
 def encode_records(records: list[TokenUploadRecord]) -> bytes:
@@ -118,34 +147,33 @@ def decode_records(buf: bytes, offset: int = 0) -> tuple[list[TokenUploadRecord]
     if len(buf) - offset < 4:
         raise WireError("record list truncated")
     (count,) = struct.unpack_from(">I", buf, offset)
-    offset += 4
-    records = []
-    for _ in range(count):
-        record, offset = decode_record(buf, offset)
-        records.append(record)
-    return records, offset
+    return _decode_frames(buf, offset + 4, count)
 
 
 # -- append-only log ---------------------------------------------------------
 
 
+def log_frame_line(frame: bytes) -> str:
+    return binascii.b2a_base64(frame, newline=False).decode("ascii")
+
+
 def log_record_line(record: TokenUploadRecord) -> str:
-    return binascii.b2a_base64(encode_record(record), newline=False).decode("ascii")
+    return log_frame_line(encode_record(record))
 
 
 def log_epoch_line(epoch: int) -> str:
     return f"# epoch {epoch}"
 
 
-def _log_frame(line: bytes) -> TokenUploadRecord:
+def _log_frame(line: bytes) -> bytes:
+    """The checked record frame a log line holds."""
     try:
         frame = binascii.a2b_base64(line)
     except binascii.Error as exc:
         raise WireError(f"log line is not base64: {exc}") from exc
-    record, used = decode_record(frame)
-    if used != len(frame):
+    if _check_frame(frame) + 1 != len(frame):
         raise WireError("trailing bytes in log line")
-    return record
+    return frame
 
 
 def _is_record_line(line: bytes) -> bool:
@@ -190,33 +218,40 @@ def append_log(path, lines: list[str]) -> None:
         os.fsync(handle.fileno())
 
 
-def read_log(path) -> tuple[int, list[tuple[int, TokenUploadRecord]]]:
-    """Replay a log file into its last epoch and (epoch, record) pairs.
+def read_log(path) -> tuple[int, list[int], list[bytes]]:
+    """Replay a log file into its last epoch and, for each record line in
+    order, its epoch and its checked frame.
 
     A final line without a newline is the torn tail of a write a crash
     cut short: it is dropped unless it is a record line that decodes.
+    Epochs never go back, so the record epochs are non-decreasing.
     """
     epoch = 0
-    out: list[tuple[int, TokenUploadRecord]] = []
+    epochs: list[int] = []
+    frames: list[bytes] = []
     with open(path, "rb") as handle:
         for raw in handle:
             line = raw.strip()
             if not line:
                 continue
-            whole = raw.endswith(b"\n")
             if line.startswith(b"#"):
                 parts = line.split()
-                if whole and len(parts) == 3 and parts[1] == b"epoch":
+                if raw.endswith(b"\n") and len(parts) == 3 and parts[1] == b"epoch":
                     if not parts[2].isdigit():
                         raise WireError(f"log epoch line has no epoch number: {line[:40]!r}")
-                    epoch = int(parts[2])
+                    number = int(parts[2])
+                    if number < epoch:
+                        raise WireError(f"log epoch goes back from {epoch} to {number}")
+                    epoch = number
                 continue
             try:
-                out.append((epoch, _log_frame(line)))
+                frames.append(_log_frame(line))
             except WireError:
-                if whole:
+                if raw.endswith(b"\n"):
                     raise
-    return epoch, out
+                continue
+            epochs.append(epoch)
+    return epoch, epochs, frames
 
 
 # -- socket protocol ----------------------------------------------------------
@@ -316,11 +351,9 @@ def handle_request(server, body: bytes) -> bytes:
             result = server.upload_superspreader_proof(proofs, records)
         elif op == OP_FETCH_FEED:
             since_epoch, seed = struct.unpack_from(">Iq", body, 1)
-            feed = server.fetch_feed(since_epoch, random.Random(seed))
-            payload = struct.pack(">I", feed.feed_epoch) + encode_records(
-                list(feed.records)
-            )
-            return bytes([STATUS_ACCEPTED]) + payload
+            feed_epoch, frames = server.feed_frames(since_epoch, random.Random(seed))
+            head = bytes([STATUS_ACCEPTED]) + struct.pack(">II", feed_epoch, len(frames))
+            return b"".join([head, *frames])
         elif op == OP_STATS:
             stats = server.stats_snapshot()
             return bytes([STATUS_ACCEPTED]) + json.dumps(
@@ -337,6 +370,26 @@ def handle_request(server, body: bytes) -> bytes:
     status = STATUS_ACCEPTED if result.accepted else STATUS_REJECTED
     reason = (result.reason or "").encode("ascii")
     return bytes([status]) + reason
+
+
+class _BoundedTCPServer(socketserver.ThreadingTCPServer):
+    """One thread per connection, for at most ``MAX_CONNECTIONS`` at once;
+    a connection over the bound is closed at once, unread."""
+
+    daemon_threads = True
+
+    def __init__(self, *args):
+        self._slots = threading.Semaphore(MAX_CONNECTIONS)
+        super().__init__(*args)
+
+    def verify_request(self, request, client_address) -> bool:
+        return self._slots.acquire(blocking=False)
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
 
 
 class WireServer:
@@ -357,8 +410,7 @@ class WireServer:
                     return
 
         self.tracing_server = tracing_server
-        self._tcp = socketserver.ThreadingTCPServer((host, port), Handler)
-        self._tcp.daemon_threads = True
+        self._tcp = _BoundedTCPServer((host, port), Handler)
         self._thread: threading.Thread | None = None
 
     @property

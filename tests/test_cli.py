@@ -172,7 +172,30 @@ class TestIngestAndStats:
         capsys.readouterr()
         assert run_cli(["dump-stats", "--log", str(log)]) == 0
         assert json.loads(capsys.readouterr().out)["records_published"] == 3
-        assert [r for _, r in wire.read_log(log)[1]] == records[:2] + records[3:]
+        assert wire.read_log(log)[2] == [wire.encode_record(r) for r in records[:2] + records[3:]]
+
+    def test_tags_counted_and_epoch_kept_from_going_back(self, tmp_path, capsys):
+        input_file = tmp_path / "records.b64"
+        input_file.write_text("".join(
+            base64.b64encode(wire.encode_record(
+                wire.TokenUploadRecord(hash=bytes([tag]) * 16, ciphertext=bytes(36), tag=tag)
+            )).decode() + "\n"
+            for tag in (wire.Tag.SECOND_LEVEL, wire.Tag.POSSIBLE_SUPERSPREADER,
+                        wire.Tag.SECOND_LEVEL)
+        ))
+        log = tmp_path / "server.log"
+        ingest = ["ingest", "--log", str(log), "--input", str(input_file), "--epoch"]
+        assert run_cli(ingest + ["4"]) == 0
+        before = log.read_bytes()
+        assert run_cli(ingest + ["3"]) == 2
+        assert log.read_bytes() == before
+        assert run_cli(ingest + ["4"]) == 0
+        capsys.readouterr()
+        assert run_cli(["dump-stats", "--log", str(log)]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["records_by_tag"] == {
+            "direct": 0, "second_level": 4, "possible_superspreader": 2,
+        }
 
     def test_ingest_bad_input_exit_2(self, tmp_path):
         record = wire.TokenUploadRecord(hash=bytes(16), ciphertext=bytes(12))

@@ -1,11 +1,16 @@
 """Tracing server: ingestion, possession proofs, feed, stats, log."""
 
+import os
 import random
+import struct
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from tracecorona import crypto
+from tracecorona import crypto, wire
 from tracecorona.authority import HealthAuthority
 from tracecorona.server import (
     REASON_INSUFFICIENT_PROOFS,
@@ -228,6 +233,74 @@ class TestFeed:
         # a uniform shuffle keeps ~1 adjacent pair in expectation
         assert adjacent_in_order < 20
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["infected", "second", "superspreader", "epoch", "replay"]),
+                st.integers(0, 3),
+            ),
+            max_size=8,
+        ),
+        seeds=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=2),
+        draws=st.randoms(use_true_random=False),
+    )
+    def test_socket_feed_is_the_shuffled_records_since_epoch(self, steps, seeds, draws):
+        """For any uploads, epoch advances and restarts, the fetch-feed
+        response is the records ingested at epochs >= since_epoch, in the
+        order they were accepted, shuffled by ``random.Random(seed)``."""
+        with tempfile.TemporaryDirectory() as tmp:
+            log = os.path.join(tmp, "server.log")
+            server, ha = make_server(log_path=log)
+            accepted = []  # (epoch, record as published), in order of acceptance
+            direct_secrets = []
+
+            def as_sent(records):
+                """The records with whatever tag a client claims."""
+                return [
+                    TokenUploadRecord(r.hash, r.ciphertext, draws.choice(list(Tag)))
+                    for r in records
+                ]
+
+            for kind, n in steps:
+                secrets, records = random_records(draws, n)
+                tag = None
+                if kind == "infected" and records:
+                    tan = ha.issue_tan("u", 0).value
+                    assert server.upload_infected(tan, records).accepted
+                    direct_secrets += secrets
+                    tag = Tag.DIRECT
+                elif kind == "second" and direct_secrets:
+                    proof = draws.choice(direct_secrets)
+                    assert server.upload_second_level(proof, as_sent(records)).accepted
+                    tag = Tag.SECOND_LEVEL
+                elif kind == "superspreader" and len(direct_secrets) >= 3:
+                    proofs = draws.sample(direct_secrets, 3)
+                    assert server.upload_superspreader_proof(proofs, as_sent(records)).accepted
+                    tag = Tag.POSSIBLE_SUPERSPREADER
+                elif kind == "epoch":
+                    server.advance_epoch(server.epoch + n)
+                elif kind == "replay":
+                    server = TracingServer.replay_log(log, ha)
+                if tag is not None:
+                    accepted += [
+                        (server.epoch, TokenUploadRecord(r.hash, r.ciphertext, tag))
+                        for r in records
+                    ]
+                for since in range(server.epoch + 2):
+                    for seed in seeds:
+                        expected = [r for epoch, r in accepted if epoch >= since]
+                        random.Random(seed).shuffle(expected)
+                        body = wire.encode_fetch_feed(since, seed)
+                        assert wire.handle_request(server, body) == (
+                            bytes([wire.STATUS_ACCEPTED])
+                            + struct.pack(">I", server.epoch)
+                            + wire.encode_records(expected)
+                        )
+                        feed = server.fetch_feed(since, random.Random(seed))
+                        assert feed.records == tuple(expected)
+                        assert feed.feed_epoch == server.epoch
+
 
 class TestStats:
     def test_fresh_server_all_zero(self):
@@ -294,6 +367,16 @@ class TestStorageGranularity:
         assert replayed.upload_second_level(secrets[1], []).accepted
 
 
+def held(server):
+    """The server's held records as (epoch, record) pairs, in hold order."""
+    from tracecorona.wire import decode_record
+
+    return [
+        (epoch, decode_record(frame)[0])
+        for epoch, frame in zip(server._epochs, server._records, strict=True)
+    ]
+
+
 def frame_line(record):
     """A record's log line, spelled out: base64 of its frame, then a newline."""
     import base64
@@ -356,7 +439,7 @@ class TestDurableLog:
         assert server.upload_superspreader_proof(secrets, flagged).accepted
         check([frame_line(retagged(r, Tag.POSSIBLE_SUPERSPREADER)) for r in flagged])
         # one line per stored record, in store order, and nothing else
-        stored = [r for _, r in server._records]
+        stored = [r for _, r in held(server)]
         record_lines = [l for l in log.read_text().splitlines(True) if not l.startswith("#")]
         assert record_lines == [frame_line(r) for r in stored]
         assert len(fsyncs) == 4
@@ -374,7 +457,7 @@ def torn_fixture(path):
     server.advance_epoch(12)
     _, later = random_records(random.Random(52), 1)
     assert server.upload_infected(ha.issue_tan("u", 0).value, later).accepted
-    return list(server._records)
+    return held(server)
 
 
 class TestTornLog:
@@ -400,14 +483,14 @@ class TestTornLog:
             cut_log.write_bytes(data[:cut])
             replayed = TracingServer.replay_log(cut_log, HealthAuthority(random.Random(0)))
             whole = [entry for entry, end in zip(entries, ends) if end <= cut]
-            assert replayed._records == whole, cut
+            assert held(replayed) == whole, cut
             epoch = max((epoch for epoch, end in epochs if end <= cut), default=0)
             assert replayed.epoch == epoch, cut
             # the restarted server's next upload starts a line of its own
             tan = replayed.authority.issue_tan("u", 0).value
             assert replayed.upload_infected(tan, [extra]).accepted
             again = TracingServer.replay_log(cut_log, HealthAuthority(random.Random(0)))
-            assert again._records == whole + [(epoch, extra)], cut
+            assert held(again) == whole + [(epoch, extra)], cut
 
     def test_bad_line_before_the_last_still_raises(self, tmp_path):
         from tracecorona.wire import WireError

@@ -216,6 +216,41 @@ class TestConfig:
                 config_dict(disease_timeline={"contagious_to_symptoms_days": 5})
             )
 
+    @pytest.mark.parametrize(
+        "adversaries, path",
+        [
+            ([], "colocation_schedule[0].start"),
+            ([dict(RELAY, capture="b", victims=["a"], end=600)], "adversaries[0].start"),
+            ([{"kind": "eavesdropper",
+               "sensors": [{"id": "s", "device": "b", "start": 0, "end": 600}]}],
+             "adversaries[0].sensors[0].start"),
+        ],
+        ids=["colocation", "relay", "sensor"],
+    )
+    def test_link_before_local_clock_zero_rejected(self, adversaries, path):
+        # a device 21 s behind has local time -21 at second 0: frame -1;
+        # only the link under test starts at second 0
+        data = config_dict(
+            duration_days=1,
+            devices=[{"id": "a"}, {"id": "b", "clock_offset_s": -21}],
+            colocation_schedule=[
+                {"device_a": "a", "device_b": "b", "start": 0 if not adversaries else 21,
+                 "end": 600}
+            ],
+            infections=[],
+            adversaries=adversaries,
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            ScenarioConfig.from_dict(data)
+        assert excinfo.value.path == path
+        assert excinfo.value.problem == "starts before the local clock of device 'b' reaches 0"
+        # from the second the clock reaches 0 the same link runs
+        data["colocation_schedule"][0]["start"] = 21
+        for adversary in adversaries:
+            for window in adversary.get("sensors", [adversary]):
+                window["start"] = 21
+        run_scenario(ScenarioConfig.from_dict(data))
+
     def test_mixed_scheme_colocation_rejected(self):
         bad = config_dict(
             devices=[{"id": "a"}, {"id": "b", "scheme": "decentralized"}]

@@ -3,6 +3,7 @@
 import base64
 import random
 import socket
+import time
 
 import pytest
 from hypothesis import example, given
@@ -117,10 +118,20 @@ class TestLog:
             handle.write(wire.log_epoch_line(3) + "\n")
             for record in records[1:]:
                 handle.write(wire.log_record_line(record) + "\n")
-        epoch, entries = wire.read_log(path)
+        epoch, epochs, frames = wire.read_log(path)
         assert epoch == 3
-        assert [e for e, _ in entries] == [0, 3, 3, 3]
-        assert [r for _, r in entries] == records
+        assert epochs == [0, 3, 3, 3]
+        assert frames == [wire.encode_record(r) for r in records]
+
+    def test_whole_epoch_line_going_back_rejected(self, tmp_path):
+        path = tmp_path / "log"
+        record = wire.log_record_line(sample_record(1)[1])
+        path.write_text("\n".join(["# epoch 5", record, "# epoch 5", "# epoch 4", record, ""]))
+        with pytest.raises(wire.WireError, match="^log epoch goes back from 5 to 4$"):
+            wire.read_log(path)
+        # a torn one is the tail of a write a crash cut short, and is dropped
+        path.write_text("\n".join(["# epoch 5", record, "# epoch 4"]))
+        assert wire.read_log(path) == (5, [5], [wire.encode_record(sample_record(1)[1])])
 
     def test_whole_epoch_line_without_a_number_rejected(self, tmp_path):
         path = tmp_path / "log"
@@ -134,7 +145,7 @@ class TestLog:
         for tail in ("# epoch 7", "# epoch x", "# ep"):
             lines = [wire.log_epoch_line(3), wire.log_record_line(record), tail]
             path.write_text("\n".join(lines))
-            assert wire.read_log(path) == (3, [(3, record)])
+            assert wire.read_log(path) == (3, [3], [wire.encode_record(record)])
 
 
 class TestSocketApi:
@@ -230,6 +241,36 @@ class TestRequestCap:
             with wire.WireClient(*wire_server.address) as client:
                 assert client.stats()["records_published"] == 0
         finally:
+            wire_server.shutdown()
+
+
+class TestConnectionBound:
+    def test_connection_over_the_bound_closed_unread(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_CONNECTIONS", 2)
+        wire_server = wire.WireServer(TracingServer(HealthAuthority(random.Random(0))))
+        wire_server.start()
+        first = wire.WireClient(*wire_server.address)
+        try:
+            with wire.WireClient(*wire_server.address) as second:
+                # a round trip on each: both handlers hold their slots
+                assert first.stats()["records_published"] == 0
+                assert second.stats()["records_published"] == 0
+                with socket.create_connection(wire_server.address, timeout=10) as third:
+                    assert third.recv(1) == b""
+                first.close()
+                # the first handler gives its slot back once it sees the close
+                deadline = time.monotonic() + 10
+                while True:
+                    try:
+                        with wire.WireClient(*wire_server.address) as again:
+                            assert again.stats()["records_published"] == 0
+                        break
+                    except (wire.WireError, OSError):
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
+                assert second.stats()["records_published"] == 0
+        finally:
+            first.close()
             wire_server.shutdown()
 
 
