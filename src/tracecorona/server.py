@@ -6,11 +6,12 @@ persisted structure remembers which records arrived together.  An
 accepted upload's log lines go out in one write and are fsynced before
 the upload is answered.
 
-The server holds each published record as its wire frame, the bytes
-its log line encodes, with a non-decreasing list of the records' epochs
-beside the frames: a log replay only checks the frames, a feed is a
-slice of them joined, and only proof checks and ``fetch_feed`` decode
-held frames into record objects.
+Uploads arrive as checked wire frames (``wire.read_frames``), and the
+server holds each published record as its frame, the bytes its log
+line encodes, with a non-decreasing list of the records' epochs beside
+the frames: ingest only re-tags a frame's last byte, a log replay only
+checks the frames, a feed is a slice of them joined, and only
+``fetch_feed`` decodes held frames into record objects.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .wire import (
     TokenUploadRecord,
     append_log,
     decode_record,
-    encode_record,
     log_epoch_line,
     log_frame_line,
     read_log,
@@ -55,13 +55,11 @@ class UploadResult:
     stored: int = 0
 
 
-def _well_formed(record: TokenUploadRecord) -> bool:
-    return (
-        isinstance(record.hash, bytes)
-        and len(record.hash) == 16
-        and isinstance(record.ciphertext, bytes)
-        and len(record.ciphertext) > 0
-    )
+#: Where a frame's ciphertext starts, after the hash and its length.
+_CIPHERTEXT_AT = TOKEN_HASH_BYTES + 4
+#: Length of a checked frame whose ciphertext is empty; no upload may
+#: carry one.
+_EMPTY_FRAME = _CIPHERTEXT_AT + 1
 
 
 class TracingServer:
@@ -114,13 +112,11 @@ class TracingServer:
         if self._log_path is not None:
             append_log(self._log_path, lines)
 
-    def _store(self, records: list[TokenUploadRecord], tag: Tag) -> UploadResult:
-        """Log an accepted upload's records under the tag they are
-        published with, then hold their frames."""
-        frames = [
-            encode_record(r if r.tag is tag else TokenUploadRecord(r.hash, r.ciphertext, tag))
-            for r in records
-        ]
+    def _store(self, frames: list[bytes], tag: Tag) -> UploadResult:
+        """Log an accepted upload's frames under the tag they are
+        published with, then hold them."""
+        tag_byte = bytes((tag,))
+        frames = [f if f[-1] == tag else f[:-1] + tag_byte for f in frames]
         if frames and self._log_path is not None:
             self._append_log([log_frame_line(frame) for frame in frames])
         self._epochs += [self._epoch] * len(frames)
@@ -129,15 +125,13 @@ class TracingServer:
             self._index_direct(len(self._records) - len(frames))
         return UploadResult(True, stored=len(frames))
 
-    def upload_infected(
-        self, tan_value: str, records: list[TokenUploadRecord]
-    ) -> UploadResult:
-        if not records or not all(_well_formed(r) for r in records):
+    def upload_infected(self, tan_value: str, frames: list[bytes]) -> UploadResult:
+        if not frames or _EMPTY_FRAME in map(len, frames):
             return UploadResult(False, REASON_MALFORMED_RECORD)
         with self._ingest_lock:
             if not self.authority.verify_tan(tan_value):
                 return UploadResult(False, REASON_INVALID_TAN)
-            result = self._store(records, Tag.DIRECT)
+            result = self._store(frames, Tag.DIRECT)
             self._infected_uploads += 1
             return result
 
@@ -157,37 +151,32 @@ class TracingServer:
             self._index_direct(0)
         matches = []
         for index in self._direct_by_hash.get(crypto.token_hash(proof), []):
-            record, _ = decode_record(self._records[index])
             try:
-                crypto.decrypt_metadata(proof, record.ciphertext)
+                crypto.decrypt_metadata(proof, self._records[index][_CIPHERTEXT_AT:-1])
             except crypto.AuthenticationFailure:
                 continue
             matches.append(index)
         return matches
 
-    def upload_second_level(
-        self, possession_proof: bytes, records: list[TokenUploadRecord]
-    ) -> UploadResult:
-        if records and not all(_well_formed(r) for r in records):
+    def upload_second_level(self, possession_proof: bytes, frames: list[bytes]) -> UploadResult:
+        if _EMPTY_FRAME in map(len, frames):
             return UploadResult(False, REASON_MALFORMED_RECORD)
         with self._ingest_lock:
             if not self._proof_matches(possession_proof):
                 return UploadResult(False, REASON_NO_MATCHING_TOKEN)
-            result = self._store(records, Tag.SECOND_LEVEL)
+            result = self._store(frames, Tag.SECOND_LEVEL)
             self._second_level_uploads += 1
             return result
 
-    def upload_superspreader_proof(
-        self, proofs: list[bytes], records: list[TokenUploadRecord]
-    ) -> UploadResult:
-        if records and not all(_well_formed(r) for r in records):
+    def upload_superspreader_proof(self, proofs: list[bytes], frames: list[bytes]) -> UploadResult:
+        if _EMPTY_FRAME in map(len, frames):
             return UploadResult(False, REASON_MALFORMED_RECORD)
         with self._ingest_lock:
             if len(proofs) < self.superspreader_threshold:
                 return UploadResult(False, REASON_INSUFFICIENT_PROOFS)
             if not self._distinct_assignment(proofs):
                 return UploadResult(False, REASON_INSUFFICIENT_PROOFS)
-            result = self._store(records, Tag.POSSIBLE_SUPERSPREADER)
+            result = self._store(frames, Tag.POSSIBLE_SUPERSPREADER)
             self._superspreader_uploads += 1
             return result
 

@@ -433,9 +433,8 @@ class _TraceCoronaClient(_Client):
         accepted = 0
         for _ in range(attempts):
             proof = rng.randbytes(32)
-            dummy = wire.TokenUploadRecord(
-                hash=rng.randbytes(16),
-                ciphertext=rng.randbytes(36),
+            dummy = wire.encode_record(
+                wire.TokenUploadRecord(hash=rng.randbytes(16), ciphertext=rng.randbytes(36))
             )
             result = engine.server.upload_second_level(proof, [dummy])
             if result.accepted:

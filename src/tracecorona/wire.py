@@ -4,11 +4,13 @@ Record frame (exact layout, big endian):
 
     16-byte hash || 4-byte ciphertext length || ciphertext || 1-byte tag
 
-A record crosses the log, the server's store and the feed as its frame:
-the server holds each published record as the frame it logged, and a
-feed response is those frames joined.  ``decode_record`` and
-``read_log`` check a frame by the same rules (``_check_frame``); only
-``decode_record`` builds a record object from it.
+A record crosses the upload, the log, the server's store and the feed
+as its frame: ``handle_request`` hands the server an upload's frames as
+``read_frames`` checked them, the server holds each published record as
+the frame it logged, and a feed response is those frames joined.
+``read_frames``, ``decode_record`` and ``read_log`` check a frame by the
+same rules (``_check_frame``); only ``decode_record`` and
+``decode_records``, the client's side, build record objects.
 
 Append-only log: one framed record per line of base64.  Epoch
 boundaries are interleaved as ``# epoch <n>`` control lines so a log
@@ -120,22 +122,25 @@ def _check_frame(buf: bytes, offset: int = 0) -> int:
     return tag_at
 
 
-def _decode_frames(
-    buf: bytes, offset: int, count: int
-) -> tuple[list[TokenUploadRecord], int]:
-    records = []
+def read_frames(buf: bytes, offset: int = 0) -> tuple[list[bytes], int]:
+    """The checked frames of the record list at ``offset`` (a count, then
+    that many frames) and the offset just past it."""
+    if len(buf) - offset < 4:
+        raise WireError("record list truncated")
+    (count,) = struct.unpack_from(">I", buf, offset)
+    offset += 4
+    frames = []
     for _ in range(count):
-        tag_at = _check_frame(buf, offset)
-        records.append(TokenUploadRecord(
-            buf[offset:offset + TOKEN_HASH_BYTES], buf[offset + _HEAD:tag_at], _TAGS[buf[tag_at]]
-        ))
-        offset = tag_at + 1
-    return records, offset
+        end = _check_frame(buf, offset) + 1
+        frames.append(buf[offset:end])
+        offset = end
+    return frames, offset
 
 
 def decode_record(buf: bytes, offset: int = 0) -> tuple[TokenUploadRecord, int]:
-    (record,), end = _decode_frames(buf, offset, 1)
-    return record, end
+    end = _check_frame(buf, offset) + 1
+    f = buf[offset:end]
+    return TokenUploadRecord(f[:TOKEN_HASH_BYTES], f[_HEAD:-1], _TAGS[f[-1]]), end
 
 
 def encode_records(records: list[TokenUploadRecord]) -> bytes:
@@ -144,10 +149,12 @@ def encode_records(records: list[TokenUploadRecord]) -> bytes:
 
 
 def decode_records(buf: bytes, offset: int = 0) -> tuple[list[TokenUploadRecord], int]:
-    if len(buf) - offset < 4:
-        raise WireError("record list truncated")
-    (count,) = struct.unpack_from(">I", buf, offset)
-    return _decode_frames(buf, offset + 4, count)
+    records, end = read_frames(buf, offset)
+    # each frame gives way to its record, so a feed's frames and records
+    # are never all held at once
+    for i, f in enumerate(records):
+        records[i] = TokenUploadRecord(f[:TOKEN_HASH_BYTES], f[_HEAD:-1], _TAGS[f[-1]])
+    return records, end
 
 
 # -- append-only log ---------------------------------------------------------
@@ -331,14 +338,12 @@ def handle_request(server, body: bytes) -> bytes:
         if op == OP_UPLOAD_INFECTED:
             tan_len = body[1]
             tan = body[2 : 2 + tan_len].decode("ascii")
-            records, _ = decode_records(body, 2 + tan_len)
-            result = server.upload_infected(tan, records)
+            upload, credential, offset = server.upload_infected, tan, 2 + tan_len
         elif op == OP_UPLOAD_SECOND_LEVEL:
             proof = body[1 : 1 + PROOF_BYTES]
             if len(proof) != PROOF_BYTES:
                 raise WireError("proof truncated")
-            records, _ = decode_records(body, 1 + PROOF_BYTES)
-            result = server.upload_second_level(proof, records)
+            upload, credential, offset = server.upload_second_level, proof, 1 + PROOF_BYTES
         elif op == OP_UPLOAD_SUPERSPREADER:
             count = body[1]
             proofs = [
@@ -347,10 +352,10 @@ def handle_request(server, body: bytes) -> bytes:
             ]
             if any(len(p) != PROOF_BYTES for p in proofs):
                 raise WireError("proofs truncated")
-            records, _ = decode_records(body, 2 + count * PROOF_BYTES)
-            result = server.upload_superspreader_proof(proofs, records)
+            upload, credential = server.upload_superspreader_proof, proofs
+            offset = 2 + count * PROOF_BYTES
         elif op == OP_FETCH_FEED:
-            since_epoch, seed = struct.unpack_from(">Iq", body, 1)
+            since_epoch, seed = struct.unpack(">Iq", body[1:])
             feed_epoch, frames = server.feed_frames(since_epoch, random.Random(seed))
             head = bytes([STATUS_ACCEPTED]) + struct.pack(">II", feed_epoch, len(frames))
             return b"".join([head, *frames])
@@ -365,6 +370,11 @@ def handle_request(server, body: bytes) -> bytes:
             return bytes([STATUS_ACCEPTED]) + tan.value.encode("ascii")
         else:
             return bytes([STATUS_MALFORMED]) + f"unknown opcode {op}".encode()
+        # an upload's record list ends its body
+        frames, end = read_frames(body, offset)
+        if end != len(body):
+            raise WireError("trailing bytes after the record list")
+        result = upload(credential, frames)
     except (WireError, IndexError, struct.error, UnicodeDecodeError) as exc:
         return bytes([STATUS_MALFORMED]) + str(exc).encode()
     status = STATUS_ACCEPTED if result.accepted else STATUS_REJECTED

@@ -20,7 +20,7 @@ from tracecorona.device import Device, TokenStore
 from tracecorona.server import TracingServer
 from tracecorona.simnet.config import ScenarioConfig
 from tracecorona.simnet.engine import run_scenario
-from tracecorona.wire import PublishedFeed, Tag, TokenUploadRecord
+from tracecorona.wire import PublishedFeed, Tag, TokenUploadRecord, encode_record
 
 DAY = 86400
 
@@ -33,6 +33,11 @@ def criterion(number, text):
         print(f"ACCEPTANCE {number} [{text}]: FAIL", flush=True)
         raise
     print(f"ACCEPTANCE {number} [{text}]: PASS", flush=True)
+
+
+def frames(records):
+    """The records' wire frames, as an upload hands them to the server."""
+    return [encode_record(r) for r in records]
 
 
 def bundled(name, **overrides):
@@ -87,7 +92,7 @@ def test_criterion_2_payload_arithmetic():
                 )
             )
         tan = ha.issue_tan("u", 0)
-        assert server.upload_infected(tan.value, records).accepted
+        assert server.upload_infected(tan.value, frames(records)).accepted
         feed = server.fetch_feed(0, random.Random(0))
         hash_bits = sum(len(r.hash) for r in feed.records) * 8
         assert hash_bits == 35_840
@@ -151,7 +156,7 @@ def test_criterion_5_fake_exposure_claims():
             for s in secrets
         ]
         tan = ha.issue_tan("u", 0)
-        assert server.upload_infected(tan.value, records).accepted
+        assert server.upload_infected(tan.value, frames(records)).accepted
         accepted = sum(
             server.upload_second_level(s, []).accepted for s in secrets
         )
@@ -320,9 +325,9 @@ def test_criterion_10_shuffle_unlinkability():
         batch1 = batch(10, 1_600_000_000)
         batch2 = batch(10, 1_700_000_000)
         tan = ha.issue_tan("u", 0)
-        server.upload_infected(tan.value, batch1)
+        server.upload_infected(tan.value, frames(batch1))
         tan = ha.issue_tan("u", 0)
-        server.upload_infected(tan.value, batch2)
+        server.upload_infected(tan.value, frames(batch2))
         batch1_hashes = {r.hash for r in batch1}
 
         counts = [0] * 20

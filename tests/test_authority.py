@@ -6,11 +6,16 @@ import threading
 from tracecorona import crypto
 from tracecorona.authority import TAN_ALPHABET, HealthAuthority
 from tracecorona.server import TracingServer
-from tracecorona.wire import TokenUploadRecord
+from tracecorona.wire import TokenUploadRecord, encode_record
 
 
 def make_ha(seed=0, expiry=None):
     return HealthAuthority(random.Random(seed), expiry_seconds=expiry)
+
+
+def frames(records):
+    """The records' wire frames, as an upload hands them to the server."""
+    return [encode_record(r) for r in records]
 
 
 class TestIssue:
@@ -76,7 +81,7 @@ class TestStateBoundary:
         for i in range(50):
             tan = ha.issue_tan(f"user{i}", i)
             ha.verify_tan("BOGUS")
-        assert TracingServer(ha).upload_infected(tan.value, [record]).accepted
+        assert TracingServer(ha).upload_infected(tan.value, frames([record])).accepted
         # the TAN table is all the authority keeps: short scalars per TAN
         assert len(ha._tans) == 50
         for kept in ha._tans.values():

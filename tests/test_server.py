@@ -36,6 +36,11 @@ def record_for(secret, t=1_600_000_000, tag=Tag.DIRECT):
     )
 
 
+def frames(records):
+    """The records' wire frames, as an upload hands them to the server."""
+    return [wire.encode_record(r) for r in records]
+
+
 def random_records(rng, n, t0=1_600_000_000):
     out = []
     secrets = []
@@ -52,7 +57,7 @@ class TestUploadInfected:
         rng = random.Random(1)
         _, records = random_records(rng, 14 * 20)
         tan = ha.issue_tan("u", 0)
-        result = server.upload_infected(tan.value, records)
+        result = server.upload_infected(tan.value, frames(records))
         assert result.accepted and result.stored == 280
         feed = server.fetch_feed(0, random.Random(0))
         assert len(feed.records) == 280
@@ -63,8 +68,8 @@ class TestUploadInfected:
         rng = random.Random(2)
         _, records = random_records(rng, 3)
         tan = ha.issue_tan("u", 0)
-        assert server.upload_infected(tan.value, records).accepted
-        result = server.upload_infected(tan.value, records)
+        assert server.upload_infected(tan.value, frames(records)).accepted
+        result = server.upload_infected(tan.value, frames(records))
         assert not result.accepted and result.reason == REASON_INVALID_TAN
         assert len(server.fetch_feed(0, random.Random(0)).records) == 3
 
@@ -77,12 +82,12 @@ class TestUploadInfected:
     def test_unissued_tan_rejected(self):
         server, _ = make_server()
         _, records = random_records(random.Random(3), 1)
-        assert server.upload_infected("NOPE", records).reason == REASON_INVALID_TAN
+        assert server.upload_infected("NOPE", frames(records)).reason == REASON_INVALID_TAN
 
 
 def publish(server, ha, secrets_records):
     tan = ha.issue_tan("u", 0)
-    assert server.upload_infected(tan.value, [r for _, r in secrets_records]).accepted
+    assert server.upload_infected(tan.value, frames([r for _, r in secrets_records])).accepted
 
 
 class TestSecondLevel:
@@ -92,7 +97,7 @@ class TestSecondLevel:
         publish(server, ha, [(secret, record_for(secret))])
         rng = random.Random(6)
         _, own = random_records(rng, 4)
-        result = server.upload_second_level(secret, own)
+        result = server.upload_second_level(secret, frames(own))
         assert result.accepted and result.stored == 4
         feed = server.fetch_feed(0, random.Random(0))
         assert sum(r.tag is Tag.SECOND_LEVEL for r in feed.records) == 4
@@ -130,7 +135,7 @@ class TestSecondLevel:
             ciphertext=crypto.encrypt_metadata(owner, 123),
         )
         tan = ha.issue_tan("u", 0)
-        assert server.upload_infected(tan.value, [record]).accepted
+        assert server.upload_infected(tan.value, frames([record])).accepted
         result = server.upload_second_level(collider, [])
         assert not result.accepted
         assert result.reason == REASON_NO_MATCHING_TOKEN
@@ -148,7 +153,7 @@ class TestSuperspreader:
     def test_three_distinct_proofs_accepted(self):
         server, _, secrets, rng = self.setup_published()
         _, own = random_records(rng, 2)
-        result = server.upload_superspreader_proof(secrets, own)
+        result = server.upload_superspreader_proof(secrets, frames(own))
         assert result.accepted
         feed = server.fetch_feed(0, random.Random(0))
         assert sum(r.tag is Tag.POSSIBLE_SUPERSPREADER for r in feed.records) == 2
@@ -178,7 +183,7 @@ class TestFeed:
         server, ha = make_server()
         _, records = random_records(random.Random(10), 50)
         tan = ha.issue_tan("u", 0)
-        server.upload_infected(tan.value, records)
+        server.upload_infected(tan.value, frames(records))
         a = server.fetch_feed(0, random.Random(99))
         b = server.fetch_feed(0, random.Random(99))
         assert a.records == b.records
@@ -192,7 +197,7 @@ class TestFeed:
             server.advance_epoch(epoch)
             _, records = random_records(random.Random(epoch), 4, t0=epoch * 1000)
             tan = ha.issue_tan("u", 0)
-            server.upload_infected(tan.value, records)
+            server.upload_infected(tan.value, frames(records))
             feed = server.fetch_feed(epoch, random.Random(epoch))
             assert len(feed.records) == 4
             seen.extend(feed.records)
@@ -205,9 +210,9 @@ class TestFeed:
         batch1_secrets, batch1 = random_records(random.Random(11), 10)
         _, batch2 = random_records(random.Random(12), 10, t0=1_700_000_000)
         tan = ha.issue_tan("u", 0)
-        server.upload_infected(tan.value, batch1)
+        server.upload_infected(tan.value, frames(batch1))
         tan = ha.issue_tan("u", 0)
-        server.upload_infected(tan.value, batch2)
+        server.upload_infected(tan.value, frames(batch2))
         batch1_hashes = {r.hash for r in batch1}
         counts = [0] * 20
         for seed in range(200):
@@ -222,7 +227,7 @@ class TestFeed:
         server, ha = make_server()
         _, records = random_records(random.Random(13), 280)
         tan = ha.issue_tan("u", 0)
-        server.upload_infected(tan.value, records)
+        server.upload_infected(tan.value, frames(records))
         feed = server.fetch_feed(0, random.Random(1))
         assert len(feed.records) == 280
         original = {r.hash: i for i, r in enumerate(records)}
@@ -256,18 +261,18 @@ class TestFeed:
             direct_secrets = []
 
             def as_sent(records):
-                """The records with whatever tag a client claims."""
-                return [
+                """The records' frames with whatever tag a client claims."""
+                return frames([
                     TokenUploadRecord(r.hash, r.ciphertext, draws.choice(list(Tag)))
                     for r in records
-                ]
+                ])
 
             for kind, n in steps:
                 secrets, records = random_records(draws, n)
                 tag = None
                 if kind == "infected" and records:
                     tan = ha.issue_tan("u", 0).value
-                    assert server.upload_infected(tan, records).accepted
+                    assert server.upload_infected(tan, frames(records)).accepted
                     direct_secrets += secrets
                     tag = Tag.DIRECT
                 elif kind == "second" and direct_secrets:
@@ -316,7 +321,7 @@ class TestStats:
         server, ha = make_server()
         _, records = random_records(random.Random(14), 280)
         tan = ha.issue_tan("u", 0)
-        server.upload_infected(tan.value, records)
+        server.upload_infected(tan.value, frames(records))
         server.register_active("a")
         server.register_active("a")
         server.register_active("b")
@@ -336,7 +341,7 @@ class TestStorageGranularity:
             server.advance_epoch(i)
             _, records = random_records(random.Random(20 + i), 5, t0=i * 500)
             tan = ha.issue_tan("u", 0)
-            server.upload_infected(tan.value, records)
+            server.upload_infected(tan.value, frames(records))
         lines = [l for l in log.read_text().splitlines() if l and not l.startswith("#")]
         assert len(lines) == 15
         # every non-comment line decodes to exactly one framed record
@@ -355,8 +360,8 @@ class TestStorageGranularity:
         server.advance_epoch(2)
         secrets, records = random_records(random.Random(30), 6)
         tan = ha.issue_tan("u", 0)
-        server.upload_infected(tan.value, records)
-        server.upload_second_level(secrets[0], records[:1])
+        server.upload_infected(tan.value, frames(records))
+        server.upload_second_level(secrets[0], frames(records[:1]))
 
         replayed = TracingServer.replay_log(log, HealthAuthority(random.Random(0)))
         assert replayed.epoch == 2
@@ -414,9 +419,9 @@ class TestDurableLog:
             assert log.read_text() == "".join(expected)
             assert len(fsyncs) == writes
 
-        assert server.upload_infected(ha.issue_tan("u", 0).value, infected).accepted
+        assert server.upload_infected(ha.issue_tan("u", 0).value, frames(infected)).accepted
         check([frame_line(r) for r in infected])
-        assert not server.upload_infected("NOTISSUED", infected).accepted
+        assert not server.upload_infected("NOTISSUED", frames(infected)).accepted
         check([])
         assert not server.upload_infected(ha.issue_tan("u", 0).value, []).accepted
         check([])
@@ -427,16 +432,16 @@ class TestDurableLog:
         check(["# epoch 2\n"])
         server.advance_epoch(2)
         check([])
-        assert server.upload_second_level(secrets[0], second).accepted
+        assert server.upload_second_level(secrets[0], frames(second)).accepted
         check([frame_line(retagged(r, Tag.SECOND_LEVEL)) for r in second])
-        assert not server.upload_second_level(rng.randbytes(32), second).accepted
+        assert not server.upload_second_level(rng.randbytes(32), frames(second)).accepted
         check([])
         empty = TokenUploadRecord(hash=bytes(16), ciphertext=b"")
-        assert not server.upload_second_level(secrets[0], [empty]).accepted
+        assert not server.upload_second_level(secrets[0], frames([empty])).accepted
         check([])
-        assert not server.upload_superspreader_proof(secrets[:2], flagged).accepted
+        assert not server.upload_superspreader_proof(secrets[:2], frames(flagged)).accepted
         check([])
-        assert server.upload_superspreader_proof(secrets, flagged).accepted
+        assert server.upload_superspreader_proof(secrets, frames(flagged)).accepted
         check([frame_line(retagged(r, Tag.POSSIBLE_SUPERSPREADER)) for r in flagged])
         # one line per stored record, in store order, and nothing else
         stored = [r for _, r in held(server)]
@@ -445,18 +450,77 @@ class TestDurableLog:
         assert len(fsyncs) == 4
 
 
+class TestUploadBody:
+    def test_bytes_after_the_body_malformed_and_nothing_kept(self, tmp_path):
+        log = tmp_path / "server.log"
+        server, ha = make_server(log_path=log)
+        secrets, records = random_records(random.Random(60), 3)
+        first = wire.encode_upload_infected(ha.issue_tan("u", 0).value, records)
+        assert wire.handle_request(server, first)[0] == wire.STATUS_ACCEPTED
+        logged = log.read_bytes()
+        _, more = random_records(random.Random(61), 1)
+        bodies = [
+            wire.encode_upload_infected(ha.issue_tan("u", 0).value, more),
+            wire.encode_upload_second_level(secrets[0], more),
+            wire.encode_upload_superspreader(secrets, more),
+            wire.encode_fetch_feed(0, 1),
+        ]
+        for body in bodies:
+            for junk in (b"\x00", b"junk"):
+                assert wire.handle_request(server, body + junk)[0] == wire.STATUS_MALFORMED
+        assert wire.handle_request(server, bodies[-1][:-1])[0] == wire.STATUS_MALFORMED
+        assert log.read_bytes() == logged
+        assert len(server._records) == len(server._epochs) == 3
+        # the same bodies without the junk are accepted, the TAN unspent
+        for body in bodies:
+            assert wire.handle_request(server, body)[0] == wire.STATUS_ACCEPTED
+        assert len(server._records) == 6
+
+    def test_socket_uploads_build_no_record_objects(self, tmp_path, monkeypatch):
+        from tracecorona import server as server_module
+
+        log = tmp_path / "server.log"
+        server, ha = make_server(log_path=log)
+        secrets, infected = random_records(random.Random(62), 3)
+        _, own = random_records(random.Random(63), 2)
+        bodies = [
+            wire.encode_upload_infected(ha.issue_tan("u", 0).value, infected),
+            wire.encode_upload_second_level(secrets[0], own),
+            wire.encode_upload_superspreader(secrets, own),
+        ]
+        published = infected + [
+            TokenUploadRecord(r.hash, r.ciphertext, tag)
+            for tag in (Tag.SECOND_LEVEL, Tag.POSSIBLE_SUPERSPREADER)
+            for r in own
+        ]
+        lines = [frame_line(r) for r in published]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a record object was built on ingest")
+
+        for module in (wire, server_module):
+            for name in ("TokenUploadRecord", "encode_record"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        for body in bodies:
+            assert wire.handle_request(server, body)[0] == wire.STATUS_ACCEPTED
+        monkeypatch.undo()
+        assert log.read_text() == "".join(lines)
+        assert held(server) == [(0, r) for r in published]
+
+
 def torn_fixture(path):
     """A log of four records over epochs 0, 2 and 12, written by a server;
     the (epoch, record) entries in log order."""
     server, ha = make_server(log_path=path)
     secrets, infected = random_records(random.Random(50), 2)
-    assert server.upload_infected(ha.issue_tan("u", 0).value, infected).accepted
+    assert server.upload_infected(ha.issue_tan("u", 0).value, frames(infected)).accepted
     server.advance_epoch(2)
     _, second = random_records(random.Random(51), 1)
-    assert server.upload_second_level(secrets[0], second).accepted
+    assert server.upload_second_level(secrets[0], frames(second)).accepted
     server.advance_epoch(12)
     _, later = random_records(random.Random(52), 1)
-    assert server.upload_infected(ha.issue_tan("u", 0).value, later).accepted
+    assert server.upload_infected(ha.issue_tan("u", 0).value, frames(later)).accepted
     return held(server)
 
 
@@ -488,7 +552,7 @@ class TestTornLog:
             assert replayed.epoch == epoch, cut
             # the restarted server's next upload starts a line of its own
             tan = replayed.authority.issue_tan("u", 0).value
-            assert replayed.upload_infected(tan, [extra]).accepted
+            assert replayed.upload_infected(tan, frames([extra])).accepted
             again = TracingServer.replay_log(cut_log, HealthAuthority(random.Random(0)))
             assert held(again) == whole + [(epoch, extra)], cut
 
