@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 from . import crypto
 from .crypto import EncounterToken
 from .device import TokenStore
-from .wire import PublishedFeed, Tag, TokenUploadRecord
+from .wire import CIPHERTEXT_AT, TOKEN_HASH_BYTES, PublishedFeed, Tag, TokenUploadRecord
 
 
 class NotificationLevel(enum.Enum):
@@ -83,6 +83,8 @@ def match_feed(
     token's hash, the metadata decrypts under the token secret, and the
     embedded remote timestamp is within ``epsilon`` seconds of the
     locally recorded one.  Everything else is silently a non-match.
+    The feed's frames are read as they are: only a frame whose hash is
+    a local token's is decrypted, and none becomes a record object.
     Output order is deterministic: encounter time, then hash bytes.
     """
     by_hash: dict[bytes, list[EncounterToken]] = {}
@@ -92,18 +94,18 @@ def match_feed(
         by_hash.setdefault(crypto.token_hash(token.secret), []).append(token)
 
     notifications = []
-    for record in feed.records:
-        for token in by_hash.get(record.hash, ()):
+    for frame in feed.frames:
+        for token in by_hash.get(frame[:TOKEN_HASH_BYTES], ()):
             try:
-                remote_time = crypto.decrypt_metadata(token.secret, record.ciphertext)
+                remote_time = crypto.decrypt_metadata(token.secret, frame[CIPHERTEXT_AT:-1])
             except crypto.AuthenticationFailure:
                 continue
             if abs(remote_time - token.start_time) > epsilon:
                 continue
-            level, flagged = _level_for(record.tag)
+            level, flagged = _level_for(Tag(frame[-1]))
             notifications.append(
                 ExposureNotification(
-                    matched_hash=record.hash,
+                    matched_hash=frame[:TOKEN_HASH_BYTES],
                     level=level,
                     superspreader_flag=flagged,
                     encounter_time=token.start_time,

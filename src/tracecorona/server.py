@@ -10,8 +10,9 @@ Uploads arrive as checked wire frames (``wire.read_frames``), and the
 server holds each published record as its frame, the bytes its log
 line encodes, with a non-decreasing list of the records' epochs beside
 the frames: ingest only re-tags a frame's last byte, a log replay only
-checks the frames, a feed is a slice of them joined, and only
-``fetch_feed`` decodes held frames into record objects.
+checks the frames, and a feed is a slice of them, joined on the socket
+or held as a ``PublishedFeed`` by ``fetch_feed``; the server builds no
+record objects.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from dataclasses import dataclass
 from . import crypto
 from .authority import HealthAuthority
 from .wire import (
+    CIPHERTEXT_AT,
     TOKEN_HASH_BYTES,
     PublishedFeed,
     Tag,
     TokenUploadRecord,
     append_log,
-    decode_record,
     log_epoch_line,
     log_frame_line,
     read_log,
@@ -55,11 +56,9 @@ class UploadResult:
     stored: int = 0
 
 
-#: Where a frame's ciphertext starts, after the hash and its length.
-_CIPHERTEXT_AT = TOKEN_HASH_BYTES + 4
 #: Length of a checked frame whose ciphertext is empty; no upload may
 #: carry one.
-_EMPTY_FRAME = _CIPHERTEXT_AT + 1
+_EMPTY_FRAME = CIPHERTEXT_AT + 1
 
 
 class TracingServer:
@@ -152,7 +151,7 @@ class TracingServer:
         matches = []
         for index in self._direct_by_hash.get(crypto.token_hash(proof), []):
             try:
-                crypto.decrypt_metadata(proof, self._records[index][_CIPHERTEXT_AT:-1])
+                crypto.decrypt_metadata(proof, self._records[index][CIPHERTEXT_AT:-1])
             except crypto.AuthenticationFailure:
                 continue
             matches.append(index)
@@ -212,10 +211,9 @@ class TracingServer:
         return feed_epoch, frames
 
     def fetch_feed(self, since_epoch: int, rng) -> PublishedFeed:
-        """``feed_frames`` as a feed of records."""
+        """``feed_frames`` as a feed."""
         feed_epoch, frames = self.feed_frames(since_epoch, rng)
-        records = tuple(decode_record(frame)[0] for frame in frames)
-        return PublishedFeed(records=records, feed_epoch=feed_epoch)
+        return PublishedFeed(frames=frames, feed_epoch=feed_epoch)
 
     # -- aggregates ---------------------------------------------------------------
 

@@ -272,8 +272,9 @@ class _TraceCoronaClient(_Client):
         self.rotation_period = config.frame_period
         self.next_since = 0
         self.last_record_count = 0
-        #: whole records, as one uploader's copies of a token differ only by tag
-        self.seen_records: set[wire.TokenUploadRecord] = set()
+        #: whole record frames, as one uploader's copies of a token differ
+        #: only by tag (the last byte)
+        self.seen_records: set[bytes] = set()
         self.matched_direct_hashes: set[bytes] = set()
         self.all_notifications: list = []
         self.second_level_done = False
@@ -311,7 +312,7 @@ class _TraceCoronaClient(_Client):
         if response[0] != wire.STATUS_ACCEPTED:
             return
         for token, record in pairs:
-            self.seen_records.add(record)
+            self.seen_records.add(wire.encode_record(record))
             engine.gt_record_origin.setdefault(record.hash, {})[self.id] = {
                 "peer": token.peer_hint,
                 "via": vias.get(id(token)),
@@ -347,17 +348,17 @@ class _TraceCoronaClient(_Client):
         engine.payload_up += 4 + len(body)
         engine.payload_down += 4 + len(response)
         (epoch,) = struct.unpack_from(">I", response, 1)
-        records, _ = wire.decode_records(response, 5)
+        frames, _ = wire.read_frames(response, 5)
         self.next_since = epoch
         unseen = []
-        for record in records:
-            if record in self.seen_records:
+        for frame in frames:
+            if frame in self.seen_records:
                 continue
-            self.seen_records.add(record)
-            unseen.append(record)
+            self.seen_records.add(frame)
+            unseen.append(frame)
         if not unseen:
             return
-        feed = wire.PublishedFeed(records=tuple(unseen), feed_epoch=epoch)
+        feed = wire.PublishedFeed(frames=unseen, feed_epoch=epoch)
         found = exposure.match_feed(self.device.store, feed, engine.config.epsilon)
         if not found:
             return

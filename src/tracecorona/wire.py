@@ -9,8 +9,10 @@ as its frame: ``handle_request`` hands the server an upload's frames as
 ``read_frames`` checked them, the server holds each published record as
 the frame it logged, and a feed response is those frames joined.
 ``read_frames``, ``decode_record`` and ``read_log`` check a frame by the
-same rules (``_check_frame``); only ``decode_record`` and
-``decode_records``, the client's side, build record objects.
+same rules (``_check_frame``).  The client matches a feed's frames too:
+``WireClient.fetch_feed`` returns a ``PublishedFeed`` of the checked
+frames.  Only ``decode_record``, ``decode_records`` and a feed's
+``records`` view build record objects, one frame at a time.
 
 Append-only log: one framed record per line of base64.  Epoch
 boundaries are interleaved as ``# epoch <n>`` control lines so a log
@@ -27,8 +29,9 @@ body.  Request bodies start with a 1-byte opcode; responses with a
 1-byte status (0 accepted, 1 rejected, 2 malformed).  The server closes
 a connection whose request prefix exceeds ``MAX_REQUEST_BYTES`` without
 reading the body, and one that arrives while ``MAX_CONNECTIONS`` others
-are open without reading anything; responses, such as the feed, are
-not capped.
+are open without reading anything.  An upload whose record count is
+over ``MAX_UPLOAD_RECORDS`` is malformed, refused before its frames are
+read; responses, such as the feed, are not capped.
 """
 
 from __future__ import annotations
@@ -85,8 +88,30 @@ class TokenUploadRecord:
 
 @dataclass(frozen=True)
 class PublishedFeed:
-    records: tuple[TokenUploadRecord, ...]
+    """A fetched feed: the checked frames of its records, in feed order."""
+
+    frames: list[bytes]
     feed_epoch: int
+
+    @property
+    def records(self) -> "_RecordView":
+        """The frames as records, built one at a time while iterating."""
+        return _RecordView(self.frames)
+
+
+class _RecordView:
+    """Read-only view of frames as records; never holds them all."""
+
+    __slots__ = ("_frames",)
+
+    def __init__(self, frames: list[bytes]):
+        self._frames = frames
+
+    def __len__(self) -> int:
+        return len(self._frames)
+
+    def __iter__(self):
+        return map(_frame_record, self._frames)
 
 
 class WireError(Exception):
@@ -97,7 +122,8 @@ class WireError(Exception):
 
 _FRAME_HEAD = struct.Struct(">16sI")
 _CT_LEN = struct.Struct(">I")
-_HEAD = _FRAME_HEAD.size
+#: Where a frame's ciphertext starts, after the hash and its length.
+CIPHERTEXT_AT = _FRAME_HEAD.size
 _TAGS = tuple(Tag)
 
 
@@ -112,9 +138,9 @@ def encode_record(record: TokenUploadRecord) -> bytes:
 def _check_frame(buf: bytes, offset: int = 0) -> int:
     """Check the record frame at ``offset``: a whole head, its ciphertext
     and a known tag.  Returns the offset of the tag byte."""
-    if len(buf) - offset <= _HEAD:
+    if len(buf) - offset <= CIPHERTEXT_AT:
         raise WireError("record frame truncated")
-    tag_at = offset + _HEAD + _CT_LEN.unpack_from(buf, offset + TOKEN_HASH_BYTES)[0]
+    tag_at = offset + CIPHERTEXT_AT + _CT_LEN.unpack_from(buf, offset + TOKEN_HASH_BYTES)[0]
     if len(buf) <= tag_at:
         raise WireError("record ciphertext truncated")
     if buf[tag_at] >= len(_TAGS):
@@ -122,12 +148,15 @@ def _check_frame(buf: bytes, offset: int = 0) -> int:
     return tag_at
 
 
-def read_frames(buf: bytes, offset: int = 0) -> tuple[list[bytes], int]:
+def read_frames(buf: bytes, offset: int = 0, most: int | None = None) -> tuple[list[bytes], int]:
     """The checked frames of the record list at ``offset`` (a count, then
-    that many frames) and the offset just past it."""
+    that many frames) and the offset just past it.  A count above
+    ``most`` is refused before any frame is read."""
     if len(buf) - offset < 4:
         raise WireError("record list truncated")
     (count,) = struct.unpack_from(">I", buf, offset)
+    if most is not None and count > most:
+        raise WireError(f"record list of {count} exceeds {most}")
     offset += 4
     frames = []
     for _ in range(count):
@@ -137,10 +166,16 @@ def read_frames(buf: bytes, offset: int = 0) -> tuple[list[bytes], int]:
     return frames, offset
 
 
+def _frame_record(frame: bytes) -> TokenUploadRecord:
+    """The record a checked frame holds."""
+    return TokenUploadRecord(
+        frame[:TOKEN_HASH_BYTES], frame[CIPHERTEXT_AT:-1], _TAGS[frame[-1]]
+    )
+
+
 def decode_record(buf: bytes, offset: int = 0) -> tuple[TokenUploadRecord, int]:
     end = _check_frame(buf, offset) + 1
-    f = buf[offset:end]
-    return TokenUploadRecord(f[:TOKEN_HASH_BYTES], f[_HEAD:-1], _TAGS[f[-1]]), end
+    return _frame_record(buf[offset:end]), end
 
 
 def encode_records(records: list[TokenUploadRecord]) -> bytes:
@@ -153,7 +188,7 @@ def decode_records(buf: bytes, offset: int = 0) -> tuple[list[TokenUploadRecord]
     # each frame gives way to its record, so a feed's frames and records
     # are never all held at once
     for i, f in enumerate(records):
-        records[i] = TokenUploadRecord(f[:TOKEN_HASH_BYTES], f[_HEAD:-1], _TAGS[f[-1]])
+        records[i] = _frame_record(f)
     return records, end
 
 
@@ -371,7 +406,7 @@ def handle_request(server, body: bytes) -> bytes:
         else:
             return bytes([STATUS_MALFORMED]) + f"unknown opcode {op}".encode()
         # an upload's record list ends its body
-        frames, end = read_frames(body, offset)
+        frames, end = read_frames(body, offset, MAX_UPLOAD_RECORDS)
         if end != len(body):
             raise WireError("trailing bytes after the record list")
         result = upload(credential, frames)
@@ -475,8 +510,8 @@ class WireClient:
         if resp[0] != STATUS_ACCEPTED:
             raise WireError(resp[1:].decode("ascii", "replace"))
         (epoch,) = struct.unpack_from(">I", resp, 1)
-        records, _ = decode_records(resp, 5)
-        return PublishedFeed(records=tuple(records), feed_epoch=epoch)
+        frames, _ = read_frames(resp, 5)
+        return PublishedFeed(frames=frames, feed_epoch=epoch)
 
     def stats(self) -> dict:
         resp = self._round_trip(bytes([OP_STATS]))

@@ -1,13 +1,17 @@
-"""Naive decentralized matching used only as a test oracle.
+"""Naive matching used only as a test oracle.
 
-Scans every (published key, observation) pair, as the first
-implementation of ``baselines.match_observations`` did, so that the
-identifier-indexed version can be checked against a second
-implementation of the same rule.
+``match_observations`` scans every (published key, observation) pair,
+as the first implementation of ``baselines.match_observations`` did, so
+that the identifier-indexed version can be checked against a second
+implementation of the same rule.  ``match_feed_records`` scans every
+(feed record, token) pair on record objects, as ``exposure.match_feed``
+did before it read frames.
 """
 
-from tracecorona import crypto
+from tracecorona import crypto, exposure
 from tracecorona.baselines import BaselineMatch
+from tracecorona.exposure import ExposureNotification, NotificationLevel
+from tracecorona.wire import Tag
 
 DAY = 86400
 
@@ -27,3 +31,41 @@ def match_observations(teks, observations, replay_window, kiss_bug):
             if in_window or (kiss_bug and obs.time // DAY == key.day):
                 matches.append(BaselineMatch(key, slot, obs))
     return matches
+
+
+#: The notification level and superspreader flag each tag is published as.
+LEVELS = {
+    Tag.DIRECT: (NotificationLevel.DIRECT, False),
+    Tag.SECOND_LEVEL: (NotificationLevel.SECOND_LEVEL, False),
+    Tag.POSSIBLE_SUPERSPREADER: (NotificationLevel.DIRECT, True),
+}
+
+
+def match_feed_records(tokens, records, epsilon, weights=exposure.DEFAULT_RISK_WEIGHTS):
+    """The notifications ``exposure.match_feed`` gives for a store holding
+    ``tokens`` (in store order) and a feed of ``records`` (in feed order):
+    every matching (record, token) pair in feed order, then token order,
+    stably sorted by encounter time, hash and level."""
+    hits = []
+    hashes = [t.secret is not None and crypto.token_hash(t.secret) for t in tokens]
+    for record in records:
+        for token, h in zip(tokens, hashes):
+            if h != record.hash:
+                continue
+            try:
+                remote = crypto.decrypt_metadata(token.secret, record.ciphertext)
+            except crypto.AuthenticationFailure:
+                continue
+            if abs(remote - token.start_time) > epsilon:
+                continue
+            level, flagged = LEVELS[record.tag]
+            hits.append(ExposureNotification(
+                matched_hash=record.hash,
+                level=level,
+                superspreader_flag=flagged,
+                encounter_time=token.start_time,
+                duration=token.duration,
+                risk_score=exposure.risk_score(token.duration, token.max_signal_strength, weights),
+            ))
+    hits.sort(key=lambda n: (n.encounter_time, n.matched_hash, n.level.value))
+    return hits

@@ -13,6 +13,7 @@ from importlib import resources
 
 from scipy import stats as scipy_stats
 
+import match_oracle
 from tracecorona import crypto, exposure, payload
 from tracecorona.authority import HealthAuthority
 from tracecorona.crypto import EncounterToken
@@ -20,7 +21,14 @@ from tracecorona.device import Device, TokenStore
 from tracecorona.server import TracingServer
 from tracecorona.simnet.config import ScenarioConfig
 from tracecorona.simnet.engine import run_scenario
-from tracecorona.wire import PublishedFeed, Tag, TokenUploadRecord, encode_record
+from tracecorona.wire import (
+    TOKEN_HASH_BYTES,
+    PublishedFeed,
+    Tag,
+    TokenUploadRecord,
+    decode_record,
+    encode_record,
+)
 
 DAY = 86400
 
@@ -94,7 +102,7 @@ def test_criterion_2_payload_arithmetic():
         tan = ha.issue_tan("u", 0)
         assert server.upload_infected(tan.value, frames(records)).accepted
         feed = server.fetch_feed(0, random.Random(0))
-        hash_bits = sum(len(r.hash) for r in feed.records) * 8
+        hash_bits = sum(len(decode_record(f)[0].hash) for f in feed.frames) * 8
         assert hash_bits == 35_840
 
         assert payload.daily_feed_hash_payload_bytes(10_000) == 44_800_000
@@ -209,22 +217,6 @@ def test_criterion_7_timeline_reproduction():
         )
 
 
-def _oracle_match(tokens, records, epsilon):
-    hits = []
-    hashes = [crypto.token_hash(t.secret) for t in tokens]
-    for record in records:
-        for token, h in zip(tokens, hashes):
-            if h != record.hash:
-                continue
-            try:
-                remote = crypto.decrypt_metadata(token.secret, record.ciphertext)
-            except crypto.AuthenticationFailure:
-                continue
-            if abs(remote - token.start_time) <= epsilon:
-                hits.append((record.hash, token.start_time))
-    return sorted(hits)
-
-
 def test_criterion_8_matching_oracle_equivalence():
     with criterion(8, "match_feed vs brute-force double loop, 100 instances"):
         rng = random.Random(2718)
@@ -267,12 +259,9 @@ def test_criterion_8_matching_oracle_equivalence():
             store = TokenStore()
             for i, token in enumerate(tokens):
                 store.add(token.frame_index, i.to_bytes(16, "big"), token)
-            feed = PublishedFeed(records=tuple(records), feed_epoch=0)
-            got = sorted(
-                (n.matched_hash, n.encounter_time)
-                for n in exposure.match_feed(store, feed, 30)
-            )
-            expected = _oracle_match(tokens, records, 30)
+            feed = PublishedFeed(frames=frames(records), feed_epoch=0)
+            got = exposure.match_feed(store, feed, 30)
+            expected = match_oracle.match_feed_records(tokens, records, 30)
             assert got == expected
 
 
@@ -333,8 +322,8 @@ def test_criterion_10_shuffle_unlinkability():
         counts = [0] * 20
         for seed in range(200):
             feed = server.fetch_feed(0, random.Random(seed))
-            for position, record in enumerate(feed.records):
-                if record.hash in batch1_hashes:
+            for position, frame in enumerate(feed.frames):
+                if frame[:TOKEN_HASH_BYTES] in batch1_hashes:
                     counts[position] += 1
         result = scipy_stats.chisquare(counts)
         assert result.pvalue > 0.01, f"p={result.pvalue}"

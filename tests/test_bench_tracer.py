@@ -43,7 +43,7 @@ def test_traced_upload_fetch_and_replay(tmp_path):
     finally:
         tracer.uninstall()
     assert sorted(fetched, key=lambda r: r.hash) == sorted(records, key=lambda r: r.hash)
-    assert feed.records == tuple(fetched)
+    assert feed.frames == [wire.encode_record(r) for r in fetched]
     totals = tracer.snapshot()
     assert totals["server.records_stored"] == 3
     assert totals["server.records_held"] == 3

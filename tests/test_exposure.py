@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import match_oracle
 from tracecorona import crypto, exposure
 from tracecorona.crypto import EncounterToken
 from tracecorona.device import TokenStore
 from tracecorona.exposure import NotificationLevel, RiskWeights
-from tracecorona.wire import PublishedFeed, Tag, TokenUploadRecord
+from tracecorona.wire import PublishedFeed, Tag, TokenUploadRecord, encode_record
 
 
 def token_with(secret, start_time, duration=600, rssi=-55.0, frame=None):
@@ -39,25 +40,8 @@ def record_from(secret, remote_time, tag=Tag.DIRECT):
 
 
 def feed_of(records, epoch=0):
-    return PublishedFeed(records=tuple(records), feed_epoch=epoch)
-
-
-def oracle_match(tokens, records, epsilon):
-    """Brute-force double loop over (store x feed) with the match
-    predicate; kept deliberately independent of match_feed."""
-    hits = []
-    hashes = [crypto.token_hash(t.secret) for t in tokens]
-    for record in records:
-        for token, h in zip(tokens, hashes):
-            if h != record.hash:
-                continue
-            try:
-                remote = crypto.decrypt_metadata(token.secret, record.ciphertext)
-            except crypto.AuthenticationFailure:
-                continue
-            if abs(remote - token.start_time) <= epsilon:
-                hits.append((record.hash, token.start_time, record.tag))
-    return sorted(hits)
+    """A fetched feed holding the records' frames in order."""
+    return PublishedFeed(frames=[encode_record(r) for r in records], feed_epoch=epoch)
 
 
 class TestMatchFeed:
@@ -114,11 +98,8 @@ class TestMatchFeed:
                 records.append(record_from(secret, tokens[-1].start_time + delta))
         for _ in range(10):
             records.append(record_from(rng.randbytes(32), rng.randrange(10_000)))
-        got = sorted(
-            (n.matched_hash, n.encounter_time, Tag.DIRECT)
-            for n in exposure.match_feed(store_of(tokens), feed_of(records), 30)
-        )
-        assert got == oracle_match(tokens, records, 30)
+        got = exposure.match_feed(store_of(tokens), feed_of(records), 30)
+        assert got == match_oracle.match_feed_records(tokens, records, 30)
 
     def test_epsilon_monotone(self):
         rng = random.Random(6)
@@ -152,10 +133,53 @@ class TestMatchFeed:
         large = {n.encounter_time for n in exposure.match_feed(store, feed, max(e2, 1))}
         assert small <= large
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        token_specs=st.lists(
+            st.tuples(
+                st.integers(0, 3),  # secret
+                st.integers(0, 3),  # start time slot
+                st.integers(60, 900),  # duration
+                st.sampled_from([-50.0, -70.0, -90.0]),  # signal strength
+            ),
+            max_size=8,
+        ),
+        record_specs=st.lists(
+            st.tuples(
+                st.integers(0, 4),  # secret of the hash; 4 is in no token
+                st.booleans(),  # ciphertext under another secret
+                st.integers(0, 3),  # remote time slot
+                st.sampled_from([-31, -30, 0, 30, 31]),  # remote time offset
+                st.lists(st.sampled_from(list(Tag)), min_size=1, max_size=3),
+            ),
+            max_size=10,
+        ),
+        draws=st.randoms(use_true_random=False),
+    )
+    def test_frames_match_the_record_oracle(self, token_specs, record_specs, draws):
+        """Matching a feed's frames gives the record-based oracle's
+        notifications in full and in order: tokens sharing a hash, and
+        copies of one record that differ only by tag, whose notifications
+        tie on the sort key and keep feed order."""
+        secrets = [random.Random(i).randbytes(32) for i in range(5)]
+        tokens = [
+            token_with(secrets[s], 1000 + 10 * slot, duration, rssi)
+            for s, slot, duration, rssi in token_specs
+        ]
+        records = []
+        for s, forged, slot, delta, tags in record_specs:
+            key = secrets[(s + 1) % 5] if forged else secrets[s]
+            ciphertext = crypto.encrypt_metadata(key, 1000 + 10 * slot + delta)
+            h = crypto.token_hash(secrets[s])
+            records += [TokenUploadRecord(h, ciphertext, tag) for tag in tags]
+        draws.shuffle(records)
+        got = exposure.match_feed(store_of(tokens), feed_of(records), 30)
+        assert got == match_oracle.match_feed_records(tokens, records, 30)
+
     def test_no_false_matches_100k_random_tokens(self):
         rng = random.Random(7)
         feed = feed_of([record_from(rng.randbytes(32), 1000) for _ in range(20)])
-        feed_hashes = {r.hash for r in feed.records}
+        feed_hashes = {frame[:16] for frame in feed.frames}
         hits = 0
         for _ in range(100_000):
             if crypto.token_hash(rng.randbytes(32)) in feed_hashes:

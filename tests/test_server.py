@@ -60,8 +60,8 @@ class TestUploadInfected:
         result = server.upload_infected(tan.value, frames(records))
         assert result.accepted and result.stored == 280
         feed = server.fetch_feed(0, random.Random(0))
-        assert len(feed.records) == 280
-        assert sum(len(r.hash) for r in feed.records) == 4480
+        assert len(feed.frames) == 280
+        assert sum(len(wire.decode_record(f)[0].hash) for f in feed.frames) == 4480
 
     def test_reused_tan_rejected(self):
         server, ha = make_server()
@@ -71,7 +71,7 @@ class TestUploadInfected:
         assert server.upload_infected(tan.value, frames(records)).accepted
         result = server.upload_infected(tan.value, frames(records))
         assert not result.accepted and result.reason == REASON_INVALID_TAN
-        assert len(server.fetch_feed(0, random.Random(0)).records) == 3
+        assert len(server.fetch_feed(0, random.Random(0)).frames) == 3
 
     def test_empty_list_rejected(self):
         server, ha = make_server()
@@ -100,7 +100,7 @@ class TestSecondLevel:
         result = server.upload_second_level(secret, frames(own))
         assert result.accepted and result.stored == 4
         feed = server.fetch_feed(0, random.Random(0))
-        assert sum(r.tag is Tag.SECOND_LEVEL for r in feed.records) == 4
+        assert sum(f[-1] == Tag.SECOND_LEVEL for f in feed.frames) == 4
 
     def test_forgery_sweep_10k(self):
         server, ha = make_server()
@@ -156,7 +156,7 @@ class TestSuperspreader:
         result = server.upload_superspreader_proof(secrets, frames(own))
         assert result.accepted
         feed = server.fetch_feed(0, random.Random(0))
-        assert sum(r.tag is Tag.POSSIBLE_SUPERSPREADER for r in feed.records) == 2
+        assert sum(f[-1] == Tag.POSSIBLE_SUPERSPREADER for f in feed.frames) == 2
 
     def test_three_copies_of_one_proof_rejected(self):
         server, _, secrets, _ = self.setup_published()
@@ -177,7 +177,7 @@ class TestSuperspreader:
 class TestFeed:
     def test_empty_store_empty_feed(self):
         server, _ = make_server()
-        assert server.fetch_feed(0, random.Random(0)).records == ()
+        assert server.fetch_feed(0, random.Random(0)).frames == []
 
     def test_same_seed_same_permutation(self):
         server, ha = make_server()
@@ -186,9 +186,9 @@ class TestFeed:
         server.upload_infected(tan.value, frames(records))
         a = server.fetch_feed(0, random.Random(99))
         b = server.fetch_feed(0, random.Random(99))
-        assert a.records == b.records
+        assert a.frames == b.frames
         c = server.fetch_feed(0, random.Random(100))
-        assert c.records != a.records
+        assert c.frames != a.frames
 
     def test_epoch_paging_sees_each_record_once(self):
         server, ha = make_server()
@@ -199,8 +199,8 @@ class TestFeed:
             tan = ha.issue_tan("u", 0)
             server.upload_infected(tan.value, frames(records))
             feed = server.fetch_feed(epoch, random.Random(epoch))
-            assert len(feed.records) == 4
-            seen.extend(feed.records)
+            assert len(feed.frames) == 4
+            seen.extend(feed.frames)
         assert len(seen) == len(set(seen)) == 20
 
     def test_batch_positions_uniform_chi_square(self):
@@ -217,8 +217,8 @@ class TestFeed:
         counts = [0] * 20
         for seed in range(200):
             feed = server.fetch_feed(0, random.Random(seed))
-            for position, record in enumerate(feed.records):
-                if record.hash in batch1_hashes:
+            for position, frame in enumerate(feed.frames):
+                if frame[:wire.TOKEN_HASH_BYTES] in batch1_hashes:
                     counts[position] += 1
         result = scipy_stats.chisquare(counts)
         assert result.pvalue > 0.01
@@ -229,11 +229,11 @@ class TestFeed:
         tan = ha.issue_tan("u", 0)
         server.upload_infected(tan.value, frames(records))
         feed = server.fetch_feed(0, random.Random(1))
-        assert len(feed.records) == 280
+        assert len(feed.frames) == 280
         original = {r.hash: i for i, r in enumerate(records)}
+        hashes = [f[:wire.TOKEN_HASH_BYTES] for f in feed.frames]
         adjacent_in_order = sum(
-            original[feed.records[i + 1].hash] == original[feed.records[i].hash] + 1
-            for i in range(279)
+            original[hashes[i + 1]] == original[hashes[i]] + 1 for i in range(279)
         )
         # a uniform shuffle keeps ~1 adjacent pair in expectation
         assert adjacent_in_order < 20
@@ -303,7 +303,7 @@ class TestFeed:
                             + wire.encode_records(expected)
                         )
                         feed = server.fetch_feed(since, random.Random(seed))
-                        assert feed.records == tuple(expected)
+                        assert feed.frames == frames(expected)
                         assert feed.feed_epoch == server.epoch
 
 
@@ -365,8 +365,8 @@ class TestStorageGranularity:
 
         replayed = TracingServer.replay_log(log, HealthAuthority(random.Random(0)))
         assert replayed.epoch == 2
-        original = server.fetch_feed(0, random.Random(5)).records
-        restored = replayed.fetch_feed(0, random.Random(5)).records
+        original = server.fetch_feed(0, random.Random(5)).frames
+        restored = replayed.fetch_feed(0, random.Random(5)).frames
         assert original == restored
         # replayed possession verification still works
         assert replayed.upload_second_level(secrets[1], []).accepted
@@ -475,6 +475,44 @@ class TestUploadBody:
         for body in bodies:
             assert wire.handle_request(server, body)[0] == wire.STATUS_ACCEPTED
         assert len(server._records) == 6
+
+    def test_upload_over_the_record_cap_malformed_and_nothing_kept(self, tmp_path):
+        log = tmp_path / "server.log"
+        server, ha = make_server(log_path=log)
+        secrets, records = random_records(random.Random(64), 3)
+        first = wire.encode_upload_infected(ha.issue_tan("u", 0).value, records)
+        assert wire.handle_request(server, first)[0] == wire.STATUS_ACCEPTED
+        logged = log.read_bytes()
+        rng = random.Random(65)
+        # 1-byte ciphertexts fit more records than the cap under the byte cap
+        short = [TokenUploadRecord(rng.randbytes(16), b"\x01") for _ in range(2000)]
+        tan = ha.issue_tan("u", 0).value
+        over = wire.encode_upload_infected(tan, short)
+        assert len(over) == 44_018 < wire.MAX_REQUEST_BYTES
+        capped = short[:wire.MAX_UPLOAD_RECORDS]
+        bodies = [
+            over,
+            wire.encode_upload_second_level(secrets[0], capped + short[:1]),
+            wire.encode_upload_superspreader(secrets, capped + short[:1]),
+        ]
+        for body in bodies:
+            assert wire.handle_request(server, body)[0] == wire.STATUS_MALFORMED
+        # the count is refused before any frame is read
+        head = bytes([wire.OP_UPLOAD_INFECTED, len(tan)]) + tan.encode("ascii")
+        count = struct.pack(">I", wire.MAX_UPLOAD_RECORDS + 1)
+        response = wire.handle_request(server, head + count)
+        assert response == bytes([wire.STATUS_MALFORMED]) + b"record list of 1025 exceeds 1024"
+        assert log.read_bytes() == logged
+        assert len(server._records) == len(server._epochs) == 3
+        # an upload at the cap is accepted with the unspent TAN, and a
+        # feed is not capped
+        body = wire.encode_upload_infected(tan, capped)
+        assert wire.handle_request(server, body)[0] == wire.STATUS_ACCEPTED
+        body = wire.encode_upload_superspreader(secrets, short[wire.MAX_UPLOAD_RECORDS:])
+        assert wire.handle_request(server, body)[0] == wire.STATUS_ACCEPTED
+        response = wire.handle_request(server, wire.encode_fetch_feed(0, 1))
+        fetched, _ = wire.read_frames(response, 5)
+        assert len(fetched) == 3 + 2000
 
     def test_socket_uploads_build_no_record_objects(self, tmp_path, monkeypatch):
         from tracecorona import server as server_module

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tracecorona import crypto, wire
+import match_oracle
+from tracecorona import crypto, exposure, wire
 from tracecorona.authority import HealthAuthority
+from tracecorona.crypto import EncounterToken
+from tracecorona.device import TokenStore
 from tracecorona.server import TracingServer
 
 
@@ -58,6 +61,24 @@ class TestRecordFraming:
         records = [sample_record(i)[1] for i in range(5)]
         decoded, _ = wire.decode_records(wire.encode_records(records))
         assert decoded == records
+
+    def test_feed_records_view_builds_one_record_at_a_time(self, monkeypatch):
+        batch = [sample_record(i, tag)[1] for i, tag in enumerate(wire.Tag)]
+        feed = wire.PublishedFeed(frames=[wire.encode_record(r) for r in batch], feed_epoch=0)
+        built = []
+        record_class = wire.TokenUploadRecord
+
+        def counted(*args):
+            built.append(args)
+            return record_class(*args)
+
+        monkeypatch.setattr(wire, "TokenUploadRecord", counted)
+        view = feed.records
+        assert len(view) == 3 and built == []
+        records = iter(view)
+        assert next(records) == batch[0] and len(built) == 1
+        assert list(records) == batch[1:] and len(built) == 3
+        assert list(feed.records) == batch
 
     def test_hash_length_enforced(self):
         # struct's "16s" would pad or cut a 15- or 17-byte hash without complaint
@@ -168,7 +189,7 @@ class TestSocketApi:
         accepted, _ = client.upload_infected(tan.value, [record])
         assert accepted
         feed = client.fetch_feed(0, shuffle_seed=1)
-        assert feed.records == (record,)
+        assert feed.frames == [wire.encode_record(record)]
         assert client.stats()["records_published"] == 1
 
     def test_invalid_tan_over_socket(self, served):
@@ -204,7 +225,55 @@ class TestSocketApi:
         client.upload_infected(tan.value, records)
         a = client.fetch_feed(0, shuffle_seed=42)
         b = client.fetch_feed(0, shuffle_seed=42)
-        assert a.records == b.records
+        assert a.frames == b.frames
+
+    def test_fetched_feed_matched_without_record_objects(self, served, monkeypatch):
+        """A feed fetched over a socket is matched from its frames: with
+        record objects refused, the notifications are those of matching
+        the decoded records, planted hits of every tag included."""
+        client, _, ha = served
+        rng = random.Random(90)
+        now = 1_600_000_000
+
+        def record(secret, t):
+            return wire.TokenUploadRecord(
+                crypto.token_hash(secret), crypto.encrypt_metadata(secret, t)
+            )
+
+        secrets = [rng.randbytes(32) for _ in range(9)]
+        # secrets 0-2 are uploaded as infected and prove the later uploads;
+        # 3-4 go up second-level, 5-6 superspreader, 7-8 are never hit
+        uploads = [
+            (client.upload_infected, ha.issue_tan("u", 0).value, secrets[:3]),
+            (client.upload_second_level, secrets[0], secrets[3:5]),
+            (client.upload_superspreader, secrets[:3], secrets[5:7]),
+        ]
+        for upload, credential, published in uploads:
+            noise = [record(rng.randbytes(32), now) for _ in range(20)]
+            assert upload(credential, [record(s, now + 5) for s in published] + noise)[0]
+        tokens = [
+            EncounterToken(secret, now + 10 * (i % 2), 600, -55.0, 0)
+            for i, secret in enumerate(secrets)
+        ]
+        # a token out of the time window of its published record
+        tokens.append(EncounterToken(secrets[2], now + 600, 600, -55.0, 0))
+        store = TokenStore()
+        for i, token in enumerate(tokens):
+            store.add(0, i.to_bytes(16, "big"), token)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a record object was built on the feed path")
+
+        monkeypatch.setattr(wire, "TokenUploadRecord", refuse)
+        monkeypatch.setattr(exposure, "TokenUploadRecord", refuse)
+        feed = client.fetch_feed(0, shuffle_seed=3)
+        found = exposure.match_feed(store, feed, 30)
+        monkeypatch.undo()
+        records = [wire.decode_record(frame)[0] for frame in feed.frames]
+        assert len(records) == 3 * 20 + 7
+        assert found == match_oracle.match_feed_records(tokens, records, 30)
+        assert sorted((n.level.value, n.superspreader_flag) for n in found) == [
+            ("direct", False)] * 3 + [("direct", True)] * 2 + [("second_level", False)] * 2
 
     def test_tan_issuance_over_socket(self, served):
         # the out-of-band health-authority channel
