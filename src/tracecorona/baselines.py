@@ -8,6 +8,8 @@ scheme where clients match published keys locally.
 
 from __future__ import annotations
 
+import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -29,6 +31,19 @@ class Observation(NamedTuple):
     tempid: bytes
     time: int
     rssi: float
+
+
+class Run(NamedTuple):
+    """A sighting run as a listening device holds it: one identifier
+    heard at one RSSI at each local second of ``times`` (increasing),
+    that is the observations ``(tempid, t, rssi) for t in times``.
+    ``provenance`` is the holder's note of where the beacons came from;
+    matching never reads it."""
+
+    tempid: bytes
+    times: Sequence[int]
+    rssi: float
+    provenance: object = None
 
 
 @dataclass(frozen=True)
@@ -175,24 +190,26 @@ def tempid_at(key: DecentralizedDailyKey, local_time: int) -> bytes:
 
 def match_observations(
     teks: list[DecentralizedDailyKey],
-    observations: list[Observation],
+    runs: list[Run],
     replay_window: int = DEFAULT_REPLAY_WINDOW,
     kiss_bug: bool = False,
 ) -> list[BaselineMatch]:
     """Client-side matching of published daily keys against recorded
-    observations.
+    sighting runs.
 
     An observation matches when its identifier appears among a key's
     derived slot identifiers and its timestamp lies within the slot's
     validity widened by ``replay_window`` seconds.  With ``kiss_bug``
     set, any observation made on the key's own day matches regardless
     of slot timing (the same-day acceptance flaw).  Matches come in key
-    order, then observation order; the observations are indexed by
-    identifier once, so each key costs its 144 lookups.
+    order, then observation order: run order, then second order.  The
+    runs are indexed by identifier once, so each key costs its 144
+    lookups, and a run's matching seconds are one stretch of its
+    times, found by bisection; only they become observations.
     """
     positions: dict[bytes, list[int]] = {}
-    for i, obs in enumerate(observations):
-        positions.setdefault(obs.tempid, []).append(i)
+    for i, run in enumerate(runs):
+        positions.setdefault(run.tempid, []).append(i)
     matches = []
     for key in teks:
         slots = {tempid: slot for slot, tempid in enumerate(key.tempids)}
@@ -201,11 +218,34 @@ def match_observations(
         )
         day_start = key.day * 86400
         for i, slot in hits:
-            obs = observations[i]
+            run = runs[i]
             slot_start = day_start + slot * crypto.DECENTRALIZED_SLOT_SECONDS
-            slot_end = slot_start + crypto.DECENTRALIZED_SLOT_SECONDS
-            in_window = slot_start - replay_window <= obs.time <= slot_end + replay_window
-            same_day = obs.time // 86400 == key.day
-            if in_window or (kiss_bug and same_day):
-                matches.append(BaselineMatch(key, slot, obs))
+            first = slot_start - replay_window
+            last = slot_start + crypto.DECENTRALIZED_SLOT_SECONDS + replay_window
+            if kiss_bug:
+                # the slot lies within its day, so the widened slot and the
+                # day overlap: their union is one stretch
+                first, last = min(first, day_start), max(last, day_start + 86399)
+            times = run.times
+            for t in times[bisect.bisect_left(times, first) : bisect.bisect_right(times, last)]:
+                matches.append(BaselineMatch(key, slot, Observation(run.tempid, t, run.rssi)))
     return matches
+
+
+def provenance_lookup(runs: list[Run]):
+    """``lookup(tempid, t)``: the provenance of the last of ``runs`` that
+    holds the observation of ``tempid`` at local second ``t``, as a dict
+    written once per observation in run order would hold it.  Raises
+    ``KeyError`` for an observation no run holds."""
+    newest_first: dict[bytes, list[Run]] = {}
+    for run in reversed(runs):
+        newest_first.setdefault(run.tempid, []).append(run)
+
+    def lookup(tempid: bytes, t: int):
+        for run in newest_first.get(tempid, ()):
+            i = bisect.bisect_left(run.times, t)
+            if i < len(run.times) and run.times[i] == t:
+                return run.provenance
+        raise KeyError((tempid, t))
+
+    return lookup

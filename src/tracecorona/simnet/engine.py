@@ -20,8 +20,13 @@ sees a run half applied.  A link that shares a device with another link
 at the time keeps one event per second: which of them gets a connection
 slot or a relay admission depends on the order of their beacons within
 each second.  Sensors log the first and last second of each advertising
-stretch per identifier.  ``tests/engine_oracle.py`` keeps the per-second
-loop; reports must match it byte for byte.
+stretch per identifier.  A baseline client keeps each run it is handed
+as one entry (identifier, RSSI, the run's seconds on its own clock,
+provenance) and expires whole runs at midnight, trimming only a run
+that straddles the retention horizon; matching and the centralized
+upload read the runs, so no step costs one object per beacon.
+``tests/engine_oracle.py`` keeps the per-second loop; reports must
+match it byte for byte.
 
 Determinism: all randomness flows from the scenario seed through named
 substreams (feed shuffles, TAN issuance, adversary noise, and channel
@@ -30,8 +35,9 @@ order); device iteration follows config order.  Whether a beacon is
 lost is drawn from its link direction's own generator, once per
 deliverable second in time order, so it depends on the seed, the link,
 the direction and the second only, never on the order of events.
-Attack bookkeeping (which encounters were injected) lives only in the
-engine's ground-truth tables, never in scheme state.
+Attack bookkeeping (which encounters were injected) lives in the
+engine's ground-truth tables and in the provenance a baseline client's
+runs carry; no scheme step reads it.
 
 Nominal wire sizes for the baseline schemes, used for payload
 accounting: a published daily key frames as 4-byte day || 16-byte key;
@@ -445,28 +451,40 @@ class _TraceCoronaClient(_Client):
 
 class _BaselineClient(_Client):
     """What the two baseline schemes share: a log of the identifiers
-    heard, kept for the retention period."""
+    heard, one ``baselines.Run`` per sighting run handed in, kept for the
+    retention period.  A run carries its provenance (source and relay),
+    which only the engine's reporting reads."""
 
     def __init__(self, spec, config: ScenarioConfig):
         super().__init__(spec, config)
-        self.observations: list[baselines.Observation] = []
+        self.runs: list[baselines.Run] = []
         self.retention_s = config.retention_days * SECONDS_PER_DAY
 
     def on_run(self, engine, src, identifier, rssi, seconds, link) -> float:
-        """One observation, and its provenance, per beacon: the
-        centralized upload carries each of them."""
+        """The run whole, at the local seconds of the device's clock."""
         offset = self.device.clock_offset
+        if offset and isinstance(seconds, range):
+            seconds = range(seconds.start + offset, seconds.stop + offset)
+        elif offset:
+            seconds = [t + offset for t in seconds]
         prov = {"source": src.id, "via": link.adversary}
-        for t in seconds:
-            local = t + offset
-            self.observations.append(baselines.Observation(identifier, local, rssi))
-            engine.gt_obs_prov[(self.id, identifier, local)] = prov
+        self.runs.append(baselines.Run(identifier, seconds, rssi, prov))
         return math.inf
 
     def midnight(self, day: int) -> None:
+        """Drop the runs that ended before the retention horizon and trim
+        the one that straddles it; runs of different links interleave in
+        time, so each is checked."""
         super().midnight(day)
         horizon = self.device.local_time(day * SECONDS_PER_DAY) - self.retention_s
-        self.observations = [obs for obs in self.observations if obs.time >= horizon]
+        kept = []
+        for run in self.runs:
+            if run.times[-1] < horizon:
+                continue
+            if run.times[0] < horizon:
+                run = run._replace(times=run.times[bisect.bisect_left(run.times, horizon):])
+            kept.append(run)
+        self.runs = kept
 
 
 class _DecentralizedClient(_BaselineClient):
@@ -503,7 +521,7 @@ class _DecentralizedClient(_BaselineClient):
     def fake_claims(engine: Engine, attempts: int) -> int:
         """Nothing authenticates a claimed exposure: every attempt succeeds
         once any key is published."""
-        return attempts if engine.dec_server.download() else 0
+        return attempts if engine.dec_server.published else 0
 
     def upload(self, engine: Engine, t: int, day: int) -> None:
         first = max(0, day - engine.config.retention_days + 1)
@@ -513,7 +531,7 @@ class _DecentralizedClient(_BaselineClient):
         engine.payload_up += 4 + 1 + len(keys) * 20
 
     def fetch(self, engine: Engine, t: int) -> None:
-        published = engine.dec_server.download()
+        published = engine.dec_server.published
         if len(published) == self.last_key_count:
             return
         new_keys = published[self.last_key_count :]
@@ -522,28 +540,29 @@ class _DecentralizedClient(_BaselineClient):
         engine.payload_down += 4 + 1 + 20 * len(new_keys)
         matches = baselines.match_observations(
             new_keys,
-            self.observations,
+            self.runs,
             replay_window=engine.config.replay_window,
             kiss_bug=engine.config.kiss_bug,
         )
-        owners = {(key.tek, key.day): owner for owner, key in engine.gt_published_keys}
+        fresh = []
         for match in matches:
             dedupe = (match.key.tek, match.key.day)
-            if dedupe in self.notified_keys:
-                continue
-            self.notified_keys.add(dedupe)
-            owner = owners.get(dedupe)
-            prov = engine.gt_obs_prov.get(
-                (self.id, match.observation.tempid, match.observation.time)
-            )
+            if dedupe not in self.notified_keys:
+                self.notified_keys.add(dedupe)
+                fresh.append(match)
+        if not fresh:
+            return
+        owners = {(key.tek, key.day): owner for owner, key in engine.gt_published_keys}
+        provenance = baselines.provenance_lookup(self.runs)
+        for match in fresh:
+            owner = owners.get((match.key.tek, match.key.day))
+            prov = provenance(match.observation.tempid, match.observation.time)
             engine.record_notification(
                 self, t, "direct", False,
                 matched=match.observation.tempid.hex(),
                 source=owner,
-                via=prov["via"] if prov else None,
-                genuine=bool(
-                    prov and prov["via"] is None and owner is not None and prov["source"] == owner
-                ),
+                via=prov["via"],
+                genuine=prov["via"] is None and owner is not None and prov["source"] == owner,
             )
 
 
@@ -562,17 +581,18 @@ class _CentralizedClient(_BaselineClient):
         tan = engine.authority.issue_tan(self.id, t)
         if not engine.authority.verify_tan(tan.value):
             return
-        uploaded = [(obs.tempid, obs.time) for obs in self.observations]
+        uploaded = [(run.tempid, t) for run in self.runs for t in run.times]
         engine.payload_up += 4 + 2 + len(tan.value) + 24 * len(uploaded)
         matched = self.cen_server.ingest_upload(self.user_id, uploaded)
         by_user = {
             c.user_id: c for c in engine.clients.values() if isinstance(c, _CentralizedClient)
         }
+        provenance = baselines.provenance_lookup(self.runs)
         for user_id in matched:
             target = by_user.get(user_id)
             if target is None:
                 continue
-            genuine, via = self._match_provenance(engine, target, uploaded)
+            genuine, via = self._match_provenance(target, uploaded, provenance)
             engine.payload_down += 21
             engine.record_notification(
                 target, t, "direct", False,
@@ -582,7 +602,7 @@ class _CentralizedClient(_BaselineClient):
                 genuine=genuine,
             )
 
-    def _match_provenance(self, engine: Engine, target, uploaded):
+    def _match_provenance(self, target, uploaded, provenance):
         """Did any genuinely observed identifier of `target` trigger the
         match, or only relayed ones?"""
         best_via = None
@@ -590,9 +610,7 @@ class _CentralizedClient(_BaselineClient):
             t_k = timestamp // baselines.CENTRAL_INTERVAL_SECONDS
             if self.cen_server.tempid_for(target.user_id, t_k) != tempid:
                 continue
-            prov = engine.gt_obs_prov.get((self.id, tempid, timestamp))
-            if prov is None:
-                continue
+            prov = provenance(tempid, timestamp)
             if prov["via"] is None and prov["source"] == target.id:
                 return True, None
             best_via = prov["via"]
@@ -655,7 +673,6 @@ class Engine:
         self.gt_token_prov: dict[tuple[str, int, bytes], dict] = {}
         #: record hash -> uploader -> provenance of that uploader's record
         self.gt_record_origin: dict[bytes, dict[str, dict]] = {}
-        self.gt_obs_prov: dict[tuple[str, bytes, int], dict] = {}
         self.gt_published_keys: list[tuple[str, baselines.DecentralizedDailyKey]] = []
         self.gt_infections: dict[str, _Infection] = {}
 

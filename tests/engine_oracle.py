@@ -6,7 +6,11 @@ device's per-beacon rules.  Loss is drawn as the engine draws it: from
 each link direction's own generator, once per deliverable second in
 time order.  Everything else (clients, handshakes, daily cadence,
 report) is the engine's, so that the sighting-run engine can be checked
-against a second implementation of the same radio.
+against a second implementation of the same radio.  A baseline client
+gets each beacon as a one-second run; the oracle also keeps what the
+first engine kept per beacon: each client's observation log, expired at
+midnight, and the provenance of each (client, identifier, local second)
+in ``gt_obs_prov``, last writer wins.
 """
 
 import random
@@ -14,13 +18,17 @@ import random
 from tracecorona.baselines import Observation
 from tracecorona.device import APP_UUID, BeaconMessage
 from tracecorona.simnet.config import SECONDS_PER_DAY
-from tracecorona.simnet.engine import Engine, _TraceCoronaClient
+from tracecorona.simnet.engine import Engine, _BaselineClient, _TraceCoronaClient
 
 
 class OracleEngine(Engine):
     def __init__(self, config):
         super().__init__(config)
         self._loss_rngs = {}
+        self.observations = {
+            c.id: [] for c in self.clients.values() if isinstance(c, _BaselineClient)
+        }
+        self.gt_obs_prov = {}
 
     def _run_link(self, link, first=False):
         self._tick_link(link, self._now)
@@ -64,12 +72,20 @@ class OracleEngine(Engine):
             if request is not None:
                 self.start_handshake(dst, src, request, t, link)
             return
+        dst.on_run(self, src, identifier, rssi, (t,), link)
         local = dst.device.local_time(t)
-        dst.observations.append(Observation(identifier, local, rssi))
+        self.observations[dst.id].append(Observation(identifier, local, rssi))
         self.gt_obs_prov[(dst.id, identifier, local)] = {
             "source": src.id,
             "via": link.adversary,
         }
+
+    def _midnight(self, day):
+        super()._midnight(day)
+        for device_id, log in self.observations.items():
+            client = self.clients[device_id]
+            horizon = client.device.local_time(day * SECONDS_PER_DAY) - client.retention_s
+            log[:] = [obs for obs in log if obs.time >= horizon]
 
     def _tick_sensor(self, coverage, t):
         if t >= coverage.end:

@@ -3,17 +3,23 @@
 ``match_observations`` scans every (published key, observation) pair,
 as the first implementation of ``baselines.match_observations`` did, so
 that the identifier-indexed version can be checked against a second
-implementation of the same rule.  ``match_feed_records`` scans every
+implementation of the same rule; ``expand`` turns sighting runs into
+the observations that version took, one per beacon.  ``match_feed_records`` scans every
 (feed record, token) pair on record objects, as ``exposure.match_feed``
 did before it read frames.
 """
 
 from tracecorona import crypto, exposure
-from tracecorona.baselines import BaselineMatch
+from tracecorona.baselines import BaselineMatch, Observation
 from tracecorona.exposure import ExposureNotification, NotificationLevel
 from tracecorona.wire import Tag
 
 DAY = 86400
+
+
+def expand(runs):
+    """One observation per second of each run, in run order."""
+    return [Observation(run.tempid, t, run.rssi) for run in runs for t in run.times]
 
 
 def match_observations(teks, observations, replay_window, kiss_bug):

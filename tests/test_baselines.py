@@ -1,7 +1,9 @@
 """Baseline schemes: centralized matching, decentralized keys, attacks."""
 
+import bisect
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,8 +13,10 @@ from tracecorona.baselines import (
     CentralizedServer,
     DecentralizedServer,
     Observation,
+    Run,
     match_observations,
     new_daily_key,
+    provenance_lookup,
     tempid_at,
 )
 
@@ -86,6 +90,11 @@ def obs_at(key, local_time, rssi=-55.0):
     return Observation(tempid_at(key, local_time), local_time, rssi)
 
 
+def runs_of(observations):
+    """One one-second run per observation."""
+    return [Run(obs.tempid, (obs.time,), obs.rssi) for obs in observations]
+
+
 class TestDecentralized:
     def test_daily_key_deterministic(self):
         assert new_daily_key(b"seed", 3) == new_daily_key(b"seed", 3)
@@ -94,7 +103,7 @@ class TestDecentralized:
     def test_honest_contact_notifies(self):
         key = new_daily_key(b"a", 2)
         t = 2 * 86400 + 5 * 3600
-        matches = match_observations([key], [obs_at(key, t)])
+        matches = match_observations([key], runs_of([obs_at(key, t)]))
         assert len(matches) == 1
         assert matches[0].key == key
 
@@ -102,33 +111,33 @@ class TestDecentralized:
         key = new_daily_key(b"a", 2)
         emit = 2 * 86400 + 5 * 3600
         replayed = Observation(tempid_at(key, emit), emit + 90 * 60, -60.0)
-        assert match_observations([key], [replayed])
+        assert match_observations([key], runs_of([replayed]))
 
     def test_replay_beyond_two_hours_fails(self):
         key = new_daily_key(b"a", 2)
         emit = 2 * 86400 + 5 * 3600
         replayed = Observation(tempid_at(key, emit), emit + 3 * 3600, -60.0)
-        assert not match_observations([key], [replayed])
+        assert not match_observations([key], runs_of([replayed]))
 
     def test_kiss_bug_accepts_same_day_regardless_of_slot(self):
         key = new_daily_key(b"a", 2)
         emit = 2 * 86400 + 5 * 3600
         late_same_day = Observation(tempid_at(key, emit), emit + 10 * 3600, -60.0)
-        assert not match_observations([key], [late_same_day])
-        assert match_observations([key], [late_same_day], kiss_bug=True)
+        assert not match_observations([key], runs_of([late_same_day]))
+        assert match_observations([key], runs_of([late_same_day]), kiss_bug=True)
 
     def test_kiss_bug_other_day_still_rejected(self):
         key = new_daily_key(b"a", 2)
         emit = 2 * 86400 + 23 * 3600
         next_day = Observation(tempid_at(key, emit), emit + 4 * 3600, -60.0)
-        assert not match_observations([key], [next_day], kiss_bug=True)
+        assert not match_observations([key], runs_of([next_day]), kiss_bug=True)
 
     def test_publish_and_match_through_server(self):
         server = DecentralizedServer()
         key = new_daily_key(b"x", 1)
         t = 1 * 86400 + 1000
         server.publish([key])
-        matches = match_observations(server.download(), [obs_at(key, t)])
+        matches = match_observations(server.download(), runs_of([obs_at(key, t)]))
         assert matches and server.download() == [key]
 
     def test_published_tek_links_all_144_slot_ids(self):
@@ -179,6 +188,73 @@ class TestMatchingIndex:
         kiss_bug=True,
     )
     def test_indexed_equals_naive_scan(self, keys, observations, replay_window, kiss_bug):
-        assert match_observations(keys, observations, replay_window, kiss_bug) == (
+        assert match_observations(keys, runs_of(observations), replay_window, kiss_bug) == (
             match_oracle.match_observations(keys, observations, replay_window, kiss_bug)
         )
+
+
+@st.composite
+def held_runs(draw):
+    """Published keys, a replay window, the kiss flag, and the runs a
+    device holds: slot identifiers of KEYS or strangers' heard near the
+    window's or the day's edges or anywhere within a day of the slot,
+    some with seconds lost as channel loss leaves them, some repeating
+    an identifier already heard over the same seconds or near them, all
+    trimmed at a horizon as midnight leaves them.  Each run's
+    provenance is its index."""
+    keys = draw(st.lists(st.sampled_from(KEYS), min_size=1, max_size=4))
+    replay_window = draw(st.integers(0, 3 * 3600))
+    runs = []
+    for i in range(draw(st.integers(1, 8))):
+        if runs and draw(st.booleans()):
+            earlier = draw(st.sampled_from(runs))
+            tempid, start = earlier.tempid, earlier.times[0] + draw(st.integers(-5, 5))
+        else:
+            key = draw(st.sampled_from(KEYS))
+            slot_start = key.day * DAY + draw(st.integers(0, 143)) * 600
+            tempid = draw(st.one_of(
+                st.just(tempid_at(key, slot_start)), st.binary(min_size=16, max_size=16)
+            ))
+            edge = draw(st.sampled_from([
+                slot_start - replay_window, slot_start + 600 + replay_window,
+                key.day * DAY, (key.day + 1) * DAY, slot_start,
+            ]))
+            start = edge + draw(st.integers(-DAY if edge == slot_start else -900, 900))
+        length = draw(st.integers(1, 1200))
+        times = range(start, start + length)
+        if length > 1 and draw(st.booleans()):
+            lost = draw(st.sets(st.integers(1, length - 1), max_size=length // 2))
+            times = [t for t in times if t - start not in lost]
+        runs.append(Run(tempid, times, -55.0 - i, i))
+    horizon = draw(st.integers(min(r.times[0] for r in runs) - 1, max(r.times[-1] for r in runs)))
+    trimmed = [
+        run._replace(times=run.times[bisect.bisect_left(run.times, horizon):])
+        for run in runs if run.times[-1] >= horizon
+    ]
+    return keys, trimmed, replay_window, draw(st.booleans())
+
+
+class TestRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(held_runs())
+    def test_runs_match_as_their_observations(self, held):
+        keys, runs, replay_window, kiss_bug = held
+        assert match_observations(keys, runs, replay_window, kiss_bug) == (
+            match_oracle.match_observations(
+                keys, match_oracle.expand(runs), replay_window, kiss_bug
+            )
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(held_runs())
+    def test_provenance_is_the_last_writer(self, held):
+        _, runs, _, _ = held
+        last_writer = {}
+        for run in runs:
+            for t in run.times:
+                last_writer[(run.tempid, t)] = run.provenance
+        lookup = provenance_lookup(runs)
+        assert {held: lookup(*held) for held in last_writer} == last_writer
+        tempid, t = next(iter(last_writer))
+        with pytest.raises(KeyError):
+            lookup(tempid, t - 3 * DAY)

@@ -2,7 +2,8 @@
 wraps or reads must still exist and count what it did.
 
 Installs ``bench/tracing.Tracer``, runs one upload, fetch and log replay
-in process, and checks the counters it reads.
+in process, and one decentralized scenario, and checks the counters it
+reads.
 """
 
 import os
@@ -12,6 +13,8 @@ import sys
 from tracecorona import crypto, wire
 from tracecorona.authority import HealthAuthority
 from tracecorona.server import TracingServer
+from tracecorona.simnet import engine
+from tracecorona.simnet.config import ScenarioConfig
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 if BENCH not in sys.path:
@@ -59,3 +62,28 @@ def test_traced_upload_fetch_and_replay(tmp_path):
     # uninstalling puts every wrapped name back
     assert not hasattr(wire.handle_request, "__wrapped__")
     assert not hasattr(TracingServer.upload_infected, "__wrapped__")
+
+
+def test_traced_decentralized_matches():
+    config = ScenarioConfig.from_dict({
+        "name": "traced", "seed": 1, "duration_days": 10, "scheme": "decentralized",
+        "devices": [{"id": "a"}, {"id": "b", "clock_offset_s": 3}],
+        "colocation_schedule": [
+            {"device_a": "a", "device_b": "b", "start": 3 * 86400 + 36000,
+             "end": 3 * 86400 + 37200},
+        ],
+        "infections": [{"device": "a", "day": 0}],
+        "channel_loss": 0.1,
+    })
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = engine.run_scenario(config)
+    finally:
+        tracer.uninstall()
+    totals = tracer.snapshot()
+    assert [n["device"] for n in report.notifications] == ["b"]
+    # b matches every heard second of a's key against its runs
+    assert totals["baselines.match_observations.calls"] >= 1
+    assert totals["baselines.matches"] >= len(report.notifications)
+    assert 0 < totals["baselines.observations_max"] <= totals["baselines.pairs_scanned"]

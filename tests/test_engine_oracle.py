@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engine_oracle
+import match_oracle
 from test_report_digests import CONFIGS, populations
+from tracecorona import baselines
+from tracecorona.baselines import provenance_lookup
 from tracecorona.device import ADVERTISE_ON, ADVERTISE_PERIOD, SCAN_ON, SCAN_PERIOD
 from tracecorona.simnet.config import SCHEMES, ScenarioConfig
-from tracecorona.simnet.engine import Engine
+from tracecorona.simnet.engine import Engine, _BaselineClient
 
 DAY = 86400
 
@@ -20,15 +23,30 @@ CASES = {
 }
 
 
+def held(engine: Engine, client) -> list | None:
+    """A baseline device's observations with their provenance: the
+    oracle's per-beacon log and ``gt_obs_prov`` entries, or the
+    expansion of the engine client's runs and the provenance its lookup
+    gives for each."""
+    if not isinstance(client, _BaselineClient):
+        return None
+    if isinstance(engine, engine_oracle.OracleEngine):
+        log = engine.observations[client.id]
+        assert match_oracle.expand(client.runs) == log
+        return [(obs, engine.gt_obs_prov[(client.id, obs.tempid, obs.time)]) for obs in log]
+    provenance = provenance_lookup(client.runs)
+    return [(obs, provenance(obs.tempid, obs.time)) for obs in match_oracle.expand(client.runs)]
+
+
 def device_state(engine: Engine) -> dict:
     """What each device holds at the end: tokens with their metadata,
-    and a baseline device's observation log."""
+    and a baseline device's observations with their provenance."""
     state = {}
     for client in engine.clients.values():
         tokens = sorted(
             (key, vars(token)) for key, token in client.device.store.items()
         )
-        state[client.id] = (tokens, getattr(client, "observations", None))
+        state[client.id] = (tokens, held(engine, client))
     return state
 
 
@@ -129,6 +147,27 @@ def test_runs_are_the_deliverable_seconds(offset_a, offset_b, start, length, lat
                     id_after, dst.current_frame(after[0]))
 
 
+@pytest.mark.parametrize("scheme", ["decentralized", "centralized"])
+def test_baseline_runs_build_no_observation(monkeypatch, scheme):
+    # three days of contacts at 10% loss and no infection: every beacon
+    # is held through three midnights without one object per beacon
+    def refuse(*args):
+        raise AssertionError("an observation was built")
+
+    monkeypatch.setattr(baselines, "Observation", refuse)
+    engine = Engine(ScenarioConfig.from_dict({
+        "name": "runs", "seed": 2, "duration_days": 3, "scheme": scheme,
+        "devices": [{"id": "a", "clock_offset_s": -7}, {"id": "b", "clock_offset_s": 4}],
+        "colocation_schedule": [
+            {"device_a": "a", "device_b": "b", "start": day * DAY + 3600, "end": day * DAY + 7200}
+            for day in range(3)
+        ],
+        "channel_loss": 0.1,
+    }))
+    engine.run()
+    assert all(len(client.runs) > 10 for client in engine.clients.values())
+
+
 def test_duty_cycles_match_the_arithmetic():
     # the run search steps by these periods
     device = Engine(relay(0, 0, 0, 1, 0, "tracecorona")).clients["a"].device
@@ -144,7 +183,7 @@ def test_duty_cycles_match_the_arithmetic():
 def heard(config: ScenarioConfig) -> dict:
     engine = Engine(config)
     engine.run()
-    return {c.id: c.observations for c in engine.clients.values()}
+    return {c.id: held(engine, c) for c in engine.clients.values()}
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,8 +4,13 @@ import json
 import re
 from collections import Counter
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import match_oracle
 
 from tracecorona import crypto
 from tracecorona.simnet.config import ConfigError, InfectionSpec, ScenarioConfig
@@ -647,6 +652,56 @@ def daily_schedule(days):
         {"device_a": "a", "device_b": "b", "start": d * DAY + 36000, "end": d * DAY + 36600}
         for d in days
     ]
+
+
+class TestBaselineRuns:
+    def test_held_runs_flat_past_retention(self):
+        # one lossless 10-minute contact a day for 30 days: from day 14
+        # each client holds the runs of the last 14 days, and no engine
+        # table grows
+        config = ScenarioConfig.from_dict(config_dict(
+            scheme="decentralized", duration_days=30, infections=[],
+            colocation_schedule=daily_schedule(range(30)), channel_loss=0.0,
+        ))
+        held, sizes = [], []
+
+        class Recording(Engine):
+            def _midnight(self, day):
+                super()._midnight(day)
+                held.append([len(c.runs) for c in self.clients.values()])
+                sizes.append({
+                    name: len(value) for name, value in vars(self).items()
+                    if isinstance(value, (list, dict, set)) and name != "_queue"
+                })
+
+        Recording(config).run()
+        assert len(held) == 30 and all(held[1])
+        assert held[14:] == [[14 * n for n in held[1]]] * 16
+        assert sizes[1:] == [sizes[1]] * 29
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(-900, 900), st.integers(1, 900), st.sets(st.integers(1, 899), max_size=30)
+    ), max_size=6))
+    @example(spans=[(-10, 10, set()), (-3, 5, set())])  # ends just before it; straddles it
+    def test_midnight_keeps_the_observations_past_the_horizon(self, spans):
+        # runs handed in directly, some straddling the day-15 horizon,
+        # some with seconds lost; b's clock is 3 s ahead
+        engine = Engine(ScenarioConfig.from_dict(config_dict(scheme="centralized")))
+        client, src = engine.clients["b"], engine.clients["a"]
+        link = SimpleNamespace(adversary=None)
+        for i, (start, length, lost) in enumerate(spans):
+            first = DAY + start
+            seconds = range(first, first + length)
+            if lost:
+                seconds = [t for t in seconds if t - first not in lost]
+            client.on_run(engine, src, bytes([i]) * 16, -50.0, seconds, link)
+        horizon = client.device.local_time(15 * DAY) - 14 * DAY
+        kept = [obs for obs in match_oracle.expand(client.runs) if obs.time >= horizon]
+        client.midnight(15)
+        assert match_oracle.expand(client.runs) == kept
+        assert all(run.times for run in client.runs)
 
 
 #: decentralized configs for the derivation count: the first publishes
