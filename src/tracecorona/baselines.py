@@ -127,15 +127,17 @@ class CentralizedServer:
 
     def match(self, uploaded: list[tuple[bytes, int]]) -> list[bytes]:
         """UserIDs whose derived identifiers equal the uploaded ones at
-        the uploaded timestamps.  The uploader is TAN-verified upstream."""
-        matched = []
-        for user_id in self._registry:
-            for tempid, timestamp in uploaded:
-                t_k = timestamp // CENTRAL_INTERVAL_SECONDS
-                if self.tempid_for(user_id, t_k) == tempid:
-                    matched.append(user_id)
-                    break
-        return matched
+        the uploaded timestamps.  The uploader is TAN-verified upstream.
+        The upload is indexed by interval once: a user costs one
+        identifier per distinct uploaded interval, not one per observation."""
+        by_interval: dict[int, set[bytes]] = {}
+        for tempid, timestamp in uploaded:
+            by_interval.setdefault(timestamp // CENTRAL_INTERVAL_SECONDS, set()).add(tempid)
+        return [
+            user_id
+            for user_id in self._registry
+            if any(self.tempid_for(user_id, t_k) in heard for t_k, heard in by_interval.items())
+        ]
 
     def ingest_upload(
         self, uploader: bytes, uploaded: list[tuple[bytes, int]]

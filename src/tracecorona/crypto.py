@@ -91,18 +91,15 @@ class FrameKeyPair:
 class TimeFramePolicy:
     """Timing parameters shared by both sides of an encounter.
 
-    ``frame_period`` is the rolling-key frame length T, ``epsilon`` the
-    maximum tolerated difference between the two recorded encounter
-    timestamps for a match to be valid.
+    ``frame_period`` is the rolling-key frame length T.  The match
+    window epsilon is not a device parameter: the scenario config holds
+    it and hands it to ``exposure.match_feed``.
     """
 
     frame_period: int = 900
     min_encounter_duration: int = 300
-    epsilon: int = 30
 
     def __post_init__(self) -> None:
-        if not 0 < self.epsilon < self.frame_period:
-            raise ValueError("epsilon must satisfy 0 < epsilon < frame_period")
         if self.min_encounter_duration > self.frame_period:
             raise ValueError("min_encounter_duration must not exceed frame_period")
 
@@ -119,7 +116,9 @@ class EncounterToken:
     the metadata recorded alongside it.
 
     ``secret`` is ``None`` while derivation is deferred to a charging
-    tick.  ``peer_hint`` is simulator-side ground truth and is never
+    tick.  ``peer_hint`` (the peer's device) and ``via`` (the relay the
+    handshake ran through, ``None`` for a direct one) are simulator-side
+    ground truth: no protocol step reads them, and they are never
     uploaded or included in reports.
     """
 
@@ -129,6 +128,7 @@ class EncounterToken:
     max_signal_strength: float
     frame_index: int
     peer_hint: str = ""
+    via: int | None = None
 
 
 def _hkdf(ikm: bytes, label: bytes, info: bytes, length: int) -> bytes:

@@ -119,16 +119,17 @@ def match_feed(
 
 def detect_superspreader_candidate(
     store: TokenStore,
-    matched: Iterable[ExposureNotification],
+    matched_hashes: set[bytes],
     threshold: int = 3,
 ) -> list[bytes] | None:
     """Bundle of local token secrets to submit as a superspreader
-    possession proof, or None below the threshold.
+    possession proof, or None below the threshold: the secret of each
+    matched hash, in store order.
 
+    ``matched_hashes`` are the hashes of the directly matched records.
     Counting is per distinct matched record, not per uploader: the
     feed is shuffled, so uploaders are indistinguishable here.
     """
-    matched_hashes = {n.matched_hash for n in matched}
     if len(matched_hashes) < threshold:
         return None
     secrets = []

@@ -35,9 +35,13 @@ order); device iteration follows config order.  Whether a beacon is
 lost is drawn from its link direction's own generator, once per
 deliverable second in time order, so it depends on the seed, the link,
 the direction and the second only, never on the order of events.
-Attack bookkeeping (which encounters were injected) lives in the
-engine's ground-truth tables and in the provenance a baseline client's
-runs carry; no scheme step reads it.
+Attack bookkeeping (which encounters were injected) lives where the
+encounter does: a token carries its peer and the relay its handshake
+ran through (``EncounterToken.peer_hint`` and ``via``), a baseline
+client's runs carry their provenance, and the engine keeps only what
+outlives them (which uploader published which record, the published
+keys, infections).  No scheme step reads any of it.  The report's
+tallies are read from the notification list.
 
 Nominal wire sizes for the baseline schemes, used for payload
 accounting: a published daily key frames as 4-byte day || 16-byte key;
@@ -53,7 +57,6 @@ import hashlib
 import heapq
 import math
 import random
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
@@ -92,9 +95,7 @@ def _identity_seed(seed: int, device_id: str) -> bytes:
 
 @dataclass
 class _Infection:
-    exposure_day: int
     contagious_day: int
-    symptoms_day: int
     result_day: int
     uploaded: bool = False
 
@@ -235,7 +236,6 @@ class _Client:
         policy = TimeFramePolicy(
             frame_period=config.frame_period,
             min_encounter_duration=config.min_encounter_duration,
-            epsilon=config.epsilon,
         )
         self.device = Device(
             spec.id,
@@ -282,7 +282,6 @@ class _TraceCoronaClient(_Client):
         #: only by tag (the last byte)
         self.seen_records: set[bytes] = set()
         self.matched_direct_hashes: set[bytes] = set()
-        self.all_notifications: list = []
         self.second_level_done = False
         self.superspreader_done = False
 
@@ -307,10 +306,11 @@ class _TraceCoronaClient(_Client):
             lambda token: any(r.drop_start <= token.start_time < r.drop_end for r in drops),
         )
 
-    def _submit(self, engine: Engine, encode, pairs, vias: dict) -> None:
+    def _submit(self, engine: Engine, encode, pairs) -> None:
         """Send one upload of the (token, record) pairs; once it is
-        accepted, record each record's provenance under its uploader.  A
-        client never re-matches its own uploads."""
+        accepted, record each record's provenance under its uploader: the
+        token's peer, and its relay for a DIRECT record.  A client never
+        re-matches its own uploads."""
         body = encode([record for _, record in pairs])
         response = wire.handle_request(engine.server, body)
         engine.payload_up += 4 + len(body)
@@ -321,7 +321,7 @@ class _TraceCoronaClient(_Client):
             self.seen_records.add(wire.encode_record(record))
             engine.gt_record_origin.setdefault(record.hash, {})[self.id] = {
                 "peer": token.peer_hint,
-                "via": vias.get(id(token)),
+                "via": token.via if record.tag is wire.Tag.DIRECT else None,
             }
 
     def _pairs(self, engine: Engine, tag: wire.Tag, skip_hashes=()) -> list:
@@ -336,11 +336,7 @@ class _TraceCoronaClient(_Client):
         if not pairs:
             return
         tan = engine.authority.issue_tan(self.id, t)
-        vias = {
-            id(token): engine.gt_token_prov.get((self.id, frame, peer_ei), {}).get("via")
-            for (frame, peer_ei), token in self.device.store.items()
-        }
-        self._submit(engine, partial(wire.encode_upload_infected, tan.value), pairs, vias)
+        self._submit(engine, partial(wire.encode_upload_infected, tan.value), pairs)
 
     def fetch(self, engine: Engine, t: int) -> None:
         stats = engine.server.stats_snapshot()
@@ -353,22 +349,18 @@ class _TraceCoronaClient(_Client):
         response = wire.handle_request(engine.server, body)
         engine.payload_up += 4 + len(body)
         engine.payload_down += 4 + len(response)
-        (epoch,) = struct.unpack_from(">I", response, 1)
-        frames, _ = wire.read_frames(response, 5)
-        self.next_since = epoch
+        feed = wire.read_feed(response)
+        self.next_since = feed.feed_epoch
         unseen = []
-        for frame in frames:
+        for frame in feed.frames:
             if frame in self.seen_records:
                 continue
             self.seen_records.add(frame)
             unseen.append(frame)
         if not unseen:
             return
-        feed = wire.PublishedFeed(frames=unseen, feed_epoch=epoch)
+        feed = wire.PublishedFeed(frames=unseen, feed_epoch=feed.feed_epoch)
         found = exposure.match_feed(self.device.store, feed, engine.config.epsilon)
-        if not found:
-            return
-        self.all_notifications.extend(found)
         got_direct = False
         for notification in found:
             # Both sides of an encounter may upload its token; the
@@ -400,38 +392,28 @@ class _TraceCoronaClient(_Client):
         if infection and not infection.uploaded:
             triggered = day + timeline.symptoms_to_test_days + timeline.test_to_result_days
             infection.result_day = min(infection.result_day, triggered)
-        if config.second_level_enabled and not self.second_level_done:
-            self.second_level_done = True
-            proofs = [
-                token.secret
-                for token in self.device.store.tokens()
-                if token.secret is not None
-                and crypto.token_hash(token.secret) in self.matched_direct_hashes
-            ]
-            if proofs:
-                encode = partial(wire.encode_upload_second_level, proofs[0])
-                pairs = self._pairs(engine, wire.Tag.SECOND_LEVEL, self.matched_direct_hashes)
-                self._submit(engine, encode, pairs, {})
-        if (
+        matched = self.matched_direct_hashes
+        second_level = config.second_level_enabled and not self.second_level_done
+        superspreader = (
             config.superspreader_enabled
             and not self.superspreader_done
-            and len(self.matched_direct_hashes) >= config.superspreader_threshold
-        ):
-            self.superspreader_done = True
-            proofs = exposure.detect_superspreader_candidate(
-                self.device.store,
-                [
-                    n
-                    for n in self.all_notifications
-                    if n.level is exposure.NotificationLevel.DIRECT
-                ],
-                config.superspreader_threshold,
-            )
-            if proofs is not None:
-                encode = partial(wire.encode_upload_superspreader, proofs)
-                tag = wire.Tag.POSSIBLE_SUPERSPREADER
-                pairs = self._pairs(engine, tag, self.matched_direct_hashes)
-                self._submit(engine, encode, pairs, {})
+            and len(matched) >= config.superspreader_threshold
+        )
+        self.second_level_done |= second_level
+        self.superspreader_done |= superspreader
+        if not (second_level or superspreader):
+            return
+        # the secrets of the matched tokens in store order, or None if none
+        secrets = exposure.detect_superspreader_candidate(self.device.store, matched, 1)
+        if secrets is None:
+            return
+        if second_level:
+            encode = partial(wire.encode_upload_second_level, secrets[0])
+            self._submit(engine, encode, self._pairs(engine, wire.Tag.SECOND_LEVEL, matched))
+        if superspreader and len(secrets) >= config.superspreader_threshold:
+            encode = partial(wire.encode_upload_superspreader, secrets)
+            tag = wire.Tag.POSSIBLE_SUPERSPREADER
+            self._submit(engine, encode, self._pairs(engine, tag, matched))
 
     @staticmethod
     def fake_claims(engine: Engine, attempts: int) -> int:
@@ -670,7 +652,6 @@ class Engine:
         }
 
         # ground truth, invisible to scheme state
-        self.gt_token_prov: dict[tuple[str, int, bytes], dict] = {}
         #: record hash -> uploader -> provenance of that uploader's record
         self.gt_record_origin: dict[bytes, dict[str, dict]] = {}
         self.gt_published_keys: list[tuple[str, baselines.DecentralizedDailyKey]] = []
@@ -679,19 +660,15 @@ class Engine:
         self.sensor_log: list[tuple[str, int, str, bytes]] = []
         self.relay_admitted: dict[tuple, set] = {}
         self.relay_completed: dict[tuple, set] = {}
+        #: relay adversary -> the devices falsely notified through it
         self.adv_successes: dict[int, set] = {}
-        self.adv_attempts: dict[int, int] = {}
-        self.claim_results: dict[int, tuple[int, int]] = {}
+        #: fake claimer -> claims the server accepted
+        self.claim_results: dict[int, int] = {}
 
         self.payload_up = 0
         self.payload_down = 0
-        #: one entry per (token/observation, record/key) match; the
-        #: conservation invariant checks notifications against this log
-        self.match_events: list[tuple] = []
+        #: in time order; the report's tallies are read from it
         self.notifications: list[dict] = []
-        self.first_notification_day: dict[str, int] = {}
-        self.first_direct_latency: dict[str, int] = {}
-        self.false_count = 0
 
         timeline = config.disease_timeline
         for infection in config.infections:
@@ -701,10 +678,7 @@ class Engine:
                 symptoms + timeline.symptoms_to_test_days + timeline.test_to_result_days
             )
             self.gt_infections[infection.device] = _Infection(
-                exposure_day=infection.day,
-                contagious_day=contagious,
-                symptoms_day=symptoms,
-                result_day=result,
+                contagious_day=contagious, result_day=result
             )
 
     # -- event queue -------------------------------------------------------------
@@ -738,8 +712,6 @@ class Engine:
         for index, adv in enumerate(config.adversaries):
             if adv.kind not in ("relay_oneway", "relay_twoway"):
                 continue
-            self.adv_attempts[index] = len(adv.victims)
-            self.adv_successes[index] = set()
             links += [
                 _Link(
                     kind=adv.kind,
@@ -781,8 +753,6 @@ class Engine:
                 for coverage in adv.sensors:
                     self._push(coverage.start, self._sense, coverage)
             elif adv.kind == "fake_claimer":
-                self.adv_attempts[index] = adv.attempts
-                self.adv_successes[index] = set()
                 day = adv.at_day if adv.at_day is not None else config.duration_days - 1
                 self._push_cadence(
                     day * SECONDS_PER_DAY + CLAIM_TIME, self._fake_claims, index, adv
@@ -975,10 +945,7 @@ class Engine:
             )
         except (FrameMismatch, InvalidPoint):
             return
-        self.gt_token_prov[(client.id, token.frame_index, peer_ei)] = {
-            "peer": peer_hint,
-            "via": link.adversary,
-        }
+        token.via = link.adversary
         if link.kind == "relay_twoway" and client.id != link.capture_id:
             capture_frame = self.clients[link.capture_id].device.current_frame(t)
             key = (link.adversary, link.capture_id, capture_frame)
@@ -1012,7 +979,7 @@ class Engine:
     def _fake_claims(self, index: int, adv) -> None:
         # The config admits a fake claimer only where the client defines this.
         accepted = _CLIENTS[self.config.scheme].fake_claims(self, adv.attempts)
-        self.claim_results[index] = (adv.attempts, accepted)
+        self.claim_results[index] = accepted
 
     # -- notifications and report -----------------------------------------------------------------
 
@@ -1024,7 +991,6 @@ class Engine:
         latency = None
         if genuine and level == "direct" and source in self.gt_infections:
             latency = day - self.gt_infections[source].contagious_day
-        self.match_events.append((client.id, level, matched, t))
         self.notifications.append(
             {
                 "device": client.id,
@@ -1038,14 +1004,8 @@ class Engine:
                 "latency_days": latency,
             }
         )
-        if client.id not in self.first_notification_day:
-            self.first_notification_day[client.id] = day
-        if latency is not None and client.id not in self.first_direct_latency:
-            self.first_direct_latency[client.id] = latency
-        if not genuine:
-            self.false_count += 1
-            if via is not None:
-                self.adv_successes.setdefault(via, set()).add(client.id)
+        if not genuine and via is not None:
+            self.adv_successes.setdefault(via, set()).add(client.id)
 
     def _linkability(self) -> tuple[dict, dict, dict]:
         spans: dict[str, int] = {c.id: 0 for c in self.clients.values()}
@@ -1076,10 +1036,9 @@ class Engine:
             if adv.kind == "eavesdropper":
                 continue
             if adv.kind == "fake_claimer":
-                attempts, successes = self.claim_results.get(index, (adv.attempts, 0))
+                attempts, successes = adv.attempts, self.claim_results.get(index, 0)
             else:
-                attempts = self.adv_attempts.get(index, 0)
-                successes = len(self.adv_successes.get(index, ()))
+                attempts, successes = len(adv.victims), len(self.adv_successes.get(index, ()))
             attack_details[str(index)] = {
                 "kind": adv.kind,
                 "attempts": attempts,
@@ -1102,6 +1061,13 @@ class Engine:
             relay_fanout[str(index)] = max(per_frame) if per_frame else 0
 
         spans, recovered, gt_ids = self._linkability()
+        # the notification list is in time order: a device's first entry
+        # is its first notification
+        first_day, first_latency = {}, {}
+        for note in self.notifications:
+            first_day.setdefault(note["device"], note["day"])
+            if note["latency_days"] is not None:
+                first_latency.setdefault(note["device"], note["latency_days"])
 
         return ScenarioReport(
             name=self.config.name,
@@ -1110,15 +1076,15 @@ class Engine:
             config_digest=self.config.digest(),
             duration_days=self.config.duration_days,
             notifications=self.notifications,
-            false_notification_count=self.false_count,
+            false_notification_count=sum(not n["genuine"] for n in self.notifications),
             attack_success_rate=rate,
             attack_details=attack_details,
             relay_fanout=relay_fanout,
             max_linkability_window_s=spans,
             linkability_recovered=recovered,
             gt_day_identifiers=gt_ids,
-            notification_latency_days=dict(sorted(self.first_direct_latency.items())),
-            first_notification_day=dict(sorted(self.first_notification_day.items())),
+            notification_latency_days=dict(sorted(first_latency.items())),
+            first_notification_day=dict(sorted(first_day.items())),
             payload_bytes_uploaded=self.payload_up,
             payload_bytes_downloaded=self.payload_down,
             server_stats=self.server.stats_snapshot(),

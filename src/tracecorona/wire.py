@@ -10,8 +10,8 @@ as its frame: ``handle_request`` hands the server an upload's frames as
 the frame it logged, and a feed response is those frames joined.
 ``read_frames``, ``decode_record`` and ``read_log`` check a frame by the
 same rules (``_check_frame``).  The client matches a feed's frames too:
-``WireClient.fetch_feed`` returns a ``PublishedFeed`` of the checked
-frames.  Only ``decode_record``, ``decode_records`` and a feed's
+``read_feed`` reads a fetch response into a ``PublishedFeed`` of the
+checked frames.  Only ``decode_record``, ``decode_records`` and a feed's
 ``records`` view build record objects, one frame at a time.
 
 Append-only log: one framed record per line of base64.  Epoch
@@ -339,6 +339,20 @@ def encode_fetch_feed(since_epoch: int, shuffle_seed: int) -> bytes:
     return bytes([OP_FETCH_FEED]) + struct.pack(">Iq", since_epoch, shuffle_seed)
 
 
+def read_feed(response: bytes) -> PublishedFeed:
+    """The feed a fetch response carries: an accepted status, the feed
+    epoch, then the record list, which ends the response."""
+    if not response or response[0] != STATUS_ACCEPTED:
+        raise WireError(response[1:].decode("ascii", "replace") or "feed not served")
+    if len(response) < 5:
+        raise WireError("feed head truncated")
+    (epoch,) = struct.unpack_from(">I", response, 1)
+    frames, end = read_frames(response, 5)
+    if end != len(response):
+        raise WireError("trailing bytes after the record list")
+    return PublishedFeed(frames=frames, feed_epoch=epoch)
+
+
 def _send_message(sock: socket.socket, body: bytes) -> None:
     sock.sendall(struct.pack(">I", len(body)) + body)
 
@@ -506,12 +520,7 @@ class WireClient:
         return resp[0] == STATUS_ACCEPTED, resp[1:].decode("ascii", "replace")
 
     def fetch_feed(self, since_epoch: int, shuffle_seed: int) -> PublishedFeed:
-        resp = self._round_trip(encode_fetch_feed(since_epoch, shuffle_seed))
-        if resp[0] != STATUS_ACCEPTED:
-            raise WireError(resp[1:].decode("ascii", "replace"))
-        (epoch,) = struct.unpack_from(">I", resp, 1)
-        frames, _ = read_frames(resp, 5)
-        return PublishedFeed(frames=frames, feed_epoch=epoch)
+        return read_feed(self._round_trip(encode_fetch_feed(since_epoch, shuffle_seed)))
 
     def stats(self) -> dict:
         resp = self._round_trip(bytes([OP_STATS]))

@@ -75,6 +75,26 @@ class TestCentralized:
         server.ingest_upload(infected, observed)
         assert server.contact_edges() == {(infected, u) for u in contacts}
 
+    @pytest.mark.parametrize("bluetrace", [False, True])
+    def test_match_derives_once_per_user_and_uploaded_interval(self, monkeypatch, bluetrace):
+        server = CentralizedServer(random.Random(8), bluetrace=bluetrace)
+        users = [server.register() for _ in range(5)]
+        # every second of three intervals: a contact's identifier in the
+        # middle one, a stranger's everywhere else
+        heard = {40: bytes(16), 41: server.tempid_for(users[2], 41), 43: bytes(16)}
+        uploaded = [(heard[t_k], t) for t_k in heard for t in range(t_k * 900, t_k * 900 + 900)]
+        expected = [
+            u for u in users
+            if any(server.tempid_for(u, t // 900) == tempid for tempid, t in uploaded)
+        ]
+        calls = []
+        tempid_for = server.tempid_for
+        monkeypatch.setattr(
+            server, "tempid_for", lambda u, t_k: calls.append((u, t_k)) or tempid_for(u, t_k)
+        )
+        assert server.match(uploaded) == expected == [users[2]]
+        assert 0 < len(calls) <= len(users) * len(heard)
+
     def test_bluetrace_variant_server_only(self):
         server = CentralizedServer(random.Random(7), bluetrace=True)
         uid = server.register()

@@ -2,8 +2,8 @@
 wraps or reads must still exist and count what it did.
 
 Installs ``bench/tracing.Tracer``, runs one upload, fetch and log replay
-in process, and one decentralized scenario, and checks the counters it
-reads.
+in process, and one decentralized and one centralized scenario, and
+checks the counters it reads.
 """
 
 import os
@@ -64,9 +64,11 @@ def test_traced_upload_fetch_and_replay(tmp_path):
     assert not hasattr(TracingServer.upload_infected, "__wrapped__")
 
 
-def test_traced_decentralized_matches():
+def traced_pair(scheme):
+    """The report and tracer totals of one contact between an infected
+    device and another under ``scheme``."""
     config = ScenarioConfig.from_dict({
-        "name": "traced", "seed": 1, "duration_days": 10, "scheme": "decentralized",
+        "name": "traced", "seed": 1, "duration_days": 10, "scheme": scheme,
         "devices": [{"id": "a"}, {"id": "b", "clock_offset_s": 3}],
         "colocation_schedule": [
             {"device_a": "a", "device_b": "b", "start": 3 * 86400 + 36000,
@@ -81,9 +83,22 @@ def test_traced_decentralized_matches():
         report = engine.run_scenario(config)
     finally:
         tracer.uninstall()
-    totals = tracer.snapshot()
+    return report, tracer.snapshot()
+
+
+def test_traced_decentralized_matches():
+    report, totals = traced_pair("decentralized")
     assert [n["device"] for n in report.notifications] == ["b"]
     # b matches every heard second of a's key against its runs
     assert totals["baselines.match_observations.calls"] >= 1
     assert totals["baselines.matches"] >= len(report.notifications)
     assert 0 < totals["baselines.observations_max"] <= totals["baselines.pairs_scanned"]
+
+
+def test_traced_centralized_matches():
+    # the server matches a's upload against its registry (``_registry``)
+    report, totals = traced_pair("centralized")
+    assert [n["device"] for n in report.notifications] == ["b"]
+    assert totals["baselines.match.calls"] >= 1
+    assert totals["baselines.matches"] >= len(report.notifications)
+    assert totals["baselines.pairs_scanned"] > 0

@@ -231,13 +231,8 @@ class TestTimeFramePolicy:
         policy = crypto.TimeFramePolicy()
         assert policy.frame_period == 900
         assert policy.min_encounter_duration == 300
-        assert policy.epsilon == 30
 
-    def test_epsilon_bounds(self):
-        with pytest.raises(ValueError):
-            crypto.TimeFramePolicy(epsilon=0)
-        with pytest.raises(ValueError):
-            crypto.TimeFramePolicy(epsilon=900)
+    def test_encounter_duration_bound(self):
         with pytest.raises(ValueError):
             crypto.TimeFramePolicy(min_encounter_duration=901)
 

@@ -39,8 +39,9 @@ def held(engine: Engine, client) -> list | None:
 
 
 def device_state(engine: Engine) -> dict:
-    """What each device holds at the end: tokens with their metadata,
-    and a baseline device's observations with their provenance."""
+    """What each device holds at the end: tokens with their metadata and
+    ground truth (peer and relay), and a baseline device's observations
+    with their provenance."""
     state = {}
     for client in engine.clients.values():
         tokens = sorted(

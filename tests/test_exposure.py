@@ -239,11 +239,13 @@ class TestSuperspreaderCandidate:
 
     def test_below_threshold_none(self):
         store, notes, _ = self.build(2)
-        assert exposure.detect_superspreader_candidate(store, notes, 3) is None
+        hashes = {n.matched_hash for n in notes}
+        assert exposure.detect_superspreader_candidate(store, hashes, 3) is None
 
     def test_three_distinct_gives_bundle(self):
         store, notes, tokens = self.build(3)
-        bundle = exposure.detect_superspreader_candidate(store, notes, 3)
+        hashes = {n.matched_hash for n in notes}
+        bundle = exposure.detect_superspreader_candidate(store, hashes, 3)
         assert sorted(bundle) == sorted(t.secret for t in tokens)
 
     def test_counts_per_record_not_per_uploader(self):
@@ -253,7 +255,8 @@ class TestSuperspreaderCandidate:
         store = store_of(tokens)
         records = [record_from(t.secret, t.start_time) for t in tokens]
         notes = exposure.match_feed(store, feed_of(records), 30)
-        assert len(exposure.detect_superspreader_candidate(store, notes, 3)) == 3
+        hashes = {n.matched_hash for n in notes}
+        assert len(exposure.detect_superspreader_candidate(store, hashes, 3)) == 3
 
 
 class TestRedaction:

@@ -1,6 +1,7 @@
 """Simulator: config validation, determinism, scenarios, invariants."""
 
 import json
+import random
 import re
 from collections import Counter
 from importlib import resources
@@ -465,13 +466,34 @@ class TestRelayTiming:
 
 class TestInvariants:
     def test_conservation_no_orphan_notifications(self):
-        config = ScenarioConfig.from_dict(config_dict())
-        engine = Engine(config)
-        report = engine.run()
-        assert len(report.notifications) == len(engine.match_events)
-        for note, event in zip(report.notifications, engine.match_events):
-            assert note["device"] == event[0]
-            assert note["matched"] == event[2]
+        # each notification names a match in state that notifying does not
+        # write: something the server published and something the notified
+        # device holds
+        for config in (config_dict(), bundled_dict("timeline_chain_early"),
+                       bundled_dict("relay_r2")):
+            engine = Engine(ScenarioConfig.from_dict(config))
+            notes = engine.run().notifications
+            assert notes
+            _, frames = engine.server.feed_frames(0, random.Random(0))
+            published = {frame[:16].hex() for frame in frames}
+            for note in notes:
+                store = engine.clients[note["device"]].device.store
+                assert note["matched"] in published
+                assert note["matched"] in {
+                    crypto.token_hash(token.secret).hex() for token in store.tokens()
+                }
+        for config in (config_dict(), bundled_dict("kiss_replay")):
+            engine = Engine(ScenarioConfig.from_dict({**config, "scheme": "decentralized"}))
+            notes = engine.run().notifications
+            assert notes
+            published = {
+                tempid.hex() for key in engine.dec_server.published for tempid in key.tempids
+            }
+            for note in notes:
+                assert note["matched"] in published
+                assert note["matched"] in {
+                    run.tempid.hex() for run in engine.clients[note["device"]].runs
+                }
 
     def test_ground_truth_separation(self):
         relay = {
@@ -654,27 +676,50 @@ def daily_schedule(days):
     ]
 
 
+def held_past_retention(scheme, held_by, clients=False):
+    """At each midnight of a 30-day run with one lossless 10-minute
+    contact a day and no infection: what each client holds, and the
+    size of every engine container (and every client one, if asked)."""
+    config = ScenarioConfig.from_dict(config_dict(
+        scheme=scheme, duration_days=30, infections=[],
+        colocation_schedule=daily_schedule(range(30)), channel_loss=0.0,
+    ))
+    held, sizes = [], []
+
+    def containers(owner, prefix):
+        return {
+            prefix + name: len(value) for name, value in vars(owner).items()
+            if isinstance(value, (list, dict, set)) and name != "_queue"
+        }
+
+    class Recording(Engine):
+        def _midnight(self, day):
+            super()._midnight(day)
+            held.append([held_by(c) for c in self.clients.values()])
+            sizes.append(containers(self, ""))
+            if clients:
+                for c in self.clients.values():
+                    sizes[-1].update(containers(c, c.id + "."))
+
+    Recording(config).run()
+    return held, sizes
+
+
 class TestBaselineRuns:
     def test_held_runs_flat_past_retention(self):
-        # one lossless 10-minute contact a day for 30 days: from day 14
-        # each client holds the runs of the last 14 days, and no engine
-        # table grows
-        config = ScenarioConfig.from_dict(config_dict(
-            scheme="decentralized", duration_days=30, infections=[],
-            colocation_schedule=daily_schedule(range(30)), channel_loss=0.0,
-        ))
-        held, sizes = [], []
+        # from day 14 each client holds the runs of the last 14 days, and
+        # no engine table grows
+        held, sizes = held_past_retention("decentralized", lambda c: len(c.runs))
+        assert len(held) == 30 and all(held[1])
+        assert held[14:] == [[14 * n for n in held[1]]] * 16
+        assert sizes[1:] == [sizes[1]] * 29
 
-        class Recording(Engine):
-            def _midnight(self, day):
-                super()._midnight(day)
-                held.append([len(c.runs) for c in self.clients.values()])
-                sizes.append({
-                    name: len(value) for name, value in vars(self).items()
-                    if isinstance(value, (list, dict, set)) and name != "_queue"
-                })
-
-        Recording(config).run()
+    def test_held_tokens_flat_past_retention(self):
+        # the same for encounter tokens: from day 14 each store holds the
+        # last 14 days' tokens, and no engine or client container grows
+        held, sizes = held_past_retention(
+            "tracecorona", lambda c: len(c.device.store), clients=True
+        )
         assert len(held) == 30 and all(held[1])
         assert held[14:] == [[14 * n for n in held[1]]] * 16
         assert sizes[1:] == [sizes[1]] * 29

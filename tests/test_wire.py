@@ -371,3 +371,53 @@ class TestHandleRequest:
             wire.STATUS_REJECTED,
             wire.STATUS_MALFORMED,
         )
+
+
+class TestReadFeed:
+    def feed_response(self, records, epoch=7):
+        head = bytes([wire.STATUS_ACCEPTED]) + epoch.to_bytes(4, "big")
+        return head + wire.encode_records(records)
+
+    def test_reads_epoch_and_frames(self):
+        records = [sample_record(i, tag)[1] for i, tag in enumerate(wire.Tag)]
+        feed = wire.read_feed(self.feed_response(records))
+        assert feed.feed_epoch == 7
+        assert feed.frames == [wire.encode_record(r) for r in records]
+
+    def test_reads_the_servers_response(self):
+        server = TracingServer(HealthAuthority(random.Random(0)))
+        tan = server.authority.issue_tan("u", 0).value
+        records = [sample_record(i)[1] for i in range(3)]
+        upload = wire.encode_upload_infected(tan, records)
+        assert wire.handle_request(server, upload)[0] == wire.STATUS_ACCEPTED
+        server.advance_epoch(2)
+        response = wire.handle_request(server, wire.encode_fetch_feed(0, 5))
+        feed = wire.read_feed(response)
+        assert feed.feed_epoch == 2
+        assert sorted(feed.frames) == sorted(wire.encode_record(r) for r in records)
+
+    @pytest.mark.parametrize("status", [wire.STATUS_REJECTED, wire.STATUS_MALFORMED])
+    def test_status_not_accepted_refused(self, status):
+        response = bytes([status]) + self.feed_response([sample_record()[1]])[1:]
+        with pytest.raises(wire.WireError):
+            wire.read_feed(response)
+
+    def test_empty_response_refused(self):
+        with pytest.raises(wire.WireError):
+            wire.read_feed(b"")
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_truncated_head_refused(self, length):
+        # status, 4-byte epoch and 4-byte count: any shorter head is cut
+        with pytest.raises(wire.WireError, match="truncated"):
+            wire.read_feed(self.feed_response([])[:length])
+
+    def test_truncated_record_refused(self):
+        response = self.feed_response([sample_record()[1]])
+        with pytest.raises(wire.WireError, match="truncated"):
+            wire.read_feed(response[:-1])
+
+    def test_trailing_bytes_refused(self):
+        response = self.feed_response([sample_record()[1]])
+        with pytest.raises(wire.WireError, match="trailing"):
+            wire.read_feed(response + b"\x00")
