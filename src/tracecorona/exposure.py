@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 from . import crypto
 from .crypto import EncounterToken
 from .device import TokenStore
-from .wire import CIPHERTEXT_AT, TOKEN_HASH_BYTES, PublishedFeed, Tag, TokenUploadRecord
+from .wire import CIPHERTEXT_AT, PublishedFeed, Tag, TokenUploadRecord
 
 
 class NotificationLevel(enum.Enum):
@@ -83,8 +83,10 @@ def match_feed(
     token's hash, the metadata decrypts under the token secret, and the
     embedded remote timestamp is within ``epsilon`` seconds of the
     locally recorded one.  Everything else is silently a non-match.
-    The feed's frames are read as they are: only a frame whose hash is
-    a local token's is decrypted, and none becomes a record object.
+    The feed is read in place: its frames are walked by their length
+    fields, only a frame whose hash is a local token's has its
+    ciphertext copied out and decrypted, and none becomes a record or
+    frame object.
     Output order is deterministic: encounter time, then hash bytes.
     """
     by_hash: dict[bytes, list[EncounterToken]] = {}
@@ -93,19 +95,24 @@ def match_feed(
             continue
         by_hash.setdefault(crypto.token_hash(token.secret), []).append(token)
 
+    buf = feed.buffer
     notifications = []
-    for frame in feed.frames:
-        for token in by_hash.get(frame[:TOKEN_HASH_BYTES], ()):
+    for digest, start, tag_at in feed.heads():
+        tokens = by_hash.get(digest)
+        if tokens is None:
+            continue
+        ciphertext = bytes(buf[start + CIPHERTEXT_AT : tag_at])
+        for token in tokens:
             try:
-                remote_time = crypto.decrypt_metadata(token.secret, frame[CIPHERTEXT_AT:-1])
+                remote_time = crypto.decrypt_metadata(token.secret, ciphertext)
             except crypto.AuthenticationFailure:
                 continue
             if abs(remote_time - token.start_time) > epsilon:
                 continue
-            level, flagged = _level_for(Tag(frame[-1]))
+            level, flagged = _level_for(Tag(buf[tag_at]))
             notifications.append(
                 ExposureNotification(
-                    matched_hash=frame[:TOKEN_HASH_BYTES],
+                    matched_hash=digest,
                     level=level,
                     superspreader_flag=flagged,
                     encounter_time=token.start_time,

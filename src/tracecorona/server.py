@@ -11,8 +11,8 @@ server holds each published record as its frame, the bytes its log
 line encodes, with a non-decreasing list of the records' epochs beside
 the frames: ingest only re-tags a frame's last byte, a log replay only
 checks the frames, and a feed is a slice of them, joined on the socket
-or held as a ``PublishedFeed`` by ``fetch_feed``; the server builds no
-record objects.
+or into the buffer of the ``PublishedFeed`` ``fetch_feed`` returns; the
+server builds no record objects.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ class TracingServer:
     def fetch_feed(self, since_epoch: int, rng) -> PublishedFeed:
         """``feed_frames`` as a feed."""
         feed_epoch, frames = self.feed_frames(since_epoch, rng)
-        return PublishedFeed(frames=frames, feed_epoch=feed_epoch)
+        return PublishedFeed.from_frames(frames, feed_epoch)
 
     # -- aggregates ---------------------------------------------------------------
 

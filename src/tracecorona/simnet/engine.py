@@ -359,7 +359,7 @@ class _TraceCoronaClient(_Client):
             unseen.append(frame)
         if not unseen:
             return
-        feed = wire.PublishedFeed(frames=unseen, feed_epoch=feed.feed_epoch)
+        feed = wire.PublishedFeed.from_frames(unseen, feed.feed_epoch)
         found = exposure.match_feed(self.device.store, feed, engine.config.epsilon)
         got_direct = False
         for notification in found:

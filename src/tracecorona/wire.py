@@ -9,10 +9,14 @@ as its frame: ``handle_request`` hands the server an upload's frames as
 ``read_frames`` checked them, the server holds each published record as
 the frame it logged, and a feed response is those frames joined.
 ``read_frames``, ``decode_record`` and ``read_log`` check a frame by the
-same rules (``_check_frame``).  The client matches a feed's frames too:
-``read_feed`` reads a fetch response into a ``PublishedFeed`` of the
-checked frames.  Only ``decode_record``, ``decode_records`` and a feed's
-``records`` view build record objects, one frame at a time.
+same rules (``_check_frame``).  The client keeps a feed as the response
+it arrived in: ``read_feed`` checks every frame by those rules in one
+walk and returns a ``PublishedFeed`` holding a view of the response's
+record list, which ``exposure.match_feed`` walks again in place.  Frame
+objects are built only for what the server holds (``read_frames`` for
+uploads, ``read_log`` for replay) and by a feed's ``frames`` on demand;
+record objects only by ``decode_record``, ``decode_records`` and a
+feed's ``records`` view, one frame at a time.
 
 Append-only log: one framed record per line of base64.  Epoch
 boundaries are interleaved as ``# epoch <n>`` control lines so a log
@@ -88,30 +92,59 @@ class TokenUploadRecord:
 
 @dataclass(frozen=True)
 class PublishedFeed:
-    """A fetched feed: the checked frames of its records, in feed order."""
+    """A fetched feed: its checked record frames joined in feed order,
+    how many there are, and the feed epoch.  ``buffer`` is the record
+    list of the fetch response it was read from, a view that copies
+    nothing, or the frames an in-process caller joined."""
 
-    frames: list[bytes]
+    buffer: bytes | memoryview
+    count: int
     feed_epoch: int
+
+    @classmethod
+    def from_frames(cls, frames: list[bytes], feed_epoch: int) -> "PublishedFeed":
+        """The feed of checked frames, in the order given."""
+        return cls(b"".join(frames), len(frames), feed_epoch)
+
+    def heads(self):
+        """Each frame's hash, start offset and tag offset in ``buffer``,
+        in feed order, walking the frames by their length fields."""
+        buf, at = self.buffer, 0
+        unpack = _FRAME_HEAD.unpack_from
+        for _ in range(self.count):
+            digest, length = unpack(buf, at)
+            tag_at = at + CIPHERTEXT_AT + length
+            yield digest, at, tag_at
+            at = tag_at + 1
+
+    def _frame_copies(self):
+        buf = self.buffer
+        return (bytes(buf[start : tag_at + 1]) for _, start, tag_at in self.heads())
+
+    @property
+    def frames(self) -> list[bytes]:
+        """The frames, each copied out of ``buffer``."""
+        return list(self._frame_copies())
 
     @property
     def records(self) -> "_RecordView":
         """The frames as records, built one at a time while iterating."""
-        return _RecordView(self.frames)
+        return _RecordView(self)
 
 
 class _RecordView:
-    """Read-only view of frames as records; never holds them all."""
+    """Read-only view of a feed's frames as records; never holds them all."""
 
-    __slots__ = ("_frames",)
+    __slots__ = ("_feed",)
 
-    def __init__(self, frames: list[bytes]):
-        self._frames = frames
+    def __init__(self, feed: PublishedFeed):
+        self._feed = feed
 
     def __len__(self) -> int:
-        return len(self._frames)
+        return self._feed.count
 
     def __iter__(self):
-        return map(_frame_record, self._frames)
+        return map(_frame_record, self._feed._frame_copies())
 
 
 class WireError(Exception):
@@ -335,22 +368,32 @@ def encode_upload_superspreader(
     )
 
 
+#: A feed response's epoch and record count, after its status byte.
+_FEED_HEAD = struct.Struct(">II")
+#: Where a feed response's first frame starts.
+_FEED_AT = 1 + _FEED_HEAD.size
+
+
 def encode_fetch_feed(since_epoch: int, shuffle_seed: int) -> bytes:
     return bytes([OP_FETCH_FEED]) + struct.pack(">Iq", since_epoch, shuffle_seed)
 
 
 def read_feed(response: bytes) -> PublishedFeed:
     """The feed a fetch response carries: an accepted status, the feed
-    epoch, then the record list, which ends the response."""
+    epoch, then the record list, which ends the response.  Every frame
+    is checked in one walk, and the feed keeps the record list as a
+    view of the response."""
     if not response or response[0] != STATUS_ACCEPTED:
         raise WireError(response[1:].decode("ascii", "replace") or "feed not served")
-    if len(response) < 5:
+    if len(response) < _FEED_AT:
         raise WireError("feed head truncated")
-    (epoch,) = struct.unpack_from(">I", response, 1)
-    frames, end = read_frames(response, 5)
+    epoch, count = _FEED_HEAD.unpack_from(response, 1)
+    end = _FEED_AT
+    for _ in range(count):
+        end = _check_frame(response, end) + 1
     if end != len(response):
         raise WireError("trailing bytes after the record list")
-    return PublishedFeed(frames=frames, feed_epoch=epoch)
+    return PublishedFeed(memoryview(response)[_FEED_AT:], count, epoch)
 
 
 def _send_message(sock: socket.socket, body: bytes) -> None:
@@ -358,9 +401,12 @@ def _send_message(sock: socket.socket, body: bytes) -> None:
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
+    # MSG_WAITALL fills one buffer, so a whole message arrives as one
+    # chunk and the join returns that chunk itself; the loop is for the
+    # short reads a signal or a socket timeout can still give
     chunks = []
     while n:
-        chunk = sock.recv(n)
+        chunk = sock.recv(n, socket.MSG_WAITALL)
         if not chunk:
             raise WireError("connection closed mid-message")
         chunks.append(chunk)
@@ -406,7 +452,7 @@ def handle_request(server, body: bytes) -> bytes:
         elif op == OP_FETCH_FEED:
             since_epoch, seed = struct.unpack(">Iq", body[1:])
             feed_epoch, frames = server.feed_frames(since_epoch, random.Random(seed))
-            head = bytes([STATUS_ACCEPTED]) + struct.pack(">II", feed_epoch, len(frames))
+            head = bytes([STATUS_ACCEPTED]) + _FEED_HEAD.pack(feed_epoch, len(frames))
             return b"".join([head, *frames])
         elif op == OP_STATS:
             stats = server.stats_snapshot()

@@ -259,7 +259,7 @@ def test_criterion_8_matching_oracle_equivalence():
             store = TokenStore()
             for i, token in enumerate(tokens):
                 store.add(token.frame_index, i.to_bytes(16, "big"), token)
-            feed = PublishedFeed(frames=frames(records), feed_epoch=0)
+            feed = PublishedFeed.from_frames(frames(records), 0)
             got = exposure.match_feed(store, feed, 30)
             expected = match_oracle.match_feed_records(tokens, records, 30)
             assert got == expected

@@ -1,17 +1,18 @@
 """The benchmark's tracer wraps program functions by name; every name it
 wraps or reads must still exist and count what it did.
 
-Installs ``bench/tracing.Tracer``, runs one upload, fetch and log replay
-in process, and one decentralized and one centralized scenario, and
-checks the counters it reads.
+Installs ``bench/tracing.Tracer``, runs one upload, fetch, match and log
+replay in process, and one decentralized and one centralized scenario,
+and checks the counters it reads.
 """
 
 import os
 import random
 import sys
 
-from tracecorona import crypto, wire
+from tracecorona import crypto, exposure, wire
 from tracecorona.authority import HealthAuthority
+from tracecorona.device import TokenStore
 from tracecorona.server import TracingServer
 from tracecorona.simnet import engine
 from tracecorona.simnet.config import ScenarioConfig
@@ -27,11 +28,13 @@ def test_traced_upload_fetch_and_replay(tmp_path):
     log = tmp_path / "server.log"
     rng = random.Random(70)
     records = []
+    store = TokenStore()
     for t in range(3):
         secret = rng.randbytes(32)
         records.append(wire.TokenUploadRecord(
             crypto.token_hash(secret), crypto.encrypt_metadata(secret, t)
         ))
+        store.add(0, bytes([t]) * 16, crypto.EncounterToken(secret, t, 600, -55.0, 0))
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -41,6 +44,7 @@ def test_traced_upload_fetch_and_replay(tmp_path):
         assert wire.handle_request(server, body)[0] == wire.STATUS_ACCEPTED
         response = wire.handle_request(server, wire.encode_fetch_feed(0, 1))
         fetched, _ = wire.decode_records(response, 5)
+        found = exposure.match_feed(store, wire.read_feed(response), 30)
         replayed = TracingServer.replay_log(log, HealthAuthority(random.Random(0)))
         feed = replayed.fetch_feed(0, random.Random(1))
     finally:
@@ -51,6 +55,9 @@ def test_traced_upload_fetch_and_replay(tmp_path):
     assert totals["server.records_stored"] == 3
     assert totals["server.records_held"] == 3
     assert totals["server.records_served"] == 3
+    # the tracer reads a feed's length for the records the client scanned
+    assert totals["exposure.records_scanned"] == 3
+    assert totals["exposure.notifications"] == len(found) == 3
     # socket uploads reach the server as frames, so only the client's
     # decode of the feed goes through decode_records
     assert totals["wire.records_decoded"] == 3

@@ -41,7 +41,7 @@ def record_from(secret, remote_time, tag=Tag.DIRECT):
 
 def feed_of(records, epoch=0):
     """A fetched feed holding the records' frames in order."""
-    return PublishedFeed(frames=[encode_record(r) for r in records], feed_epoch=epoch)
+    return PublishedFeed.from_frames([encode_record(r) for r in records], epoch)
 
 
 class TestMatchFeed:

@@ -3,10 +3,12 @@
 import base64
 import random
 import socket
+import threading
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import match_oracle
@@ -64,7 +66,7 @@ class TestRecordFraming:
 
     def test_feed_records_view_builds_one_record_at_a_time(self, monkeypatch):
         batch = [sample_record(i, tag)[1] for i, tag in enumerate(wire.Tag)]
-        feed = wire.PublishedFeed(frames=[wire.encode_record(r) for r in batch], feed_epoch=0)
+        feed = wire.PublishedFeed.from_frames([wire.encode_record(r) for r in batch], 0)
         built = []
         record_class = wire.TokenUploadRecord
 
@@ -421,3 +423,145 @@ class TestReadFeed:
         response = self.feed_response([sample_record()[1]])
         with pytest.raises(wire.WireError, match="trailing"):
             wire.read_feed(response + b"\x00")
+
+    def frames_response(self, frames, count=None):
+        """A feed response holding the frames as given, under a count
+        that defaults to theirs."""
+        count = len(frames) if count is None else count
+        head = bytes([wire.STATUS_ACCEPTED]) + (7).to_bytes(4, "big") + count.to_bytes(4, "big")
+        return head + b"".join(frames)
+
+    def three_frames(self):
+        return [wire.encode_record(sample_record(i)[1]) for i in range(3)]
+
+    def test_unknown_tag_mid_feed_refused(self):
+        frames = self.three_frames()
+        frames[1] = frames[1][:-1] + bytes([7])
+        with pytest.raises(wire.WireError, match="^unknown record tag 7$"):
+            wire.read_feed(self.frames_response(frames))
+
+    def test_length_past_the_end_mid_feed_refused(self):
+        frames = self.three_frames()
+        frames[1] = frames[1][:16] + (1000).to_bytes(4, "big") + frames[1][20:]
+        with pytest.raises(wire.WireError, match="^record ciphertext truncated$"):
+            wire.read_feed(self.frames_response(frames))
+
+    @pytest.mark.parametrize("count", [4, 0xFFFFFFFF])
+    def test_count_above_the_frames_refused(self, count):
+        with pytest.raises(wire.WireError, match="^record frame truncated$"):
+            wire.read_feed(self.frames_response(self.three_frames(), count))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        token_secrets=st.lists(st.integers(0, 3), max_size=8),
+        record_specs=st.lists(
+            st.tuples(
+                st.integers(0, 4),  # secret of the hash; 4 is in no token
+                # sealed under that secret, under another one, or any bytes
+                st.sampled_from(["sealed", "forged", "raw"]),
+                st.sampled_from([-31, 0, 30]),  # remote time offset
+                st.binary(max_size=64),  # the raw ciphertext
+                st.sampled_from(list(wire.Tag)),
+            ),
+            max_size=12,
+        ),
+        draws=st.randoms(use_true_random=False),
+    )
+    def test_matched_in_place_as_the_record_oracle(self, token_secrets, record_specs, draws):
+        """A response's frames of any ciphertext length are walked by
+        their length fields: matching the feed in place gives the
+        record-based oracle's notifications on the decoded records, and
+        its records view gives those records."""
+        secrets = [random.Random(i).randbytes(32) for i in range(5)]
+        now = 1_600_000_000
+        tokens = [
+            EncounterToken(secrets[s], now + 10 * i, 600, -55.0, 0)
+            for i, s in enumerate(token_secrets)
+        ]
+        store = TokenStore()
+        for i, token in enumerate(tokens):
+            store.add(0, i.to_bytes(16, "big"), token)
+        records = []
+        for s, kind, delta, raw, tag in record_specs:
+            if kind == "raw":
+                ciphertext = raw
+            else:
+                key = secrets[(s + 1) % 5] if kind == "forged" else secrets[s]
+                ciphertext = crypto.encrypt_metadata(key, now + 10 * s + delta)
+            records.append(wire.TokenUploadRecord(crypto.token_hash(secrets[s]), ciphertext, tag))
+        draws.shuffle(records)
+        response = self.feed_response(records)
+        decoded, _ = wire.decode_records(response, 5)
+        feed = wire.read_feed(response)
+        assert exposure.match_feed(store, feed, 30) == match_oracle.match_feed_records(
+            tokens, decoded, 30
+        )
+        assert list(feed.records) == decoded
+        assert len(feed.records) == len(records)
+
+    def test_matching_allocates_little_beside_the_response(self):
+        """Checking and matching a 50,000-frame response allocates less
+        than a tenth of the response's size on top of it: no frame or
+        record object per frame is held."""
+        rng = random.Random(50)
+        now = 1_600_000_000
+        secrets = [rng.randbytes(32) for _ in range(200)]
+        records = [
+            wire.TokenUploadRecord(rng.randbytes(16), rng.randbytes(36)) for _ in range(50_000)
+        ]
+        for i, secret in enumerate(secrets[:20]):
+            records[rng.randrange(len(records))] = wire.TokenUploadRecord(
+                crypto.token_hash(secret), crypto.encrypt_metadata(secret, now + i)
+            )
+        response = self.feed_response(records)
+        del records
+        store = TokenStore()
+        for i, secret in enumerate(secrets):
+            store.add(0, i.to_bytes(16, "big"), EncounterToken(secret, now + i, 600, -55.0, 0))
+        tracemalloc.start()
+        try:
+            feed = wire.read_feed(response)
+            found = exposure.match_feed(store, feed, 30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 20
+        assert peak < len(response) / 10
+
+
+class TestReceive:
+    class Trickle:
+        """A socket that hands out its data a few bytes per ``recv``, as
+        a socket with a timeout may."""
+
+        def __init__(self, data, step):
+            self.data, self.step, self.flags = data, step, []
+
+        def recv(self, n, flags=0):
+            self.flags.append(flags)
+            chunk, self.data = self.data[: min(n, self.step)], self.data[min(n, self.step):]
+            return chunk
+
+    def test_message_received_whole_and_short_reads_joined(self):
+        for step in (1, 3, 1000):
+            sock = self.Trickle((10).to_bytes(4, "big") + bytes(range(10)) + b"next", step)
+            assert wire._recv_message(sock) == bytes(range(10))
+            assert set(sock.flags) == {socket.MSG_WAITALL}
+
+    def test_close_mid_message_refused(self):
+        sock = self.Trickle((10).to_bytes(4, "big") + bytes(5), 1000)
+        with pytest.raises(wire.WireError, match="closed mid-message"):
+            wire._recv_message(sock)
+
+    def test_message_larger_than_the_socket_buffer_received(self):
+        left, right = socket.socketpair()
+        body = bytes(range(256)) * 4096
+        sender = threading.Thread(target=wire._send_message, args=(left, body))
+        sender.start()
+        try:
+            received = wire._recv_message(right)
+        finally:
+            sender.join()
+            left.close()
+            right.close()
+        assert received == body
