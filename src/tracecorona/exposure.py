@@ -83,10 +83,10 @@ def match_feed(
     token's hash, the metadata decrypts under the token secret, and the
     embedded remote timestamp is within ``epsilon`` seconds of the
     locally recorded one.  Everything else is silently a non-match.
-    The feed is read in place: its frames are walked by their length
-    fields, only a frame whose hash is a local token's has its
-    ciphertext copied out and decrypted, and none becomes a record or
-    frame object.
+    The feed is read in place: its frames are scanned for the tokens'
+    hashes (``PublishedFeed.hits``), only a frame whose hash is a local
+    token's has its ciphertext copied out and decrypted, and none
+    becomes a record or frame object.
     Output order is deterministic: encounter time, then hash bytes.
     """
     by_hash: dict[bytes, list[EncounterToken]] = {}
@@ -97,10 +97,8 @@ def match_feed(
 
     buf = feed.buffer
     notifications = []
-    for digest, start, tag_at in feed.heads():
-        tokens = by_hash.get(digest)
-        if tokens is None:
-            continue
+    for digest, start, tag_at in feed.hits(by_hash):
+        tokens = by_hash[digest]
         ciphertext = bytes(buf[start + CIPHERTEXT_AT : tag_at])
         for token in tokens:
             try:

@@ -12,11 +12,21 @@ line encodes, with a non-decreasing list of the records' epochs beside
 the frames: ingest only re-tags a frame's last byte, a log replay only
 checks the frames, and a feed is a slice of them, joined on the socket
 or into the buffer of the ``PublishedFeed`` ``fetch_feed`` returns; the
-server builds no record objects.
+server builds no record objects.  Ingest and replay check a record list
+in bulk when its frames share a width, as every client's do, and walk
+it frame by frame only when they differ (``wire._check_frames``).
+
+The hash index for possession proofs maps each direct record's hash to
+the index of its last holder and keeps a list of earlier indices only
+for a hash held more than once (both sides of an encounter upload the
+same hash).  It is built, and extended per upload, by C-level passes
+over the held frames.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -59,6 +69,8 @@ class UploadResult:
 #: Length of a checked frame whose ciphertext is empty; no upload may
 #: carry one.
 _EMPTY_FRAME = CIPHERTEXT_AT + 1
+_TAG_OF = operator.itemgetter(-1)
+_HASH_OF = operator.itemgetter(slice(TOKEN_HASH_BYTES))
 
 
 class TracingServer:
@@ -77,10 +89,13 @@ class TracingServer:
         #: held, and the epoch each was ingested at
         self._records: list[bytes] = []
         self._epochs: list[int] = []
-        #: hash -> indices of the direct records; built by the first
-        #: proof check, so a server that only serves fetches never pays
-        #: for it, and kept current by every store after that
-        self._direct_by_hash: dict[bytes, list[int]] | None = None
+        #: hash -> index of the last direct record with that hash, and,
+        #: for a hash held more than once, the indices of the earlier
+        #: ones; built by the first proof check, so a server that only
+        #: serves fetches never pays for them, and kept current by every
+        #: store after that
+        self._direct_by_hash: dict[bytes, int] | None = None
+        self._direct_earlier: dict[bytes, list[int]] = {}
         self._epoch = 0
         self._ingest_lock = threading.Lock()
         self._active_clients: set[str] = set()
@@ -135,11 +150,24 @@ class TracingServer:
             return result
 
     def _index_direct(self, start: int) -> None:
-        """Index the direct records among the held frames from ``start`` on."""
-        for i in range(start, len(self._records)):
-            frame = self._records[i]
-            if frame[-1] == Tag.DIRECT:
-                self._direct_by_hash.setdefault(frame[:TOKEN_HASH_BYTES], []).append(i)
+        """Index the direct records among the held frames from ``start`` on.
+        The frames are filtered and the index updated by C-level passes;
+        only a record whose hash is held more than once takes a Python
+        step, to keep its index among the earlier ones."""
+        records, held, earlier = self._records, self._direct_by_hash, self._direct_earlier
+        # a direct record's tag byte is 0
+        tags = map(_TAG_OF, records[start:])
+        direct = list(itertools.compress(range(start, len(records)), map(operator.not_, tags)))
+        hashes = list(map(_HASH_OF, map(records.__getitem__, direct)))
+        last = dict(zip(hashes, direct))
+        for digest in held.keys() & last.keys():
+            earlier.setdefault(digest, []).append(held[digest])
+        if len(last) < len(direct):
+            # a hash twice in this batch: every index but its last is earlier
+            not_last = map(operator.ne, map(last.__getitem__, hashes), direct)
+            for digest, index in itertools.compress(zip(hashes, direct), not_last):
+                earlier.setdefault(digest, []).append(index)
+        held.update(last)
 
     def _proof_matches(self, proof: bytes) -> list[int]:
         """Indices of published direct records this proof opens."""
@@ -148,8 +176,12 @@ class TracingServer:
         if self._direct_by_hash is None:
             self._direct_by_hash = {}
             self._index_direct(0)
+        digest = crypto.token_hash(proof)
+        last = self._direct_by_hash.get(digest)
+        if last is None:
+            return []
         matches = []
-        for index in self._direct_by_hash.get(crypto.token_hash(proof), []):
+        for index in [*self._direct_earlier.get(digest, ()), last]:
             try:
                 crypto.decrypt_metadata(proof, self._records[index][CIPHERTEXT_AT:-1])
             except crypto.AuthenticationFailure:

@@ -588,9 +588,13 @@ class _CentralizedClient(_BaselineClient):
         """Did any genuinely observed identifier of `target` trigger the
         match, or only relayed ones?"""
         best_via = None
+        # one derivation per interval, asked for in the upload's order
+        tempids: dict[int, bytes] = {}
         for tempid, timestamp in uploaded:
             t_k = timestamp // baselines.CENTRAL_INTERVAL_SECONDS
-            if self.cen_server.tempid_for(target.user_id, t_k) != tempid:
+            if t_k not in tempids:
+                tempids[t_k] = self.cen_server.tempid_for(target.user_id, t_k)
+            if tempids[t_k] != tempid:
                 continue
             prov = provenance(tempid, timestamp)
             if prov["via"] is None and prov["source"] == target.id:

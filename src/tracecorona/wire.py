@@ -10,13 +10,25 @@ as its frame: ``handle_request`` hands the server an upload's frames as
 the frame it logged, and a feed response is those frames joined.
 ``read_frames``, ``decode_record`` and ``read_log`` check a frame by the
 same rules (``_check_frame``).  The client keeps a feed as the response
-it arrived in: ``read_feed`` checks every frame by those rules in one
-walk and returns a ``PublishedFeed`` holding a view of the response's
-record list, which ``exposure.match_feed`` walks again in place.  Frame
-objects are built only for what the server holds (``read_frames`` for
-uploads, ``read_log`` for replay) and by a feed's ``frames`` on demand;
-record objects only by ``decode_record``, ``decode_records`` and a
-feed's ``records`` view, one frame at a time.
+it arrived in: ``read_feed`` checks every frame by those rules and
+returns a ``PublishedFeed`` holding a view of the response's record
+list, which ``exposure.match_feed`` reads again in place.  Frame objects
+are built only for what the server holds (``read_frames`` for uploads,
+``read_log`` for replay) and by a feed's ``frames`` on demand; record
+objects only by ``decode_record``, ``decode_records`` and a feed's
+``records`` view, one frame at a time.
+
+A record list is checked in bulk (``_check_frames``).  Every frame a
+client makes has the same width (a 36-byte metadata ciphertext), so the
+first frame's width is taken for all of them: if that many frames of it
+fit, strided slices check every frame's length field and tag byte at
+once, and the list is cut (or scanned for hashes) every ``width`` bytes
+by ``struct.iter_unpack``, with no Python step per frame.  A list whose
+frames differ is walked frame by frame, which raises the first bad
+frame's error; a valid list of mixed widths is walked that way too.
+``read_log`` decodes each run of equal-length base64 record lines with
+one call and checks the frames the same way; any other run is read line
+by line.
 
 Append-only log: one framed record per line of base64.  Epoch
 boundaries are interleaved as ``# epoch <n>`` control lines so a log
@@ -29,19 +41,22 @@ line that has no newline unless it is a record that decodes, and raises
 ends the file at a line boundary (``end_log_at_line``).
 
 Socket protocol: each message is a 4-byte length prefix followed by the
-body.  Request bodies start with a 1-byte opcode; responses with a
-1-byte status (0 accepted, 1 rejected, 2 malformed).  The server closes
-a connection whose request prefix exceeds ``MAX_REQUEST_BYTES`` without
-reading the body, and one that arrives while ``MAX_CONNECTIONS`` others
-are open without reading anything.  An upload whose record count is
-over ``MAX_UPLOAD_RECORDS`` is malformed, refused before its frames are
-read; responses, such as the feed, are not capped.
+body, sent with one ``sendmsg``.  Request bodies start with a 1-byte
+opcode; responses with a 1-byte status (0 accepted, 1 rejected, 2
+malformed).  The server closes a connection whose request prefix
+exceeds ``MAX_REQUEST_BYTES`` without reading the body, and one that
+arrives while ``MAX_CONNECTIONS`` others are open without reading
+anything.  An upload whose record count is over ``MAX_UPLOAD_RECORDS``
+is malformed, refused before its frames are read; responses, such as
+the feed, are not capped.
 """
 
 from __future__ import annotations
 
 import binascii
 import enum
+import io
+import itertools
 import json
 import os
 import socket
@@ -93,33 +108,40 @@ class TokenUploadRecord:
 @dataclass(frozen=True)
 class PublishedFeed:
     """A fetched feed: its checked record frames joined in feed order,
-    how many there are, and the feed epoch.  ``buffer`` is the record
-    list of the fetch response it was read from, a view that copies
-    nothing, or the frames an in-process caller joined."""
+    how many there are, the feed epoch, and the width every frame has,
+    or 0 if their widths differ.  ``buffer`` is the record list of the
+    fetch response it was read from, a view that copies nothing, or the
+    frames an in-process caller joined."""
 
     buffer: bytes | memoryview
     count: int
     feed_epoch: int
+    width: int
 
     @classmethod
     def from_frames(cls, frames: list[bytes], feed_epoch: int) -> "PublishedFeed":
         """The feed of checked frames, in the order given."""
-        return cls(b"".join(frames), len(frames), feed_epoch)
+        buffer = _joined(b"", frames)
+        return cls(buffer, len(frames), feed_epoch, _check_frames(buffer, 0, len(frames))[1])
 
-    def heads(self):
-        """Each frame's hash, start offset and tag offset in ``buffer``,
-        in feed order, walking the frames by their length fields."""
-        buf, at = self.buffer, 0
-        unpack = _FRAME_HEAD.unpack_from
-        for _ in range(self.count):
-            digest, length = unpack(buf, at)
-            tag_at = at + CIPHERTEXT_AT + length
-            yield digest, at, tag_at
-            at = tag_at + 1
+    def hits(self, hashes):
+        """The hash, start offset and tag offset in ``buffer`` of each
+        frame whose hash is in ``hashes``, in feed order.  Frames of one
+        width are scanned for their hashes in one C-level pass."""
+        buf, width = self.buffer, self.width
+        if not width:
+            return (head for head in _heads(buf, self.count) if head[0] in hashes)
+        digests = itertools.chain.from_iterable(
+            struct.iter_unpack(f"{TOKEN_HASH_BYTES}s{width - TOKEN_HASH_BYTES}x", buf)
+        )
+        starts = itertools.compress(itertools.count(0, width), map(hashes.__contains__, digests))
+        return (
+            (bytes(buf[start : start + TOKEN_HASH_BYTES]), start, start + width - 1)
+            for start in starts
+        )
 
     def _frame_copies(self):
-        buf = self.buffer
-        return (bytes(buf[start : tag_at + 1]) for _, start, tag_at in self.heads())
+        return _split(self.buffer, self.count, self.width)
 
     @property
     def frames(self) -> list[bytes]:
@@ -158,6 +180,7 @@ _CT_LEN = struct.Struct(">I")
 #: Where a frame's ciphertext starts, after the hash and its length.
 CIPHERTEXT_AT = _FRAME_HEAD.size
 _TAGS = tuple(Tag)
+_KNOWN_TAGS = bytes(_TAGS)
 
 
 def encode_record(record: TokenUploadRecord) -> bytes:
@@ -181,6 +204,69 @@ def _check_frame(buf: bytes, offset: int = 0) -> int:
     return tag_at
 
 
+def _uniform(buf: bytes, offset: int, count: int, width: int) -> bool:
+    """Whether ``count`` frames of ``width`` bytes from ``offset`` on,
+    ``count`` at least 1, fit in ``buf`` and pass ``_check_frame``: the
+    first frame's length field gives that width, every other frame's
+    length field is the same, and every tag is known.  Strided slices
+    check all the frames at once."""
+    end = offset + count * width
+    if width <= CIPHERTEXT_AT or len(buf) < end:
+        return False
+    head = offset + TOKEN_HASH_BYTES
+    return (
+        _CT_LEN.unpack_from(buf, head)[0] == width - CIPHERTEXT_AT - 1
+        and all(buf[at:end:width].count(buf[at]) == count for at in range(head, head + 4))
+        and not buf[offset + width - 1 : end : width].translate(None, _KNOWN_TAGS)
+    )
+
+
+def _check_frames(buf: bytes, offset: int, count: int) -> tuple[int, int]:
+    """Check the ``count`` record frames at ``offset`` by ``_check_frame``'s
+    rules.  Returns the offset just past them and the width they all
+    have, or 0 if their widths differ or there are none.
+
+    The first frame gives the width, and ``_uniform`` checks all the
+    frames at once.  Only if some frame differs are they walked one by
+    one, which raises the first bad frame's error."""
+    if count:
+        width = _check_frame(buf, offset) + 1 - offset
+        if _uniform(buf, offset, count, width):
+            return offset + count * width, width
+    for _ in range(count):
+        offset = _check_frame(buf, offset) + 1
+    return offset, 0
+
+
+def _heads(buf, count: int):
+    """Each of the ``count`` checked frames at the start of ``buf``: its
+    hash, start offset and tag offset, walking the length fields."""
+    at, unpack = 0, _FRAME_HEAD.unpack_from
+    for _ in range(count):
+        digest, length = unpack(buf, at)
+        tag_at = at + CIPHERTEXT_AT + length
+        yield digest, at, tag_at
+        at = tag_at + 1
+
+
+def _split(buf, count: int, width: int):
+    """The ``count`` checked frames that fill ``buf``, each copied out:
+    cut every ``width`` bytes in one C-level pass, or, for width 0,
+    walked by their length fields."""
+    if width:
+        return itertools.chain.from_iterable(struct.iter_unpack(f"{width}s", buf))
+    return (bytes(buf[start : tag_at + 1]) for _, start, tag_at in _heads(buf, count))
+
+
+def _joined(head: bytes, frames: list[bytes]) -> bytes:
+    """``head`` then the frames, in one buffer.  ``bytes.join`` would
+    first allocate a buffer record of 80 bytes per frame."""
+    out = io.BytesIO()
+    out.write(head)
+    out.writelines(frames)
+    return out.getvalue()
+
+
 def read_frames(buf: bytes, offset: int = 0, most: int | None = None) -> tuple[list[bytes], int]:
     """The checked frames of the record list at ``offset`` (a count, then
     that many frames) and the offset just past it.  A count above
@@ -191,12 +277,8 @@ def read_frames(buf: bytes, offset: int = 0, most: int | None = None) -> tuple[l
     if most is not None and count > most:
         raise WireError(f"record list of {count} exceeds {most}")
     offset += 4
-    frames = []
-    for _ in range(count):
-        end = _check_frame(buf, offset) + 1
-        frames.append(buf[offset:end])
-        offset = end
-    return frames, offset
+    end, width = _check_frames(buf, offset, count)
+    return list(_split(memoryview(buf)[offset:end], count, width)), end
 
 
 def _frame_record(frame: bytes) -> TokenUploadRecord:
@@ -293,6 +375,16 @@ def append_log(path, lines: list[str]) -> None:
         os.fsync(handle.fileno())
 
 
+#: Bytes of log file read at a time; a block is replayed up to its last
+#: newline, and the rest goes ahead of the next block.
+_LOG_BLOCK = 1 << 22
+#: What a record line in one ``a2b_base64`` call may hold: base64
+#: digits without padding, and the newlines between lines.
+_BASE64_LINES = (
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/\n"
+)
+
+
 def read_log(path) -> tuple[int, list[int], list[bytes]]:
     """Replay a log file into its last epoch and, for each record line in
     order, its epoch and its checked frame.
@@ -304,29 +396,77 @@ def read_log(path) -> tuple[int, list[int], list[bytes]]:
     epoch = 0
     epochs: list[int] = []
     frames: list[bytes] = []
+    rest = b""
     with open(path, "rb") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith(b"#"):
-                parts = line.split()
-                if raw.endswith(b"\n") and len(parts) == 3 and parts[1] == b"epoch":
-                    if not parts[2].isdigit():
-                        raise WireError(f"log epoch line has no epoch number: {line[:40]!r}")
-                    number = int(parts[2])
-                    if number < epoch:
-                        raise WireError(f"log epoch goes back from {epoch} to {number}")
-                    epoch = number
-                continue
-            try:
-                frames.append(_log_frame(line))
-            except WireError:
-                if raw.endswith(b"\n"):
-                    raise
-                continue
-            epochs.append(epoch)
+        while block := handle.read(_LOG_BLOCK):
+            data = rest + block
+            whole = data.rfind(b"\n") + 1
+            rest = data[whole:]
+            epoch = _read_log_lines(data, whole, epoch, epochs, frames)
+    tail = rest.strip()
+    if tail and not tail.startswith(b"#") and _is_record_line(tail):
+        epochs.append(epoch)
+        frames.append(_log_frame(tail))
     return epoch, epochs, frames
+
+
+def _read_log_lines(data: bytes, end: int, epoch: int, epochs: list[int], frames: list[bytes]) -> int:
+    """Replay the whole lines of ``data`` before ``end``: append each
+    record line's epoch and frame, and return the epoch after them.
+    Control lines cut the lines into runs of record lines, each read by
+    ``_log_run``."""
+    at = 0
+    while at < end:
+        start = _control_line(data, at, end)
+        if at < start:
+            run = _log_run(data[at:start])
+            epochs += [epoch] * len(run)
+            frames += run
+        if start == end:
+            break
+        at = data.index(b"\n", start) + 1
+        line = data[start:at].strip()
+        parts = line.split()
+        if len(parts) == 3 and parts[1] == b"epoch":
+            if not parts[2].isdigit():
+                raise WireError(f"log epoch line has no epoch number: {line[:40]!r}")
+            number = int(parts[2])
+            if number < epoch:
+                raise WireError(f"log epoch goes back from {epoch} to {number}")
+            epoch = number
+    return epoch
+
+
+def _control_line(data: bytes, at: int, end: int) -> int:
+    """Where the first control line (its first byte that is not blank is
+    ``#``) among the whole lines of ``data[at:end]`` starts, or ``end``."""
+    mark = data.find(b"#", at, end)
+    while mark >= 0:
+        start = data.rfind(b"\n", 0, mark) + 1
+        if not data[start:mark].strip():
+            return start
+        mark = data.find(b"#", data.index(b"\n", mark), end)
+    return end
+
+
+def _log_run(run: bytes) -> list[bytes]:
+    """The checked frames of a run of whole record lines.  Lines of one
+    length that hold only base64 digits decode with one call and are
+    checked at once by ``_uniform``; any other run is read line by line,
+    blank lines skipped, which raises the first bad line's error."""
+    size = run.find(b"\n") + 1
+    count = len(run) // size
+    width = (size - 1) // 4 * 3
+    if (
+        (size - 1) % 4 == 0
+        and count * size == len(run)
+        and run.count(b"\n") == run[size - 1 :: size].count(b"\n") == count
+        and not run.translate(None, _BASE64_LINES)
+    ):
+        decoded = binascii.a2b_base64(run)
+        if _uniform(decoded, 0, count, width):
+            return list(_split(decoded, count, width))
+    return [_log_frame(line) for line in map(bytes.strip, run.split(b"\n")) if line]
 
 
 # -- socket protocol ----------------------------------------------------------
@@ -381,23 +521,29 @@ def encode_fetch_feed(since_epoch: int, shuffle_seed: int) -> bytes:
 def read_feed(response: bytes) -> PublishedFeed:
     """The feed a fetch response carries: an accepted status, the feed
     epoch, then the record list, which ends the response.  Every frame
-    is checked in one walk, and the feed keeps the record list as a
-    view of the response."""
+    is checked (``_check_frames``), and the feed keeps the record list
+    as a view of the response."""
     if not response or response[0] != STATUS_ACCEPTED:
         raise WireError(response[1:].decode("ascii", "replace") or "feed not served")
     if len(response) < _FEED_AT:
         raise WireError("feed head truncated")
     epoch, count = _FEED_HEAD.unpack_from(response, 1)
-    end = _FEED_AT
-    for _ in range(count):
-        end = _check_frame(response, end) + 1
+    end, width = _check_frames(response, _FEED_AT, count)
     if end != len(response):
         raise WireError("trailing bytes after the record list")
-    return PublishedFeed(memoryview(response)[_FEED_AT:], count, epoch)
+    return PublishedFeed(memoryview(response)[_FEED_AT:], count, epoch, width)
 
 
 def _send_message(sock: socket.socket, body: bytes) -> None:
-    sock.sendall(struct.pack(">I", len(body)) + body)
+    # the prefix and the body go out in one sendmsg: two writes would
+    # meet Nagle's algorithm and a delayed ACK on every round trip
+    parts = [struct.pack(">I", len(body)), memoryview(body)]
+    while parts:
+        sent = sock.sendmsg(parts)
+        while parts and sent >= len(parts[0]):
+            sent -= len(parts.pop(0))
+        if parts:
+            parts[0] = parts[0][sent:]
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -453,7 +599,7 @@ def handle_request(server, body: bytes) -> bytes:
             since_epoch, seed = struct.unpack(">Iq", body[1:])
             feed_epoch, frames = server.feed_frames(since_epoch, random.Random(seed))
             head = bytes([STATUS_ACCEPTED]) + _FEED_HEAD.pack(feed_epoch, len(frames))
-            return b"".join([head, *frames])
+            return _joined(head, frames)
         elif op == OP_STATS:
             stats = server.stats_snapshot()
             return bytes([STATUS_ACCEPTED]) + json.dumps(

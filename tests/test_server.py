@@ -142,6 +142,73 @@ class TestSecondLevel:
         assert server.upload_second_level(owner, []).accepted
 
 
+#: Proof secrets for ``TestProofIndex``; the last one is never uploaded.
+PROOF_SECRETS = [random.Random(100 + i).randbytes(32) for i in range(5)]
+#: A record of a proof secret: its hash, and its metadata at one of two
+#: times (equal clocks give equal frames) or sealed under another secret.
+proof_records = st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0, 1, "forged"])), max_size=4)
+
+
+def proof_frames(specs):
+    frames = []
+    for s, sealing in specs:
+        key = PROOF_SECRETS[s + 1] if sealing == "forged" else PROOF_SECRETS[s]
+        t = 1_600_000_000 + (sealing if sealing != "forged" else 0)
+        frames.append(wire.encode_record(TokenUploadRecord(
+            crypto.token_hash(PROOF_SECRETS[s]), crypto.encrypt_metadata(key, t)
+        )))
+    return frames
+
+
+def opened(server, proof):
+    """Indices of the held direct records a proof opens, found by
+    trying every held frame."""
+    digest = crypto.token_hash(proof)
+    found = []
+    for index, frame in enumerate(server._records):
+        if frame[-1] != Tag.DIRECT or frame[:16] != digest:
+            continue
+        try:
+            crypto.decrypt_metadata(proof, frame[20:-1])
+        except crypto.AuthenticationFailure:
+            continue
+        found.append(index)
+    return found
+
+
+class TestProofIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("infected"), proof_records),
+        st.tuples(st.just("second"), st.integers(0, 4), proof_records),
+        st.tuples(st.just("check"), st.integers(0, 4)),
+    ), max_size=10))
+    def test_proof_opens_every_direct_record_of_its_hash(self, steps):
+        """Before the hash index exists, once a proof check has built it,
+        as later uploads extend it, and after a replay, a proof opens
+        exactly the direct records that hold its hash and decrypt under
+        it, in hold order, a hash held many times included."""
+        with tempfile.TemporaryDirectory() as directory:
+            log = os.path.join(directory, "server.log")
+            server, ha = make_server(log_path=log)
+            for step in steps:
+                if step[0] == "infected":
+                    server.upload_infected(ha.issue_tan("u", 0).value, proof_frames(step[1]))
+                elif step[0] == "second":
+                    server.upload_second_level(PROOF_SECRETS[step[1]], proof_frames(step[2]))
+                else:
+                    proof = PROOF_SECRETS[step[1]]
+                    assert server._proof_matches(proof) == opened(server, proof)
+            replayed = TracingServer.replay_log(log, HealthAuthority(random.Random(0)))
+            for again in (server, replayed):
+                for proof in PROOF_SECRETS:
+                    assert again._proof_matches(proof) == opened(again, proof)
+            tan = replayed.authority.issue_tan("u", 0).value
+            replayed.upload_infected(tan, proof_frames([(0, 0), (0, 1), (1, 0)]))
+            for proof in PROOF_SECRETS:
+                assert replayed._proof_matches(proof) == opened(replayed, proof)
+
+
 class TestSuperspreader:
     def setup_published(self, n=3):
         server, ha = make_server()

@@ -803,6 +803,54 @@ class TestDerivationCounts:
         assert len(report.notifications) == 1
         assert calls and set(calls.values()) == {1}
 
+    def test_match_provenance_asks_once_per_user_interval(self, monkeypatch):
+        """Crediting a centralized notification asks the server for the
+        notified user's identifier once per uploaded interval, not once
+        per uploaded observation."""
+        from tracecorona import baselines
+        from tracecorona.simnet import engine as engine_module
+
+        # a hears c for 20 minutes on day 3 and b on day 4: crediting b
+        # passes every observation of c first
+        schedule = [
+            {"device_a": "a", "device_b": peer, "start": day * DAY + 36000,
+             "end": day * DAY + 37200, "rssi_profile": -55}
+            for day, peer in ((3, "c"), (4, "b"))
+        ]
+        config = ScenarioConfig.from_dict(config_dict(
+            scheme="centralized", devices=[{"id": "a"}, {"id": "b"}, {"id": "c"}],
+            colocation_schedule=schedule,
+        ))
+        tempid_for = baselines.CentralizedServer.tempid_for
+        match_provenance = engine_module._CentralizedClient._match_provenance
+        calls: list[Counter] = []
+        intervals: list[int] = []
+        inside = []
+
+        def counted_tempid_for(server, user_id, t_k):
+            if inside:
+                calls[-1][(user_id, t_k)] += 1
+            return tempid_for(server, user_id, t_k)
+
+        def counted_match(client, target, uploaded, provenance):
+            calls.append(Counter())
+            intervals.append(len({t // baselines.CENTRAL_INTERVAL_SECONDS for _, t in uploaded}))
+            inside.append(True)
+            try:
+                return match_provenance(client, target, uploaded, provenance)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(baselines.CentralizedServer, "tempid_for", counted_tempid_for)
+        monkeypatch.setattr(engine_module._CentralizedClient, "_match_provenance", counted_match)
+        report = run_scenario(config)
+        assert sorted(n["device"] for n in report.notifications) == ["b", "c"]
+        assert all(n["genuine"] for n in report.notifications)
+        assert len(calls) == 2
+        for asked, distinct in zip(calls, intervals):
+            assert asked and set(asked.values()) == {1}
+            assert len(asked) <= distinct
+
     def test_broadcast_tables_bounded_by_retention(self):
         config = ScenarioConfig.from_dict(
             config_dict(scheme="decentralized", duration_days=18,

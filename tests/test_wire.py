@@ -1,8 +1,10 @@
 """Wire formats: record frames, log lines, socket round trips."""
 
 import base64
+import os
 import random
 import socket
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import match_oracle
+import wire_oracle
 from tracecorona import crypto, exposure, wire
 from tracecorona.authority import HealthAuthority
 from tracecorona.crypto import EncounterToken
@@ -565,3 +568,266 @@ class TestReceive:
             left.close()
             right.close()
         assert received == body
+
+
+class TestSend:
+    class Sink:
+        """A socket that takes at most ``step`` bytes per ``sendmsg`` and
+        has no other way to send."""
+
+        def __init__(self, step):
+            self.step, self.data, self.calls = step, bytearray(), 0
+
+        def sendmsg(self, buffers):
+            self.calls += 1
+            left = self.step
+            for buffer in buffers:
+                taken = bytes(buffer[:left])
+                self.data += taken
+                left -= len(taken)
+            return self.step - left
+
+    def test_prefix_and_body_go_out_in_one_call(self):
+        sink = self.Sink(1 << 20)
+        wire._send_message(sink, b"abc")
+        assert sink.calls == 1
+        assert sink.data == (3).to_bytes(4, "big") + b"abc"
+
+    @pytest.mark.parametrize("step", [1, 3, 4, 5, 1000])
+    def test_short_sends_resumed(self, step):
+        for body in (b"", bytes(range(256)) * 4):
+            sink = self.Sink(step)
+            wire._send_message(sink, body)
+            assert sink.data == len(body).to_bytes(4, "big") + body
+            assert sink.calls == max(1, -(-(4 + len(body)) // step))
+
+
+def make_frame(digest, ciphertext, tag=0):
+    return digest + len(ciphertext).to_bytes(4, "big") + ciphertext + bytes([tag])
+
+
+@st.composite
+def frame_lists(draw, max_size=8):
+    """Valid frames: all of one ciphertext length (0, 1, 36 or 37
+    bytes), or, in some lists, of any length up to 40."""
+    common = draw(st.sampled_from([0, 1, 36, 37]))
+    lengths = st.integers(0, 40) if draw(st.booleans()) else st.just(common)
+    specs = st.tuples(st.binary(min_size=16, max_size=16), lengths, st.integers(0, 2))
+    return [
+        make_frame(digest, random.Random(length).randbytes(length), tag)
+        for digest, length, tag in draw(st.lists(specs, max_size=max_size))
+    ]
+
+
+@st.composite
+def damaged_lists(draw):
+    """A record list's count and frames, the frames joined, after up to
+    two of: a length field or a tag byte set at any frame, a cut at any
+    byte, bytes added after the list, a count that is off."""
+    frames = draw(frame_lists())
+    count, starts = len(frames), []
+    body = bytearray()
+    for frame in frames:
+        starts.append(len(body))
+        body += frame
+    for kind in draw(st.lists(st.sampled_from(["length", "tag", "cut", "trail", "count"]), max_size=2)):
+        if kind in ("length", "tag") and starts:
+            at = draw(st.sampled_from(starts))
+            if kind == "length":
+                field = int.from_bytes(body[at + 16 : at + 20], "big")
+                value = draw(st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([field - 1, field + 1])))
+                body[at + 16 : at + 20] = (value % 2**32).to_bytes(4, "big")
+            else:
+                tag_at = at + 20 + int.from_bytes(body[at + 16 : at + 20], "big")
+                if tag_at < len(body):
+                    body[tag_at] = draw(st.integers(0, 255))
+        elif kind == "cut":
+            del body[draw(st.integers(0, len(body))) :]
+        elif kind == "trail":
+            body += draw(st.binary(min_size=1, max_size=60))
+        elif kind == "count":
+            count = draw(st.sampled_from([count + 1, count + 2, max(count - 1, 0), 2**32 - 1]))
+    return min(count, 2**32 - 1), bytes(body)
+
+
+def outcome(read, *args):
+    """What a reader gives: ("ok", its result) or ("error", the message)."""
+    try:
+        return "ok", read(*args)
+    except wire.WireError as exc:
+        return "error", str(exc)
+
+
+def oracle_hits(frames, hashes):
+    """Each frame whose hash is in ``hashes``: its hash, start and tag
+    offset in the joined frames."""
+    hits, start = [], 0
+    for frame in frames:
+        if frame[:16] in hashes:
+            hits.append((frame[:16], start, start + len(frame) - 1))
+        start += len(frame)
+    return hits
+
+
+def feed_outcome(response):
+    feed = wire.read_feed(response)
+    assert bytes(feed.buffer) == response[9:]
+    assert len(feed.records) == feed.count
+    return feed.feed_epoch, feed.frames
+
+
+#: Log lines of each kind; ``{record}`` is a frame's base64.
+LOG_LINE_KINDS = ["record", "record", "record", "epoch", "blank", "spaced", "trailing",
+                  "comment", "bad epoch", "junk"]
+
+
+@st.composite
+def log_files(draw):
+    """A log's bytes: record lines of valid frames, epoch lines going
+    up or back, and, in some logs, blank, padded, over-long, comment and
+    junk lines; then perhaps cut at any byte, as a crash leaves it."""
+    frames = draw(frame_lists(max_size=12))
+    kinds = LOG_LINE_KINDS if draw(st.booleans()) else ["record", "record", "epoch"]
+    lines, epoch = [], 0
+    for frame in frames:
+        kind = draw(st.sampled_from(kinds))
+        line = base64.b64encode(frame)
+        if kind == "epoch":
+            epoch = draw(st.sampled_from([epoch, epoch + 1, epoch + 5, max(epoch - 1, 0)]))
+            lines.append(f"# epoch {epoch}".encode())
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from([b"", b"  ", b"\t"])))
+        elif kind == "spaced":
+            line = b" " + line + b"\r"
+        elif kind == "trailing":
+            line += b"AAAA"
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from([b"# note", b"  # epoch 3", b"#"])))
+        elif kind == "bad epoch":
+            lines.append(b"# epoch x")
+        elif kind == "junk":
+            line = draw(st.binary(max_size=80)).replace(b"\n", b"")
+        lines.append(line)
+    data = b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    return data
+
+
+def read_log_both(data, block):
+    """``wire.read_log`` with the given block size, and the oracle, on a
+    log file holding ``data``."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "server.log")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        saved, wire._LOG_BLOCK = wire._LOG_BLOCK, block
+        try:
+            got = outcome(wire.read_log, path)
+        finally:
+            wire._LOG_BLOCK = saved
+        return got, outcome(wire_oracle.read_log, path)
+
+
+class TestBulkCheck:
+    """A record list is checked at once when its frames share a width and
+    walked frame by frame otherwise: either way every reader gives what
+    the per-frame walk gives, frames and end offset or error message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(damaged_lists(), st.binary(max_size=3), st.sampled_from([None, 0, 2, 1024]))
+    def test_read_frames_as_the_walk(self, damaged, prefix, most):
+        count, body = damaged
+        buf = prefix + count.to_bytes(4, "big") + body
+        expected = outcome(wire_oracle.read_frames, buf, len(prefix), most)
+        assert outcome(wire.read_frames, buf, len(prefix), most) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(damaged_lists(), st.integers(0, 2**32 - 1))
+    def test_read_feed_as_the_walk(self, damaged, epoch):
+        count, body = damaged
+        response = bytes([wire.STATUS_ACCEPTED]) + wire._FEED_HEAD.pack(epoch, count) + body
+        got = outcome(feed_outcome, response)
+        assert got == outcome(wire_oracle.read_feed, response)
+        if got[0] == "ok":
+            feed, frames = wire.read_feed(response), got[1][1]
+            hashes = {frame[:16] for frame in frames[::2]}
+            assert list(feed.hits(hashes)) == oracle_hits(frames, hashes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(frame_lists(), st.integers(0, 2**32 - 1))
+    def test_from_frames_as_joined(self, frames, epoch):
+        feed = wire.PublishedFeed.from_frames(frames, epoch)
+        assert bytes(feed.buffer) == b"".join(frames)
+        assert (feed.count, feed.feed_epoch, feed.frames) == (len(frames), epoch, frames)
+        widths = set(map(len, frames))
+        assert feed.width == (widths.pop() if len(widths) == 1 else 0)
+        hashes = {frame[:16] for frame in frames[1::2]}
+        assert list(feed.hits(hashes)) == oracle_hits(frames, hashes)
+        assert [wire.encode_record(r) for r in feed.records] == frames
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_files(), st.sampled_from([7, 64, 1 << 22]))
+    def test_read_log_as_line_by_line(self, data, block):
+        got, expected = read_log_both(data, block)
+        assert got == expected
+
+    @pytest.mark.parametrize("block", [7, 1 << 22])
+    def test_every_torn_tail_as_line_by_line(self, block):
+        """Each cut of a log with epoch lines between runs of records
+        replays as line by line does."""
+        rng = random.Random(54)
+        lines = [b"# epoch 2"]
+        for epoch in (None, 5, 12):
+            if epoch is not None:
+                lines.append(wire.log_epoch_line(epoch).encode())
+            lines += [base64.b64encode(make_frame(rng.randbytes(16), rng.randbytes(36)))
+                      for _ in range(3)]
+        data = b"\n".join(lines) + b"\n"
+        for cut in range(len(data) + 1):
+            got, expected = read_log_both(data[:cut], block)
+            assert got == expected, cut
+            assert got[0] == "ok", cut
+
+    def equal_width_frames(self, n):
+        rng = random.Random(55)
+        return [make_frame(rng.randbytes(16), rng.randbytes(36), i % 3) for i in range(n)]
+
+    def test_equal_width_list_checked_without_a_walk(self, monkeypatch, tmp_path):
+        frames = self.equal_width_frames(10_000)
+        body = len(frames).to_bytes(4, "big") + b"".join(frames)
+        response = bytes([wire.STATUS_ACCEPTED]) + (3).to_bytes(4, "big") + body
+        log = tmp_path / "server.log"
+        log.write_bytes(b"".join(base64.b64encode(frame) + b"\n" for frame in frames))
+        calls = []
+        check = wire._check_frame
+        monkeypatch.setattr(
+            wire, "_check_frame", lambda buf, offset=0: calls.append(offset) or check(buf, offset)
+        )
+        readers = {
+            "read_frames": lambda: wire.read_frames(body)[0],
+            "read_feed": lambda: wire.read_feed(response).frames,
+            "from_frames": lambda: wire.PublishedFeed.from_frames(frames, 3).frames,
+            "read_log": lambda: wire.read_log(log)[2],
+        }
+        for name, read in readers.items():
+            calls.clear()
+            assert read() == frames, name
+            assert len(calls) <= 2, name
+
+    @pytest.mark.parametrize("reader", ["read_frames", "read_feed"])
+    def test_huge_count_refused_without_a_count_sized_allocation(self, reader):
+        frames = self.equal_width_frames(3)
+        body = (2**32 - 1).to_bytes(4, "big") + b"".join(frames)
+        read = {
+            "read_frames": lambda: wire.read_frames(body),
+            "read_feed": lambda: wire.read_feed(bytes([wire.STATUS_ACCEPTED, 0, 0, 0, 0]) + body),
+        }[reader]
+        tracemalloc.start()
+        try:
+            with pytest.raises(wire.WireError, match="^record frame truncated$"):
+                read()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024

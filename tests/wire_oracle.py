@@ -1,0 +1,75 @@
+"""Per-frame oracle for the record-list readers in ``tracecorona.wire``.
+
+Each function walks a record list one frame at a time (or a log one
+line at a time) with ``wire._check_frame`` and ``wire._log_frame``, the
+way the readers did before they checked lists in bulk.  The tests
+compare the bulk readers against these: same frames and end offsets, or
+the same ``WireError`` message.
+"""
+
+import struct
+
+from tracecorona import wire
+
+
+def read_frames(buf, offset=0, most=None):
+    """``wire.read_frames``, walking frame by frame."""
+    if len(buf) - offset < 4:
+        raise wire.WireError("record list truncated")
+    (count,) = struct.unpack_from(">I", buf, offset)
+    if most is not None and count > most:
+        raise wire.WireError(f"record list of {count} exceeds {most}")
+    offset += 4
+    frames = []
+    for _ in range(count):
+        end = wire._check_frame(buf, offset) + 1
+        frames.append(buf[offset:end])
+        offset = end
+    return frames, offset
+
+
+def read_feed(response):
+    """The feed epoch and the frames of a fetch response, as
+    ``wire.read_feed`` reads them, walking frame by frame."""
+    if not response or response[0] != wire.STATUS_ACCEPTED:
+        raise wire.WireError(response[1:].decode("ascii", "replace") or "feed not served")
+    if len(response) < 9:
+        raise wire.WireError("feed head truncated")
+    epoch, count = struct.unpack_from(">II", response, 1)
+    frames, end = [], 9
+    for _ in range(count):
+        tag_at = wire._check_frame(response, end)
+        frames.append(response[end : tag_at + 1])
+        end = tag_at + 1
+    if end != len(response):
+        raise wire.WireError("trailing bytes after the record list")
+    return epoch, frames
+
+
+def read_log(path):
+    """``wire.read_log``, one line at a time."""
+    epoch = 0
+    epochs, frames = [], []
+    with open(path, "rb") as handle:
+        for raw in handle:
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith(b"#"):
+                parts = line.split()
+                if raw.endswith(b"\n") and len(parts) == 3 and parts[1] == b"epoch":
+                    if not parts[2].isdigit():
+                        raise wire.WireError(f"log epoch line has no epoch number: {line[:40]!r}")
+                    number = int(parts[2])
+                    if number < epoch:
+                        raise wire.WireError(f"log epoch goes back from {epoch} to {number}")
+                    epoch = number
+                continue
+            try:
+                frames.append(wire._log_frame(line))
+            except wire.WireError:
+                if raw.endswith(b"\n"):
+                    raise
+                continue
+            epochs.append(epoch)
+    return epoch, epochs, frames
