@@ -6,15 +6,15 @@ persisted structure remembers which records arrived together.  An
 accepted upload's log lines go out in one write and are fsynced before
 the upload is answered.
 
-Uploads arrive as checked wire frames (``wire.read_frames``), and the
-server holds each published record as its frame, the bytes its log
-line encodes, with a non-decreasing list of the records' epochs beside
-the frames: ingest only re-tags a frame's last byte, a log replay only
-checks the frames, and a feed is a slice of them, joined on the socket
-or into the buffer of the ``PublishedFeed`` ``fetch_feed`` returns; the
-server builds no record objects.  Ingest and replay check a record list
-in bulk when its frames share a width, as every client's do, and walk
-it frame by frame only when they differ (``wire._check_frames``).
+Uploads arrive as frames ``wire.read_frames`` checked.  Only ``wire``
+knows the frame format: it refuses a record whose ciphertext is not 36
+bytes (``record ciphertext of <n> bytes, not 36``) before the server
+sees the upload.  The server holds each published record as its frame,
+the bytes its log line encodes, with a non-decreasing list of the
+records' epochs beside the frames: ingest only re-tags a frame's last
+byte, a log replay only checks the frames, and a feed is a slice of
+them, joined on the socket or into the buffer of the ``PublishedFeed``
+``fetch_feed`` returns; the server builds no record objects.
 
 The hash index for possession proofs maps each direct record's hash to
 the index of its last holder and keeps a list of earlier indices only
@@ -66,9 +66,6 @@ class UploadResult:
     stored: int = 0
 
 
-#: Length of a checked frame whose ciphertext is empty; no upload may
-#: carry one.
-_EMPTY_FRAME = CIPHERTEXT_AT + 1
 _TAG_OF = operator.itemgetter(-1)
 _HASH_OF = operator.itemgetter(slice(TOKEN_HASH_BYTES))
 
@@ -113,6 +110,8 @@ class TracingServer:
         return self._epoch
 
     def advance_epoch(self, epoch: int) -> None:
+        """Ingest at ``epoch`` from now on.  The simulator's epoch is one
+        day: it calls this each midnight with the day number."""
         with self._ingest_lock:
             if epoch < self._epoch:
                 raise ValueError("epoch must not go backwards")
@@ -140,7 +139,7 @@ class TracingServer:
         return UploadResult(True, stored=len(frames))
 
     def upload_infected(self, tan_value: str, frames: list[bytes]) -> UploadResult:
-        if not frames or _EMPTY_FRAME in map(len, frames):
+        if not frames:
             return UploadResult(False, REASON_MALFORMED_RECORD)
         with self._ingest_lock:
             if not self.authority.verify_tan(tan_value):
@@ -190,8 +189,6 @@ class TracingServer:
         return matches
 
     def upload_second_level(self, possession_proof: bytes, frames: list[bytes]) -> UploadResult:
-        if _EMPTY_FRAME in map(len, frames):
-            return UploadResult(False, REASON_MALFORMED_RECORD)
         with self._ingest_lock:
             if not self._proof_matches(possession_proof):
                 return UploadResult(False, REASON_NO_MATCHING_TOKEN)
@@ -200,8 +197,6 @@ class TracingServer:
             return result
 
     def upload_superspreader_proof(self, proofs: list[bytes], frames: list[bytes]) -> UploadResult:
-        if _EMPTY_FRAME in map(len, frames):
-            return UploadResult(False, REASON_MALFORMED_RECORD)
         with self._ingest_lock:
             if len(proofs) < self.superspreader_threshold:
                 return UploadResult(False, REASON_INSUFFICIENT_PROOFS)

@@ -422,10 +422,8 @@ class _TraceCoronaClient(_Client):
         accepted = 0
         for _ in range(attempts):
             proof = rng.randbytes(32)
-            dummy = wire.encode_record(
-                wire.TokenUploadRecord(hash=rng.randbytes(16), ciphertext=rng.randbytes(36))
-            )
-            result = engine.server.upload_second_level(proof, [dummy])
+            dummy = wire.TokenUploadRecord(rng.randbytes(16), rng.randbytes(wire.CIPHERTEXT_BYTES))
+            result = engine.server.upload_second_level(proof, [wire.encode_record(dummy)])
             if result.accepted:
                 accepted += 1
         return accepted

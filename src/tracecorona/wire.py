@@ -18,17 +18,18 @@ are built only for what the server holds (``read_frames`` for uploads,
 objects only by ``decode_record``, ``decode_records`` and a feed's
 ``records`` view, one frame at a time.
 
-A record list is checked in bulk (``_check_frames``).  Every frame a
-client makes has the same width (a 36-byte metadata ciphertext), so the
-first frame's width is taken for all of them: if that many frames of it
-fit, strided slices check every frame's length field and tag byte at
-once, and the list is cut (or scanned for hashes) every ``width`` bytes
-by ``struct.iter_unpack``, with no Python step per frame.  A list whose
-frames differ is walked frame by frame, which raises the first bad
-frame's error; a valid list of mixed widths is walked that way too.
-``read_log`` decodes each run of equal-length base64 record lines with
-one call and checks the frames the same way; any other run is read line
-by line.
+One record width: a ciphertext is a sealed timestamp, 36 bytes
+(``CIPHERTEXT_BYTES``), so a frame is 57 (``FRAME_BYTES``).
+``_check_frame`` refuses any other length field with ``record
+ciphertext of <n> bytes, not 36``: such a record could never match, and
+an upload of one unusual width would stand out as a batch in the
+shuffled feed.  A record list is checked in bulk (``_check_frames``):
+strided slices check every frame's length field and tag byte at once,
+and the list is cut (or scanned for hashes) every 57 bytes by
+``struct.iter_unpack``, with no Python step per frame; only a list that
+fails is walked frame by frame, to raise the first bad frame's error.
+``read_log`` decodes each run of record lines with one call and checks
+it the same way; any other run is read line by line.
 
 Append-only log: one framed record per line of base64.  Epoch
 boundaries are interleaved as ``# epoch <n>`` control lines so a log
@@ -66,18 +67,18 @@ import threading
 from dataclasses import dataclass
 
 TOKEN_HASH_BYTES = 16
+#: The one record ciphertext length: 12-byte nonce, 8-byte timestamp
+#: (the only plaintext ``crypto.decrypt_metadata`` opens), 16-byte tag.
+CIPHERTEXT_BYTES = 36
+#: A record frame's length: hash, ciphertext length, ciphertext, tag.
+FRAME_BYTES = TOKEN_HASH_BYTES + 4 + CIPHERTEXT_BYTES + 1
 PROOF_BYTES = 32
 #: Most records one upload may carry.  The paper's upload is 14 days of
 #: 20 encounters, 280 records; the cap leaves room for busier contacts.
 MAX_UPLOAD_RECORDS = 1024
 #: Largest request the server reads: the longest upload header (255
-#: superspreader proofs), then ``MAX_UPLOAD_RECORDS`` frames holding the
-#: metadata ciphertext a client makes (12-byte nonce, 8-byte timestamp,
-#: 16-byte AEAD tag).
-MAX_REQUEST_BYTES = (
-    2 + 255 * PROOF_BYTES + 4
-    + MAX_UPLOAD_RECORDS * (TOKEN_HASH_BYTES + 4 + 12 + 8 + 16 + 1)
-)
+#: superspreader proofs), then ``MAX_UPLOAD_RECORDS`` frames.
+MAX_REQUEST_BYTES = 2 + 255 * PROOF_BYTES + 4 + MAX_UPLOAD_RECORDS * FRAME_BYTES
 #: Most connections the socket server serves at once, one thread each.
 MAX_CONNECTIONS = 64
 
@@ -108,45 +109,38 @@ class TokenUploadRecord:
 @dataclass(frozen=True)
 class PublishedFeed:
     """A fetched feed: its checked record frames joined in feed order,
-    how many there are, the feed epoch, and the width every frame has,
-    or 0 if their widths differ.  ``buffer`` is the record list of the
-    fetch response it was read from, a view that copies nothing, or the
-    frames an in-process caller joined."""
+    how many there are, and the feed epoch.  ``buffer`` is the record
+    list of the fetch response it was read from, a view that copies
+    nothing, or the frames an in-process caller joined."""
 
     buffer: bytes | memoryview
     count: int
     feed_epoch: int
-    width: int
 
     @classmethod
     def from_frames(cls, frames: list[bytes], feed_epoch: int) -> "PublishedFeed":
         """The feed of checked frames, in the order given."""
         buffer = _joined(b"", frames)
-        return cls(buffer, len(frames), feed_epoch, _check_frames(buffer, 0, len(frames))[1])
+        _check_frames(buffer, 0, len(frames))
+        return cls(buffer, len(frames), feed_epoch)
 
     def hits(self, hashes):
         """The hash, start offset and tag offset in ``buffer`` of each
-        frame whose hash is in ``hashes``, in feed order.  Frames of one
-        width are scanned for their hashes in one C-level pass."""
-        buf, width = self.buffer, self.width
-        if not width:
-            return (head for head in _heads(buf, self.count) if head[0] in hashes)
-        digests = itertools.chain.from_iterable(
-            struct.iter_unpack(f"{TOKEN_HASH_BYTES}s{width - TOKEN_HASH_BYTES}x", buf)
-        )
-        starts = itertools.compress(itertools.count(0, width), map(hashes.__contains__, digests))
+        frame whose hash is in ``hashes``, in feed order, found in one
+        C-level pass over the frames' hashes."""
+        buf = self.buffer
+        digests = struct.iter_unpack(f"{TOKEN_HASH_BYTES}s{FRAME_BYTES - TOKEN_HASH_BYTES}x", buf)
+        hit = map(hashes.__contains__, itertools.chain.from_iterable(digests))
+        starts = itertools.compress(itertools.count(0, FRAME_BYTES), hit)
         return (
-            (bytes(buf[start : start + TOKEN_HASH_BYTES]), start, start + width - 1)
+            (bytes(buf[start : start + TOKEN_HASH_BYTES]), start, start + FRAME_BYTES - 1)
             for start in starts
         )
-
-    def _frame_copies(self):
-        return _split(self.buffer, self.count, self.width)
 
     @property
     def frames(self) -> list[bytes]:
         """The frames, each copied out of ``buffer``."""
-        return list(self._frame_copies())
+        return list(_split(self.buffer))
 
     @property
     def records(self) -> "_RecordView":
@@ -166,7 +160,7 @@ class _RecordView:
         return self._feed.count
 
     def __iter__(self):
-        return map(_frame_record, self._feed._frame_copies())
+        return map(_frame_record, _split(self._feed.buffer))
 
 
 class WireError(Exception):
@@ -192,11 +186,15 @@ def encode_record(record: TokenUploadRecord) -> bytes:
 
 
 def _check_frame(buf: bytes, offset: int = 0) -> int:
-    """Check the record frame at ``offset``: a whole head, its ciphertext
-    and a known tag.  Returns the offset of the tag byte."""
+    """Check the record frame at ``offset``: a whole head, a length field
+    of ``CIPHERTEXT_BYTES``, the whole ciphertext and a known tag.
+    Returns the offset of the tag byte."""
     if len(buf) - offset <= CIPHERTEXT_AT:
         raise WireError("record frame truncated")
-    tag_at = offset + CIPHERTEXT_AT + _CT_LEN.unpack_from(buf, offset + TOKEN_HASH_BYTES)[0]
+    (length,) = _CT_LEN.unpack_from(buf, offset + TOKEN_HASH_BYTES)
+    if length != CIPHERTEXT_BYTES:
+        raise WireError(f"record ciphertext of {length} bytes, not {CIPHERTEXT_BYTES}")
+    tag_at = offset + FRAME_BYTES - 1
     if len(buf) <= tag_at:
         raise WireError("record ciphertext truncated")
     if buf[tag_at] >= len(_TAGS):
@@ -204,58 +202,30 @@ def _check_frame(buf: bytes, offset: int = 0) -> int:
     return tag_at
 
 
-def _uniform(buf: bytes, offset: int, count: int, width: int) -> bool:
-    """Whether ``count`` frames of ``width`` bytes from ``offset`` on,
-    ``count`` at least 1, fit in ``buf`` and pass ``_check_frame``: the
-    first frame's length field gives that width, every other frame's
-    length field is the same, and every tag is known.  Strided slices
-    check all the frames at once."""
-    end = offset + count * width
-    if width <= CIPHERTEXT_AT or len(buf) < end:
-        return False
-    head = offset + TOKEN_HASH_BYTES
-    return (
-        _CT_LEN.unpack_from(buf, head)[0] == width - CIPHERTEXT_AT - 1
-        and all(buf[at:end:width].count(buf[at]) == count for at in range(head, head + 4))
-        and not buf[offset + width - 1 : end : width].translate(None, _KNOWN_TAGS)
-    )
-
-
-def _check_frames(buf: bytes, offset: int, count: int) -> tuple[int, int]:
+def _check_frames(buf: bytes, offset: int, count: int) -> int:
     """Check the ``count`` record frames at ``offset`` by ``_check_frame``'s
-    rules.  Returns the offset just past them and the width they all
-    have, or 0 if their widths differ or there are none.
-
-    The first frame gives the width, and ``_uniform`` checks all the
-    frames at once.  Only if some frame differs are they walked one by
-    one, which raises the first bad frame's error."""
-    if count:
-        width = _check_frame(buf, offset) + 1 - offset
-        if _uniform(buf, offset, count, width):
-            return offset + count * width, width
-    for _ in range(count):
-        offset = _check_frame(buf, offset) + 1
-    return offset, 0
-
-
-def _heads(buf, count: int):
-    """Each of the ``count`` checked frames at the start of ``buf``: its
-    hash, start offset and tag offset, walking the length fields."""
-    at, unpack = 0, _FRAME_HEAD.unpack_from
-    for _ in range(count):
-        digest, length = unpack(buf, at)
-        tag_at = at + CIPHERTEXT_AT + length
-        yield digest, at, tag_at
-        at = tag_at + 1
+    rules and return the offset just past them.  If they fit, strided
+    slices check every frame's length field and tag byte at once; only
+    if that fails are they walked one by one, which raises the first bad
+    frame's error."""
+    end = offset + count * FRAME_BYTES
+    if not (
+        len(buf) >= end
+        and all(
+            buf[at:end:FRAME_BYTES].count(byte) == count
+            for at, byte in enumerate(_CT_LEN.pack(CIPHERTEXT_BYTES), offset + TOKEN_HASH_BYTES)
+        )
+        and not buf[offset + FRAME_BYTES - 1 : end : FRAME_BYTES].translate(None, _KNOWN_TAGS)
+    ):
+        for at in range(offset, end, FRAME_BYTES):
+            _check_frame(buf, at)
+    return end
 
 
-def _split(buf, count: int, width: int):
-    """The ``count`` checked frames that fill ``buf``, each copied out:
-    cut every ``width`` bytes in one C-level pass, or, for width 0,
-    walked by their length fields."""
-    if width:
-        return itertools.chain.from_iterable(struct.iter_unpack(f"{width}s", buf))
-    return (bytes(buf[start : tag_at + 1]) for _, start, tag_at in _heads(buf, count))
+def _split(buf):
+    """The checked frames that fill ``buf``, each copied out, cut in one
+    C-level pass."""
+    return itertools.chain.from_iterable(struct.iter_unpack(f"{FRAME_BYTES}s", buf))
 
 
 def _joined(head: bytes, frames: list[bytes]) -> bytes:
@@ -277,8 +247,8 @@ def read_frames(buf: bytes, offset: int = 0, most: int | None = None) -> tuple[l
     if most is not None and count > most:
         raise WireError(f"record list of {count} exceeds {most}")
     offset += 4
-    end, width = _check_frames(buf, offset, count)
-    return list(_split(memoryview(buf)[offset:end], count, width)), end
+    end = _check_frames(buf, offset, count)
+    return list(_split(memoryview(buf)[offset:end])), end
 
 
 def _frame_record(frame: bytes) -> TokenUploadRecord:
@@ -378,6 +348,9 @@ def append_log(path, lines: list[str]) -> None:
 #: Bytes of log file read at a time; a block is replayed up to its last
 #: newline, and the rest goes ahead of the next block.
 _LOG_BLOCK = 1 << 22
+#: A record line's length: a frame's base64, unpadded as ``FRAME_BYTES``
+#: is a multiple of 3, and its newline.
+_LOG_LINE = FRAME_BYTES // 3 * 4 + 1
 #: What a record line in one ``a2b_base64`` call may hold: base64
 #: digits without padding, and the newlines between lines.
 _BASE64_LINES = (
@@ -450,22 +423,20 @@ def _control_line(data: bytes, at: int, end: int) -> int:
 
 
 def _log_run(run: bytes) -> list[bytes]:
-    """The checked frames of a run of whole record lines.  Lines of one
-    length that hold only base64 digits decode with one call and are
-    checked at once by ``_uniform``; any other run is read line by line,
-    blank lines skipped, which raises the first bad line's error."""
-    size = run.find(b"\n") + 1
-    count = len(run) // size
-    width = (size - 1) // 4 * 3
+    """The checked frames of a run of whole record lines.  Lines of
+    ``_LOG_LINE`` bytes that hold only base64 digits decode with one call
+    and are checked at once by ``_check_frames``, which raises the first
+    bad frame's error; any other run is read line by line, blank lines
+    skipped, which raises the first bad line's error."""
+    count = run.count(b"\n")
     if (
-        (size - 1) % 4 == 0
-        and count * size == len(run)
-        and run.count(b"\n") == run[size - 1 :: size].count(b"\n") == count
+        count * _LOG_LINE == len(run)
+        and run[_LOG_LINE - 1 :: _LOG_LINE].count(b"\n") == count
         and not run.translate(None, _BASE64_LINES)
     ):
         decoded = binascii.a2b_base64(run)
-        if _uniform(decoded, 0, count, width):
-            return list(_split(decoded, count, width))
+        _check_frames(decoded, 0, count)
+        return list(_split(decoded))
     return [_log_frame(line) for line in map(bytes.strip, run.split(b"\n")) if line]
 
 
@@ -487,6 +458,8 @@ STATUS_MALFORMED = 2
 
 def encode_upload_infected(tan_value: str, records: list[TokenUploadRecord]) -> bytes:
     tan = tan_value.encode("ascii")
+    if len(tan) > 255:
+        raise WireError(f"TAN of {len(tan)} bytes exceeds 255")
     return bytes([OP_UPLOAD_INFECTED, len(tan)]) + tan + encode_records(records)
 
 
@@ -501,6 +474,8 @@ def encode_upload_superspreader(
 ) -> bytes:
     if any(len(p) != PROOF_BYTES for p in proofs):
         raise WireError("possession proofs must be 32 bytes")
+    if len(proofs) > 255:
+        raise WireError(f"{len(proofs)} possession proofs exceed 255")
     return (
         bytes([OP_UPLOAD_SUPERSPREADER, len(proofs)])
         + b"".join(proofs)
@@ -528,10 +503,9 @@ def read_feed(response: bytes) -> PublishedFeed:
     if len(response) < _FEED_AT:
         raise WireError("feed head truncated")
     epoch, count = _FEED_HEAD.unpack_from(response, 1)
-    end, width = _check_frames(response, _FEED_AT, count)
-    if end != len(response):
+    if _check_frames(response, _FEED_AT, count) != len(response):
         raise WireError("trailing bytes after the record list")
-    return PublishedFeed(memoryview(response)[_FEED_AT:], count, epoch, width)
+    return PublishedFeed(memoryview(response)[_FEED_AT:], count, epoch)
 
 
 def _send_message(sock: socket.socket, body: bytes) -> None:

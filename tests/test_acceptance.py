@@ -22,6 +22,8 @@ from tracecorona.server import TracingServer
 from tracecorona.simnet.config import ScenarioConfig
 from tracecorona.simnet.engine import run_scenario
 from tracecorona.wire import (
+    CIPHERTEXT_BYTES,
+    FRAME_BYTES,
     TOKEN_HASH_BYTES,
     PublishedFeed,
     Tag,
@@ -104,6 +106,9 @@ def test_criterion_2_payload_arithmetic():
         feed = server.fetch_feed(0, random.Random(0))
         hash_bits = sum(len(decode_record(f)[0].hash) for f in feed.frames) * 8
         assert hash_bits == 35_840
+        # the one record width: a sealed timestamp, and the frame it makes
+        assert len(crypto.encrypt_metadata(bytes(32), 1_600_000_000)) == CIPHERTEXT_BYTES
+        assert FRAME_BYTES == 57
 
         assert payload.daily_feed_hash_payload_bytes(10_000) == 44_800_000
         notes = run_scenario(bundled("honest_pair")).payload_notes
@@ -251,7 +256,7 @@ def test_criterion_8_matching_oracle_equivalence():
                 records.append(
                     TokenUploadRecord(
                         hash=rng.randbytes(16),
-                        ciphertext=rng.randbytes(36),
+                        ciphertext=rng.randbytes(CIPHERTEXT_BYTES),
                     )
                 )
             rng.shuffle(records)

@@ -504,7 +504,8 @@ class TestDurableLog:
         assert not server.upload_second_level(rng.randbytes(32), frames(second)).accepted
         check([])
         empty = TokenUploadRecord(hash=bytes(16), ciphertext=b"")
-        assert not server.upload_second_level(secrets[0], frames([empty])).accepted
+        body = wire.encode_upload_second_level(secrets[0], [empty])
+        assert wire.handle_request(server, body)[0] == wire.STATUS_MALFORMED
         check([])
         assert not server.upload_superspreader_proof(secrets[:2], frames(flagged)).accepted
         check([])
@@ -551,11 +552,15 @@ class TestUploadBody:
         assert wire.handle_request(server, first)[0] == wire.STATUS_ACCEPTED
         logged = log.read_bytes()
         rng = random.Random(65)
-        # 1-byte ciphertexts fit more records than the cap under the byte cap
-        short = [TokenUploadRecord(rng.randbytes(16), b"\x01") for _ in range(2000)]
+        # without the room left for 255 proofs, one record over the cap
+        # fits under the byte cap
+        short = [
+            TokenUploadRecord(rng.randbytes(16), rng.randbytes(wire.CIPHERTEXT_BYTES))
+            for _ in range(wire.MAX_UPLOAD_RECORDS + 1)
+        ]
         tan = ha.issue_tan("u", 0).value
         over = wire.encode_upload_infected(tan, short)
-        assert len(over) == 44_018 < wire.MAX_REQUEST_BYTES
+        assert len(over) == 58_443 < wire.MAX_REQUEST_BYTES
         capped = short[:wire.MAX_UPLOAD_RECORDS]
         bodies = [
             over,
@@ -579,7 +584,7 @@ class TestUploadBody:
         assert wire.handle_request(server, body)[0] == wire.STATUS_ACCEPTED
         response = wire.handle_request(server, wire.encode_fetch_feed(0, 1))
         fetched, _ = wire.read_frames(response, 5)
-        assert len(fetched) == 3 + 2000
+        assert len(fetched) == 3 + 1025
 
     def test_socket_uploads_build_no_record_objects(self, tmp_path, monkeypatch):
         from tracecorona import server as server_module

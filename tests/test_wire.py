@@ -2,12 +2,14 @@
 
 import base64
 import os
+import pathlib
 import random
 import socket
 import tempfile
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import match_oracle
 import wire_oracle
-from tracecorona import crypto, exposure, wire
+from tracecorona import cli, crypto, exposure, wire
 from tracecorona.authority import HealthAuthority
 from tracecorona.crypto import EncounterToken
 from tracecorona.device import TokenStore
@@ -95,7 +97,7 @@ class TestRecordFraming:
 arbitrary_records = st.builds(
     wire.TokenUploadRecord,
     hash=st.binary(min_size=16, max_size=16),
-    ciphertext=st.binary(min_size=1, max_size=300),
+    ciphertext=st.binary(min_size=wire.CIPHERTEXT_BYTES, max_size=wire.CIPHERTEXT_BYTES),
     tag=st.sampled_from(wire.Tag),
 )
 
@@ -348,6 +350,19 @@ class TestConnectionBound:
             wire_server.shutdown()
 
 
+class TestUploadEncoding:
+    def test_tan_over_255_bytes_refused(self):
+        with pytest.raises(wire.WireError, match="^TAN of 256 bytes exceeds 255$"):
+            wire.encode_upload_infected("T" * 256, [sample_record()[1]])
+        assert wire.encode_upload_infected("T" * 255, [])[1] == 255
+
+    def test_over_255_proofs_refused(self):
+        proofs = [bytes(wire.PROOF_BYTES)] * 256
+        with pytest.raises(wire.WireError, match="^256 possession proofs exceed 255$"):
+            wire.encode_upload_superspreader(proofs, [])
+        assert wire.encode_upload_superspreader(proofs[:255], [])[1] == 255
+
+
 class TestHandleRequest:
     def test_empty_body_malformed(self):
         ha = HealthAuthority(random.Random(0))
@@ -446,7 +461,7 @@ class TestReadFeed:
     def test_length_past_the_end_mid_feed_refused(self):
         frames = self.three_frames()
         frames[1] = frames[1][:16] + (1000).to_bytes(4, "big") + frames[1][20:]
-        with pytest.raises(wire.WireError, match="^record ciphertext truncated$"):
+        with pytest.raises(wire.WireError, match="^record ciphertext of 1000 bytes, not 36$"):
             wire.read_feed(self.frames_response(frames))
 
     @pytest.mark.parametrize("count", [4, 0xFFFFFFFF])
@@ -463,7 +478,7 @@ class TestReadFeed:
                 # sealed under that secret, under another one, or any bytes
                 st.sampled_from(["sealed", "forged", "raw"]),
                 st.sampled_from([-31, 0, 30]),  # remote time offset
-                st.binary(max_size=64),  # the raw ciphertext
+                st.binary(min_size=36, max_size=36),  # the raw ciphertext
                 st.sampled_from(list(wire.Tag)),
             ),
             max_size=12,
@@ -471,10 +486,9 @@ class TestReadFeed:
         draws=st.randoms(use_true_random=False),
     )
     def test_matched_in_place_as_the_record_oracle(self, token_secrets, record_specs, draws):
-        """A response's frames of any ciphertext length are walked by
-        their length fields: matching the feed in place gives the
-        record-based oracle's notifications on the decoded records, and
-        its records view gives those records."""
+        """Matching a response's frames in place, sealed, forged or raw,
+        gives the record-based oracle's notifications on the decoded
+        records, and its records view gives those records."""
         secrets = [random.Random(i).randbytes(32) for i in range(5)]
         now = 1_600_000_000
         tokens = [
@@ -608,15 +622,11 @@ def make_frame(digest, ciphertext, tag=0):
 
 @st.composite
 def frame_lists(draw, max_size=8):
-    """Valid frames: all of one ciphertext length (0, 1, 36 or 37
-    bytes), or, in some lists, of any length up to 40."""
-    common = draw(st.sampled_from([0, 1, 36, 37]))
-    lengths = st.integers(0, 40) if draw(st.booleans()) else st.just(common)
-    specs = st.tuples(st.binary(min_size=16, max_size=16), lengths, st.integers(0, 2))
-    return [
-        make_frame(digest, random.Random(length).randbytes(length), tag)
-        for digest, length, tag in draw(st.lists(specs, max_size=max_size))
-    ]
+    """Valid frames: a 36-byte ciphertext and a known tag each."""
+    specs = st.tuples(
+        st.binary(min_size=16, max_size=16), st.binary(min_size=36, max_size=36), st.integers(0, 2)
+    )
+    return [make_frame(*spec) for spec in draw(st.lists(specs, max_size=max_size))]
 
 
 @st.composite
@@ -678,14 +688,15 @@ def feed_outcome(response):
 
 #: Log lines of each kind; ``{record}`` is a frame's base64.
 LOG_LINE_KINDS = ["record", "record", "record", "epoch", "blank", "spaced", "trailing",
-                  "comment", "bad epoch", "junk"]
+                  "comment", "bad epoch", "junk", "other width"]
 
 
 @st.composite
 def log_files(draw):
     """A log's bytes: record lines of valid frames, epoch lines going
     up or back, and, in some logs, blank, padded, over-long, comment and
-    junk lines; then perhaps cut at any byte, as a crash leaves it."""
+    junk lines and frames of another ciphertext length; then perhaps cut
+    at any byte, as a crash leaves it."""
     frames = draw(frame_lists(max_size=12))
     kinds = LOG_LINE_KINDS if draw(st.booleans()) else ["record", "record", "epoch"]
     lines, epoch = [], 0
@@ -707,6 +718,9 @@ def log_files(draw):
             lines.append(b"# epoch x")
         elif kind == "junk":
             line = draw(st.binary(max_size=80)).replace(b"\n", b"")
+        elif kind == "other width":
+            length = draw(st.integers(0, 60).filter(lambda n: n != wire.CIPHERTEXT_BYTES))
+            line = base64.b64encode(make_frame(frame[:16], bytes(length), frame[-1]))
         lines.append(line)
     data = b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
     if draw(st.booleans()):
@@ -730,9 +744,9 @@ def read_log_both(data, block):
 
 
 class TestBulkCheck:
-    """A record list is checked at once when its frames share a width and
-    walked frame by frame otherwise: either way every reader gives what
-    the per-frame walk gives, frames and end offset or error message."""
+    """A record list is checked at once, and walked frame by frame only
+    when that check fails: either way every reader gives what the
+    per-frame walk gives, frames and end offset or error message."""
 
     @settings(max_examples=300, deadline=None)
     @given(damaged_lists(), st.binary(max_size=3), st.sampled_from([None, 0, 2, 1024]))
@@ -760,8 +774,6 @@ class TestBulkCheck:
         feed = wire.PublishedFeed.from_frames(frames, epoch)
         assert bytes(feed.buffer) == b"".join(frames)
         assert (feed.count, feed.feed_epoch, feed.frames) == (len(frames), epoch, frames)
-        widths = set(map(len, frames))
-        assert feed.width == (widths.pop() if len(widths) == 1 else 0)
         hashes = {frame[:16] for frame in frames[1::2]}
         assert list(feed.hits(hashes)) == oracle_hits(frames, hashes)
         assert [wire.encode_record(r) for r in feed.records] == frames
@@ -788,6 +800,22 @@ class TestBulkCheck:
             got, expected = read_log_both(data[:cut], block)
             assert got == expected, cut
             assert got[0] == "ok", cut
+
+    @pytest.mark.parametrize("block", [7, 1 << 22])
+    def test_bad_frame_among_whole_record_lines_refused(self, block):
+        """A 57-byte frame with another length field or an unknown tag,
+        on a line as long as every other record line, raises its error."""
+        rng = random.Random(56)
+        frames = [make_frame(rng.randbytes(16), rng.randbytes(36)) for _ in range(5)]
+        good = frames[2]
+        bad_frames = {
+            "record ciphertext of 35 bytes, not 36": good[:16] + bytes([0, 0, 0, 35]) + good[20:],
+            "unknown record tag 7": good[:-1] + bytes([7]),
+        }
+        for message, bad in bad_frames.items():
+            lines = [base64.b64encode(frame) for frame in frames[:2] + [bad] + frames[3:]]
+            got, expected = read_log_both(b"\n".join(lines) + b"\n", block)
+            assert got == expected == ("error", message)
 
     def equal_width_frames(self, n):
         rng = random.Random(55)
@@ -831,3 +859,64 @@ class TestBulkCheck:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+
+@st.composite
+def lists_with_another_width(draw):
+    """Valid records, one of which, at any position, has a ciphertext of
+    0 to 300 bytes but not 36; and that length."""
+    records = draw(st.lists(arbitrary_records, min_size=1, max_size=6))
+    at = draw(st.integers(0, len(records) - 1))
+    length = draw(st.integers(0, 300).filter(lambda n: n != wire.CIPHERTEXT_BYTES))
+    ciphertext = draw(st.binary(min_size=length, max_size=length))
+    records[at] = wire.TokenUploadRecord(records[at].hash, ciphertext, records[at].tag)
+    return records, length
+
+
+class TestOneRecordWidth:
+    """A ciphertext that is not 36 bytes is refused wherever a record
+    enters: every upload opcode, a fetched feed, a log replay and
+    ``tracecorona ingest``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(lists_with_another_width())
+    def test_refused_at_every_entry(self, case):
+        records, length = case
+        message = f"record ciphertext of {length} bytes, not 36"
+        with tempfile.TemporaryDirectory() as directory:
+            log = pathlib.Path(directory, "server.log")
+            server = TracingServer(HealthAuthority(random.Random(0)), log_path=log)
+            # published records the second-level and superspreader proofs open
+            secrets, published = zip(*(sample_record(i) for i in range(3)))
+            tan = server.authority.issue_tan("u", 0).value
+            assert server.upload_infected(tan, [wire.encode_record(r) for r in published]).accepted
+            unspent = server.authority.issue_tan("u", 0).value
+            bodies = [
+                wire.encode_upload_infected(unspent, records),
+                wire.encode_upload_second_level(secrets[0], records),
+                wire.encode_upload_superspreader(list(secrets), records),
+            ]
+            state = (list(server._records), list(server._epochs), server.stats_snapshot())
+            logged = log.read_bytes()
+            with mock.patch.object(os, "fsync") as fsync:
+                for body in bodies:
+                    response = wire.handle_request(server, body)
+                    assert response == bytes([wire.STATUS_MALFORMED]) + message.encode()
+            fsync.assert_not_called()
+            assert (list(server._records), list(server._epochs), server.stats_snapshot()) == state
+            assert log.read_bytes() == logged
+            assert server.authority.verify_tan(unspent)
+
+            head = bytes([wire.STATUS_ACCEPTED]) + (3).to_bytes(4, "big")
+            response = head + wire.encode_records(records)
+            with pytest.raises(wire.WireError, match=f"^{message}$"):
+                wire.read_feed(response)
+
+            lines = pathlib.Path(directory, "records.log")
+            lines.write_text("".join(wire.log_record_line(r) + "\n" for r in records))
+            with pytest.raises(wire.WireError, match=f"^{message}$"):
+                wire.read_log(lines)
+            fresh = pathlib.Path(directory, "fresh.log")
+            ingest = ["ingest", "--log", str(fresh), "--input", str(lines)]
+            assert cli.main(ingest) == cli.EXIT_CONFIG
+            assert not fresh.exists()
