@@ -139,18 +139,13 @@ def _schema(cls) -> tuple[dict, typing.Callable, list]:
     hints = typing.get_type_hints(cls)
     parsers, dumpers, required = {}, {}, []
     for f in dataclasses.fields(cls):
-        parsers[f.name], dump = f.metadata.get("codec") or _codec(hints[f.name])
-        if dump is not _same:
-            dumpers[f"_{f.name}"] = dump
+        parsers[f.name], dumpers[f.name] = f.metadata.get("codec") or _codec(hints[f.name])
         if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             required.append(f.name)
-    # A dict display compiled once per class serializes as fast as a
-    # hand-written to_dict; reading the fields in a loop took twice as long.
-    items = ", ".join(
-        f"{name!r}: _{name}(o.{name})" if f"_{name}" in dumpers else f"{name!r}: o.{name}"
-        for name in parsers
-    )
-    write = eval(f"lambda o: {{{items}}}", dumpers)
+
+    def write(o):
+        return {name: dump(getattr(o, name)) for name, dump in dumpers.items()}
+
     return parsers, write, required
 
 

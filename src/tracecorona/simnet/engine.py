@@ -17,13 +17,13 @@ event hands over runs of both directions in time order up to the next
 event that touches its devices, a cadence event or a handshake
 completion, and cuts a run at the dwell threshold, so no other event
 sees a run half applied.  A link that shares a device with another link
-at the time keeps one event per second: which of them gets a connection
-slot or a relay admission depends on the order of their beacons within
-each second.  Sensors log the first and last second of each advertising
-stretch per identifier.  A baseline client keeps each run it is handed
-as one entry (identifier, RSSI, the run's seconds on its own clock,
-provenance) and expires whole runs at midnight, trimming only a run
-that straddles the retention horizon; matching and the centralized
+at the time hands over one second of its runs per event: which of the
+links gets a connection slot or a relay admission depends on the order
+of their beacons within each second.  Sensors log the first and last
+second of each advertising stretch per identifier.  A baseline client
+keeps each run it is handed as one entry (identifier, RSSI, the run's
+seconds on its own clock, provenance); no run crosses a cadence event,
+so midnight drops a prefix of whole runs.  Matching and the centralized
 upload read the runs, so no step costs one object per beacon.
 ``tests/engine_oracle.py`` keeps the per-second loop; reports must
 match it byte for byte.
@@ -142,7 +142,9 @@ class _Beam:
     RSSI changes, so that identifier, frames and RSSI are constant over
     a run.  Loss is drawn from the beam's own generator, once per
     deliverable second in time order, so what is lost does not depend on
-    the order in which the engine handles other links.
+    the order in which the engine handles other links.  The runs are the
+    engine's one statement of what ``dst`` hears, handed over a run or a
+    second at a time with the run's identifier and RSSI.
     """
 
     def __init__(self, link: _Link, src: _Client, dst: _Client, direction: int, config):
@@ -163,21 +165,6 @@ class _Beam:
         self.until: float = 0
         self.identifier = b""
         self.rssi = 0.0
-
-    def hears(self, u: int) -> bool:
-        """Is arrival second u deliverable and not lost?"""
-        if (
-            u >= self.hi
-            or (u + self.src_shift) % ADVERTISE_PERIOD >= ADVERTISE_ON
-            or (u + self.dst_shift) % SCAN_PERIOD >= SCAN_ON
-        ):
-            return False
-        return not (self.loss and self._draw()() < self.loss)
-
-    def _draw(self):
-        if self.rng is None:
-            self.rng = random.Random(self.seed)
-        return self.rng.random
 
     def load(self) -> None:
         """Move to the next run with a heard beacon; none left leaves
@@ -203,8 +190,8 @@ class _Beam:
             )
             heard = range(u, end)
             if self.loss:
-                draw = self._draw()
-                heard = [t for t in heard if draw() >= self.loss]
+                self.rng = rng = self.rng or random.Random(self.seed)
+                heard = [t for t in heard if rng.random() >= self.loss]
             self.run_end = u = end
             if heard:
                 self.pending, self.until = heard, 0
@@ -351,12 +338,8 @@ class _TraceCoronaClient(_Client):
         engine.payload_down += 4 + len(response)
         feed = wire.read_feed(response)
         self.next_since = feed.feed_epoch
-        unseen = []
-        for frame in feed.frames:
-            if frame in self.seen_records:
-                continue
-            self.seen_records.add(frame)
-            unseen.append(frame)
+        unseen = [f for f in dict.fromkeys(feed.frames) if f not in self.seen_records]
+        self.seen_records.update(unseen)
         if not unseen:
             return
         feed = wire.PublishedFeed.from_frames(unseen, feed.feed_epoch)
@@ -452,19 +435,13 @@ class _BaselineClient(_Client):
         return math.inf
 
     def midnight(self, day: int) -> None:
-        """Drop the runs that ended before the retention horizon and trim
-        the one that straddles it; runs of different links interleave in
-        time, so each is checked."""
+        """Drop the runs that ended before the retention horizon, a
+        prefix: each run arrives in one event and ends before the next
+        cadence event, and events run in time order, so runs are held in
+        cadence-window order and none crosses the horizon's midnight."""
         super().midnight(day)
         horizon = self.device.local_time(day * SECONDS_PER_DAY) - self.retention_s
-        kept = []
-        for run in self.runs:
-            if run.times[-1] < horizon:
-                continue
-            if run.times[0] < horizon:
-                run = run._replace(times=run.times[bisect.bisect_left(run.times, horizon):])
-            kept.append(run)
-        self.runs = kept
+        del self.runs[: bisect.bisect_left(self.runs, horizon, key=lambda r: r.times[-1])]
 
 
 class _DecentralizedClient(_BaselineClient):
@@ -827,23 +804,27 @@ class Engine:
 
     def _tick_crowded(self, link: _Link, t: int) -> None:
         """One second of a link that shares a device with another link
-        at the time.  Which of them gets a connection slot or a relay
-        admission first depends on the order of their beacons within
-        each second, so such links keep one event per second."""
-        if t >= link.end:
-            return
+        at the time: this second's beacon from each beam's runs.  Which
+        of the links gets a connection slot or a relay admission depends
+        on the order of their beacons within each second, so such links
+        keep one event per second, until neither beam has a run left."""
+        if t == link.start:
+            for beam in link.beams:
+                beam.load()
         arrival = t + link.latency
         for beam in link.beams:
-            if not beam.hears(arrival):
+            if _next_heard(beam) != arrival:
                 continue
-            identifier, rssi = beam.src.identifier_at(t), link.rssi_at(t)
+            beam.pending = beam.pending[1:]
+            args = (self, beam.src, beam.identifier, beam.rssi, (arrival,), link)
             if link.latency == 0:
-                beam.dst.on_run(self, beam.src, identifier, rssi, (t,), link)
+                beam.dst.on_run(*args)
             else:
-                self._push(
-                    arrival, beam.dst.on_run, self, beam.src, identifier, rssi, (arrival,), link
-                )
-        self._push(t + 1, self._tick_crowded, link, t + 1)
+                self._push(arrival, beam.dst.on_run, *args)
+            if not beam.pending:
+                beam.load()
+        if any(beam.pending for beam in link.beams):
+            self._push(t + 1, self._tick_crowded, link, t + 1)
 
     def _sense(self, coverage) -> None:
         """Log, for each advertising stretch of the covered device and

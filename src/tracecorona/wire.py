@@ -121,7 +121,8 @@ class PublishedFeed:
     def from_frames(cls, frames: list[bytes], feed_epoch: int) -> "PublishedFeed":
         """The feed of checked frames, in the order given."""
         buffer = _joined(b"", frames)
-        _check_frames(buffer, 0, len(frames))
+        if _check_frames(buffer, 0, len(frames)) != len(buffer):
+            raise WireError(f"{len(buffer)} bytes are not {len(frames)} frames")
         return cls(buffer, len(frames), feed_epoch)
 
     def hits(self, hashes):
@@ -457,7 +458,10 @@ STATUS_MALFORMED = 2
 
 
 def encode_upload_infected(tan_value: str, records: list[TokenUploadRecord]) -> bytes:
-    tan = tan_value.encode("ascii")
+    try:
+        tan = tan_value.encode("ascii")
+    except UnicodeEncodeError:
+        raise WireError("TAN is not ASCII") from None
     if len(tan) > 255:
         raise WireError(f"TAN of {len(tan)} bytes exceeds 255")
     return bytes([OP_UPLOAD_INFECTED, len(tan)]) + tan + encode_records(records)

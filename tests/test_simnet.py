@@ -1,5 +1,6 @@
 """Simulator: config validation, determinism, scenarios, invariants."""
 
+import bisect
 import json
 import random
 import re
@@ -15,7 +16,7 @@ import match_oracle
 
 from tracecorona import crypto
 from tracecorona.simnet.config import ConfigError, InfectionSpec, ScenarioConfig
-from tracecorona.simnet.engine import Engine, run_scenario
+from tracecorona.simnet.engine import Engine, _Link, _TraceCoronaClient, run_scenario
 from tracecorona.simnet.report import ScenarioReport
 
 DAY = 86400
@@ -464,6 +465,45 @@ class TestRelayTiming:
         assert report.attack_success_rate == 0.0
 
 
+class TestCrowdedTicks:
+    def test_ticks_stop_at_the_last_heard_beacon(self, monkeypatch):
+        """relay_r2's ten relay links share the captured device: each
+        ticks once a second from its start to its last heard beacon, and
+        the identifier and RSSI are asked once per sighting run."""
+        ticks, heard = {}, {}
+        asked = Counter()
+
+        class Recording(Engine):
+            def _tick_crowded(self, link, t):
+                ticks.setdefault(link.key, []).append(t)
+                super()._tick_crowded(link, t)
+
+        engine = Recording(ScenarioConfig.from_dict(bundled_dict("relay_r2")))
+        for client in engine.clients.values():
+            def on_run(engine, src, identifier, rssi, seconds, link, on_run=client.on_run):
+                heard.setdefault(link.key, []).append((seconds[-1] - link.latency, identifier))
+                return on_run(engine, src, identifier, rssi, seconds, link)
+
+            client.on_run = on_run
+        def counted(name, method):
+            def call(*args):
+                asked[name] += 1
+                return method(*args)
+
+            return call
+
+        for cls, name in ((_TraceCoronaClient, "identifier_at"), (_Link, "rssi_at")):
+            monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+        engine.run()
+        assert len(ticks) == 10 and set(ticks) == set(heard)
+        for key, times in ticks.items():
+            assert times == list(range(times[0], max(heard[key])[0] + 1))
+        beacons = sum(map(len, heard.values()))
+        runs = sum(len({identifier for _, identifier in seen}) for seen in heard.values())
+        assert runs <= asked["identifier_at"] == asked["rssi_at"] < beacons / 10
+        assert not {"identifier_at", "rssi_at"} & set(Engine._tick_crowded.__code__.co_names)
+
+
 class TestInvariants:
     def test_conservation_no_orphan_notifications(self):
         # each notification names a match in state that notifying does not
@@ -705,6 +745,50 @@ def held_past_retention(scheme, held_by, clients=False):
     return held, sizes
 
 
+#: the cadence events of a day that radio windows are drawn around
+CADENCE_HOURS = (0, 12, 22, 23, 23.5)
+
+
+@st.composite
+def crowded_baseline_configs(draw):
+    """Four days of a baseline scheme with a one-day retention: two
+    links that share device a and overlap, up to two more links and a
+    relay at random, each window ending up to two hours after a cadence
+    event, loss 0, 0.1 or 0.5."""
+
+    def window():
+        at = draw(st.integers(1, 2)) * DAY + int(draw(st.sampled_from(CADENCE_HOURS)) * 3600)
+        start = at - draw(st.integers(0, 3600))
+        return start, min(start + draw(st.integers(1, 7200)), 3 * DAY)
+
+    def link(a, b, start, end):
+        return {"device_a": a, "device_b": b, "start": start, "end": end, "rssi_profile": -55}
+
+    start, end = window()
+    second = draw(st.integers(start, end - 1))
+    schedule = [
+        link("a", "b", start, end),
+        link("a", "c", second, min(second + end - start, 3 * DAY)),
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        schedule.append(link(*draw(st.permutations("abc"))[:2], *window()))
+    adversaries = []
+    if draw(st.booleans()):
+        start, end = window()
+        adversaries.append({
+            "kind": draw(st.sampled_from(["relay_oneway", "relay_twoway"])),
+            "capture": "a", "victims": draw(st.sampled_from([["b"], ["b", "c"]])),
+            "start": start, "end": end, "latency_s": draw(st.integers(0, 5)),
+        })
+    return ScenarioConfig.from_dict(config_dict(
+        seed=draw(st.integers(0, 99)), duration_days=4, retention_days=1, infections=[],
+        scheme=draw(st.sampled_from(["decentralized", "centralized"])),
+        devices=[{"id": i, "clock_offset_s": draw(st.integers(-30, 30))} for i in "abc"],
+        colocation_schedule=schedule, adversaries=adversaries,
+        channel_loss=draw(st.sampled_from([0.0, 0.1, 0.5])),
+    ))
+
+
 class TestBaselineRuns:
     def test_held_runs_flat_past_retention(self):
         # from day 14 each client holds the runs of the last 14 days, and
@@ -727,26 +811,62 @@ class TestBaselineRuns:
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(
-        st.integers(-900, 900), st.integers(1, 900), st.sets(st.integers(1, 899), max_size=30)
+        st.booleans(), st.integers(1, 900), st.integers(1, 900),
+        st.sets(st.integers(1, 899), max_size=30),
     ), max_size=6))
-    @example(spans=[(-10, 10, set()), (-3, 5, set())])  # ends just before it; straddles it
-    def test_midnight_keeps_the_observations_past_the_horizon(self, spans):
-        # runs handed in directly, some straddling the day-15 horizon,
-        # some with seconds lost; b's clock is 3 s ahead
+    # ends just before the horizon; starts at it
+    @example(spans=[(False, 1, 10, set()), (True, 1, 5, set())])
+    def test_midnight_drops_the_runs_before_the_horizon(self, spans):
+        # runs handed in directly in window order, those before the day-15
+        # horizon first, some with seconds lost; b's clock is 3 s ahead
         engine = Engine(ScenarioConfig.from_dict(config_dict(scheme="centralized")))
         client, src = engine.clients["b"], engine.clients["a"]
+        horizon = client.device.local_time(15 * DAY) - 14 * DAY
         link = SimpleNamespace(adversary=None)
-        for i, (start, length, lost) in enumerate(spans):
-            first = DAY + start
+        for i, (after, gap, length, lost) in enumerate(sorted(spans)):
+            # a run that starts gap - 1 s after the horizon, or ends gap s
+            # before it, in true time
+            first = DAY + gap - 1 if after else DAY - gap - length + 1
             seconds = range(first, first + length)
             if lost:
-                seconds = [t for t in seconds if t - first not in lost]
+                seconds = [t for t in seconds if t - first not in lost] or seconds[-1:]
             client.on_run(engine, src, bytes([i]) * 16, -50.0, seconds, link)
-        horizon = client.device.local_time(15 * DAY) - 14 * DAY
         kept = [obs for obs in match_oracle.expand(client.runs) if obs.time >= horizon]
         client.midnight(15)
         assert match_oracle.expand(client.runs) == kept
-        assert all(run.times for run in client.runs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(crowded_baseline_configs())
+    def test_held_runs_cross_no_cadence_event_and_stay_in_window_order(self, config):
+        """At every midnight each baseline client's runs lie each within
+        one cadence window, in window order, so the midnight drops
+        exactly the observations before the retention horizon."""
+        midnights = []
+
+        class Checked(Engine):
+            def _midnight(self, day):
+                expected = {}
+                for client in self.clients.values():
+                    offset, windows = client.device.clock_offset, []
+                    for run in client.runs:
+                        first, last = (
+                            bisect.bisect_right(self._cadence, t - offset)
+                            for t in (run.times[0], run.times[-1])
+                        )
+                        assert first == last
+                        windows.append(first)
+                    assert windows == sorted(windows)
+                    horizon = client.device.local_time(day * DAY) - client.retention_s
+                    expected[client.id] = [
+                        obs for obs in match_oracle.expand(client.runs) if obs.time >= horizon
+                    ]
+                super()._midnight(day)
+                for client in self.clients.values():
+                    assert match_oracle.expand(client.runs) == expected[client.id]
+                midnights.append(day)
+
+        Checked(config).run()
+        assert midnights == [0, 1, 2, 3]
 
 
 #: decentralized configs for the derivation count: the first publishes

@@ -356,6 +356,10 @@ class TestUploadEncoding:
             wire.encode_upload_infected("T" * 256, [sample_record()[1]])
         assert wire.encode_upload_infected("T" * 255, [])[1] == 255
 
+    def test_non_ascii_tan_refused(self):
+        with pytest.raises(wire.WireError, match="^TAN is not ASCII$"):
+            wire.encode_upload_infected("é", [sample_record()[1]])
+
     def test_over_255_proofs_refused(self):
         proofs = [bytes(wire.PROOF_BYTES)] * 256
         with pytest.raises(wire.WireError, match="^256 possession proofs exceed 255$"):
@@ -777,6 +781,24 @@ class TestBulkCheck:
         hashes = {frame[:16] for frame in frames[1::2]}
         assert list(feed.hits(hashes)) == oracle_hits(frames, hashes)
         assert [wire.encode_record(r) for r in feed.records] == frames
+
+    @settings(max_examples=200, deadline=None)
+    @given(frame_lists(), st.binary(min_size=1, max_size=2 * wire.FRAME_BYTES), st.data())
+    @example(frames=[make_frame(bytes(16), bytes(36))], extra=b"x", data=None)
+    def test_from_frames_refuses_bytes_past_the_frames(self, frames, extra, data):
+        """Bytes added to any frame, or as a frame of their own, are
+        refused at construction; after whole frames, as not frames."""
+        if len(extra) % wire.FRAME_BYTES == 0:
+            extra = extra[1:] or b"x"
+        at = len(frames) - 1 if data is None else data.draw(st.integers(0, len(frames)))
+        past_the_frames = at == len(frames) - 1
+        grown = frames[at] + extra if at < len(frames) else extra
+        frames = frames[:at] + [grown] + frames[at + 1 :]
+        with pytest.raises(wire.WireError) as refused:
+            wire.PublishedFeed.from_frames(frames, 0)
+        if past_the_frames:
+            size = len(frames) * wire.FRAME_BYTES + len(extra)
+            assert str(refused.value) == f"{size} bytes are not {len(frames)} frames"
 
     @settings(max_examples=300, deadline=None)
     @given(log_files(), st.sampled_from([7, 64, 1 << 22]))
