@@ -12,21 +12,22 @@ fixed, so the engine finds the stretches of deliverable seconds by
 arithmetic.  A run is such a stretch cut at every frame (identifier)
 boundary of either clock and every RSSI change, so that a receiver can
 take it whole: the first beacon with the per-beacon rules, the rest as
-one extension of the sighting (``Device.on_sighting_run``).  A link's
-event hands over runs of both directions in time order up to the next
-event that touches its devices, a cadence event or a handshake
-completion, and cuts a run at the dwell threshold, so no other event
-sees a run half applied.  A link that shares a device with another link
-at the time hands over one second of its runs per event: which of the
-links gets a connection slot or a relay admission depends on the order
-of their beacons within each second.  Sensors log the first and last
+one extension of the sighting (``Device.on_sighting_run``).  Links
+that share a device while either may still deliver a beacon or
+complete a handshake form a group (``_Group``), most often of one link.
+A group's event hands over its beams' runs in the order in which the
+per-second loop of ``tests/engine_oracle.py`` delivers the beacons, up
+to the next event that touches its devices: a cadence event, another
+link's first second or a handshake completion.  It cuts a run at the
+dwell threshold and wherever the order within a second can matter
+(``Engine._run_link``), so no other event sees a run half applied and
+reports match the oracle byte for byte.  Sensors log the first and last
 second of each advertising stretch per identifier.  A baseline client
 keeps each run it is handed as one entry (identifier, RSSI, the run's
 seconds on its own clock, provenance); no run crosses a cadence event,
 so midnight drops a prefix of whole runs.  Matching and the centralized
-upload read the runs, so no step costs one object per beacon.
-``tests/engine_oracle.py`` keeps the per-second loop; reports must
-match it byte for byte.
+upload read the runs; only a client that hears two beams at once gets
+an entry per second, which keeps its log in the oracle's order.
 
 Determinism: all randomness flows from the scenario seed through named
 substreams (feed shuffles, TAN issuance, adversary noise, and channel
@@ -114,9 +115,12 @@ class _Link:
     rssi: object = -55.0  # float or ColocationInterval
     capture_id: str | None = None
     fanout_limit: int = 0
+    #: position in the engine's link list
+    index: int = 0
     beams: list = field(default_factory=list)
-    #: times of the handshake completions it scheduled
-    completions: list = field(default_factory=list)
+    group: _Group | None = None
+    #: the beams of its group's links between the same two devices, its own included
+    pair: list = field(default_factory=list)
 
     def rssi_at(self, t: int) -> float:
         if isinstance(self.rssi, (int, float)):
@@ -143,8 +147,8 @@ class _Beam:
     a run.  Loss is drawn from the beam's own generator, once per
     deliverable second in time order, so what is lost does not depend on
     the order in which the engine handles other links.  The runs are the
-    engine's one statement of what ``dst`` hears, handed over a run or a
-    second at a time with the run's identifier and RSSI.
+    engine's one statement of what ``dst`` hears, handed over whole or in
+    parts with the run's identifier and RSSI.
     """
 
     def __init__(self, link: _Link, src: _Client, dst: _Client, direction: int, config):
@@ -165,6 +169,25 @@ class _Beam:
         self.until: float = 0
         self.identifier = b""
         self.rssi = 0.0
+        self.direction = direction
+        #: whether its beacons reach ``dst`` second by second with another
+        #: beam's: one from ``src`` over another link, or any into a
+        #: baseline client, whose log keeps the order
+        self.interleaved = False
+
+    def place(self, u: int, side: int | None = None) -> tuple:
+        """The place (see ``_Group``) of the beacon arriving at second u,
+        or of ``side`` 0 or 1 of the handshake that beacon asks for."""
+        link, lat = self.link, self.link.latency
+        if side is not None and lat == 0:
+            return (*_ticks(link, u + 1), 2 * self.direction + side)
+        if side is not None:
+            return (u + 1 + (side + 1) * lat, 1, *self.place(u), side)
+        if lat > 1:
+            return (u, 1, *_ticks(link, u - lat), self.direction)
+        # a latency-0 beacon is delivered by its tick, which the tick
+        # before queued after up to four completions
+        return (*_ticks(link, u), *((4, self.direction) if lat == 0 else (self.direction,)))
 
     def load(self) -> None:
         """Move to the next run with a heard beacon; none left leaves
@@ -205,6 +228,54 @@ class _Beam:
         if not self.pending:
             return math.inf
         return max(self.pending[0], min(self.until, self.run_end))
+
+
+def _ticks(link: _Link, t: int) -> tuple:
+    """The place of a link's ticks t, t - 1, ..., its start: two such
+    chains from one second agree until the later start, which is the
+    first tick, queued at set-up and so first."""
+    return (t, 0, link.index) if t == link.start else (t, 2, -link.start, link.index)
+
+
+class _Group:
+    """Links that share a device while either may still deliver a beacon
+    or complete a handshake; one event at a time hands over their runs.
+
+    Beacons and completions are ordered by their place in the per-second
+    radio's queue.  That radio ticks each link every second from its
+    start, the first tick queued at set-up in link order and each later
+    one by the tick before; a tick delivers a latency-0 beacon itself and
+    queues a latency-L one, and a handshake request queues both
+    completions.  The queue is first-in first-out, so an event's place is
+    its second, then the place of the event that queued it, then its turn
+    among that event's (beams in order, each request's two completions,
+    the next tick).  A place is this chain as a tuple, a chain of ticks
+    as one element (``_ticks``).
+    """
+
+    def __init__(self, links: list[_Link]):
+        #: places of the first ticks still to run
+        self.starts = sorted((link.start, 0, link.index) for link in links)
+        #: (place of the next pending beacon, beam), in place order
+        self.queue: list[tuple] = []
+        #: (place, queue sequence, link) of each completion still to run
+        self.completions: list[tuple] = []
+        #: place of the next beacon, where the group's next event runs
+        self.resume: tuple = ()
+        into: dict[_Client, list] = {}
+        for link in links:
+            link.group = self
+            for beam in link.beams:
+                into.setdefault(beam.dst, []).append(beam)
+        for link in links:
+            a, b = link.beams[0].src, link.beams[0].dst
+            link.pair = [x for x in into[b] if x.src is a] + [x for x in into.get(a, ()) if x.src is b]
+            for beam in link.beams:
+                beam.interleaved = any(
+                    other is not beam
+                    and (other.src is beam.src or isinstance(beam.dst, _BaselineClient))
+                    for other in into[beam.dst]
+                )
 
 
 class _Client:
@@ -585,27 +656,25 @@ _CLIENTS = {
 }
 
 
-def _next_heard(beam: _Beam) -> float:
-    return beam.pending[0] if beam.pending else math.inf
-
-
-def _crowded(links: list[_Link]) -> set[_Link]:
-    """The links that share a device with another link while either
-    may still deliver a beacon or complete a handshake."""
-    spans: dict[str, list] = {}
-    for link in links:
-        span = (link.start, link.end + 3 * link.latency + 1, id(link), link)
+def _group(links: list[_Link]) -> None:
+    """Put each link in its ``_Group``."""
+    members = {link: [link] for link in links}
+    #: device -> the link that reaches furthest in time so far, and how far
+    reach: dict[str, tuple] = {}
+    for link in sorted(links, key=lambda link: link.start):
+        end = link.end + 3 * link.latency + 1
         for device in (link.a, link.b):
-            spans.setdefault(device, []).append(span)
-    crowded = set()
-    for device_spans in spans.values():
-        device_spans.sort()
-        for i, (_, end, _, link) in enumerate(device_spans):
-            for start, _, _, other in device_spans[i + 1:]:
-                if start >= end:
-                    break
-                crowded.update((link, other))
-    return crowded
+            other, other_end = reach.get(device, (link, end))
+            group, joined = members[other], members[link]
+            if link.start < other_end and group is not joined:
+                if len(group) < len(joined):
+                    group, joined = joined, group
+                group += joined
+                members.update(dict.fromkeys(joined, group))
+            if end >= other_end:
+                reach[device] = (link, end)
+    for group in {id(group): group for group in members.values()}.values():
+        _Group(group)
 
 
 class Engine:
@@ -662,11 +731,15 @@ class Engine:
 
     # -- event queue -------------------------------------------------------------
 
-    def _push(self, t: int, fn, *args) -> None:
+    def _push(self, t: int, fn, *args, seq: float | None = None) -> None:
+        """Queue ``fn(*args)`` at t, after the events queued so far or,
+        given ``seq``, where that sequence number falls among them."""
         if t >= self.config.duration_days * SECONDS_PER_DAY:
             return
-        self._seq += 1
-        heapq.heappush(self._queue, (t, self._seq, fn, args))
+        if seq is None:
+            self._seq += 1
+            seq = self._seq
+        heapq.heappush(self._queue, (t, seq, fn, args))
 
     def _push_cadence(self, t: int, fn, *args) -> None:
         """Push an event that touches devices outside any link; radio
@@ -707,7 +780,8 @@ class Engine:
                 )
                 for victim in adv.victims
             ]
-        for link in links:
+        for index, link in enumerate(links):
+            link.index = index
             a, b = self.clients[link.a], self.clients[link.b]
             link.beams.append(_Beam(link, a, b, 0, config))
             if link.kind != "relay_oneway":
@@ -720,12 +794,9 @@ class Engine:
             client.register(self)
 
         links = self._links()
-        crowded = _crowded(links)
+        _group(links)
         for link in links:
-            if link in crowded:
-                self._push(link.start, self._tick_crowded, link, link.start)
-            else:
-                self._push(link.start, self._run_link, link, True)
+            self._push(link.start, self._run_link, link, True)
 
         for index, adv in enumerate(config.adversaries):
             if adv.kind == "eavesdropper":
@@ -761,70 +832,68 @@ class Engine:
     # -- radio ----------------------------------------------------------------------
 
     def _run_link(self, link: _Link, first: bool = False) -> None:
-        """Hand a link's sighting runs to their receivers, both
-        directions in time order, up to the next event that touches its
-        devices: a cadence event or a handshake completion.
+        """Hand the runs of a link's group to their receivers in place
+        order, up to the next event that touches the group's devices: a
+        cadence event, another link's first tick (``first`` is this
+        link's) or a handshake completion.
 
-        The link shares its devices with no other link at the time, so
-        only its own two directions need interleaving.  A run's first
-        beacon, and any later one its receiver asks for, may ask for a
-        handshake, whose completions come no earlier than one second
-        plus the latency later; the other direction's beacons before
-        that only extend sightings, which commutes with the handshake.
+        Beacons that ask for a handshake, a run's first and any its
+        receiver asks for, are handed in place order; the others only
+        extend a sighting.  So the beam whose next beacon comes first
+        hands its run over up to where a handshake between the same two
+        devices may complete, one second plus the latency after a beacon
+        that may ask for it; an interleaved beam only up to the group's
+        next beacon.
         """
-        now, lat, beams = self._now, link.latency, link.beams
-        # Beacons at a link's first second come before cadence events at
-        # that second; every later one comes after them.
-        cut = now + 1 if first else self._cadence[bisect.bisect_right(self._cadence, now)]
-        link.completions = [c for c in link.completions if c > now]
-        cut = min([cut, *link.completions])
-        for beam in beams:
-            if first:
+        group = link.group
+        queue, completions = group.queue, group.completions
+        if first:
+            here = group.starts.pop(0)
+            for beam in link.beams:
                 beam.load()
-            beam.until = 0  # a cadence event or completion may have changed the state
-        while True:
-            beam = min(beams, key=_next_heard)
-            if not beam.pending or beam.pending[0] >= cut:
-                break
-            others = (o.next_rule() + 1 + lat for o in beams if o is not beam)
-            bound = min(cut, beam.run_end, *others)
+                if beam.pending:
+                    bisect.insort(queue, (beam.place(beam.pending[0]), beam))
+        else:
+            here = group.resume
+        while completions and completions[0][0] < here:
+            # a completion may have ended what a receiver waited for
+            for beam in completions.pop(0)[2].pair:
+                beam.until = 0
+        # cadence events come after the first ticks of their second, before the rest
+        later = bisect.bisect_left if first else bisect.bisect_right
+        barrier = min([
+            (self._cadence[later(self._cadence, self._now)], 1),
+            *group.starts[:1],
+            *(place for place, _, _ in completions[:1]),
+        ])
+        while queue and queue[0][0] < barrier:
+            place, beam = queue.pop(0)
+            s = place[0]
+            bound = max(s + 1, min([
+                barrier[0],
+                *(queue[0][0][:1] if beam.interleaved and queue else ()),
+                *(o.next_rule() + 1 + o.link.latency for o in beam.link.pair if o is not beam),
+            ]))
             seconds = beam.pending[: bisect.bisect_left(beam.pending, bound)]
-            scheduled = len(link.completions)
+            queued = self._seq
             beam.until = beam.dst.on_run(
-                self, beam.src, beam.identifier, beam.rssi, seconds, link
+                self, beam.src, beam.identifier, beam.rssi, seconds, beam.link
             )
+            # the events it queued are the completions of the handshake it asked for
+            for side in range(self._seq - queued):
+                done = beam.place(s, side)
+                bisect.insort(completions, (done, queued + 1 + side, beam.link))
+                barrier = min(barrier, done)
             beam.pending = beam.pending[bisect.bisect_left(seconds, beam.until):]
             if not beam.pending:
                 beam.load()
-            if len(link.completions) > scheduled:
-                cut = min(cut, link.completions[scheduled])
-        heard = [beam.pending[0] for beam in beams if beam.pending]
-        if heard:
-            self._push(min(heard), self._run_link, link)
-
-    def _tick_crowded(self, link: _Link, t: int) -> None:
-        """One second of a link that shares a device with another link
-        at the time: this second's beacon from each beam's runs.  Which
-        of the links gets a connection slot or a relay admission depends
-        on the order of their beacons within each second, so such links
-        keep one event per second, until neither beam has a run left."""
-        if t == link.start:
-            for beam in link.beams:
-                beam.load()
-        arrival = t + link.latency
-        for beam in link.beams:
-            if _next_heard(beam) != arrival:
-                continue
-            beam.pending = beam.pending[1:]
-            args = (self, beam.src, beam.identifier, beam.rssi, (arrival,), link)
-            if link.latency == 0:
-                beam.dst.on_run(*args)
-            else:
-                self._push(arrival, beam.dst.on_run, *args)
-            if not beam.pending:
-                beam.load()
-        if any(beam.pending for beam in link.beams):
-            self._push(t + 1, self._tick_crowded, link, t + 1)
+            if beam.pending:
+                bisect.insort(queue, (beam.place(beam.pending[0]), beam))
+        if queue and (not group.starts or queue[0][0] < group.starts[0]):
+            # at the next beacon's place, before the completions after it
+            group.resume = place = queue[0][0]
+            after = [seq for at, seq, _ in completions if at[0] == place[0] and at > place]
+            self._push(place[0], self._run_link, link, seq=after[0] - 0.5 if after else None)
 
     def _sense(self, coverage) -> None:
         """Log, for each advertising stretch of the covered device and
@@ -896,7 +965,6 @@ class Engine:
         init_pub = initiator.device.keypair(init_frame).public_key
         resp_frame = responder.device.current_frame(t + latency)
         resp_pub = responder.device.keypair(resp_frame).public_key
-        link.completions += [t + 1 + latency, t + 1 + 2 * latency]
         self._push(
             t + 1 + latency,
             self._complete_handshake,

@@ -119,10 +119,13 @@ class PublishedFeed:
 
     @classmethod
     def from_frames(cls, frames: list[bytes], feed_epoch: int) -> "PublishedFeed":
-        """The feed of checked frames, in the order given."""
+        """The feed of checked frames, in the order given.  Each given
+        piece must be one frame, not merely join into frames."""
         buffer = _joined(b"", frames)
         if _check_frames(buffer, 0, len(frames)) != len(buffer):
             raise WireError(f"{len(buffer)} bytes are not {len(frames)} frames")
+        if any(map(FRAME_BYTES.__ne__, map(len, frames))):
+            raise WireError(f"a piece of the {len(frames)} given is not one frame")
         return cls(buffer, len(frames), feed_epoch)
 
     def hits(self, hashes):

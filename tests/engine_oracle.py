@@ -33,9 +33,6 @@ class OracleEngine(Engine):
     def _run_link(self, link, first=False):
         self._tick_link(link, self._now)
 
-    def _tick_crowded(self, link, t):
-        self._tick_link(link, t)
-
     def _sense(self, coverage):
         self._tick_sensor(coverage, self._now)
 

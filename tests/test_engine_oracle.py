@@ -1,13 +1,15 @@
 """Sighting runs against the per-second oracle, and the radio's
 arithmetic and loss draws against brute force."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engine_oracle
 import match_oracle
-from test_report_digests import CONFIGS, populations
+from test_report_digests import CONFIGS, populations, room
 from tracecorona import baselines
 from tracecorona.baselines import provenance_lookup
 from tracecorona.device import ADVERTISE_ON, ADVERTISE_PERIOD, SCAN_ON, SCAN_PERIOD
@@ -16,10 +18,32 @@ from tracecorona.simnet.engine import Engine, _BaselineClient
 
 DAY = 86400
 
+
+def contested_relay() -> ScenarioConfig:
+    """Direct links from a to b and c, and a relay of latency 2 between
+    the same devices.  At 3663 s a beacon the relay picked up two seconds
+    earlier reaches c before both sides complete the direct handshake
+    asked for at 3662 s, and asks for one of its own: the group's next
+    event must run between two events of the same second."""
+    return ScenarioConfig.from_dict({
+        "name": "contested_relay", "seed": 1, "duration_days": 1, "scheme": "tracecorona",
+        "devices": [{"id": "a"}, {"id": "b", "clock_offset_s": 2}, {"id": "c", "clock_offset_s": -3}],
+        "colocation_schedule": [
+            {"device_a": "a", "device_b": "b", "start": 3600, "end": 3659},
+            {"device_a": "a", "device_b": "c", "start": 3600, "end": 3663},
+        ],
+        "adversaries": [{"kind": "relay_twoway", "capture": "a", "victims": ["b", "c"],
+                         "start": 3600, "end": 3662, "latency_s": 2}],
+        "min_encounter_duration": 1, "frame_period": 60, "epsilon": 10,
+    })
+
+
 CASES = {
     f"{case}-loss{loss}": config.replace(channel_loss=loss)
     for loss in (0.0, 0.1)
-    for case, config in {**CONFIGS, **populations(loss)}.items()
+    for case, config in {
+        **CONFIGS, **populations(loss), "room": room(loss), "contested_relay": contested_relay()
+    }.items()
 }
 
 
@@ -100,6 +124,56 @@ def small_configs(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_configs())
 def test_random_schedules_match_oracle(config):
+    assert_same_run(config)
+
+
+def test_room_contests_the_connection_slots():
+    engine = Engine(room(0.0))
+    engine.run()
+    assert max(c.device.peak_open_channels for c in engine.clients.values()) == 8
+
+
+@st.composite
+def groups(draw):
+    """3-10 devices whose links overlap in time, most of them starting
+    together so that a device's eight connection slots are contested,
+    and a two-way relay from the first device to several others next to
+    a direct link between the first device and its first victim.  Ten
+    devices and the main scheme, where slots are contested, are drawn
+    twice as often; 60 s frames put frame boundaries in every window."""
+    ids = [f"d{i}" for i in range(draw(st.sampled_from([10, 10, 3, 6])))]
+    pairs = list(itertools.combinations(ids, 2))
+    dropped = draw(st.sets(st.sampled_from(pairs[1:]), max_size=len(ids)))
+    start = 3600 + draw(st.integers(0, 900))
+    starts = st.one_of(st.just(start), st.integers(start + 1, start + 20))
+    schedule = [
+        {"device_a": a, "device_b": b, "start": first, "end": first + draw(st.integers(60, 300)),
+         "rssi_profile": draw(st.sampled_from([-60, [[0, -70], [30, -50]]]))}
+        for a, b in pairs if (a, b) not in dropped
+        for first in [draw(starts)]
+    ]
+    relay_start = draw(starts)
+    adversaries = [{
+        "kind": "relay_twoway", "capture": "d0",
+        "victims": ids[1 : len(ids) - draw(st.integers(0, len(ids) - 2))],
+        "start": relay_start, "end": relay_start + draw(st.integers(60, 300)),
+        "latency_s": draw(st.sampled_from(range(6))),
+        "fanout_limit": draw(st.sampled_from([8, 1, 3])),
+    }]
+    clocks = st.one_of(st.just(0), st.integers(-3, 3))
+    return ScenarioConfig.from_dict({
+        "name": "group", "seed": draw(st.integers(0, 99)), "duration_days": 1,
+        "scheme": draw(st.sampled_from(["tracecorona", *SCHEMES])),
+        "devices": [{"id": i, "clock_offset_s": draw(clocks)} for i in ids],
+        "colocation_schedule": schedule, "adversaries": adversaries,
+        "min_encounter_duration": draw(st.sampled_from([1, 2, 5])), "frame_period": 60,
+        "channel_loss": draw(st.sampled_from([0.0, 0.1, 0.5])),
+    })
+
+
+@settings(max_examples=40, deadline=None)
+@given(groups())
+def test_groups_match_oracle(config):
     assert_same_run(config)
 
 

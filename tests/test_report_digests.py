@@ -13,6 +13,7 @@ digests also hold across changes to how loss is drawn.
 
 import hashlib
 import importlib.util
+import itertools
 import json
 from importlib import resources
 from pathlib import Path
@@ -68,9 +69,27 @@ def populations(channel_loss: float) -> dict[str, ScenarioConfig]:
     }
 
 
+def room(channel_loss: float) -> ScenarioConfig:
+    """Ten devices, all 45 pairs together from 09:00 to 09:30: each
+    device has nine neighbours and eight connection slots, which its
+    links contend for."""
+    ids = [f"d{i}" for i in range(10)]
+    return ScenarioConfig.from_dict({
+        "name": "room", "seed": 1, "duration_days": 1, "scheme": "tracecorona",
+        "devices": [{"id": device, "clock_offset_s": 0} for device in ids],
+        "colocation_schedule": [
+            {"device_a": a, "device_b": b, "start": 9 * 3600, "end": 9 * 3600 + 1800,
+             "rssi_profile": -60}
+            for a, b in itertools.combinations(ids, 2)
+        ],
+        "min_encounter_duration": 60, "channel_loss": channel_loss,
+    })
+
+
 LOSSLESS = {
     **{case: config.replace(channel_loss=0.0) for case, config in CONFIGS.items()},
     **populations(0.0),
+    "room-tracecorona": room(0.0),
 }
 
 DIGESTS = {
@@ -158,6 +177,7 @@ LOSSLESS_DIGESTS = {
     "relay_r2-centralized": "7b2c5afa91e71b332d3a1f2d4be0c0c78a21dafa7e65b2efe7acaacdee3ea78d",
     "relay_r2-decentralized": "599ac63d62f2e49e6fcd188443674206bf680b8193461a3a631c4118a9d8de2f",
     "relay_r2-tracecorona": "3bc5eb94ff9ca46366a16c1518f45869e74ca955e96192cf43e6977ed6c22883",
+    "room-tracecorona": "79eac6c77cf93cf262071ffa0bb2b74ca920a07aeb49031a7aa80f0eeb8d3cb1",
     "timeline_chain-centralized":
         "c233d3a312f4cf19f3469405401374f3a79e569535a3e743d1f7545b52936434",
     "timeline_chain-decentralized":

@@ -1,6 +1,7 @@
 """Simulator: config validation, determinism, scenarios, invariants."""
 
 import bisect
+import heapq
 import json
 import random
 import re
@@ -13,8 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import match_oracle
+from test_report_digests import room
 
 from tracecorona import crypto
+from tracecorona.simnet import engine as engine_module
 from tracecorona.simnet.config import ConfigError, InfectionSpec, ScenarioConfig
 from tracecorona.simnet.engine import Engine, _Link, _TraceCoronaClient, run_scenario
 from tracecorona.simnet.report import ScenarioReport
@@ -465,43 +468,43 @@ class TestRelayTiming:
         assert report.attack_success_rate == 0.0
 
 
-class TestCrowdedTicks:
-    def test_ticks_stop_at_the_last_heard_beacon(self, monkeypatch):
-        """relay_r2's ten relay links share the captured device: each
-        ticks once a second from its start to its last heard beacon, and
-        the identifier and RSSI are asked once per sighting run."""
-        ticks, heard = {}, {}
-        asked = Counter()
+class TestGroups:
+    @pytest.mark.parametrize("name", ["relay_r2", "room"])
+    def test_a_group_hands_over_runs(self, monkeypatch, name):
+        """relay_r2's ten relay links share the captured device, and the
+        room's 45 links share all ten devices: each group's radio events
+        (every event but completions, cadence and sensors) number far
+        fewer than its link-seconds, and the identifier and RSSI are
+        asked once per sighting run, not once per beacon."""
+        pushed, asked = Counter(), Counter()
 
-        class Recording(Engine):
-            def _tick_crowded(self, link, t):
-                ticks.setdefault(link.key, []).append(t)
-                super()._tick_crowded(link, t)
+        class CountingHeap:
+            @staticmethod
+            def heappush(queue, item):
+                pushed[item[2].__name__] += 1
+                heapq.heappush(queue, item)
 
-        engine = Recording(ScenarioConfig.from_dict(bundled_dict("relay_r2")))
-        for client in engine.clients.values():
-            def on_run(engine, src, identifier, rssi, seconds, link, on_run=client.on_run):
-                heard.setdefault(link.key, []).append((seconds[-1] - link.latency, identifier))
-                return on_run(engine, src, identifier, rssi, seconds, link)
+            heappop = staticmethod(heapq.heappop)
 
-            client.on_run = on_run
-        def counted(name, method):
+        def counted(what, method):
             def call(*args):
-                asked[name] += 1
+                asked[what] += 1
                 return method(*args)
 
             return call
 
-        for cls, name in ((_TraceCoronaClient, "identifier_at"), (_Link, "rssi_at")):
-            monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+        config = room(0.0) if name == "room" else ScenarioConfig.from_dict(bundled_dict(name))
+        engine = Engine(config)
+        link_seconds = sum(link.end - link.start for link in engine._links())
+        monkeypatch.setattr(engine_module, "heapq", CountingHeap)
+        for cls, method in ((_TraceCoronaClient, "identifier_at"), (_Link, "rssi_at")):
+            monkeypatch.setattr(cls, method, counted(method, getattr(cls, method)))
         engine.run()
-        assert len(ticks) == 10 and set(ticks) == set(heard)
-        for key, times in ticks.items():
-            assert times == list(range(times[0], max(heard[key])[0] + 1))
-        beacons = sum(map(len, heard.values()))
-        runs = sum(len({identifier for _, identifier in seen}) for seen in heard.values())
-        assert runs <= asked["identifier_at"] == asked["rssi_at"] < beacons / 10
-        assert not {"identifier_at", "rssi_at"} & set(Engine._tick_crowded.__code__.co_names)
+        not_radio = {"_complete_handshake", "_midnight", "_noon_uploads", "_charge_tick",
+                     "_fetch_round", "_sense", "_fake_claims"}
+        radio = sum(n for handler, n in pushed.items() if handler not in not_radio)
+        assert 0 < radio < link_seconds / 100
+        assert 0 < asked["identifier_at"] == asked["rssi_at"] < link_seconds / 10
 
 
 class TestInvariants:

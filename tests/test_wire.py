@@ -800,6 +800,23 @@ class TestBulkCheck:
             size = len(frames) * wire.FRAME_BYTES + len(extra)
             assert str(refused.value) == f"{size} bytes are not {len(frames)} frames"
 
+    @settings(max_examples=200, deadline=None)
+    @given(frame_lists(), st.integers(1, wire.FRAME_BYTES - 1), st.data())
+    @example(
+        frames=[make_frame(bytes(16), bytes(36)), make_frame(b"\x01" * 16, bytes(36))],
+        moved=1, data=None,
+    )
+    def test_from_frames_refuses_pieces_that_are_not_frames(self, frames, moved, data):
+        """Bytes moved from the end of one frame to the start of the next
+        leave the joined frames whole, and are still refused."""
+        if len(frames) < 2:
+            frames = frames * 2 or [make_frame(bytes(16), bytes(36))] * 2
+        at = 0 if data is None else data.draw(st.integers(0, len(frames) - 2))
+        cut = wire.FRAME_BYTES - moved
+        pieces = [*frames[:at], frames[at][:cut], frames[at][cut:] + frames[at + 1], *frames[at + 2 :]]
+        with pytest.raises(wire.WireError, match="is not one frame"):
+            wire.PublishedFeed.from_frames(pieces, 0)
+
     @settings(max_examples=300, deadline=None)
     @given(log_files(), st.sampled_from([7, 64, 1 << 22]))
     def test_read_log_as_line_by_line(self, data, block):
