@@ -146,6 +146,9 @@ class Device:
         return digest.digest()[:16]
 
     def keypair(self, frame_index: int) -> FrameKeyPair:
+        """The frame's keypair.  The four latest frames' keypairs are kept,
+        and any frame's whose token derivation is pending, so that
+        ``charge`` never rebuilds one."""
         kp = self._keypair_cache.get(frame_index)
         if kp is None:
             kp = crypto.generate_frame_keypair(
@@ -153,8 +156,10 @@ class Device:
             )
             self._keypair_cache[frame_index] = kp
             if len(self._keypair_cache) > 4:
-                oldest = min(self._keypair_cache)
-                del self._keypair_cache[oldest]
+                pending = {frame for frame, _ in self._pending_derivations}
+                for frame in sorted(self._keypair_cache)[:-4]:
+                    if frame not in pending:
+                        del self._keypair_cache[frame]
         return kp
 
     def beacon(self, now: int) -> BeaconMessage:

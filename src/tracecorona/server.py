@@ -21,6 +21,16 @@ the index of its last holder and keeps a list of earlier indices only
 for a hash held more than once (both sides of an encounter upload the
 same hash).  It is built, and extended per upload, by C-level passes
 over the held frames.
+
+Second-level uploads are checked as a batch, one or many
+(``upload_second_level_each``; ``upload_second_level`` is a batch of
+one) under one hold of the ingest lock.  A refused upload changes no
+state, and an accepted one's records are held as second-level, never
+indexed as direct, so every proof of a batch meets the same index and
+the batch ends as the same uploads one by one would.  A proof whose
+hash the index does not hold, as nearly every forged one, is refused by
+one hash and one dictionary lookup: no AEAD open, no result object, and
+no state to undo.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from . import crypto
 from .authority import HealthAuthority
 from .wire import (
     CIPHERTEXT_AT,
+    PROOF_BYTES,
     TOKEN_HASH_BYTES,
     PublishedFeed,
     Tag,
@@ -168,15 +179,19 @@ class TracingServer:
                 earlier.setdefault(digest, []).append(index)
         held.update(last)
 
-    def _proof_matches(self, proof: bytes) -> list[int]:
-        """Indices of published direct records this proof opens."""
-        if len(proof) != 32:
-            return []
+    def _direct_index(self) -> dict[bytes, int]:
+        """The hash index of the direct records, built on first use."""
         if self._direct_by_hash is None:
             self._direct_by_hash = {}
             self._index_direct(0)
+        return self._direct_by_hash
+
+    def _proof_matches(self, proof: bytes) -> list[int]:
+        """Indices of published direct records this proof opens."""
+        if len(proof) != PROOF_BYTES:
+            return []
         digest = crypto.token_hash(proof)
-        last = self._direct_by_hash.get(digest)
+        last = self._direct_index().get(digest)
         if last is None:
             return []
         matches = []
@@ -189,12 +204,31 @@ class TracingServer:
         return matches
 
     def upload_second_level(self, possession_proof: bytes, frames: list[bytes]) -> UploadResult:
+        if self.upload_second_level_each([(possession_proof, frames)]):
+            return UploadResult(True, stored=len(frames))
+        return UploadResult(False, REASON_NO_MATCHING_TOKEN)
+
+    def upload_second_level_each(self, uploads) -> int:
+        """Check each (possession proof, frames) upload of the iterable
+        ``uploads`` as a second-level upload, in order, under one hold of
+        the ingest lock, and store those whose proof opens a published
+        direct record.  Returns how many were accepted.  The batch ends
+        as the same uploads one by one would (see the module docstring).
+        """
+        token_hash = crypto.token_hash
+        accepted = 0
         with self._ingest_lock:
-            if not self._proof_matches(possession_proof):
-                return UploadResult(False, REASON_NO_MATCHING_TOKEN)
-            result = self._store(frames, Tag.SECOND_LEVEL)
-            self._second_level_uploads += 1
-            return result
+            held = self._direct_index()
+            for proof, frames in uploads:
+                if (
+                    len(proof) == PROOF_BYTES
+                    and token_hash(proof) in held
+                    and self._proof_matches(proof)
+                ):
+                    self._store(frames, Tag.SECOND_LEVEL)
+                    self._second_level_uploads += 1
+                    accepted += 1
+        return accepted
 
     def upload_superspreader_proof(self, proofs: list[bytes], frames: list[bytes]) -> UploadResult:
         with self._ingest_lock:

@@ -56,8 +56,10 @@ from __future__ import annotations
 import bisect
 import hashlib
 import heapq
+import itertools
 import math
 import random
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
@@ -83,6 +85,8 @@ NOON = 12 * 3600
 CHARGE_TIME = 22 * 3600
 FETCH_OFFSETS = (3600, 1800)  # before each cadence boundary
 CLAIM_TIME = 23 * 3600 + 45 * 60
+#: A forged claim's draw: proof, record hash, record ciphertext.
+_FORGED = struct.Struct(f"{wire.PROOF_BYTES}s{wire.TOKEN_HASH_BYTES}s{wire.CIPHERTEXT_BYTES}s")
 
 
 def _sub_seed(seed: int, *labels) -> int:
@@ -471,16 +475,17 @@ class _TraceCoronaClient(_Client):
 
     @staticmethod
     def fake_claims(engine: Engine, attempts: int) -> int:
-        """Second-level uploads with a random possession proof."""
-        rng = engine.rng_adversary
-        accepted = 0
-        for _ in range(attempts):
-            proof = rng.randbytes(32)
-            dummy = wire.TokenUploadRecord(rng.randbytes(16), rng.randbytes(wire.CIPHERTEXT_BYTES))
-            result = engine.server.upload_second_level(proof, [wire.encode_record(dummy)])
-            if result.accepted:
-                accepted += 1
-        return accepted
+        """Second-level uploads with a random possession proof and one
+        random direct record, checked by the server in one batch.  Each
+        attempt takes one draw, split into the proof, the record's hash
+        and its ciphertext: every width is a whole number of 32-bit
+        words, so these are the bytes three draws in a row would give."""
+        draws = map(engine.rng_adversary.randbytes, itertools.repeat(_FORGED.size, attempts))
+        uploads = (
+            (proof, [wire.FRAME.pack(digest, wire.CIPHERTEXT_BYTES, ciphertext, wire.Tag.DIRECT)])
+            for proof, digest, ciphertext in map(_FORGED.unpack, draws)
+        )
+        return engine.server.upload_second_level_each(uploads)
 
 
 class _BaselineClient(_Client):

@@ -174,6 +174,8 @@ class WireError(Exception):
 # -- record framing ---------------------------------------------------------
 
 _FRAME_HEAD = struct.Struct(">16sI")
+#: A frame's fields, for a ciphertext of the one width.
+FRAME = struct.Struct(f">{TOKEN_HASH_BYTES}sI{CIPHERTEXT_BYTES}sB")
 _CT_LEN = struct.Struct(">I")
 #: Where a frame's ciphertext starts, after the hash and its length.
 CIPHERTEXT_AT = _FRAME_HEAD.size

@@ -1,12 +1,16 @@
 """Tracing server: ingestion, possession proofs, feed, stats, log."""
 
+import contextlib
+import hashlib
 import os
+import pathlib
 import random
 import struct
 import tempfile
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -90,6 +94,27 @@ def publish(server, ha, secrets_records):
     assert server.upload_infected(tan.value, frames([r for _, r in secrets_records])).accepted
 
 
+def tiny_hash(secret):
+    """A token hash of 8 bits, so that collisions are easy to find."""
+    return hashlib.sha256(b"tc-hash" + secret).digest()[:1] * 16
+
+
+def tiny_collision(rng):
+    """A secret and another whose ``tiny_hash`` equals it."""
+    owner = rng.randbytes(32)
+    while True:
+        candidate = rng.randbytes(32)
+        if candidate != owner and tiny_hash(candidate) == tiny_hash(owner):
+            return owner, candidate
+
+
+def tiny_owner_frame(owner):
+    """The frame of a direct record of ``owner`` under ``tiny_hash``."""
+    return wire.encode_record(TokenUploadRecord(
+        hash=tiny_hash(owner), ciphertext=crypto.encrypt_metadata(owner, 123)
+    ))
+
+
 class TestSecondLevel:
     def test_genuine_proof_accepted(self):
         server, ha = make_server()
@@ -116,26 +141,11 @@ class TestSecondLevel:
     def test_truncation_collision_fails_aead(self, monkeypatch):
         # stub the published hash down to 8 bits so collisions are easy,
         # then show the AEAD check still rejects the colliding non-owner
-        def tiny_hash(secret):
-            import hashlib
-
-            return hashlib.sha256(b"tc-hash" + secret).digest()[:1] * 16
-
         monkeypatch.setattr(crypto, "token_hash", tiny_hash)
         server, ha = make_server()
-        rng = random.Random(8)
-        owner = rng.randbytes(32)
-        collider = None
-        while collider is None:
-            candidate = rng.randbytes(32)
-            if candidate != owner and tiny_hash(candidate) == tiny_hash(owner):
-                collider = candidate
-        record = TokenUploadRecord(
-            hash=tiny_hash(owner),
-            ciphertext=crypto.encrypt_metadata(owner, 123),
-        )
+        owner, collider = tiny_collision(random.Random(8))
         tan = ha.issue_tan("u", 0)
-        assert server.upload_infected(tan.value, frames([record])).accepted
+        assert server.upload_infected(tan.value, [tiny_owner_frame(owner)]).accepted
         result = server.upload_second_level(collider, [])
         assert not result.accepted
         assert result.reason == REASON_NO_MATCHING_TOKEN
@@ -207,6 +217,71 @@ class TestProofIndex:
             replayed.upload_infected(tan, proof_frames([(0, 0), (0, 1), (1, 0)]))
             for proof in PROOF_SECRETS:
                 assert replayed._proof_matches(proof) == opened(replayed, proof)
+
+
+TINY_OWNER, TINY_COLLIDER = tiny_collision(random.Random(8))
+#: A second-level claim's proof: a proof secret, the ``tiny_hash`` owner
+#: or its collider, one of those a byte short or long, random bytes, or
+#: a proof of 0, 31 or 33 random bytes.
+claim_proofs = st.one_of(
+    st.sampled_from(PROOF_SECRETS + [TINY_OWNER, TINY_COLLIDER]),
+    st.sampled_from([PROOF_SECRETS[0][:31], PROOF_SECRETS[0] + b"\0", TINY_OWNER + b"\0"]),
+    st.sampled_from([0, 31, 32, 33]).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+)
+
+
+class TestSecondLevelBatch:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        published=proof_records,
+        indexed=st.booleans(),
+        tiny=st.booleans(),
+        uploads=st.lists(st.tuples(claim_proofs, proof_records), max_size=8),
+    )
+    @example(  # a hash held twice, a forged record, a first check, no records
+        published=[(0, 0), (0, 0), (1, "forged"), (2, 1)], indexed=False, tiny=False,
+        uploads=[(PROOF_SECRETS[0], [(3, 0)]), (PROOF_SECRETS[1], [(0, 0)]),
+                 (b"", []), (PROOF_SECRETS[2], []), (PROOF_SECRETS[0], [(0, 1)])],
+    )
+    @example(  # the collider fails the AEAD open; its owner opens the record
+        published=[], indexed=True, tiny=True,
+        uploads=[(TINY_COLLIDER, [(0, 0)]), (TINY_OWNER + b"\0", []), (TINY_OWNER, [(1, 0)])],
+    )
+    def test_batch_equals_one_upload_each(self, published, indexed, tiny, uploads):
+        """A batch of second-level uploads leaves the records, epochs,
+        stats and log that the same uploads one at a time leave on a twin
+        server, and accepts as many, whether or not the hash index exists
+        before it and under whatever ``crypto.token_hash`` is.  One at a
+        time, an upload is accepted exactly when its proof opens a held
+        direct record."""
+        with contextlib.ExitStack() as stack:
+            if tiny:
+                stack.enter_context(mock.patch.object(crypto, "token_hash", tiny_hash))
+            directory = stack.enter_context(tempfile.TemporaryDirectory())
+            twins = []
+            for name in ("batch", "each"):
+                server, ha = make_server(log_path=os.path.join(directory, name))
+                server.advance_epoch(1)
+                held = proof_frames(published) + ([tiny_owner_frame(TINY_OWNER)] if tiny else [])
+                server.upload_infected(ha.issue_tan("u", 0).value, held)
+                if indexed:
+                    server._proof_matches(PROOF_SECRETS[-1])
+                twins.append(server)
+            batch, each = twins
+            claims = [(proof, proof_frames(specs)) for proof, specs in uploads]
+            accepted = batch.upload_second_level_each(iter(claims))
+            one_each = 0
+            for proof, claimed in claims:
+                # the rule, checked against every held frame
+                opens = len(proof) == 32 and bool(opened(each, proof))
+                assert each.upload_second_level(proof, claimed).accepted == opens
+                one_each += opens
+            assert accepted == one_each
+            assert batch._records == each._records
+            assert batch._epochs == each._epochs
+            assert batch.stats_snapshot() == each.stats_snapshot()
+            logs = [pathlib.Path(directory, name).read_bytes() for name in ("batch", "each")]
+            assert logs[0] == logs[1]
 
 
 class TestSuperspreader:

@@ -5,6 +5,7 @@ import heapq
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter
 from importlib import resources
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import match_oracle
 from test_report_digests import room
 
-from tracecorona import crypto
+from tracecorona import crypto, wire
 from tracecorona.simnet import engine as engine_module
 from tracecorona.simnet.config import ConfigError, InfectionSpec, ScenarioConfig
 from tracecorona.simnet.engine import Engine, _Link, _TraceCoronaClient, run_scenario
@@ -507,6 +508,49 @@ class TestGroups:
         assert 0 < asked["identifier_at"] == asked["rssi_at"] < link_seconds / 10
 
 
+class TestFakeClaims:
+    def test_claims_are_the_per_attempt_draws(self):
+        """Each attempt's proof, record hash and ciphertext are the draws
+        of 32, 16 and 36 bytes in a row, and the server stores the
+        uploads of the proofs that open a published record, in order."""
+        attempts = 500
+        engine = Engine(ScenarioConfig.from_dict(config_dict()))
+        twin = random.Random()
+        twin.setstate(engine.rng_adversary.getstate())
+        reference = []
+        for _ in range(attempts):
+            proof = twin.randbytes(32)
+            dummy = wire.TokenUploadRecord(twin.randbytes(16), twin.randbytes(wire.CIPHERTEXT_BYTES))
+            reference.append((proof, wire.encode_record(dummy)))
+        opened = [0, 7, 250, attempts - 1]
+        published = [
+            wire.encode_record(wire.TokenUploadRecord(
+                crypto.token_hash(reference[i][0]),
+                crypto.encrypt_metadata(reference[i][0], 1_600_000_000),
+            ))
+            for i in opened
+        ]
+        server = engine.server
+        assert server.upload_infected(engine.authority.issue_tan("u", 0).value, published).accepted
+        assert _TraceCoronaClient.fake_claims(engine, attempts) == len(opened)
+        second_level = bytes((wire.Tag.SECOND_LEVEL,))
+        assert server._records == published + [reference[i][1][:-1] + second_level for i in opened]
+        assert engine.rng_adversary.getstate() == twin.getstate()
+
+    def test_claims_stream_in_flat_memory(self):
+        """The attempts go to the server one at a time: the peak memory of
+        100,000 attempts is a small fixed size, where a list of them all
+        would take tens of megabytes."""
+        engine = Engine(ScenarioConfig.from_dict(config_dict()))
+        tracemalloc.start()
+        try:
+            assert _TraceCoronaClient.fake_claims(engine, 100_000) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
+
 class TestInvariants:
     def test_conservation_no_orphan_notifications(self):
         # each notification names a match in state that notifying does not
@@ -887,7 +931,34 @@ DERIVATION_CONFIGS = {
 
 
 class TestDerivationCounts:
-    """Each baseline identifier is derived once; later uses look it up."""
+    """Each baseline identifier and each frame keypair is derived once;
+    later uses look it up."""
+
+    def test_deferred_keypair_once_per_device_frame(self, monkeypatch):
+        """Two devices that derive tokens at charging time meet for two
+        hours, eight frames: charging finds the keypair of every frame
+        with a pending derivation still kept, so none is built twice."""
+        builds = Counter()
+        generate = crypto.generate_frame_keypair
+
+        def counted(frame_index, rng):
+            builds[(rng.getstate(), frame_index)] += 1
+            return generate(frame_index, rng)
+
+        monkeypatch.setattr(crypto, "generate_frame_keypair", counted)
+        start = 3 * DAY + 36000
+        config = ScenarioConfig.from_dict(config_dict(
+            devices=[
+                {"id": "a", "derive_mode": "deferred"},
+                {"id": "b", "clock_offset_s": 3, "derive_mode": "deferred"},
+            ],
+            colocation_schedule=[{"device_a": "a", "device_b": "b", "start": start,
+                                  "end": start + 7200, "rssi_profile": -55}],
+        ))
+        engine = Engine(config)
+        engine.run()
+        assert all(len(c.device.store) >= 8 for c in engine.clients.values())
+        assert len(builds) >= 16 and set(builds.values()) == {1}
 
     @pytest.mark.parametrize("name", sorted(DERIVATION_CONFIGS))
     def test_decentralized_table_once_per_device_day(self, monkeypatch, name):
