@@ -51,10 +51,6 @@ class DecentralizedDailyKey:
     tek: bytes
     day: int
 
-    def __post_init__(self) -> None:
-        if len(self.tek) != crypto.TEK_BYTES:
-            raise ValueError("tek must be 16 bytes")
-
     @cached_property
     def tempids(self) -> list[bytes]:
         """The day's 144 slot identifiers in slot order, derived once per

@@ -80,12 +80,6 @@ class FrameKeyPair:
     public_key: bytes
     key: ec.EllipticCurvePrivateKey = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if len(self.private_key) != PRIVATE_KEY_BYTES:
-            raise ValueError("private key must be 32 bytes")
-        if len(self.public_key) != PUBLIC_KEY_BYTES:
-            raise ValueError("public key must be 48 bytes")
-
 
 @dataclass(frozen=True)
 class TimeFramePolicy:
@@ -169,19 +163,14 @@ def validate_public_key(peer_public: bytes) -> ec.EllipticCurvePublicKey:
     """Decode a peer's x-only public key into a curve point, rejecting
     encodings that do not name a valid, non-identity point.
 
-    A single zero byte is the conventional encoding of the identity
-    element and is rejected explicitly; everything else must be a
-    48-byte x coordinate below the field prime for which the curve
-    equation has a square root, which the backend's point decoder checks.
+    The backend's point decoder takes only a 48-byte x coordinate below
+    the field prime for which the curve equation has a square root; it
+    refuses any other length, the identity's single zero byte among them.
     """
-    if peer_public == b"\x00":
-        raise InvalidPoint("identity element")
-    if len(peer_public) != PUBLIC_KEY_BYTES:
-        raise InvalidPoint(f"public key must be {PUBLIC_KEY_BYTES} bytes")
     try:
         return ec.EllipticCurvePublicKey.from_encoded_point(CURVE, b"\x02" + peer_public)
     except ValueError as exc:
-        raise InvalidPoint("x coordinate is not a point on the curve") from exc
+        raise InvalidPoint("not the x coordinate of a curve point") from exc
 
 
 def derive_token(
@@ -196,12 +185,10 @@ def derive_token(
     32 bytes regardless of curve structure.
     """
     if isinstance(own_private, bytes):
+        # the backend refuses a zero scalar, but not a longer one
         if len(own_private) != PRIVATE_KEY_BYTES:
             raise ValueError("private key must be 32 bytes")
-        scalar = int.from_bytes(own_private, "big")
-        if scalar == 0:
-            raise ValueError("private scalar must be non-zero")
-        own_private = ec.derive_private_key(scalar, CURVE)
+        own_private = ec.derive_private_key(int.from_bytes(own_private, "big"), CURVE)
     point = validate_public_key(peer_public)
     shared_x = own_private.exchange(ec.ECDH(), point)
     return _hkdf(shared_x, _LABEL_TOKEN, b"", TOKEN_SECRET_BYTES)

@@ -126,7 +126,8 @@ class Device:
         )
         self._neighbors: dict[bytes, NeighborObservation] = {}
         self._pending_handshakes: set[tuple[int, bytes]] = set()
-        self._pending_derivations: dict[tuple[int, bytes], bytes] = {}
+        #: (frame, peer identifier) -> the frame's private key and the peer's public key
+        self._pending_derivations: dict[tuple[int, bytes], tuple] = {}
         self._keypair_cache: dict[int, FrameKeyPair] = {}
         self._open_channels = 0
         self.peak_open_channels = 0
@@ -146,9 +147,9 @@ class Device:
         return digest.digest()[:16]
 
     def keypair(self, frame_index: int) -> FrameKeyPair:
-        """The frame's keypair.  The four latest frames' keypairs are kept,
-        and any frame's whose token derivation is pending, so that
-        ``charge`` never rebuilds one."""
+        """The frame's keypair.  The four latest frames' keypairs are kept;
+        a deferred derivation holds its own frame's private key, so
+        ``charge`` needs none of them."""
         kp = self._keypair_cache.get(frame_index)
         if kp is None:
             kp = crypto.generate_frame_keypair(
@@ -156,10 +157,7 @@ class Device:
             )
             self._keypair_cache[frame_index] = kp
             if len(self._keypair_cache) > 4:
-                pending = {frame for frame, _ in self._pending_derivations}
-                for frame in sorted(self._keypair_cache)[:-4]:
-                    if frame not in pending:
-                        del self._keypair_cache[frame]
+                del self._keypair_cache[min(self._keypair_cache)]
         return kp
 
     def beacon(self, now: int) -> BeaconMessage:
@@ -294,6 +292,7 @@ class Device:
         else:
             crypto.validate_public_key(peer_public)
             secret = None
+            self._pending_derivations[(frame, peer_ephemeral_id)] = (kp.key, peer_public)
         obs = self._neighbors.get(peer_ephemeral_id)
         if obs is not None:
             first_seen = obs.first_seen
@@ -311,22 +310,17 @@ class Device:
         )
         self.store.add(frame, peer_ephemeral_id, token)
         self._pending_handshakes.discard((frame, peer_ephemeral_id))
-        if secret is None:
-            self._pending_derivations[(frame, peer_ephemeral_id)] = peer_public
         return token
 
     def charge(self, now: int | None = None) -> int:
         """Run deferred token derivations (the charging tick)."""
         derived = 0
-        for (frame, ei), peer_public in list(self._pending_derivations.items()):
+        for (frame, ei), (key, peer_public) in self._pending_derivations.items():
             token = self.store.get(frame, ei)
-            if token is None:
-                del self._pending_derivations[(frame, ei)]
-                continue
-            kp = self.keypair(frame)
-            token.secret = crypto.derive_token(kp.key, peer_public)
-            del self._pending_derivations[(frame, ei)]
-            derived += 1
+            if token is not None:
+                token.secret = crypto.derive_token(key, peer_public)
+                derived += 1
+        self._pending_derivations.clear()
         return derived
 
     def purge_expired(self, now: int) -> int:

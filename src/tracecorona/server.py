@@ -6,11 +6,14 @@ persisted structure remembers which records arrived together.  An
 accepted upload's log lines go out in one write and are fsynced before
 the upload is answered.
 
-Uploads arrive as frames ``wire.read_frames`` checked.  Only ``wire``
-knows the frame format: it refuses a record whose ciphertext is not 36
-bytes (``record ciphertext of <n> bytes, not 36``) before the server
-sees the upload.  The server holds each published record as its frame,
-the bytes its log line encodes, with a non-decreasing list of the
+Uploads arrive as frames ``wire.read_frames`` checked: ``wire`` refuses
+a record whose ciphertext is not 36 bytes (``record ciphertext of <n>
+bytes, not 36``) before the server sees the upload.  The server reads a
+checked frame's fields at ``wire``'s offsets (the hash is the first
+``TOKEN_HASH_BYTES``, the ciphertext runs from ``CIPHERTEXT_AT`` to the
+tag, the last byte), as ``cli dump-stats`` does the tags of the held
+frames (``_records``).  The server holds each published record as its
+frame, the bytes its log line encodes, with a non-decreasing list of the
 records' epochs beside the frames: ingest only re-tags a frame's last
 byte, a log replay only checks the frames, and a feed is a slice of
 them, joined on the socket or into the buffer of the ``PublishedFeed``
@@ -232,9 +235,7 @@ class TracingServer:
 
     def upload_superspreader_proof(self, proofs: list[bytes], frames: list[bytes]) -> UploadResult:
         with self._ingest_lock:
-            if len(proofs) < self.superspreader_threshold:
-                return UploadResult(False, REASON_INSUFFICIENT_PROOFS)
-            if not self._distinct_assignment(proofs):
+            if len(proofs) < self.superspreader_threshold or not self._distinct_assignment(proofs):
                 return UploadResult(False, REASON_INSUFFICIENT_PROOFS)
             result = self._store(frames, Tag.POSSIBLE_SUPERSPREADER)
             self._superspreader_uploads += 1

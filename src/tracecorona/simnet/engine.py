@@ -117,8 +117,6 @@ class _Link:
     latency: int = 0
     adversary: int | None = None
     rssi: object = -55.0  # float or ColocationInterval
-    capture_id: str | None = None
-    fanout_limit: int = 0
     #: position in the engine's link list
     index: int = 0
     beams: list = field(default_factory=list)
@@ -711,6 +709,7 @@ class Engine:
         self.gt_infections: dict[str, _Infection] = {}
 
         self.sensor_log: list[tuple[str, int, str, bytes]] = []
+        #: (two-way relay, frame of its captured device) -> victims admitted or completed
         self.relay_admitted: dict[tuple, set] = {}
         self.relay_completed: dict[tuple, set] = {}
         #: relay adversary -> the devices falsely notified through it
@@ -780,8 +779,6 @@ class Engine:
                     latency=adv.latency_s,
                     adversary=index,
                     rssi=adv.emit_rssi,
-                    capture_id=adv.capture,
-                    fanout_limit=adv.fanout_limit,
                 )
                 for victim in adv.victims
             ]
@@ -924,34 +921,18 @@ class Engine:
     def start_handshake(
         self, requester: _Client, owner: _Client, request, t: int, link: _Link
     ) -> None:
-        if link.kind == "relay_oneway":
-            requester.device.abort_handshake(
-                request.frame_index, request.peer_ephemeral_id
-            )
-            return
-        if link.kind == "relay_twoway":
-            capture = self.clients[link.capture_id]
-            victim = owner if owner.id != capture.id else requester
-            frame = capture.device.current_frame(t)
-            key = (link.adversary, capture.id, frame)
-            admitted = self.relay_admitted.setdefault(key, set())
-            if victim.id not in admitted:
-                if len(admitted) >= link.fanout_limit:
-                    requester.device.abort_handshake(
-                        request.frame_index, request.peer_ephemeral_id
-                    )
-                    return
-                admitted.add(victim.id)
-        if not requester.device.try_open_channel():
-            requester.device.abort_handshake(
-                request.frame_index, request.peer_ephemeral_id
-            )
-            return
-        if not owner.device.try_open_channel():
+        """Start the handshake ``requester`` asked of ``owner``, or abort the
+        request if the link carries none or a side has no free channel."""
+        opened = (
+            link.kind != "relay_oneway"
+            and self._relay_admits(requester, owner, t, link)
+            and requester.device.try_open_channel()
+        )
+        if opened and not owner.device.try_open_channel():
             requester.device.close_channel()
-            requester.device.abort_handshake(
-                request.frame_index, request.peer_ephemeral_id
-            )
+            opened = False
+        if not opened:
+            requester.device.abort_handshake(request.frame_index, request.peer_ephemeral_id)
             return
 
         latency = link.latency
@@ -974,13 +955,11 @@ class Engine:
             t + 1 + latency,
             self._complete_handshake,
             responder, init_pub, init_frame, init_ei, initiator.id, link,
-            t + 1 + latency,
         )
         self._push(
             t + 1 + 2 * latency,
             self._complete_handshake,
             initiator, resp_pub, resp_frame, resp_ei, responder.id, link,
-            t + 1 + 2 * latency,
         )
 
     def _complete_handshake(
@@ -991,8 +970,8 @@ class Engine:
         peer_ei: bytes,
         peer_hint: str,
         link: _Link,
-        t: int,
     ) -> None:
+        t = self._now
         client.device.close_channel()
         try:
             token = client.device.complete_handshake(
@@ -1002,10 +981,25 @@ class Engine:
         except (FrameMismatch, InvalidPoint):
             return
         token.via = link.adversary
-        if link.kind == "relay_twoway" and client.id != link.capture_id:
-            capture_frame = self.clients[link.capture_id].device.current_frame(t)
-            key = (link.adversary, link.capture_id, capture_frame)
-            self.relay_completed.setdefault(key, set()).add(client.id)
+        if link.kind == "relay_twoway" and client.id != link.a:
+            self.relay_completed.setdefault(self._relay_frame(link, t), set()).add(client.id)
+
+    def _relay_frame(self, link: _Link, t: int) -> tuple:
+        """The relay and the frame its captured device ``link.a`` is in at t."""
+        return link.adversary, self.clients[link.a].device.current_frame(t)
+
+    def _relay_admits(self, requester: _Client, owner: _Client, t: int, link: _Link) -> bool:
+        """Whether the link carries this handshake: a two-way relay admits
+        at most its ``fanout_limit`` victims per ``_relay_frame``."""
+        if link.kind != "relay_twoway":
+            return True
+        victim = owner if owner.id != link.a else requester
+        limit = self.config.adversaries[link.adversary].fanout_limit
+        admitted = self.relay_admitted.setdefault(self._relay_frame(link, t), set())
+        if victim.id not in admitted and len(admitted) >= limit:
+            return False
+        admitted.add(victim.id)
+        return True
 
     # -- daily cadence ---------------------------------------------------------------------
 
@@ -1088,6 +1082,7 @@ class Engine:
         attack_details = {}
         total_attempts = 0
         total_successes = 0
+        relay_fanout = {}
         for index, adv in enumerate(self.config.adversaries):
             if adv.kind == "eavesdropper":
                 continue
@@ -1095,6 +1090,9 @@ class Engine:
                 attempts, successes = adv.attempts, self.claim_results.get(index, 0)
             else:
                 attempts, successes = len(adv.victims), len(self.adv_successes.get(index, ()))
+            if adv.kind == "relay_twoway":
+                per_frame = [len(v) for (i, _), v in self.relay_completed.items() if i == index]
+                relay_fanout[str(index)] = max(per_frame, default=0)
             attack_details[str(index)] = {
                 "kind": adv.kind,
                 "attempts": attempts,
@@ -1104,17 +1102,6 @@ class Engine:
             total_attempts += attempts
             total_successes += successes
         rate = total_successes / total_attempts if total_attempts else 0.0
-
-        relay_fanout = {}
-        for index, adv in enumerate(self.config.adversaries):
-            if adv.kind != "relay_twoway":
-                continue
-            per_frame = [
-                len(victims)
-                for (adv_index, _capture, _frame), victims in self.relay_completed.items()
-                if adv_index == index
-            ]
-            relay_fanout[str(index)] = max(per_frame) if per_frame else 0
 
         spans, recovered, gt_ids = self._linkability()
         # the notification list is in time order: a device's first entry

@@ -36,20 +36,21 @@ boundaries are interleaved as ``# epoch <n>`` control lines so a log
 replay restores feed paging; epochs never go back.  The server appends
 an accepted upload's lines (or an epoch line) with one write, then
 flushes and fsyncs the file before it answers the upload.  A crash can
-therefore leave only the last line torn: ``read_log`` drops a final
-line that has no newline unless it is a record that decodes, and raises
-``WireError`` on any other bad line; the server's next append first
-ends the file at a line boundary (``end_log_at_line``).
+therefore leave only the last line torn: ``read_log`` keeps a final
+line that has no newline only if it is a record that decodes
+(``_torn_frame``), and raises ``WireError`` on any other bad line; the
+server's next append first ends the file at a line boundary by the same
+rule (``end_log_at_line``).
 
-Socket protocol: each message is a 4-byte length prefix followed by the
-body, sent with one ``sendmsg``.  Request bodies start with a 1-byte
-opcode; responses with a 1-byte status (0 accepted, 1 rejected, 2
-malformed).  The server closes a connection whose request prefix
-exceeds ``MAX_REQUEST_BYTES`` without reading the body, and one that
-arrives while ``MAX_CONNECTIONS`` others are open without reading
-anything.  An upload whose record count is over ``MAX_UPLOAD_RECORDS``
-is malformed, refused before its frames are read; responses, such as
-the feed, are not capped.
+Socket protocol (``WireServer``, ``WireClient``): each message is a
+4-byte length prefix followed by the body, sent with one ``sendmsg``.
+Request bodies start with a 1-byte opcode; responses with a 1-byte
+status (0 accepted, 1 rejected, 2 malformed).  The server closes a
+connection whose request prefix exceeds ``MAX_REQUEST_BYTES`` without
+reading the body, and one that arrives while ``MAX_CONNECTIONS`` others
+are open without reading anything.  An upload whose record count is
+over ``MAX_UPLOAD_RECORDS`` is malformed, refused before its frames are
+read; responses, such as the feed, are not capped.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ import enum
 import io
 import itertools
 import json
+import mmap
 import os
 import socket
 import socketserver
@@ -309,36 +311,39 @@ def _log_frame(line: bytes) -> bytes:
     return frame
 
 
-def _is_record_line(line: bytes) -> bool:
+def _torn_frame(tail: bytes) -> bytes | None:
+    """The frame of a torn final line (no newline) that is a whole record
+    line, or ``None`` for one to drop: the one rule of ``read_log`` and
+    ``end_log_at_line``."""
+    tail = tail.strip()
+    if tail.startswith(b"#"):
+        return None
     try:
-        _log_frame(line)
+        return _log_frame(tail)
     except WireError:
-        return False
-    return True
+        return None
 
 
 def end_log_at_line(handle) -> None:
     """Make a log opened with ``a+b`` end at a line boundary, so the next
     append starts a line of its own.
 
-    A final line without a newline is the torn tail of a write a crash
-    cut short.  It gets its newline if it is a whole record line, which
-    ``read_log`` keeps, and is cut off otherwise.
+    A torn final line gets its newline if ``_torn_frame`` keeps it, and
+    is cut off otherwise.  The mapped file is searched back from its end,
+    so mending copies only the torn line, never the whole log.
     """
     size = handle.seek(0, os.SEEK_END)
     if size == 0:
         return
-    handle.seek(size - 1)
-    if handle.read(1) == b"\n":
+    with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as data:
+        start = data.rfind(b"\n") + 1
+        tail = data[start:]
+    if start == size:
         return
-    handle.seek(0)
-    data = handle.read()
-    start = data.rfind(b"\n") + 1
-    tail = data[start:].strip()
-    if not tail.startswith(b"#") and _is_record_line(tail):
-        handle.write(b"\n")
-    else:
+    if _torn_frame(tail) is None:
         handle.truncate(start)
+    else:
+        handle.write(b"\n")
 
 
 def append_log(path, lines: list[str]) -> None:
@@ -369,8 +374,8 @@ def read_log(path) -> tuple[int, list[int], list[bytes]]:
     order, its epoch and its checked frame.
 
     A final line without a newline is the torn tail of a write a crash
-    cut short: it is dropped unless it is a record line that decodes.
-    Epochs never go back, so the record epochs are non-decreasing.
+    cut short: it is kept or dropped by ``_torn_frame``.  Epochs never go
+    back, so the record epochs are non-decreasing.
     """
     epoch = 0
     epochs: list[int] = []
@@ -382,10 +387,10 @@ def read_log(path) -> tuple[int, list[int], list[bytes]]:
             whole = data.rfind(b"\n") + 1
             rest = data[whole:]
             epoch = _read_log_lines(data, whole, epoch, epochs, frames)
-    tail = rest.strip()
-    if tail and not tail.startswith(b"#") and _is_record_line(tail):
+    torn = _torn_frame(rest)
+    if torn is not None:
         epochs.append(epoch)
-        frames.append(_log_frame(tail))
+        frames.append(torn)
     return epoch, epochs, frames
 
 
@@ -606,15 +611,29 @@ def handle_request(server, body: bytes) -> bytes:
     return bytes([status]) + reason
 
 
-class _BoundedTCPServer(socketserver.ThreadingTCPServer):
-    """One thread per connection, for at most ``MAX_CONNECTIONS`` at once;
-    a connection over the bound is closed at once, unread."""
+class WireServer(socketserver.ThreadingTCPServer):
+    """Threaded TCP front end for a TracingServer: one thread per
+    connection, for at most ``MAX_CONNECTIONS`` at once; a connection
+    over the bound is closed at once, unread.  The server answers each
+    connection itself (``finish_request``), so no handler class is built."""
 
     daemon_threads = True
 
-    def __init__(self, *args):
+    def __init__(self, tracing_server, host: str = "127.0.0.1", port: int = 0):
+        self.tracing_server = tracing_server
         self._slots = threading.Semaphore(MAX_CONNECTIONS)
-        super().__init__(*args)
+        super().__init__((host, port), socketserver.BaseRequestHandler)
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self.server_address
+
+    def start(self) -> None:
+        threading.Thread(target=self.serve_forever, daemon=True).start()
+
+    def shutdown(self) -> None:
+        super().shutdown()
+        self.server_close()
 
     def verify_request(self, request, client_address) -> bool:
         return self._slots.acquire(blocking=False)
@@ -625,42 +644,14 @@ class _BoundedTCPServer(socketserver.ThreadingTCPServer):
         finally:
             self._slots.release()
 
-
-class WireServer:
-    """Threaded TCP front end for a TracingServer."""
-
-    def __init__(self, tracing_server, host: str = "127.0.0.1", port: int = 0):
-        outer = self
-
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self) -> None:
-                try:
-                    while True:
-                        body = _recv_message(self.request, MAX_REQUEST_BYTES)
-                        _send_message(
-                            self.request, handle_request(outer.tracing_server, body)
-                        )
-                except (WireError, ConnectionError, OSError):
-                    return
-
-        self.tracing_server = tracing_server
-        self._tcp = _BoundedTCPServer((host, port), Handler)
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._tcp.server_address
-
-    def start(self) -> None:
-        self._thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)
-        self._thread.start()
-
-    def serve_forever(self) -> None:
-        self._tcp.serve_forever()
-
-    def shutdown(self) -> None:
-        self._tcp.shutdown()
-        self._tcp.server_close()
+    def finish_request(self, request, client_address) -> None:
+        """Answer the connection's requests until it closes or breaks the protocol."""
+        try:
+            while True:
+                body = _recv_message(request, MAX_REQUEST_BYTES)
+                _send_message(request, handle_request(self.tracing_server, body))
+        except (WireError, ConnectionError, OSError):
+            return
 
 
 class WireClient:

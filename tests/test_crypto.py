@@ -12,6 +12,18 @@ import ec_oracle
 from tracecorona import crypto
 
 
+def _each_length(count):
+    """Add one example of every length below ``count``: bytes counting up
+    from 0, the single zero byte among them."""
+
+    def add(test):
+        for n in range(count):
+            test = example(bytes(range(n)))(test)
+        return test
+
+    return add
+
+
 def keypair(seed, frame=0):
     return crypto.generate_frame_keypair(frame, random.Random(seed))
 
@@ -92,18 +104,33 @@ class TestDeriveToken:
             crypto.derive_token(a.private_key, b"\xff" * 48)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**384 - 1))
-    @example(ec_oracle.P)
-    @example(ec_oracle.P + 1)
-    @example(2**384 - 1)
-    def test_accepts_exactly_the_oracle_points(self, x):
-        on_curve = x < ec_oracle.P and ec_oracle.lift_x(x) is not None
+    @given(
+        st.one_of(
+            st.integers(min_value=0, max_value=2**384 - 1).map(lambda x: x.to_bytes(48, "big")),
+            st.integers(min_value=0, max_value=100).flatmap(
+                lambda n: st.binary(min_size=n, max_size=n)
+            ),
+        )
+    )
+    @example(ec_oracle.P.to_bytes(48, "big"))
+    @example((ec_oracle.P + 1).to_bytes(48, "big"))
+    @example((2**384 - 1).to_bytes(48, "big"))
+    @_each_length(101)
+    def test_accepts_exactly_the_oracle_points(self, encoded):
+        """Only a 48-byte x below P that the oracle lifts is a point; the
+        backend's decoder refuses every other length by itself."""
+        x = int.from_bytes(encoded, "big")
+        on_curve = len(encoded) == 48 and x < ec_oracle.P and ec_oracle.lift_x(x) is not None
         try:
-            crypto.validate_public_key(x.to_bytes(48, "big"))
+            crypto.validate_public_key(encoded)
         except crypto.InvalidPoint:
             assert not on_curve
         else:
             assert on_curve
+
+    def test_zero_scalar_refused(self):
+        with pytest.raises(ValueError):
+            crypto.derive_token(bytes(32), keypair(1).public_key)
 
 
 class TestTokenHash:

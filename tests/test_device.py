@@ -1,6 +1,7 @@
 """Client protocol: duty cycles, neighbor tracking, handshakes, store."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -236,6 +237,30 @@ class TestCompleteHandshake:
         assert {t.secret for t in lazy_b.store.tokens()} == {
             t.secret for t in eager_b.store.tokens()
         }
+
+    def test_pending_derivation_outlives_the_keypair_cache(self, monkeypatch):
+        """A deferred derivation stays pending while five newer frames'
+        keypairs are built, more than the device keeps: charging derives
+        the eager twin's secret and builds no keypair a second time."""
+        peer = make_device("p")
+        peer_public, peer_ei = peer.keypair(0).public_key, peer.ephemeral_id(0)
+        eager = make_device("a").complete_handshake(peer_public, 0, 100, peer_ei)
+        builds = Counter()
+        generate = crypto.generate_frame_keypair
+
+        def counted(frame_index, rng):
+            builds[frame_index] += 1
+            return generate(frame_index, rng)
+
+        monkeypatch.setattr(crypto, "generate_frame_keypair", counted)
+        lazy = make_device("a", mode="deferred")
+        token = lazy.complete_handshake(peer_public, 0, 100, peer_ei)
+        assert token.secret is None
+        for frame in range(1, 6):
+            lazy.keypair(frame)
+        assert lazy.charge() == 1
+        assert token.secret == eager.secret
+        assert builds == Counter(range(6))
 
 
 class TestChannels:

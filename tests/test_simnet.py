@@ -18,6 +18,7 @@ import match_oracle
 from test_report_digests import room
 
 from tracecorona import crypto, wire
+from tracecorona.device import MAX_OPEN_CHANNELS, HandshakeRequest
 from tracecorona.simnet import engine as engine_module
 from tracecorona.simnet.config import ConfigError, InfectionSpec, ScenarioConfig
 from tracecorona.simnet.engine import Engine, _Link, _TraceCoronaClient, run_scenario
@@ -433,6 +434,64 @@ class TestChannelBudget:
         assert hub.peak_open_channels <= 8
         # queued handshakes still complete shortly after
         assert len(hub.store) == 10
+
+
+class TestStartHandshake:
+    """What starting a handshake does, which the per-second oracle
+    inherits from the engine and so does not check."""
+
+    T = 3 * DAY + 36100
+
+    def engine(self):
+        """An engine and its links: a-b direct, a one-way relay from a to
+        c, and a two-way relay from a to b and to c admitting one victim
+        per frame of a."""
+        config = ScenarioConfig.from_dict(config_dict(
+            devices=[{"id": "a"}, {"id": "b"}, {"id": "c"}],
+            adversaries=[
+                dict(RELAY, victims=["c"]),
+                dict(RELAY, kind="relay_twoway", victims=["b", "c"], fanout_limit=1),
+            ],
+        ))
+        engine = Engine(config)
+        return engine, engine._links()
+
+    def start(self, engine, link, requester, owner):
+        """Start the handshake ``requester`` asks of ``owner`` over the
+        link; whether the request is still pending, and how many events
+        (the two completions, if it started) were queued."""
+        requester, owner = engine.clients[requester], engine.clients[owner]
+        frame = requester.device.current_frame(self.T)
+        peer = owner.device.ephemeral_id(owner.device.current_frame(self.T))
+        requester.device.mark_handshake_pending(frame, peer)
+        request = HandshakeRequest(peer, frame, requester.device.local_time(self.T))
+        queued = len(engine._queue)
+        engine.start_handshake(requester, owner, request, self.T, link)
+        return (frame, peer) in requester.device._pending_handshakes, len(engine._queue) - queued
+
+    def test_full_owner_releases_the_requester_channel(self):
+        engine, (direct, *_) = self.engine()
+        owner, requester = engine.clients["b"].device, engine.clients["a"].device
+        assert all(owner.try_open_channel() for _ in range(MAX_OPEN_CHANNELS))
+        assert self.start(engine, direct, "a", "b") == (False, 0)
+        assert requester.peak_open_channels == 1
+        opened = sum(requester.try_open_channel() for _ in range(MAX_OPEN_CHANNELS + 1))
+        assert opened == MAX_OPEN_CHANNELS
+
+    def test_oneway_relay_opens_no_channel(self):
+        engine, (_, oneway, *_) = self.engine()
+        assert self.start(engine, oneway, "c", "a") == (False, 0)
+        assert all(c.device.peak_open_channels == 0 for c in engine.clients.values())
+
+    def test_twoway_relay_at_its_fanout_limit(self):
+        engine, (_, _, to_b, to_c) = self.engine()
+        assert self.start(engine, to_b, "b", "a") == (True, 2)
+        # a new victim is refused before either side opens a channel
+        assert self.start(engine, to_c, "c", "a") == (False, 0)
+        assert engine.clients["c"].device.peak_open_channels == 0
+        assert engine.clients["a"].device.peak_open_channels == 1
+        # the admitted victim still is, whichever side asks
+        assert self.start(engine, to_b, "a", "b") == (True, 2)
 
 
 class TestRelayTiming:
@@ -936,8 +995,9 @@ class TestDerivationCounts:
 
     def test_deferred_keypair_once_per_device_frame(self, monkeypatch):
         """Two devices that derive tokens at charging time meet for two
-        hours, eight frames: charging finds the keypair of every frame
-        with a pending derivation still kept, so none is built twice."""
+        hours, eight frames: each pending derivation holds its frame's
+        private key, so charging looks no keypair up and none is built
+        twice."""
         builds = Counter()
         generate = crypto.generate_frame_keypair
 

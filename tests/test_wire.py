@@ -175,6 +175,24 @@ class TestLog:
             path.write_text("\n".join(lines))
             assert wire.read_log(path) == (3, [3], [wire.encode_record(record)])
 
+    @pytest.mark.parametrize("torn", [40, -1], ids=["cut", "kept"])
+    def test_mending_a_torn_tail_reads_only_the_end(self, tmp_path, torn):
+        """Mending the torn tail of an 8 MB log holds a bounded step of
+        it, not the log: the peak stays under 1 MB either way."""
+        line = wire.log_record_line(sample_record(1)[1]) + "\n"
+        whole = line * (8 * 2**20 // len(line) + 1)
+        path = tmp_path / "log"
+        path.write_text(whole + line[:torn])
+        with open(path, "a+b") as handle:
+            tracemalloc.start()
+            try:
+                wire.end_log_at_line(handle)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 2**20
+        assert path.read_text() == (whole if torn > 0 else whole + line)
+
 
 class TestSocketApi:
     @pytest.fixture()
