@@ -293,6 +293,12 @@ def cmd_verify_vectors(args) -> int:
         ok = crypto.derive_tempid_decentralized(tek, 3, int(slot)).hex() == expected
         failures += not ok
         print(f"decentralized slot={slot}: {'ok' if ok else 'MISMATCH'}")
+    # the day table is what broadcasting and matching read
+    table = crypto.derive_tempids_decentralized(tek, 3)
+    for slot, expected in tempids["decentralized_day3_slots"].items():
+        ok = table[int(slot)].hex() == expected
+        failures += not ok
+        print(f"decentralized table slot={slot}: {'ok' if ok else 'MISMATCH'}")
 
     if failures:
         print(f"{failures} vector(s) failed", file=sys.stderr)

@@ -12,6 +12,13 @@ Byte widths are part of the wire contract:
 * encrypted metadata: 12-byte nonce || AES-GCM ciphertext of the
   8-byte big-endian unix timestamp
 
+HKDF is HKDF-SHA256 (RFC 5869) computed from HMAC: one extract per
+(input key, salt), then each info's expand from a copy of the one keyed
+HMAC state.  A decentralized day's 144 slot identifiers
+(:func:`derive_tempids_decentralized`) therefore cost one extract;
+:func:`derive_tempid_decentralized` is the per-slot form of the same
+derivation.
+
 Every derivation is a pure function of its inputs.  Randomness enters
 only through the explicit ``rng`` argument of
 :func:`generate_frame_keypair`, which makes key schedules reproducible
@@ -21,13 +28,13 @@ from a scenario seed.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives import hashes, hmac
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 CURVE = ec.SECP384R1()
 
@@ -125,13 +132,31 @@ class EncounterToken:
     via: int | None = None
 
 
+_SHA256 = hashes.SHA256()
+
+
+def _hkdf_each(ikm: bytes, salt: bytes, infos: Iterable[bytes], length: int) -> list[bytes]:
+    """HKDF-SHA256 output of ``length`` bytes for each of ``infos``, in
+    order: one extract, then each expand from a copy of the keyed state."""
+    extract = hmac.HMAC(salt, _SHA256)
+    extract.update(ikm)
+    keyed = hmac.HMAC(extract.finalize(), _SHA256)
+    counters = range(1, -(-length // _SHA256.digest_size) + 1)
+    okms = []
+    for info in infos:
+        okm = block = b""
+        for counter in counters:
+            step = keyed.copy()
+            step.update(block + info + bytes((counter,)))
+            block = step.finalize()
+            okm += block
+        okms.append(okm[:length])
+    return okms
+
+
 def _hkdf(ikm: bytes, label: bytes, info: bytes, length: int) -> bytes:
-    return HKDF(
-        algorithm=hashes.SHA256(),
-        length=length,
-        salt=label,
-        info=info,
-    ).derive(ikm)
+    [okm] = _hkdf_each(ikm, label, (info,), length)
+    return okm
 
 
 def generate_frame_keypair(frame_index: int, rng) -> FrameKeyPair:
@@ -270,16 +295,12 @@ def derive_tempid_bluetrace(
     if len(master_key) != 32:
         raise ValueError("master key must be 32 bytes")
     ikm = user_id + t_k.to_bytes(8, "big") + iv + auth_tag
-    return HKDF(
-        algorithm=hashes.SHA256(),
-        length=TEMPID_BYTES,
-        salt=master_key,
-        info=_LABEL_BLUETRACE,
-    ).derive(ikm)
+    return _hkdf(ikm, master_key, _LABEL_BLUETRACE, TEMPID_BYTES)
 
 
 def derive_tempid_decentralized(tek: bytes, day: int, slot: int) -> bytes:
-    """Single 10-minute-slot identifier derived from a daily key."""
+    """Single 10-minute-slot identifier derived from a daily key: entry
+    ``slot`` of :func:`derive_tempids_decentralized`."""
     if len(tek) != TEK_BYTES:
         raise ValueError("tek must be 16 bytes")
     if not 0 <= slot < DECENTRALIZED_SLOTS_PER_DAY:
@@ -289,8 +310,10 @@ def derive_tempid_decentralized(tek: bytes, day: int, slot: int) -> bytes:
 
 
 def derive_tempids_decentralized(tek: bytes, day: int) -> list[bytes]:
-    """All 144 identifiers of one device-day, slot order."""
-    return [
-        derive_tempid_decentralized(tek, day, slot)
-        for slot in range(DECENTRALIZED_SLOTS_PER_DAY)
-    ]
+    """All 144 identifiers of one device-day, slot order, from one
+    extract of the daily key."""
+    if len(tek) != TEK_BYTES:
+        raise ValueError("tek must be 16 bytes")
+    prefix = day.to_bytes(8, "big")
+    infos = (prefix + slot.to_bytes(2, "big") for slot in range(DECENTRALIZED_SLOTS_PER_DAY))
+    return _hkdf_each(tek, _LABEL_DECENTRAL, infos, TEMPID_BYTES)

@@ -56,7 +56,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import heapq
-import itertools
 import math
 import random
 import struct
@@ -87,6 +86,8 @@ FETCH_OFFSETS = (3600, 1800)  # before each cadence boundary
 CLAIM_TIME = 23 * 3600 + 45 * 60
 #: A forged claim's draw: proof, record hash, record ciphertext.
 _FORGED = struct.Struct(f"{wire.PROOF_BYTES}s{wire.TOKEN_HASH_BYTES}s{wire.CIPHERTEXT_BYTES}s")
+#: Forged claims taken per draw: a fixed chunk bounds a draw's memory.
+_FORGED_CHUNK = 256
 
 
 def _sub_seed(seed: int, *labels) -> int:
@@ -474,14 +475,19 @@ class _TraceCoronaClient(_Client):
     @staticmethod
     def fake_claims(engine: Engine, attempts: int) -> int:
         """Second-level uploads with a random possession proof and one
-        random direct record, checked by the server in one batch.  Each
-        attempt takes one draw, split into the proof, the record's hash
-        and its ciphertext: every width is a whole number of 32-bit
-        words, so these are the bytes three draws in a row would give."""
-        draws = map(engine.rng_adversary.randbytes, itertools.repeat(_FORGED.size, attempts))
+        random direct record, checked by the server in one batch.  The
+        attempts are drawn a chunk at a time, and each attempt's bytes
+        split into the proof, the record's hash and its ciphertext: every
+        width is a whole number of 32-bit words, so these are the bytes
+        one draw per field, attempt after attempt, would give."""
+        sizes = (
+            min(_FORGED_CHUNK, attempts - start) * _FORGED.size
+            for start in range(0, attempts, _FORGED_CHUNK)
+        )
         uploads = (
             (proof, [wire.FRAME.pack(digest, wire.CIPHERTEXT_BYTES, ciphertext, wire.Tag.DIRECT)])
-            for proof, digest, ciphertext in map(_FORGED.unpack, draws)
+            for chunk in map(engine.rng_adversary.randbytes, sizes)
+            for proof, digest, ciphertext in _FORGED.iter_unpack(chunk)
         )
         return engine.server.upload_second_level_each(uploads)
 

@@ -119,7 +119,10 @@ class TestAttackAndReport:
 class TestVerifyVectors:
     def test_all_ok(self, capsys):
         assert run_cli(["verify-vectors"]) == 0
-        assert "all vectors ok" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "all vectors ok" in out
+        for slot in (0, 1, 143):
+            assert f"decentralized table slot={slot}: ok" in out
 
 
 class TestKeys:

@@ -5,11 +5,19 @@ import random
 from importlib import resources
 
 import pytest
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ec_oracle
 from tracecorona import crypto
+
+
+def reference_hkdf(ikm, salt, info, length):
+    """HKDF-SHA256 from ``cryptography``'s own HKDF class, independent of
+    the module's HMAC-based helper."""
+    return HKDF(algorithm=hashes.SHA256(), length=length, salt=salt, info=info).derive(ikm)
 
 
 def _each_length(count):
@@ -73,12 +81,7 @@ class TestDeriveToken:
     def test_matches_independent_ecdh_oracle(self):
         a, b = keypair(5), keypair(6)
         shared = ec_oracle.shared_x(int.from_bytes(a.private_key, "big"), b.public_key)
-        from cryptography.hazmat.primitives import hashes
-        from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-
-        expected = HKDF(
-            algorithm=hashes.SHA256(), length=32, salt=b"tc-et", info=b""
-        ).derive(shared)
+        expected = reference_hkdf(shared, b"tc-et", b"", 32)
         assert crypto.derive_token(a.private_key, b.public_key) == expected
 
     def test_identity_element_rejected(self):
@@ -249,8 +252,40 @@ class TestTempIds:
         oracle = []
         for slot in range(144):
             info = (9).to_bytes(8, "big") + slot.to_bytes(2, "big")
-            oracle.append(crypto._hkdf(tek, b"tc-decentral", info, 16))
+            oracle.append(reference_hkdf(tek, b"tc-decentral", info, 16))
         assert crypto.derive_tempids_decentralized(tek, 9) == oracle
+
+
+class TestHkdf:
+    """The one-extract HKDF helper against ``cryptography``'s HKDF class,
+    and the decentralized day table against its per-slot form."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ikm=st.binary(max_size=64),
+        salt=st.binary(min_size=1, max_size=32),
+        info=st.binary(max_size=16),
+        # 40 bytes take two expand blocks, as a frame keypair's scalar does
+        length=st.sampled_from([16, 32, 40]),
+    )
+    def test_matches_hkdf_class(self, ikm, salt, info, length):
+        assert crypto._hkdf(ikm, salt, info, length) == reference_hkdf(ikm, salt, info, length)
+
+    @settings(max_examples=25, deadline=None)
+    @given(tek=st.binary(min_size=16, max_size=16), day=st.integers(0, 2**32))
+    def test_day_table_is_the_per_slot_identifiers(self, tek, day):
+        table = crypto.derive_tempids_decentralized(tek, day)
+        assert table == [
+            crypto.derive_tempid_decentralized(tek, day, slot)
+            for slot in range(crypto.DECENTRALIZED_SLOTS_PER_DAY)
+        ]
+
+    @settings(max_examples=20, deadline=None)
+    @given(tek=st.one_of(st.binary(min_size=15, max_size=15),
+                         st.binary(min_size=17, max_size=17)))
+    def test_day_table_rejects_a_tek_of_another_width(self, tek):
+        with pytest.raises(ValueError):
+            crypto.derive_tempids_decentralized(tek, 3)
 
 
 class TestTimeFramePolicy:
