@@ -4,7 +4,9 @@ Subcommands: ``run`` executes scenarios, ``serve``/``ingest``/
 ``dump-stats`` operate the tracing server, ``keys`` prints a frame
 keypair, ``attack`` runs the bundled attack scenarios, ``report``
 renders the per-scheme comparison matrix, and ``verify-vectors``
-recomputes the golden crypto vectors.
+recomputes the golden crypto vectors.  ``ingest --input`` reads a file
+in the log's own format, whole 57-byte units (its epoch marks are
+checked, not copied), and appends its frames to ``--log``.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration or usage
 error.  ``TC_LOG_LEVEL`` controls logging verbosity.
@@ -28,12 +30,12 @@ from .simnet.config import SCHEMES, ConfigError, ScenarioConfig
 from .simnet.engine import run_scenario
 from .simnet.report import ScenarioReport
 from .wire import (
+    FRAME_BYTES,
     Tag,
     WireError,
     WireServer,
     append_log,
-    log_epoch_line,
-    log_frame_line,
+    epoch_mark,
     read_log,
 )
 
@@ -115,19 +117,22 @@ def cmd_serve(args) -> int:
 
 def cmd_ingest(args) -> int:
     try:
+        # the input was not cut by a crash: a partial unit is an error
+        if os.path.getsize(args.input) % FRAME_BYTES:
+            raise WireError(f"input is not whole {FRAME_BYTES}-byte units")
         frames = read_log(args.input)[2]
     except (OSError, ValueError, WireError) as exc:
         print(f"cannot read records: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     epoch = []
     if args.epoch is not None:
-        # replay refuses an epoch line that goes back
+        # replay refuses an epoch mark that goes back
         current = read_log(args.log)[0] if os.path.exists(args.log) else 0
         if args.epoch < current:
             print(f"epoch {args.epoch} is before the log's epoch {current}", file=sys.stderr)
             return EXIT_CONFIG
-        epoch = [log_epoch_line(args.epoch)]
-    append_log(args.log, epoch + [log_frame_line(frame) for frame in frames])
+        epoch = [epoch_mark(args.epoch)]
+    append_log(args.log, epoch + frames)
     print(f"ingested {len(frames)} records into {args.log}")
     return EXIT_OK
 
@@ -334,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest = sub.add_parser("ingest", help="append framed records to a log")
     p_ingest.add_argument("--log", required=True)
     p_ingest.add_argument("--input", required=True,
-                          help="file of base64 framed records, one per line")
+                          help="file of 57-byte record frames, as in a log")
     p_ingest.add_argument("--epoch", type=int, default=None)
     p_ingest.set_defaults(fn=cmd_ingest)
 

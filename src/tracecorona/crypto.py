@@ -199,12 +199,15 @@ def validate_public_key(peer_public: bytes) -> ec.EllipticCurvePublicKey:
 
 
 def derive_token(
-    own_private: bytes | ec.EllipticCurvePrivateKey, peer_public: bytes
+    own_private: bytes | ec.EllipticCurvePrivateKey,
+    peer_public: bytes | ec.EllipticCurvePublicKey,
 ) -> bytes:
     """ECDH-agree on a 32-byte encounter token secret.
 
     ``own_private`` is the 32-byte scalar or, as a device passes it, the
-    key object of its ``FrameKeyPair``.  Commutative:
+    key object of its ``FrameKeyPair``.  ``peer_public`` is the peer's
+    encoded key or, as a deferred derivation passes it, the point
+    ``validate_public_key`` already decoded from it.  Commutative:
     ``derive_token(d_i, Q_j) == derive_token(d_j, Q_i)``.  The shared x
     coordinate is passed through HKDF so the token secret is uniformly
     32 bytes regardless of curve structure.
@@ -214,8 +217,9 @@ def derive_token(
         if len(own_private) != PRIVATE_KEY_BYTES:
             raise ValueError("private key must be 32 bytes")
         own_private = ec.derive_private_key(int.from_bytes(own_private, "big"), CURVE)
-    point = validate_public_key(peer_public)
-    shared_x = own_private.exchange(ec.ECDH(), point)
+    if isinstance(peer_public, bytes):
+        peer_public = validate_public_key(peer_public)
+    shared_x = own_private.exchange(ec.ECDH(), peer_public)
     return _hkdf(shared_x, _LABEL_TOKEN, b"", TOKEN_SECRET_BYTES)
 
 

@@ -126,7 +126,8 @@ class Device:
         )
         self._neighbors: dict[bytes, NeighborObservation] = {}
         self._pending_handshakes: set[tuple[int, bytes]] = set()
-        #: (frame, peer identifier) -> the frame's private key and the peer's public key
+        #: (frame, peer identifier) -> the frame's private key and the peer's
+        #: public key, as the point its validation decoded
         self._pending_derivations: dict[tuple[int, bytes], tuple] = {}
         self._keypair_cache: dict[int, FrameKeyPair] = {}
         self._open_channels = 0
@@ -290,9 +291,9 @@ class Device:
         if self.derive_mode == "eager":
             secret = crypto.derive_token(kp.key, peer_public)
         else:
-            crypto.validate_public_key(peer_public)
+            point = crypto.validate_public_key(peer_public)
             secret = None
-            self._pending_derivations[(frame, peer_ephemeral_id)] = (kp.key, peer_public)
+            self._pending_derivations[(frame, peer_ephemeral_id)] = (kp.key, point)
         obs = self._neighbors.get(peer_ephemeral_id)
         if obs is not None:
             first_seen = obs.first_seen
@@ -315,10 +316,10 @@ class Device:
     def charge(self, now: int | None = None) -> int:
         """Run deferred token derivations (the charging tick)."""
         derived = 0
-        for (frame, ei), (key, peer_public) in self._pending_derivations.items():
+        for (frame, ei), (key, point) in self._pending_derivations.items():
             token = self.store.get(frame, ei)
             if token is not None:
-                token.secret = crypto.derive_token(key, peer_public)
+                token.secret = crypto.derive_token(key, point)
                 derived += 1
         self._pending_derivations.clear()
         return derived

@@ -3,8 +3,8 @@ verification, shuffled feed distribution, and anonymous aggregates.
 
 Records are stored individually the moment an upload is accepted; no
 persisted structure remembers which records arrived together.  An
-accepted upload's log lines go out in one write and are fsynced before
-the upload is answered.
+accepted upload's frames go to the log in one write and are fsynced
+before the upload is answered.
 
 Uploads arrive as frames ``wire.read_frames`` checked: ``wire`` refuses
 a record whose ciphertext is not 36 bytes (``record ciphertext of <n>
@@ -13,7 +13,7 @@ checked frame's fields at ``wire``'s offsets (the hash is the first
 ``TOKEN_HASH_BYTES``, the ciphertext runs from ``CIPHERTEXT_AT`` to the
 tag, the last byte), as ``cli dump-stats`` does the tags of the held
 frames (``_records``).  The server holds each published record as its
-frame, the bytes its log line encodes, with a non-decreasing list of the
+frame, the very unit it logs, with a non-decreasing list of the
 records' epochs beside the frames: ingest only re-tags a frame's last
 byte, a log replay only checks the frames, and a feed is a slice of
 them, joined on the socket or into the buffer of the ``PublishedFeed``
@@ -54,8 +54,7 @@ from .wire import (
     Tag,
     TokenUploadRecord,
     append_log,
-    log_epoch_line,
-    log_frame_line,
+    epoch_mark,
     read_log,
 )
 
@@ -130,22 +129,22 @@ class TracingServer:
             if epoch < self._epoch:
                 raise ValueError("epoch must not go backwards")
             if epoch != self._epoch:
-                self._append_log([log_epoch_line(epoch)])
+                self._append_log([epoch_mark(epoch)])
                 self._epoch = epoch
 
     # -- ingestion ---------------------------------------------------------------
 
-    def _append_log(self, lines: list[str]) -> None:
+    def _append_log(self, units: list[bytes]) -> None:
         if self._log_path is not None:
-            append_log(self._log_path, lines)
+            append_log(self._log_path, units)
 
     def _store(self, frames: list[bytes], tag: Tag) -> UploadResult:
         """Log an accepted upload's frames under the tag they are
         published with, then hold them."""
         tag_byte = bytes((tag,))
         frames = [f if f[-1] == tag else f[:-1] + tag_byte for f in frames]
-        if frames and self._log_path is not None:
-            self._append_log([log_frame_line(frame) for frame in frames])
+        if frames:
+            self._append_log(frames)
         self._epochs += [self._epoch] * len(frames)
         self._records += frames
         if self._direct_by_hash is not None:

@@ -28,19 +28,22 @@ strided slices check every frame's length field and tag byte at once,
 and the list is cut (or scanned for hashes) every 57 bytes by
 ``struct.iter_unpack``, with no Python step per frame; only a list that
 fails is walked frame by frame, to raise the first bad frame's error.
-``read_log`` decodes each run of record lines with one call and checks
-it the same way; any other run is read line by line.
+``read_log`` checks each run of records between epoch marks the same
+way.
 
-Append-only log: one framed record per line of base64.  Epoch
-boundaries are interleaved as ``# epoch <n>`` control lines so a log
-replay restores feed paging; epochs never go back.  The server appends
-an accepted upload's lines (or an epoch line) with one write, then
-flushes and fsyncs the file before it answers the upload.  A crash can
-therefore leave only the last line torn: ``read_log`` keeps a final
-line that has no newline only if it is a record that decodes
-(``_torn_frame``), and raises ``WireError`` on any other bad line; the
-server's next append first ends the file at a line boundary by the same
-rule (``end_log_at_line``).
+Append-only log: a sequence of 57-byte units.  A record's unit is its
+frame, exactly as the server holds and serves it.  An epoch mark
+(``epoch_mark``) is one unit: the epoch as 8 bytes big endian, zero
+padding, then the tag byte ``MARK_TAG`` (0xFF), which no frame carries;
+marks restore feed paging on replay, and epochs never go back.
+``read_log`` finds the marks in the units' tag column, refuses one with
+non-zero padding or a lower epoch, and checks the runs of frames
+between them in bulk; any other unit raises the first bad frame's
+error.  The server appends an accepted upload's frames (or an epoch
+mark) with one write, then flushes and fsyncs the file before it
+answers the upload.  A crash can therefore leave only a partial last
+unit: ``read_log`` drops it, and the next append first cuts it off
+(``end_log_at_unit``).
 
 Socket protocol (``WireServer``, ``WireClient``): each message is a
 4-byte length prefix followed by the body, sent with one ``sendmsg``.
@@ -55,12 +58,10 @@ read; responses, such as the feed, are not capped.
 
 from __future__ import annotations
 
-import binascii
 import enum
 import io
 import itertools
 import json
-import mmap
 import os
 import socket
 import socketserver
@@ -287,95 +288,54 @@ def decode_records(buf: bytes, offset: int = 0) -> tuple[list[TokenUploadRecord]
 
 # -- append-only log ---------------------------------------------------------
 
-
-def log_frame_line(frame: bytes) -> str:
-    return binascii.b2a_base64(frame, newline=False).decode("ascii")
-
-
-def log_record_line(record: TokenUploadRecord) -> str:
-    return log_frame_line(encode_record(record))
+#: The tag byte of an epoch mark, which no frame carries.
+MARK_TAG = 0xFF
+#: An epoch mark: the epoch, zero padding, then ``MARK_TAG``; one unit
+#: of the log, as wide as a frame.
+_MARK = struct.Struct(f">Q{FRAME_BYTES - 9}sB")
 
 
-def log_epoch_line(epoch: int) -> str:
-    return f"# epoch {epoch}"
+def log_record_line(record: TokenUploadRecord) -> bytes:
+    """A record's log unit: its frame."""
+    return encode_record(record)
 
 
-def _log_frame(line: bytes) -> bytes:
-    """The checked record frame a log line holds."""
-    try:
-        frame = binascii.a2b_base64(line)
-    except binascii.Error as exc:
-        raise WireError(f"log line is not base64: {exc}") from exc
-    if _check_frame(frame) + 1 != len(frame):
-        raise WireError("trailing bytes in log line")
-    return frame
+def epoch_mark(epoch: int) -> bytes:
+    """The log unit that starts ``epoch``."""
+    return _MARK.pack(epoch, b"", MARK_TAG)
 
 
-def _torn_frame(tail: bytes) -> bytes | None:
-    """The frame of a torn final line (no newline) that is a whole record
-    line, or ``None`` for one to drop: the one rule of ``read_log`` and
-    ``end_log_at_line``."""
-    tail = tail.strip()
-    if tail.startswith(b"#"):
-        return None
-    try:
-        return _log_frame(tail)
-    except WireError:
-        return None
-
-
-def end_log_at_line(handle) -> None:
-    """Make a log opened with ``a+b`` end at a line boundary, so the next
-    append starts a line of its own.
-
-    A torn final line gets its newline if ``_torn_frame`` keeps it, and
-    is cut off otherwise.  The mapped file is searched back from its end,
-    so mending copies only the torn line, never the whole log.
-    """
+def end_log_at_unit(handle) -> None:
+    """Cut a torn final unit, the tail of a write a crash cut short, off
+    a log opened for appending, so the next append starts a unit of its
+    own."""
     size = handle.seek(0, os.SEEK_END)
-    if size == 0:
-        return
-    with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as data:
-        start = data.rfind(b"\n") + 1
-        tail = data[start:]
-    if start == size:
-        return
-    if _torn_frame(tail) is None:
-        handle.truncate(start)
-    else:
-        handle.write(b"\n")
+    if size % FRAME_BYTES:
+        handle.truncate(size - size % FRAME_BYTES)
 
 
-def append_log(path, lines: list[str]) -> None:
-    """Append the lines to a log with one write and make them durable,
-    after ``end_log_at_line`` has mended or cut a torn last line."""
-    with open(path, "a+b") as handle:
-        end_log_at_line(handle)
-        handle.write("".join(line + "\n" for line in lines).encode("ascii"))
+def append_log(path, units: list[bytes]) -> None:
+    """Append the units to a log with one write and make them durable,
+    after ``end_log_at_unit`` has cut a torn last unit."""
+    with open(path, "ab") as handle:
+        end_log_at_unit(handle)
+        handle.write(b"".join(units))
         handle.flush()
         os.fsync(handle.fileno())
 
 
-#: Bytes of log file read at a time; a block is replayed up to its last
-#: newline, and the rest goes ahead of the next block.
-_LOG_BLOCK = 1 << 22
-#: A record line's length: a frame's base64, unpadded as ``FRAME_BYTES``
-#: is a multiple of 3, and its newline.
-_LOG_LINE = FRAME_BYTES // 3 * 4 + 1
-#: What a record line in one ``a2b_base64`` call may hold: base64
-#: digits without padding, and the newlines between lines.
-_BASE64_LINES = (
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/\n"
-)
+#: Bytes of log file read at a time, whole units; a partial unit at a
+#: block's end goes ahead of the next block.
+_LOG_BLOCK = FRAME_BYTES << 16
 
 
 def read_log(path) -> tuple[int, list[int], list[bytes]]:
-    """Replay a log file into its last epoch and, for each record line in
+    """Replay a log file into its last epoch and, for each record in
     order, its epoch and its checked frame.
 
-    A final line without a newline is the torn tail of a write a crash
-    cut short: it is kept or dropped by ``_torn_frame``.  Epochs never go
-    back, so the record epochs are non-decreasing.
+    A final partial unit is the torn tail of a write a crash cut short,
+    and is dropped.  Epochs never go back, so the record epochs are
+    non-decreasing.
     """
     epoch = 0
     epochs: list[int] = []
@@ -384,71 +344,36 @@ def read_log(path) -> tuple[int, list[int], list[bytes]]:
     with open(path, "rb") as handle:
         while block := handle.read(_LOG_BLOCK):
             data = rest + block
-            whole = data.rfind(b"\n") + 1
+            whole = len(data) - len(data) % FRAME_BYTES
             rest = data[whole:]
-            epoch = _read_log_lines(data, whole, epoch, epochs, frames)
-    torn = _torn_frame(rest)
-    if torn is not None:
-        epochs.append(epoch)
-        frames.append(torn)
+            epoch = _replay_units(data, whole, epoch, epochs, frames)
     return epoch, epochs, frames
 
 
-def _read_log_lines(data: bytes, end: int, epoch: int, epochs: list[int], frames: list[bytes]) -> int:
-    """Replay the whole lines of ``data`` before ``end``: append each
-    record line's epoch and frame, and return the epoch after them.
-    Control lines cut the lines into runs of record lines, each read by
-    ``_log_run``."""
+def _replay_units(data: bytes, end: int, epoch: int, epochs: list[int], frames: list[bytes]) -> int:
+    """Replay the whole units of ``data`` before ``end``: append each
+    record's epoch and frame, and return the epoch after them.  The
+    marks are found in the units' tag column; each run of units between
+    them is checked by ``_check_frames``, which raises the first bad
+    frame's error, and cut by ``_split``."""
+    tags = data[FRAME_BYTES - 1 : end : FRAME_BYTES]
     at = 0
-    while at < end:
-        start = _control_line(data, at, end)
-        if at < start:
-            run = _log_run(data[at:start])
-            epochs += [epoch] * len(run)
-            frames += run
-        if start == end:
+    while at < len(tags):
+        mark = tags.find(MARK_TAG, at)
+        stop = len(tags) if mark < 0 else mark
+        start = at * FRAME_BYTES
+        run_end = _check_frames(data, start, stop - at)
+        frames += _split(memoryview(data)[start:run_end])
+        epochs += [epoch] * (stop - at)
+        if mark < 0:
             break
-        at = data.index(b"\n", start) + 1
-        line = data[start:at].strip()
-        parts = line.split()
-        if len(parts) == 3 and parts[1] == b"epoch":
-            if not parts[2].isdigit():
-                raise WireError(f"log epoch line has no epoch number: {line[:40]!r}")
-            number = int(parts[2])
-            if number < epoch:
-                raise WireError(f"log epoch goes back from {epoch} to {number}")
-            epoch = number
+        number, padding, _ = _MARK.unpack_from(data, run_end)
+        if any(padding):
+            raise WireError("log epoch mark with non-zero padding")
+        if number < epoch:
+            raise WireError(f"log epoch goes back from {epoch} to {number}")
+        epoch, at = number, mark + 1
     return epoch
-
-
-def _control_line(data: bytes, at: int, end: int) -> int:
-    """Where the first control line (its first byte that is not blank is
-    ``#``) among the whole lines of ``data[at:end]`` starts, or ``end``."""
-    mark = data.find(b"#", at, end)
-    while mark >= 0:
-        start = data.rfind(b"\n", 0, mark) + 1
-        if not data[start:mark].strip():
-            return start
-        mark = data.find(b"#", data.index(b"\n", mark), end)
-    return end
-
-
-def _log_run(run: bytes) -> list[bytes]:
-    """The checked frames of a run of whole record lines.  Lines of
-    ``_LOG_LINE`` bytes that hold only base64 digits decode with one call
-    and are checked at once by ``_check_frames``, which raises the first
-    bad frame's error; any other run is read line by line, blank lines
-    skipped, which raises the first bad line's error."""
-    count = run.count(b"\n")
-    if (
-        count * _LOG_LINE == len(run)
-        and run[_LOG_LINE - 1 :: _LOG_LINE].count(b"\n") == count
-        and not run.translate(None, _BASE64_LINES)
-    ):
-        decoded = binascii.a2b_base64(run)
-        _check_frames(decoded, 0, count)
-        return list(_split(decoded))
-    return [_log_frame(line) for line in map(bytes.strip, run.split(b"\n")) if line]
 
 
 # -- socket protocol ----------------------------------------------------------

@@ -1,6 +1,5 @@
 """CLI: exit codes, subcommand behavior, bundled scenarios."""
 
-import base64
 import json
 import random
 
@@ -140,10 +139,8 @@ class TestIngestAndStats:
             hash=crypto.token_hash(secret),
             ciphertext=crypto.encrypt_metadata(secret, 1234),
         )
-        input_file = tmp_path / "records.b64"
-        input_file.write_text(
-            base64.b64encode(wire.encode_record(record)).decode() + "\n"
-        )
+        input_file = tmp_path / "records.log"
+        input_file.write_bytes(wire.encode_record(record))
         log = tmp_path / "server.log"
         assert run_cli(["ingest", "--log", str(log), "--input", str(input_file),
                         "--epoch", "4"]) == 0
@@ -164,9 +161,7 @@ class TestIngestAndStats:
         inputs = []
         for name, batch in (("three", records[:3]), ("one", records[3:])):
             inputs.append(tmp_path / name)
-            inputs[-1].write_text(
-                "".join(base64.b64encode(wire.encode_record(r)).decode() + "\n" for r in batch)
-            )
+            inputs[-1].write_bytes(b"".join(map(wire.encode_record, batch)))
         log = tmp_path / "server.log"
         assert run_cli(["ingest", "--log", str(log), "--input", str(inputs[0])]) == 0
         with open(log, "r+b") as handle:  # a crash cut the last write short
@@ -178,11 +173,11 @@ class TestIngestAndStats:
         assert wire.read_log(log)[2] == [wire.encode_record(r) for r in records[:2] + records[3:]]
 
     def test_tags_counted_and_epoch_kept_from_going_back(self, tmp_path, capsys):
-        input_file = tmp_path / "records.b64"
-        input_file.write_text("".join(
-            base64.b64encode(wire.encode_record(
+        input_file = tmp_path / "records.log"
+        input_file.write_bytes(b"".join(
+            wire.encode_record(
                 wire.TokenUploadRecord(hash=bytes([tag]) * 16, ciphertext=bytes(36), tag=tag)
-            )).decode() + "\n"
+            )
             for tag in (wire.Tag.SECOND_LEVEL, wire.Tag.POSSIBLE_SUPERSPREADER,
                         wire.Tag.SECOND_LEVEL)
         ))
@@ -201,12 +196,19 @@ class TestIngestAndStats:
         }
 
     def test_ingest_bad_input_exit_2(self, tmp_path):
-        record = wire.TokenUploadRecord(hash=bytes(16), ciphertext=bytes(12))
-        trailing = base64.b64encode(wire.encode_record(record) + b"\0\0").decode()
-        bad = tmp_path / "bad.b64"
+        record = wire.TokenUploadRecord(hash=bytes(16), ciphertext=bytes(36))
+        frame = wire.encode_record(record)
+        bad = tmp_path / "bad.log"
         log = tmp_path / "log"
-        for text in ("!!!not-base64!!!\n", trailing + "\n"):
-            bad.write_text(text)
+        for data in (
+            frame[:16] + bytes(4) + frame[20:],  # a length field of 0
+            frame[:-1] + b"\x07",  # an unknown tag
+            wire.epoch_mark(1)[:-2] + b"\x01\xff",  # a mark padded with 1
+            frame + wire.epoch_mark(2) + frame + wire.epoch_mark(1),  # an epoch going back
+            wire.encode_record(wire.TokenUploadRecord(bytes(16), bytes(12))),  # 33 bytes
+            frame + frame[:-1],  # a partial unit at the end
+        ):
+            bad.write_bytes(data)
             assert run_cli(["ingest", "--log", str(log), "--input", str(bad)]) == 2
         assert not log.exists()
 

@@ -262,6 +262,28 @@ class TestCompleteHandshake:
         assert token.secret == eager.secret
         assert builds == Counter(range(6))
 
+    def test_deferred_derivation_decodes_each_peer_key_once(self, monkeypatch):
+        """A deferred handshake decodes the peer's key when it checks it,
+        and charging derives from that point without decoding it again;
+        each secret is its eager twin's."""
+        peers = [make_device(name) for name in ("p", "q")]
+        keys = [(peer.keypair(0).public_key, peer.ephemeral_id(0)) for peer in peers]
+        eager = make_device("a")
+        eager_secrets = [eager.complete_handshake(public, 0, 100, ei).secret for public, ei in keys]
+        decoded = Counter()
+        validate = crypto.validate_public_key
+
+        def counted(peer_public):
+            decoded[peer_public] += 1
+            return validate(peer_public)
+
+        monkeypatch.setattr(crypto, "validate_public_key", counted)
+        lazy = make_device("a", mode="deferred")
+        tokens = [lazy.complete_handshake(public, 0, 100, ei) for public, ei in keys]
+        assert lazy.charge() == 2
+        assert decoded == Counter(public for public, _ in keys)
+        assert [token.secret for token in tokens] == eager_secrets
+
 
 class TestChannels:
     def test_cap_at_eight(self):

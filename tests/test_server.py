@@ -484,17 +484,18 @@ class TestStorageGranularity:
             _, records = random_records(random.Random(20 + i), 5, t0=i * 500)
             tan = ha.issue_tan("u", 0)
             server.upload_infected(tan.value, frames(records))
-        lines = [l for l in log.read_text().splitlines() if l and not l.startswith("#")]
-        assert len(lines) == 15
-        # every non-comment line decodes to exactly one framed record
-        import base64
-
-        from tracecorona.wire import decode_record
-
-        for line in lines:
-            raw = base64.b64decode(line)
-            _, used = decode_record(raw)
-            assert used == len(raw)
+        data = log.read_bytes()
+        assert len(data) % wire.FRAME_BYTES == 0
+        units = [data[at : at + wire.FRAME_BYTES] for at in range(0, len(data), wire.FRAME_BYTES)]
+        # the marks of epochs 1 and 2 (the server starts at epoch 0), and
+        # every other unit is exactly one framed record
+        marks = [unit for unit in units if unit[-1] == wire.MARK_TAG]
+        assert marks == [wire.epoch_mark(1), wire.epoch_mark(2)]
+        frames_logged = [unit for unit in units if unit[-1] != wire.MARK_TAG]
+        assert len(frames_logged) == 15
+        for unit in frames_logged:
+            _, used = wire.decode_record(unit)
+            assert used == len(unit)
 
     def test_replay_restores_records_and_epochs(self, tmp_path):
         log = tmp_path / "server.log"
@@ -525,12 +526,10 @@ def held(server):
 
 
 def frame_line(record):
-    """A record's log line, spelled out: base64 of its frame, then a newline."""
-    import base64
-
+    """A record's log unit, spelled out: its frame."""
     from tracecorona.wire import encode_record
 
-    return base64.b64encode(encode_record(record)).decode("ascii") + "\n"
+    return encode_record(record)
 
 
 class TestDurableLog:
@@ -553,12 +552,12 @@ class TestDurableLog:
         def retagged(record, tag):
             return TokenUploadRecord(record.hash, record.ciphertext, tag)
 
-        def check(lines):
-            """The step appended these lines, with one fsync if any."""
+        def check(units):
+            """The step appended these units, with one fsync if any."""
             nonlocal writes
-            expected.extend(lines)
-            writes += bool(lines)
-            assert log.read_text() == "".join(expected)
+            expected.extend(units)
+            writes += bool(units)
+            assert log.read_bytes() == b"".join(expected)
             assert len(fsyncs) == writes
 
         assert server.upload_infected(ha.issue_tan("u", 0).value, frames(infected)).accepted
@@ -571,7 +570,7 @@ class TestDurableLog:
         assert wire.handle_request(server, malformed)[0] == wire.STATUS_MALFORMED
         check([])
         server.advance_epoch(2)
-        check(["# epoch 2\n"])
+        check([wire.epoch_mark(2)])
         server.advance_epoch(2)
         check([])
         assert server.upload_second_level(secrets[0], frames(second)).accepted
@@ -586,10 +585,11 @@ class TestDurableLog:
         check([])
         assert server.upload_superspreader_proof(secrets, frames(flagged)).accepted
         check([frame_line(retagged(r, Tag.POSSIBLE_SUPERSPREADER)) for r in flagged])
-        # one line per stored record, in store order, and nothing else
+        # one unit per stored record, in store order, and one epoch mark
         stored = [r for _, r in held(server)]
-        record_lines = [l for l in log.read_text().splitlines(True) if not l.startswith("#")]
-        assert record_lines == [frame_line(r) for r in stored]
+        units = [frame_line(r) for r in stored]
+        units.insert(len(infected), wire.epoch_mark(2))
+        assert log.read_bytes() == b"".join(units)
         assert len(fsyncs) == 4
 
 
@@ -690,7 +690,7 @@ class TestUploadBody:
         for body in bodies:
             assert wire.handle_request(server, body)[0] == wire.STATUS_ACCEPTED
         monkeypatch.undo()
-        assert log.read_text() == "".join(lines)
+        assert log.read_bytes() == b"".join(lines)
         assert held(server) == [(0, r) for r in published]
 
 
@@ -714,16 +714,15 @@ class TestTornLog:
         log = tmp_path / "server.log"
         entries = torn_fixture(log)
         data = log.read_bytes()
-        # where each record's line ends (without its newline), and the
-        # epoch of each epoch line with the offset just past its newline
+        # where each record's unit ends, and the epoch of each epoch mark
+        # with the offset just past it
         ends, epochs = [], []
-        offset = 0
-        for line in data.split(b"\n")[:-1]:
-            offset += len(line) + 1
-            if line.startswith(b"#"):
-                epochs.append((int(line.split()[2]), offset))
+        for end in range(wire.FRAME_BYTES, len(data) + 1, wire.FRAME_BYTES):
+            unit = data[end - wire.FRAME_BYTES : end]
+            if unit[-1] == wire.MARK_TAG:
+                epochs.append((int.from_bytes(unit[:8], "big"), end))
             else:
-                ends.append(offset - 1)
+                ends.append(end)
         assert len(ends) == len(entries) == 4
         assert [epoch for epoch, _ in epochs] == [2, 12]
         _, (extra,) = random_records(random.Random(53), 1)
@@ -735,24 +734,30 @@ class TestTornLog:
             assert held(replayed) == whole, cut
             epoch = max((epoch for epoch, end in epochs if end <= cut), default=0)
             assert replayed.epoch == epoch, cut
-            # the restarted server's next upload starts a line of its own
+            # the restarted server's next upload starts a unit of its own
             tan = replayed.authority.issue_tan("u", 0).value
             assert replayed.upload_infected(tan, frames([extra])).accepted
             again = TracingServer.replay_log(cut_log, HealthAuthority(random.Random(0)))
             assert held(again) == whole + [(epoch, extra)], cut
 
     def test_bad_line_before_the_last_still_raises(self, tmp_path):
+        """A whole unit that is neither a frame nor a mark is refused
+        first or last: only a partial unit is a torn tail."""
         from tracecorona.wire import WireError
 
         log = tmp_path / "server.log"
         torn_fixture(log)
-        lines = log.read_bytes().split(b"\n")
-        for bad in (lines[0][:-4], b"!!not base64!!", lines[0] + b"AAAA"):
-            broken = tmp_path / "broken.log"
-            broken.write_bytes(b"\n".join([bad] + lines[1:]))
-            with pytest.raises(WireError):
-                TracingServer.replay_log(broken, HealthAuthority(random.Random(0)))
-            # the same line last, newline and all, is not torn either
-            broken.write_bytes(b"\n".join(lines[:-1] + [bad, b""]))
-            with pytest.raises(WireError):
-                TracingServer.replay_log(broken, HealthAuthority(random.Random(0)))
+        data = log.read_bytes()
+        units = [data[at : at + wire.FRAME_BYTES] for at in range(0, len(data), wire.FRAME_BYTES)]
+        first = units[0]
+        bad_units = {
+            "record ciphertext of 35 bytes, not 36": first[:16] + struct.pack(">I", 35) + first[20:],
+            "unknown record tag 9": first[:-1] + bytes([9]),
+            "log epoch mark with non-zero padding": wire.epoch_mark(12)[:-2] + bytes([1, wire.MARK_TAG]),
+        }
+        broken = tmp_path / "broken.log"
+        for message, bad in bad_units.items():
+            for log_units in ([bad] + units[1:], units + [bad]):
+                broken.write_bytes(b"".join(log_units))
+                with pytest.raises(WireError, match=f"^{message}$"):
+                    TracingServer.replay_log(broken, HealthAuthority(random.Random(0)))

@@ -1,6 +1,5 @@
-"""Wire formats: record frames, log lines, socket round trips."""
+"""Wire formats: record frames, log units, socket round trips."""
 
-import base64
 import os
 import pathlib
 import random
@@ -131,67 +130,98 @@ class TestCodecProperties:
             wire.decode_record(frame)
 
 
+#: A log of a direct frame, the mark of epoch 3 and a second-level
+#: frame, one 57-byte unit each.
+GOLDEN_LOG = (
+    "11111111111111111111111111111111" "00000024"
+    "222222222222222222222222222222222222222222222222222222222222222222222222" "00"
+    "0000000000000003"
+    "000000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000000000000" "ff"
+    "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa" "00000024"
+    "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb" "01"
+)
+
+
+def log_of(path, units):
+    """Write the units as a log at ``path``."""
+    path.write_bytes(b"".join(units))
+    return path
+
+
 class TestLog:
-    def test_log_line_is_base64_of_frame(self):
+    def test_log_record_line_is_its_frame(self):
         _, record = sample_record(5)
-        line = wire.log_record_line(record)
-        assert base64.b64decode(line) == wire.encode_record(record)
+        assert wire.log_record_line(record) == wire.encode_record(record)
+
+    def test_golden_bytes(self, tmp_path):
+        first = wire.TokenUploadRecord(b"\x11" * 16, b"\x22" * 36)
+        second = wire.TokenUploadRecord(b"\xaa" * 16, b"\xbb" * 36, wire.Tag.SECOND_LEVEL)
+        frames = [wire.log_record_line(first), wire.log_record_line(second)]
+        path = tmp_path / "log"
+        wire.append_log(path, [frames[0], wire.epoch_mark(3), frames[1]])
+        assert path.read_bytes().hex() == GOLDEN_LOG
+        assert wire.read_log(path) == (3, [0, 3], frames)
 
     def test_read_log_with_epochs(self, tmp_path):
-        path = tmp_path / "log"
         records = [sample_record(i)[1] for i in range(4)]
-        with open(path, "w") as handle:
-            handle.write(wire.log_epoch_line(0) + "\n")
-            handle.write(wire.log_record_line(records[0]) + "\n")
-            handle.write(wire.log_epoch_line(3) + "\n")
-            for record in records[1:]:
-                handle.write(wire.log_record_line(record) + "\n")
+        units = [wire.encode_record(r) for r in records]
+        path = log_of(tmp_path / "log", [wire.epoch_mark(0), units[0], wire.epoch_mark(3), *units[1:]])
         epoch, epochs, frames = wire.read_log(path)
         assert epoch == 3
         assert epochs == [0, 3, 3, 3]
-        assert frames == [wire.encode_record(r) for r in records]
+        assert frames == units
 
     def test_whole_epoch_line_going_back_rejected(self, tmp_path):
-        path = tmp_path / "log"
-        record = wire.log_record_line(sample_record(1)[1])
-        path.write_text("\n".join(["# epoch 5", record, "# epoch 5", "# epoch 4", record, ""]))
+        frame = wire.encode_record(sample_record(1)[1])
+        marks = [wire.epoch_mark(n) for n in (5, 5, 4)]
+        path = log_of(tmp_path / "log", [marks[0], frame, marks[1], marks[2], frame])
         with pytest.raises(wire.WireError, match="^log epoch goes back from 5 to 4$"):
             wire.read_log(path)
         # a torn one is the tail of a write a crash cut short, and is dropped
-        path.write_text("\n".join(["# epoch 5", record, "# epoch 4"]))
-        assert wire.read_log(path) == (5, [5], [wire.encode_record(sample_record(1)[1])])
+        log_of(path, [marks[0], frame, marks[2][:-1]])
+        assert wire.read_log(path) == (5, [5], [frame])
 
-    def test_whole_epoch_line_without_a_number_rejected(self, tmp_path):
-        path = tmp_path / "log"
-        path.write_text(wire.log_record_line(sample_record(1)[1]) + "\n# epoch x\n")
-        with pytest.raises(wire.WireError, match="no epoch number"):
+    def test_epoch_mark_with_nonzero_padding_rejected(self, tmp_path):
+        frame = wire.encode_record(sample_record(1)[1])
+        for at in range(8, wire.FRAME_BYTES - 1):
+            mark = bytearray(wire.epoch_mark(2))
+            mark[at] = 1
+            path = log_of(tmp_path / "log", [frame, bytes(mark), frame])
+            with pytest.raises(wire.WireError, match="^log epoch mark with non-zero padding$"):
+                wire.read_log(path)
+
+    @pytest.mark.parametrize("tag", [len(wire.Tag), 0x80, 0xFE])
+    def test_unit_of_unknown_tag_rejected(self, tmp_path, tag):
+        frame = wire.encode_record(sample_record(1)[1])
+        path = log_of(tmp_path / "log", [frame, wire.epoch_mark(1), frame[:-1] + bytes([tag])])
+        with pytest.raises(wire.WireError, match=f"^unknown record tag {tag}$"):
             wire.read_log(path)
 
     def test_torn_epoch_line_dropped(self, tmp_path):
         path = tmp_path / "log"
-        record = sample_record(1)[1]
-        for tail in ("# epoch 7", "# epoch x", "# ep"):
-            lines = [wire.log_epoch_line(3), wire.log_record_line(record), tail]
-            path.write_text("\n".join(lines))
-            assert wire.read_log(path) == (3, [3], [wire.encode_record(record)])
+        frame = wire.encode_record(sample_record(1)[1])
+        for cut in range(1, wire.FRAME_BYTES):
+            log_of(path, [wire.epoch_mark(3), frame, wire.epoch_mark(7)[:cut]])
+            assert wire.read_log(path) == (3, [3], [frame])
 
-    @pytest.mark.parametrize("torn", [40, -1], ids=["cut", "kept"])
+    @pytest.mark.parametrize("torn", [40, 0], ids=["cut", "kept"])
     def test_mending_a_torn_tail_reads_only_the_end(self, tmp_path, torn):
         """Mending the torn tail of an 8 MB log holds a bounded step of
         it, not the log: the peak stays under 1 MB either way."""
-        line = wire.log_record_line(sample_record(1)[1]) + "\n"
-        whole = line * (8 * 2**20 // len(line) + 1)
+        frame = wire.encode_record(sample_record(1)[1])
+        whole = frame * (8 * 2**20 // len(frame) + 1)
         path = tmp_path / "log"
-        path.write_text(whole + line[:torn])
-        with open(path, "a+b") as handle:
+        path.write_bytes(whole + frame[:torn])
+        with open(path, "ab") as handle:
             tracemalloc.start()
             try:
-                wire.end_log_at_line(handle)
+                wire.end_log_at_unit(handle)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
         assert peak < 2**20
-        assert path.read_text() == (whole if torn > 0 else whole + line)
+        assert path.read_bytes() == whole
 
 
 class TestSocketApi:
@@ -708,43 +738,38 @@ def feed_outcome(response):
     return feed.feed_epoch, feed.frames
 
 
-#: Log lines of each kind; ``{record}`` is a frame's base64.
-LOG_LINE_KINDS = ["record", "record", "record", "epoch", "blank", "spaced", "trailing",
-                  "comment", "bad epoch", "junk", "other width"]
+#: Log units of each kind.
+LOG_UNIT_KINDS = ["record", "record", "record", "epoch", "bad padding", "unknown tag",
+                  "other width", "junk"]
 
 
 @st.composite
 def log_files(draw):
-    """A log's bytes: record lines of valid frames, epoch lines going
-    up or back, and, in some logs, blank, padded, over-long, comment and
-    junk lines and frames of another ciphertext length; then perhaps cut
-    at any byte, as a crash leaves it."""
+    """A log's bytes: frames, epoch marks going up or back, and, in some
+    logs, marks with non-zero padding, units of an unknown tag or another
+    length field and junk units; then perhaps cut at any byte, as a crash
+    leaves it."""
     frames = draw(frame_lists(max_size=12))
-    kinds = LOG_LINE_KINDS if draw(st.booleans()) else ["record", "record", "epoch"]
-    lines, epoch = [], 0
+    kinds = LOG_UNIT_KINDS if draw(st.booleans()) else ["record", "record", "epoch"]
+    units, epoch = [], 0
     for frame in frames:
         kind = draw(st.sampled_from(kinds))
-        line = base64.b64encode(frame)
         if kind == "epoch":
             epoch = draw(st.sampled_from([epoch, epoch + 1, epoch + 5, max(epoch - 1, 0)]))
-            lines.append(f"# epoch {epoch}".encode())
-        elif kind == "blank":
-            lines.append(draw(st.sampled_from([b"", b"  ", b"\t"])))
-        elif kind == "spaced":
-            line = b" " + line + b"\r"
-        elif kind == "trailing":
-            line += b"AAAA"
-        elif kind == "comment":
-            lines.append(draw(st.sampled_from([b"# note", b"  # epoch 3", b"#"])))
-        elif kind == "bad epoch":
-            lines.append(b"# epoch x")
-        elif kind == "junk":
-            line = draw(st.binary(max_size=80)).replace(b"\n", b"")
+            units.append(wire.epoch_mark(epoch))
+        elif kind == "bad padding":
+            mark = bytearray(wire.epoch_mark(epoch))
+            mark[draw(st.integers(8, wire.FRAME_BYTES - 2))] = draw(st.integers(1, 255))
+            units.append(bytes(mark))
+        elif kind == "unknown tag":
+            frame = frame[:-1] + bytes([draw(st.integers(len(wire.Tag), 254))])
         elif kind == "other width":
-            length = draw(st.integers(0, 60).filter(lambda n: n != wire.CIPHERTEXT_BYTES))
-            line = base64.b64encode(make_frame(frame[:16], bytes(length), frame[-1]))
-        lines.append(line)
-    data = b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
+            length = draw(st.integers(0, 2**32 - 1).filter(lambda n: n != wire.CIPHERTEXT_BYTES))
+            frame = frame[:16] + length.to_bytes(4, "big") + frame[20:]
+        elif kind == "junk":
+            frame = draw(st.binary(min_size=wire.FRAME_BYTES, max_size=wire.FRAME_BYTES))
+        units.append(frame)
+    data = b"".join(units)
     if draw(st.booleans()):
         data = data[: draw(st.integers(0, len(data)))]
     return data
@@ -837,31 +862,46 @@ class TestBulkCheck:
 
     @settings(max_examples=300, deadline=None)
     @given(log_files(), st.sampled_from([7, 64, 1 << 22]))
-    def test_read_log_as_line_by_line(self, data, block):
+    def test_read_log_as_unit_by_unit(self, data, block):
         got, expected = read_log_both(data, block)
         assert got == expected
 
     @pytest.mark.parametrize("block", [7, 1 << 22])
-    def test_every_torn_tail_as_line_by_line(self, block):
-        """Each cut of a log with epoch lines between runs of records
-        replays as line by line does."""
+    def test_every_torn_tail_as_line_by_line(self, block, tmp_path):
+        """Each cut of a log with epoch marks between runs of records
+        replays as exactly the whole units before the cut, as the
+        unit-by-unit walk does; after the cut tail is mended and one
+        unit appended, replay gives those units and the appended one."""
         rng = random.Random(54)
-        lines = [b"# epoch 2"]
-        for epoch in (None, 5, 12):
-            if epoch is not None:
-                lines.append(wire.log_epoch_line(epoch).encode())
-            lines += [base64.b64encode(make_frame(rng.randbytes(16), rng.randbytes(36)))
-                      for _ in range(3)]
-        data = b"\n".join(lines) + b"\n"
+        units, entries = [wire.epoch_mark(2)], [(2, None)]
+        for epoch in (2, 5, 12):
+            if epoch != 2:
+                units.append(wire.epoch_mark(epoch))
+                entries.append((epoch, None))
+            for _ in range(3):
+                units.append(make_frame(rng.randbytes(16), rng.randbytes(36), rng.randrange(3)))
+                entries.append((epoch, units[-1]))
+        data = b"".join(units)
+        extra = make_frame(rng.randbytes(16), rng.randbytes(36))
+        log = tmp_path / "server.log"
         for cut in range(len(data) + 1):
-            got, expected = read_log_both(data[:cut], block)
-            assert got == expected, cut
-            assert got[0] == "ok", cut
+            whole = entries[: cut // wire.FRAME_BYTES]
+            epoch = max((epoch for epoch, frame in whole if frame is None), default=0)
+            expected = (
+                epoch,
+                [epoch for epoch, frame in whole if frame is not None],
+                [frame for _, frame in whole if frame is not None],
+            )
+            got = read_log_both(data[:cut], block)
+            assert got == (("ok", expected),) * 2, cut
+            log.write_bytes(data[:cut])
+            wire.append_log(log, [extra])
+            assert wire.read_log(log) == (epoch, expected[1] + [epoch], expected[2] + [extra]), cut
 
     @pytest.mark.parametrize("block", [7, 1 << 22])
     def test_bad_frame_among_whole_record_lines_refused(self, block):
         """A 57-byte frame with another length field or an unknown tag,
-        on a line as long as every other record line, raises its error."""
+        among frames and epoch marks, raises its error."""
         rng = random.Random(56)
         frames = [make_frame(rng.randbytes(16), rng.randbytes(36)) for _ in range(5)]
         good = frames[2]
@@ -870,8 +910,8 @@ class TestBulkCheck:
             "unknown record tag 7": good[:-1] + bytes([7]),
         }
         for message, bad in bad_frames.items():
-            lines = [base64.b64encode(frame) for frame in frames[:2] + [bad] + frames[3:]]
-            got, expected = read_log_both(b"\n".join(lines) + b"\n", block)
+            units = [frames[0], wire.epoch_mark(1), frames[1], bad, *frames[3:]]
+            got, expected = read_log_both(b"".join(units), block)
             assert got == expected == ("error", message)
 
     def equal_width_frames(self, n):
@@ -883,7 +923,7 @@ class TestBulkCheck:
         body = len(frames).to_bytes(4, "big") + b"".join(frames)
         response = bytes([wire.STATUS_ACCEPTED]) + (3).to_bytes(4, "big") + body
         log = tmp_path / "server.log"
-        log.write_bytes(b"".join(base64.b64encode(frame) + b"\n" for frame in frames))
+        log.write_bytes(b"".join(frames))
         calls = []
         check = wire._check_frame
         monkeypatch.setattr(
@@ -969,11 +1009,17 @@ class TestOneRecordWidth:
             with pytest.raises(wire.WireError, match=f"^{message}$"):
                 wire.read_feed(response)
 
-            lines = pathlib.Path(directory, "records.log")
-            lines.write_text("".join(wire.log_record_line(r) + "\n" for r in records))
+            # a log unit is 57 bytes: the other width's record keeps its
+            # head and tag, its ciphertext cut or padded to fill the unit
+            units = pathlib.Path(directory, "records.log")
+            units.write_bytes(b"".join(
+                (wire.log_record_line(r) + bytes(wire.FRAME_BYTES))[: wire.FRAME_BYTES - 1]
+                + bytes([r.tag])
+                for r in records
+            ))
             with pytest.raises(wire.WireError, match=f"^{message}$"):
-                wire.read_log(lines)
+                wire.read_log(units)
             fresh = pathlib.Path(directory, "fresh.log")
-            ingest = ["ingest", "--log", str(fresh), "--input", str(lines)]
+            ingest = ["ingest", "--log", str(fresh), "--input", str(units)]
             assert cli.main(ingest) == cli.EXIT_CONFIG
             assert not fresh.exists()

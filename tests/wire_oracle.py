@@ -1,8 +1,8 @@
 """Per-frame oracle for the record-list readers in ``tracecorona.wire``.
 
 Each function walks a record list one frame at a time (or a log one
-line at a time) with ``wire._check_frame`` and ``wire._log_frame``, the
-way the readers did before they checked lists in bulk.  The tests
+57-byte unit at a time) with ``wire._check_frame``, the way the readers
+did before they checked lists in bulk.  The tests
 compare the bulk readers against these: same frames and end offsets, or
 the same ``WireError`` message.
 """
@@ -47,29 +47,24 @@ def read_feed(response):
 
 
 def read_log(path):
-    """``wire.read_log``, one line at a time."""
+    """``wire.read_log``, one unit at a time: a unit whose last byte is
+    0xFF is an epoch mark (8-byte big-endian epoch, then zeros), any
+    other is a frame, and a partial last unit is dropped."""
+    with open(path, "rb") as handle:
+        data = handle.read()
     epoch = 0
     epochs, frames = [], []
-    with open(path, "rb") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith(b"#"):
-                parts = line.split()
-                if raw.endswith(b"\n") and len(parts) == 3 and parts[1] == b"epoch":
-                    if not parts[2].isdigit():
-                        raise wire.WireError(f"log epoch line has no epoch number: {line[:40]!r}")
-                    number = int(parts[2])
-                    if number < epoch:
-                        raise wire.WireError(f"log epoch goes back from {epoch} to {number}")
-                    epoch = number
-                continue
-            try:
-                frames.append(wire._log_frame(line))
-            except wire.WireError:
-                if raw.endswith(b"\n"):
-                    raise
-                continue
+    for at in range(0, len(data) - wire.FRAME_BYTES + 1, wire.FRAME_BYTES):
+        unit = data[at : at + wire.FRAME_BYTES]
+        if unit[-1] == 0xFF:
+            if unit[8:-1] != bytes(wire.FRAME_BYTES - 9):
+                raise wire.WireError("log epoch mark with non-zero padding")
+            number = int.from_bytes(unit[:8], "big")
+            if number < epoch:
+                raise wire.WireError(f"log epoch goes back from {epoch} to {number}")
+            epoch = number
+        else:
+            wire._check_frame(unit)
+            frames.append(unit)
             epochs.append(epoch)
     return epoch, epochs, frames
