@@ -1,13 +1,15 @@
 """Health authority: issues and verifies single-use TANs.
 
-The authority never sees encounter tokens; its state is limited to the
-TANs themselves plus the opaque context they were issued for.
+The authority never sees encounter tokens.  Its state is the live TANs
+alone: the value and expiry of each TAN issued and not yet verified.
+A verified TAN is dropped, and the context a TAN is issued for is not
+kept.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 TAN_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ234567"
 TAN_LENGTH = 12
@@ -16,10 +18,7 @@ TAN_LENGTH = 12
 @dataclass
 class Tan:
     value: str
-    issued_at: int
-    consumed: bool = False
-    user_context: str = ""
-    expires_at: int | None = field(default=None)
+    expires_at: int | None = None
 
 
 class HealthAuthority:
@@ -33,42 +32,35 @@ class HealthAuthority:
     def __init__(self, rng, expiry_seconds: int | None = None):
         self._rng = rng
         self._expiry_seconds = expiry_seconds
-        self._tans: dict[str, Tan] = {}
+        #: value -> expiry time (None: never) of each live TAN
+        self._live: dict[str, int | None] = {}
         self._lock = threading.Lock()
 
     def issue_tan(self, user_context: str, now: int) -> Tan:
+        """A fresh TAN, unique among the live ones.  ``user_context``
+        names who it is issued for; the authority does not keep it."""
         with self._lock:
             while True:
                 value = "".join(
                     TAN_ALPHABET[self._rng.randrange(len(TAN_ALPHABET))]
                     for _ in range(TAN_LENGTH)
                 )
-                if value not in self._tans:
+                if value not in self._live:
                     break
             expires = (
                 now + self._expiry_seconds if self._expiry_seconds is not None else None
             )
-            tan = Tan(
-                value=value,
-                issued_at=now,
-                user_context=user_context,
-                expires_at=expires,
-            )
-            self._tans[value] = tan
-            return tan
+            self._live[value] = expires
+            return Tan(value=value, expires_at=expires)
 
     def verify_tan(self, value: str, now: int | None = None) -> bool:
-        """Accept iff the TAN was issued, is unexpired, and has not been
-        consumed; consumes it on acceptance."""
+        """Accept iff the TAN is live and unexpired; an accepted TAN is
+        consumed and dropped."""
         with self._lock:
-            tan = self._tans.get(value)
-            if tan is None or tan.consumed:
+            if value not in self._live:
                 return False
-            if (
-                tan.expires_at is not None
-                and now is not None
-                and now > tan.expires_at
-            ):
+            expires = self._live[value]
+            if expires is not None and now is not None and now > expires:
                 return False
-            tan.consumed = True
+            del self._live[value]
             return True

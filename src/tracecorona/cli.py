@@ -100,11 +100,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    authority = HealthAuthority(random.Random(args.seed))
-    if os.path.exists(args.log) and os.path.getsize(args.log) > 0:
-        server = TracingServer.replay_log(args.log, authority)
-    else:
-        server = TracingServer(authority, log_path=args.log)
+    server = TracingServer.replay_log(args.log, HealthAuthority(random.Random(args.seed)))
     wire_server = WireServer(server, host=args.host, port=args.port)
     host, port = wire_server.address
     print(f"serving on {host}:{port}, log {args.log}", flush=True)

@@ -68,7 +68,6 @@ class HandshakeRequest:
 
     peer_ephemeral_id: bytes
     frame_index: int
-    requested_at: int
 
 
 class TokenStore:
@@ -199,7 +198,7 @@ class Device:
             self._refresh_token(frame, ei)
             return None
         self._pending_handshakes.add(key)
-        return HandshakeRequest(peer_ephemeral_id=ei, frame_index=frame, requested_at=local)
+        return HandshakeRequest(peer_ephemeral_id=ei, frame_index=frame)
 
     def on_sighting_run(
         self, beacon: BeaconMessage, rssi: float, seconds
@@ -313,7 +312,7 @@ class Device:
         self._pending_handshakes.discard((frame, peer_ephemeral_id))
         return token
 
-    def charge(self, now: int | None = None) -> int:
+    def charge(self) -> int:
         """Run deferred token derivations (the charging tick)."""
         derived = 0
         for (frame, ei), (key, point) in self._pending_derivations.items():

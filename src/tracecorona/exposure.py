@@ -1,8 +1,9 @@
 """Client-side exposure detection.
 
 Matches the downloaded feed against the local token store, validates
-the encounter-time window, scores risk, and prepares uploads
-(including redaction and possession-proof bundles).
+the encounter-time window, scores risk with fixed signal-strength
+weights, and prepares uploads (including redaction and possession-proof
+bundles).
 """
 
 from __future__ import annotations
@@ -22,19 +23,14 @@ class NotificationLevel(enum.Enum):
     SECOND_LEVEL = "second_level"
 
 
-@dataclass(frozen=True)
-class RiskWeights:
-    """Signal-strength weighting of the risk score.  Constants are
-    configuration, not protocol."""
-
-    near_dbm: float = -60.0
-    mid_dbm: float = -75.0
-    near_weight: float = 1.0
-    mid_weight: float = 0.5
-    far_weight: float = 0.25
-
-
-DEFAULT_RISK_WEIGHTS = RiskWeights()
+#: Signal-strength bands of the risk score: an encounter heard at
+#: ``NEAR_DBM`` or stronger weighs ``NEAR_WEIGHT``, at ``MID_DBM`` or
+#: stronger ``MID_WEIGHT``, and weaker ``FAR_WEIGHT``.
+NEAR_DBM = -60.0
+MID_DBM = -75.0
+NEAR_WEIGHT = 1.0
+MID_WEIGHT = 0.5
+FAR_WEIGHT = 0.25
 
 
 @dataclass(frozen=True)
@@ -47,19 +43,17 @@ class ExposureNotification:
     risk_score: float
 
 
-def risk_score(
-    duration: int, max_rssi: float, weights: RiskWeights = DEFAULT_RISK_WEIGHTS
-) -> float:
+def risk_score(duration: int, max_rssi: float) -> float:
     """Exposure minutes weighted by proximity band; monotone
     non-decreasing in both arguments."""
     if duration < 0:
         raise ValueError("duration must be non-negative")
-    if max_rssi >= weights.near_dbm:
-        weight = weights.near_weight
-    elif max_rssi >= weights.mid_dbm:
-        weight = weights.mid_weight
+    if max_rssi >= NEAR_DBM:
+        weight = NEAR_WEIGHT
+    elif max_rssi >= MID_DBM:
+        weight = MID_WEIGHT
     else:
-        weight = weights.far_weight
+        weight = FAR_WEIGHT
     return (duration / 60.0) * weight
 
 
@@ -72,10 +66,7 @@ def _level_for(tag: Tag) -> tuple[NotificationLevel, bool]:
 
 
 def match_feed(
-    store: TokenStore,
-    feed: PublishedFeed,
-    epsilon: int,
-    weights: RiskWeights = DEFAULT_RISK_WEIGHTS,
+    store: TokenStore, feed: PublishedFeed, epsilon: int
 ) -> list[ExposureNotification]:
     """Evaluate every feed record against the local store.
 
@@ -115,7 +106,7 @@ def match_feed(
                     superspreader_flag=flagged,
                     encounter_time=token.start_time,
                     duration=token.duration,
-                    risk_score=risk_score(token.duration, token.max_signal_strength, weights),
+                    risk_score=risk_score(token.duration, token.max_signal_strength),
                 )
             )
     notifications.sort(key=lambda n: (n.encounter_time, n.matched_hash, n.level.value))
@@ -123,20 +114,18 @@ def match_feed(
 
 
 def detect_superspreader_candidate(
-    store: TokenStore,
-    matched_hashes: set[bytes],
-    threshold: int = 3,
-) -> list[bytes] | None:
-    """Bundle of local token secrets to submit as a superspreader
-    possession proof, or None below the threshold: the secret of each
-    matched hash, in store order.
+    store: TokenStore, matched_hashes: set[bytes]
+) -> list[bytes]:
+    """Bundle of local token secrets to submit as a possession proof:
+    the secret of each matched hash, once, in store order; empty if no
+    local token has one.
 
     ``matched_hashes`` are the hashes of the directly matched records.
-    Counting is per distinct matched record, not per uploader: the
-    feed is shuffled, so uploaders are indistinguishable here.
+    The caller applies the superspreader threshold to the bundle's
+    length, so counting is per distinct matched record, not per
+    uploader: the feed is shuffled, so uploaders are indistinguishable
+    here.
     """
-    if len(matched_hashes) < threshold:
-        return None
     secrets = []
     seen = set()
     for token in store.tokens():
@@ -146,8 +135,6 @@ def detect_superspreader_candidate(
         if h in matched_hashes and h not in seen:
             seen.add(h)
             secrets.append(token.secret)
-    if len(secrets) < threshold:
-        return None
     return secrets
 
 
@@ -162,12 +149,10 @@ def redact_tokens(
 def build_upload_records(
     tokens: Iterable[EncounterToken], tag: Tag = Tag.DIRECT
 ) -> list[TokenUploadRecord]:
-    """Hash-and-encrypt the given tokens into publishable records.
-    Tokens with underived secrets are skipped."""
+    """Hash-and-encrypt the given tokens, whose secrets are derived,
+    into publishable records."""
     records = []
     for token in tokens:
-        if token.secret is None:
-            continue
         records.append(
             TokenUploadRecord(
                 hash=crypto.token_hash(token.secret),

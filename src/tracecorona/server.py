@@ -309,12 +309,12 @@ class TracingServer:
         authority: HealthAuthority,
         superspreader_threshold: int = 3,
     ) -> "TracingServer":
-        """Rebuild the published store from an append-only log.
+        """Rebuild the published store from an append-only log, which
+        is created empty if it is missing.
 
         Upload counters other than record totals are not part of the
         log (they would group records) and restart at zero.
         """
-        server = cls(authority, superspreader_threshold=superspreader_threshold)
+        server = cls(authority, superspreader_threshold, log_path)
         server._epoch, server._epochs, server._records = read_log(log_path)
-        server._log_path = log_path
         return server

@@ -460,9 +460,8 @@ class _TraceCoronaClient(_Client):
         self.superspreader_done |= superspreader
         if not (second_level or superspreader):
             return
-        # the secrets of the matched tokens in store order, or None if none
-        secrets = exposure.detect_superspreader_candidate(self.device.store, matched, 1)
-        if secrets is None:
+        secrets = exposure.detect_superspreader_candidate(self.device.store, matched)
+        if not secrets:
             return
         if second_level:
             encode = partial(wire.encode_upload_second_level, secrets[0])

@@ -63,6 +63,7 @@ import io
 import itertools
 import json
 import os
+import random
 import socket
 import socketserver
 import struct
@@ -483,8 +484,6 @@ def _recv_message(sock: socket.socket, limit: int | None = None) -> bytes:
 def handle_request(server, body: bytes) -> bytes:
     """Dispatch one request body against a TracingServer instance and
     return the response body."""
-    import random
-
     if not body:
         return bytes([STATUS_MALFORMED]) + b"empty request"
     op = body[0]

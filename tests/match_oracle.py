@@ -47,7 +47,7 @@ LEVELS = {
 }
 
 
-def match_feed_records(tokens, records, epsilon, weights=exposure.DEFAULT_RISK_WEIGHTS):
+def match_feed_records(tokens, records, epsilon):
     """The notifications ``exposure.match_feed`` gives for a store holding
     ``tokens`` (in store order) and a feed of ``records`` (in feed order):
     every matching (record, token) pair in feed order, then token order,
@@ -71,7 +71,7 @@ def match_feed_records(tokens, records, epsilon, weights=exposure.DEFAULT_RISK_W
                 superspreader_flag=flagged,
                 encounter_time=token.start_time,
                 duration=token.duration,
-                risk_score=exposure.risk_score(token.duration, token.max_signal_strength, weights),
+                risk_score=exposure.risk_score(token.duration, token.max_signal_strength),
             ))
     hits.sort(key=lambda n: (n.encounter_time, n.matched_hash, n.level.value))
     return hits

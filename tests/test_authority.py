@@ -1,6 +1,7 @@
 """Health authority: TAN issuance and single-use verification."""
 
 import random
+import sys
 import threading
 
 from tracecorona import crypto
@@ -82,10 +83,26 @@ class TestStateBoundary:
             tan = ha.issue_tan(f"user{i}", i)
             ha.verify_tan("BOGUS")
         assert TracingServer(ha).upload_infected(tan.value, frames([record])).accepted
-        # the TAN table is all the authority keeps: short scalars per TAN
-        assert len(ha._tans) == 50
-        for kept in ha._tans.values():
-            for value in vars(kept).values():
-                assert value is None or isinstance(value, (str, int))
-                for material in (secret, record.hash, record.ciphertext):
-                    assert material.hex() not in str(value)
+        # the live TANs are all the authority keeps: a value and an expiry
+        # each; the TAN the upload consumed is gone
+        assert len(ha._live) == 49 and tan.value not in ha._live
+        for value, expires in ha._live.items():
+            assert isinstance(value, str) and expires is None
+            for material in (secret, record.hash, record.ciphertext):
+                assert material.hex() not in value
+
+    def test_consumed_tans_are_dropped(self):
+        ha = make_ha(expiry=100)
+        for i in range(1_000):
+            assert ha.verify_tan(ha.issue_tan(f"user{i}", i).value, now=i)
+        # no table of the authority's holds an entry
+        assert not any(isinstance(v, dict) and v for v in vars(ha).values())
+
+    def test_context_is_not_kept(self):
+        ha = make_ha()
+        context = "x" * 60_000
+        before = sys.getrefcount(context)
+        tan = ha.issue_tan(context, 0)
+        assert sys.getrefcount(context) == before
+        assert ha._live == {tan.value: None}
+        assert ha.verify_tan(tan.value)

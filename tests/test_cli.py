@@ -1,10 +1,17 @@
 """CLI: exit codes, subcommand behavior, bundled scenarios."""
 
+import contextlib
 import json
+import os
 import random
+import selectors
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tracecorona
 from tracecorona import cli, crypto, wire
 
 
@@ -214,3 +221,58 @@ class TestIngestAndStats:
 
     def test_dump_stats_missing_log_exit_2(self):
         assert run_cli(["dump-stats", "--log", "/nonexistent/log"]) == 2
+
+
+class TestServe:
+    """``tracecorona serve`` in a subprocess, one at a time."""
+
+    TIMEOUT_S = 30
+
+    @contextlib.contextmanager
+    def serving(self, log):
+        """A client of a server started on ``log``, stopped on exit."""
+        src = Path(tracecorona.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tracecorona.cli", "serve", "--log", str(log),
+             "--port", "0"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(proc.stdout, selectors.EVENT_READ)
+                ready = selector.select(self.TIMEOUT_S)
+            line = proc.stdout.readline() if ready else b""
+            assert line.startswith(b"serving on "), line
+            host, port = line.split()[2].rstrip(b",").decode().rsplit(":", 1)
+            with wire.WireClient(host, int(port)) as client:
+                yield client
+        finally:
+            proc.terminate()
+            try:
+                proc.wait(timeout=self.TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+
+    def test_starts_on_a_missing_log_and_restarts_on_it(self, tmp_path):
+        records = [
+            wire.TokenUploadRecord(
+                hash=crypto.token_hash(bytes([i]) * 32),
+                ciphertext=crypto.encrypt_metadata(bytes([i]) * 32, 1234),
+            )
+            for i in range(1, 4)
+        ]
+        log = tmp_path / "server.log"
+        with self.serving(log) as client:
+            assert log.read_bytes() == b""
+            assert client.stats()["records_published"] == 0
+            assert client.upload_infected(client.issue_tan(), records)[0]
+        logged = wire.read_log(log)[2]
+        assert logged == [wire.encode_record(r) for r in records]
+        with self.serving(log) as client:
+            assert client.stats()["records_published"] == len(logged)
+            feed = client.fetch_feed(0, 0)
+        assert sorted(feed.frames) == sorted(logged)

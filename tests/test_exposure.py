@@ -10,7 +10,7 @@ import match_oracle
 from tracecorona import crypto, exposure
 from tracecorona.crypto import EncounterToken
 from tracecorona.device import TokenStore
-from tracecorona.exposure import NotificationLevel, RiskWeights
+from tracecorona.exposure import NotificationLevel
 from tracecorona.wire import PublishedFeed, Tag, TokenUploadRecord, encode_record
 
 
@@ -218,10 +218,6 @@ class TestRiskScore:
                 <= exposure.risk_score(duration, -50.0)
             )
 
-    def test_weights_are_configuration(self):
-        custom = RiskWeights(near_dbm=-50.0, near_weight=2.0)
-        assert exposure.risk_score(60, -45.0, custom) == 2.0
-
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             exposure.risk_score(-1, -50.0)
@@ -237,16 +233,12 @@ class TestSuperspreaderCandidate:
         )
         return store, notes, tokens
 
-    def test_below_threshold_none(self):
-        store, notes, _ = self.build(2)
-        hashes = {n.matched_hash for n in notes}
-        assert exposure.detect_superspreader_candidate(store, hashes, 3) is None
-
     def test_three_distinct_gives_bundle(self):
         store, notes, tokens = self.build(3)
         hashes = {n.matched_hash for n in notes}
-        bundle = exposure.detect_superspreader_candidate(store, hashes, 3)
+        bundle = exposure.detect_superspreader_candidate(store, hashes)
         assert sorted(bundle) == sorted(t.secret for t in tokens)
+        assert exposure.detect_superspreader_candidate(store, set()) == []
 
     def test_counts_per_record_not_per_uploader(self):
         # two records from the same uploader batch still count separately
@@ -256,7 +248,7 @@ class TestSuperspreaderCandidate:
         records = [record_from(t.secret, t.start_time) for t in tokens]
         notes = exposure.match_feed(store, feed_of(records), 30)
         hashes = {n.matched_hash for n in notes}
-        assert len(exposure.detect_superspreader_candidate(store, hashes, 3)) == 3
+        assert len(exposure.detect_superspreader_candidate(store, hashes)) == 3
 
 
 class TestRedaction:
@@ -288,6 +280,3 @@ class TestBuildUploadRecords:
             store_of([token]), feed_of(records), 30
         )
         assert note.encounter_time == 7777
-
-    def test_underived_skipped(self):
-        assert exposure.build_upload_records([token_with(None, 1)]) == []

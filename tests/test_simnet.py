@@ -464,7 +464,7 @@ class TestStartHandshake:
         frame = requester.device.current_frame(self.T)
         peer = owner.device.ephemeral_id(owner.device.current_frame(self.T))
         requester.device.mark_handshake_pending(frame, peer)
-        request = HandshakeRequest(peer, frame, requester.device.local_time(self.T))
+        request = HandshakeRequest(peer, frame)
         queued = len(engine._queue)
         engine.start_handshake(requester, owner, request, self.T, link)
         return (frame, peer) in requester.device._pending_handshakes, len(engine._queue) - queued
@@ -773,6 +773,53 @@ class TestSecondLevelTagging:
         distinct = self.notified((0, 3, -4, 7))
         assert ("contact", "peer", "direct") in distinct
         assert self.notified((0, 0, 0, 0)) == distinct
+
+
+class TestSuperspreaderThreshold:
+    @staticmethod
+    def bundles_sent(monkeypatch, infection_days):
+        """The proof counts of the superspreader uploads a hub sends, and
+        the server's count of accepted ones, when one infected device per
+        entry of ``infection_days`` met the hub, each in its own frame;
+        the threshold is 4."""
+        spreaders = [f"s{i}" for i in range(len(infection_days))]
+        config = ScenarioConfig.from_dict(
+            config_dict(
+                devices=[{"id": "hub"}] + [{"id": s} for s in spreaders],
+                colocation_schedule=[
+                    {"device_a": "hub", "device_b": s,
+                     "start": 3 * DAY + 36060 + 3600 * i, "end": 3 * DAY + 36660 + 3600 * i,
+                     "rssi_profile": -55}
+                    for i, s in enumerate(spreaders)
+                ],
+                infections=[{"device": s, "day": d} for s, d in zip(spreaders, infection_days)],
+                superspreader_enabled=True,
+                superspreader_threshold=4,
+                channel_loss=0.0,
+                duration_days=11,
+            )
+        )
+        sent = []
+        encode = wire.encode_upload_superspreader
+
+        def counting(proofs, records):
+            sent.append(len(proofs))
+            return encode(proofs, records)
+
+        monkeypatch.setattr(wire, "encode_upload_superspreader", counting)
+        engine = Engine(config)
+        engine.run()
+        return sent, engine.server.stats_snapshot()["superspreader_flags"]
+
+    def test_one_below_threshold_uploads_none(self, monkeypatch):
+        assert self.bundles_sent(monkeypatch, [0, 0, 0]) == ([], 0)
+
+    def test_at_threshold_uploads_one(self, monkeypatch):
+        assert self.bundles_sent(monkeypatch, [0, 0, 0, 0]) == ([4], 1)
+
+    def test_threshold_reached_on_a_later_fetch(self, monkeypatch):
+        # three matches on one day, the fourth on the next
+        assert self.bundles_sent(monkeypatch, [0, 0, 0, 1]) == ([4], 1)
 
 
 class TestProvenance:
