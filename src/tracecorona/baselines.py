@@ -87,15 +87,16 @@ class CentralizedServer:
         self._rng = rng
         self.bluetrace = bluetrace
         self._master_key = rng.randbytes(32) if bluetrace else None
-        self._registry: dict[bytes, dict] = {}
+        #: user id -> the user's identifiers by interval, each derived once
+        self._registry: dict[bytes, dict[int, bytes]] = {}
         self._uploads: list[CentralizedUpload] = []
 
-    def register(self, context: str = "") -> bytes:
+    def register(self) -> bytes:
         while True:
             user_id = self._rng.randbytes(16)
             if user_id not in self._registry:
                 break
-        self._registry[user_id] = {"context": context, "ivs": {}, "tempids": {}}
+        self._registry[user_id] = {}
         return user_id
 
     def tempid_for(self, user_id: bytes, t_k: int) -> bytes:
@@ -106,19 +107,18 @@ class CentralizedServer:
         Each identifier is derived once and kept in the user's registry
         entry, so BlueTrace IVs are drawn in first-request order.
         """
-        entry = self._registry.get(user_id)
-        if entry is None:
+        tempids = self._registry.get(user_id)
+        if tempids is None:
             raise KeyError("unknown user")
-        tempid = entry["tempids"].get(t_k)
+        tempid = tempids.get(t_k)
         if tempid is None:
             if self.bluetrace:
-                iv = entry["ivs"][t_k] = self._rng.randbytes(16)
                 tempid = crypto.derive_tempid_bluetrace(
-                    user_id, t_k, iv, b"auth", self._master_key
+                    user_id, t_k, self._rng.randbytes(16), b"auth", self._master_key
                 )
             else:
                 tempid = crypto.derive_tempid_centralized(user_id, t_k)
-            entry["tempids"][t_k] = tempid
+            tempids[t_k] = tempid
         return tempid
 
     def match(self, uploaded: list[tuple[bytes, int]]) -> list[bytes]:

@@ -36,6 +36,7 @@ from .wire import (
     WireServer,
     append_log,
     epoch_mark,
+    last_log_epoch,
     read_log,
 )
 
@@ -123,7 +124,7 @@ def cmd_ingest(args) -> int:
     epoch = []
     if args.epoch is not None:
         # replay refuses an epoch mark that goes back
-        current = read_log(args.log)[0] if os.path.exists(args.log) else 0
+        current = last_log_epoch(args.log) if os.path.exists(args.log) else 0
         if args.epoch < current:
             print(f"epoch {args.epoch} is before the log's epoch {current}", file=sys.stderr)
             return EXIT_CONFIG

@@ -54,7 +54,6 @@ class BeaconMessage:
 
 @dataclass
 class NeighborObservation:
-    ephemeral_id: bytes
     first_seen: int
     last_seen: int
     #: strongest RSSI heard since ``first_seen``
@@ -184,7 +183,7 @@ class Device:
         ei = beacon.ephemeral_id
         obs = self._neighbors.get(ei)
         if obs is None or local - obs.last_seen > CONTINUITY_GAP:
-            obs = NeighborObservation(ei, first_seen=local, last_seen=local, max_rssi=rssi)
+            obs = NeighborObservation(first_seen=local, last_seen=local, max_rssi=rssi)
             self._neighbors[ei] = obs
         else:
             obs.last_seen = local

@@ -13,11 +13,11 @@ checked frame's fields at ``wire``'s offsets (the hash is the first
 ``TOKEN_HASH_BYTES``, the ciphertext runs from ``CIPHERTEXT_AT`` to the
 tag, the last byte), as ``cli dump-stats`` does the tags of the held
 frames (``_records``).  The server holds each published record as its
-frame, the very unit it logs, with a non-decreasing list of the
-records' epochs beside the frames: ingest only re-tags a frame's last
-byte, a log replay only checks the frames, and a feed is a slice of
-them, joined on the socket or into the buffer of the ``PublishedFeed``
-``fetch_feed`` returns; the server builds no record objects.
+frame, the very unit it logs: ingest only re-tags a frame's last byte, a
+log replay only checks the frames, and a feed is a slice of them, joined
+on the socket or into the buffer of the ``PublishedFeed`` ``fetch_feed``
+returns; the server builds no record objects.  Epochs never go back,
+so beside the frames each epoch is one boundary: (epoch, first index).
 
 The hash index for possession proofs maps each direct record's hash to
 the index of its last holder and keeps a list of earlier indices only
@@ -96,9 +96,10 @@ class TracingServer:
         self.superspreader_threshold = superspreader_threshold
         self._log_path = log_path
         #: the frames of the published records, in the order they were
-        #: held, and the epoch each was ingested at
+        #: held, and (epoch, index of its first held record) for each
+        #: epoch from 0 on
         self._records: list[bytes] = []
-        self._epochs: list[int] = []
+        self._boundaries: list[tuple[int, int]] = [(0, 0)]
         #: hash -> index of the last direct record with that hash, and,
         #: for a hash held more than once, the indices of the earlier
         #: ones; built by the first proof check, so a server that only
@@ -106,7 +107,6 @@ class TracingServer:
         #: store after that
         self._direct_by_hash: dict[bytes, int] | None = None
         self._direct_earlier: dict[bytes, list[int]] = {}
-        self._epoch = 0
         self._ingest_lock = threading.Lock()
         self._active_clients: set[str] = set()
         self._infected_uploads = 0
@@ -120,17 +120,17 @@ class TracingServer:
 
     @property
     def epoch(self) -> int:
-        return self._epoch
+        return self._boundaries[-1][0]
 
     def advance_epoch(self, epoch: int) -> None:
         """Ingest at ``epoch`` from now on.  The simulator's epoch is one
         day: it calls this each midnight with the day number."""
         with self._ingest_lock:
-            if epoch < self._epoch:
+            if epoch < self.epoch:
                 raise ValueError("epoch must not go backwards")
-            if epoch != self._epoch:
+            if epoch != self.epoch:
                 self._append_log([epoch_mark(epoch)])
-                self._epoch = epoch
+                self._boundaries.append((epoch, len(self._records)))
 
     # -- ingestion ---------------------------------------------------------------
 
@@ -145,7 +145,6 @@ class TracingServer:
         frames = [f if f[-1] == tag else f[:-1] + tag_byte for f in frames]
         if frames:
             self._append_log(frames)
-        self._epochs += [self._epoch] * len(frames)
         self._records += frames
         if self._direct_by_hash is not None:
             self._index_direct(len(self._records) - len(frames))
@@ -217,16 +216,10 @@ class TracingServer:
         direct record.  Returns how many were accepted.  The batch ends
         as the same uploads one by one would (see the module docstring).
         """
-        token_hash = crypto.token_hash
         accepted = 0
         with self._ingest_lock:
-            held = self._direct_index()
             for proof, frames in uploads:
-                if (
-                    len(proof) == PROOF_BYTES
-                    and token_hash(proof) in held
-                    and self._proof_matches(proof)
-                ):
+                if self._proof_matches(proof):
                     self._store(frames, Tag.SECOND_LEVEL)
                     self._second_level_uploads += 1
                     accepted += 1
@@ -266,8 +259,9 @@ class TracingServer:
         """The feed epoch and the frames of all records ingested at epochs
         >= since_epoch, in an order independent of upload batches: a
         seeded uniform shuffle of the order they were held in."""
-        feed_epoch = self._epoch
-        frames = self._records[bisect_left(self._epochs, since_epoch):]
+        feed_epoch = self.epoch
+        at = bisect_left(self._boundaries, (since_epoch,))
+        frames = self._records[self._boundaries[at][1]:] if at < len(self._boundaries) else []
         rng.shuffle(frames)
         return feed_epoch, frames
 
@@ -316,5 +310,5 @@ class TracingServer:
         log (they would group records) and restart at zero.
         """
         server = cls(authority, superspreader_threshold, log_path)
-        server._epoch, server._epochs, server._records = read_log(log_path)
+        _, server._boundaries, server._records = read_log(log_path)
         return server

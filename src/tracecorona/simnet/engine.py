@@ -388,7 +388,7 @@ class _TraceCoronaClient(_Client):
     def _pairs(self, engine: Engine, tag: wire.Tag, skip_hashes=()) -> list:
         """(token, record) for each eligible token, the record carrying
         the tag the server publishes it under."""
-        tokens = [token for token in self._eligible_tokens(engine) if token.secret is not None]
+        tokens = self._eligible_tokens(engine)
         records = exposure.build_upload_records(tokens, tag)
         return [pair for pair in zip(tokens, records) if pair[1].hash not in skip_hashes]
 
@@ -607,7 +607,7 @@ class _CentralizedClient(_BaselineClient):
 
     def register(self, engine: Engine) -> None:
         self.cen_server = engine.cen_server
-        self.user_id = self.cen_server.register(self.id)
+        self.user_id = self.cen_server.register()
 
     def identifier_at(self, t: int) -> bytes:
         t_k = self.device.local_time(t) // baselines.CENTRAL_INTERVAL_SECONDS

@@ -39,7 +39,8 @@ marks restore feed paging on replay, and epochs never go back.
 ``read_log`` finds the marks in the units' tag column, refuses one with
 non-zero padding or a lower epoch, and checks the runs of frames
 between them in bulk; any other unit raises the first bad frame's
-error.  The server appends an accepted upload's frames (or an epoch
+error; each epoch replays as one boundary, (epoch, first record
+index).  The server appends an accepted upload's frames (or an epoch
 mark) with one write, then flushes and fsyncs the file before it
 answers the upload.  A crash can therefore leave only a partial last
 unit: ``read_log`` drops it, and the next append first cuts it off
@@ -330,16 +331,16 @@ def append_log(path, units: list[bytes]) -> None:
 _LOG_BLOCK = FRAME_BYTES << 16
 
 
-def read_log(path) -> tuple[int, list[int], list[bytes]]:
-    """Replay a log file into its last epoch and, for each record in
-    order, its epoch and its checked frame.
+def read_log(path) -> tuple[int, list[tuple[int, int]], list[bytes]]:
+    """Replay a log file into its last epoch, the boundary of each epoch
+    from 0 on (the epoch and the index of its first record), and each
+    record's checked frame in order.
 
     A final partial unit is the torn tail of a write a crash cut short,
-    and is dropped.  Epochs never go back, so the record epochs are
-    non-decreasing.
+    and is dropped.  Epochs never go back, so a boundary is appended
+    only where a mark changes the epoch.
     """
-    epoch = 0
-    epochs: list[int] = []
+    boundaries = [(0, 0)]
     frames: list[bytes] = []
     rest = b""
     with open(path, "rb") as handle:
@@ -347,16 +348,16 @@ def read_log(path) -> tuple[int, list[int], list[bytes]]:
             data = rest + block
             whole = len(data) - len(data) % FRAME_BYTES
             rest = data[whole:]
-            epoch = _replay_units(data, whole, epoch, epochs, frames)
-    return epoch, epochs, frames
+            _replay_units(data, whole, boundaries, frames)
+    return boundaries[-1][0], boundaries, frames
 
 
-def _replay_units(data: bytes, end: int, epoch: int, epochs: list[int], frames: list[bytes]) -> int:
+def _replay_units(data: bytes, end: int, boundaries: list[tuple[int, int]], frames: list[bytes]) -> None:
     """Replay the whole units of ``data`` before ``end``: append each
-    record's epoch and frame, and return the epoch after them.  The
-    marks are found in the units' tag column; each run of units between
-    them is checked by ``_check_frames``, which raises the first bad
-    frame's error, and cut by ``_split``."""
+    record's frame, and a boundary for each mark that changes the epoch.
+    The marks are found in the units' tag column; each run of units
+    between them is checked by ``_check_frames``, which raises the first
+    bad frame's error, and cut by ``_split``."""
     tags = data[FRAME_BYTES - 1 : end : FRAME_BYTES]
     at = 0
     while at < len(tags):
@@ -365,16 +366,41 @@ def _replay_units(data: bytes, end: int, epoch: int, epochs: list[int], frames: 
         start = at * FRAME_BYTES
         run_end = _check_frames(data, start, stop - at)
         frames += _split(memoryview(data)[start:run_end])
-        epochs += [epoch] * (stop - at)
         if mark < 0:
             break
-        number, padding, _ = _MARK.unpack_from(data, run_end)
-        if any(padding):
-            raise WireError("log epoch mark with non-zero padding")
-        if number < epoch:
-            raise WireError(f"log epoch goes back from {epoch} to {number}")
-        epoch, at = number, mark + 1
-    return epoch
+        epoch = boundaries[-1][0]
+        number = _mark_epoch(data, run_end, epoch)
+        if number != epoch:
+            boundaries.append((number, len(frames)))
+        at = mark + 1
+
+
+def _mark_epoch(data: bytes, offset: int, epoch: int) -> int:
+    """The epoch of the mark at ``offset``, which follows ``epoch``."""
+    number, padding, _ = _MARK.unpack_from(data, offset)
+    if any(padding):
+        raise WireError("log epoch mark with non-zero padding")
+    if number < epoch:
+        raise WireError(f"log epoch goes back from {epoch} to {number}")
+    return number
+
+
+def last_log_epoch(path) -> int:
+    """The epoch of a log's last mark, 0 if it has none, read back from
+    its last whole unit a block of whole units at a time."""
+    step = max(1, _LOG_BLOCK // FRAME_BYTES) * FRAME_BYTES
+    with open(path, "rb") as handle:
+        end = handle.seek(0, os.SEEK_END)
+        end -= end % FRAME_BYTES
+        while end:
+            start = max(0, end - step)
+            handle.seek(start)
+            data = handle.read(end - start)
+            mark = data[FRAME_BYTES - 1 :: FRAME_BYTES].rfind(MARK_TAG)
+            if mark >= 0:
+                return _mark_epoch(data, mark * FRAME_BYTES, 0)
+            end = start
+    return 0
 
 
 # -- socket protocol ----------------------------------------------------------

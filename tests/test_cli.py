@@ -202,6 +202,34 @@ class TestIngestAndStats:
             "direct": 0, "second_level": 4, "possible_superspreader": 2,
         }
 
+    @pytest.mark.parametrize("block", [1, 2, 1 << 16])
+    def test_epoch_read_back_from_the_log_tail(self, tmp_path, monkeypatch, block):
+        """``ingest --epoch`` takes the log's epoch from its last mark, read
+        back from the end a block of units at a time, without replaying
+        the log: a mark more than a block back, a mark before a torn tail,
+        or 0 for a log with no mark.  An epoch before it exits 2 and leaves
+        the log as it was."""
+        monkeypatch.setattr(wire, "_LOG_BLOCK", block * wire.FRAME_BYTES)
+        replayed = []
+        monkeypatch.setattr(cli, "read_log", lambda path: replayed.append(path) or wire.read_log(path))
+        frame = wire.encode_record(wire.TokenUploadRecord(bytes(16), bytes(36)))
+        input_file = tmp_path / "records.log"
+        input_file.write_bytes(frame)
+        log = tmp_path / "server.log"
+        ingest = ["ingest", "--log", str(log), "--input", str(input_file), "--epoch"]
+        logs = {
+            7: [wire.epoch_mark(2), frame, wire.epoch_mark(7)] + [frame] * 5,
+            3: [wire.epoch_mark(3), frame, frame[:20]],
+            0: [frame] * 3,
+        }
+        for last, units in logs.items():
+            log.write_bytes(b"".join(units))
+            assert run_cli(ingest + [str(last - 1)]) == 2
+            assert log.read_bytes() == b"".join(units)
+            assert run_cli(ingest + [str(last)]) == 0
+            assert wire.read_log(log)[0] == last
+        assert set(replayed) == {str(input_file)}
+
     def test_ingest_bad_input_exit_2(self, tmp_path):
         record = wire.TokenUploadRecord(hash=bytes(16), ciphertext=bytes(36))
         frame = wire.encode_record(record)

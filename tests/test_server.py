@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from wire_oracle import record_epochs
 from tracecorona import crypto, wire
 from tracecorona.authority import HealthAuthority
 from tracecorona.server import (
@@ -278,10 +279,24 @@ class TestSecondLevelBatch:
                 one_each += opens
             assert accepted == one_each
             assert batch._records == each._records
-            assert batch._epochs == each._epochs
+            assert held_epochs(batch) == held_epochs(each)
             assert batch.stats_snapshot() == each.stats_snapshot()
             logs = [pathlib.Path(directory, name).read_bytes() for name in ("batch", "each")]
             assert logs[0] == logs[1]
+
+
+    def test_each_proof_hashed_once_and_an_unheld_one_never_opened(self, monkeypatch):
+        server, ha = make_server()
+        server.upload_infected(ha.issue_tan("u", 0).value, proof_frames([(0, 0), (1, 0)]))
+        hashed, opens = [], []
+        token_hash, decrypt = crypto.token_hash, crypto.decrypt_metadata
+        monkeypatch.setattr(crypto, "token_hash", lambda p: hashed.append(p) or token_hash(p))
+        monkeypatch.setattr(crypto, "decrypt_metadata", lambda p, c: opens.append(p) or decrypt(p, c))
+        forged = [random.Random(i).randbytes(32) for i in range(3)]
+        proofs = [PROOF_SECRETS[0], *forged, PROOF_SECRETS[1]]
+        assert server.upload_second_level_each((proof, []) for proof in proofs) == 2
+        assert hashed == proofs
+        assert opens == [PROOF_SECRETS[0], PROOF_SECRETS[1]]
 
 
 class TestSuperspreader:
@@ -449,6 +464,58 @@ class TestFeed:
                         assert feed.feed_epoch == server.epoch
 
 
+class TestEpochBoundaries:
+    """The server keeps one boundary per epoch, the epoch and the index of
+    its first held record, not one epoch per record."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.one_of(
+                # 0 keeps the epoch; 2 and 3 leave epochs with no records
+                st.tuples(st.just("advance"), st.integers(0, 3)),
+                st.tuples(st.just("upload"), st.integers(1, 3)),
+            ),
+            max_size=12,
+        ),
+        k=st.integers(0, 2**32 - 1),
+    )
+    def test_feed_as_a_per_record_epoch_list(self, steps, k):
+        """From every epoch, the live server's feed and its replayed log's
+        are the records whose epoch in a per-record list is at least it,
+        in hold order, shuffled by ``random.Random(k)``."""
+        with tempfile.TemporaryDirectory() as tmp:
+            log = os.path.join(tmp, "server.log")
+            server, ha = make_server(log_path=log)
+            rng = random.Random(k)
+            epochs, held_frames = [], []
+            for kind, n in steps:
+                if kind == "advance":
+                    server.advance_epoch(server.epoch + n)
+                else:
+                    uploaded = frames(random_records(rng, n)[1])
+                    assert server.upload_infected(ha.issue_tan("u", 0).value, uploaded).accepted
+                    epochs += [server.epoch] * n
+                    held_frames += uploaded
+            replayed = TracingServer.replay_log(log, HealthAuthority(random.Random(0)))
+            assert replayed._boundaries == server._boundaries
+            for since in range(server.epoch + 3):
+                expected = [f for epoch, f in zip(epochs, held_frames) if epoch >= since]
+                random.Random(k).shuffle(expected)
+                for feeding in (server, replayed):
+                    assert feeding.feed_frames(since, random.Random(k)) == (server.epoch, expected)
+
+    def test_one_boundary_per_epoch_not_per_record(self):
+        server, ha = make_server()
+        uploaded = frames(random_records(random.Random(70), 1)[1])
+        for _ in range(10_000):
+            assert server.upload_infected(ha.issue_tan("u", 0).value, uploaded).accepted
+        for epoch in (1, 2, 5):
+            server.advance_epoch(epoch)
+        assert len(server._records) == 10_000
+        assert server._boundaries == [(0, 0), (1, 10_000), (2, 10_000), (5, 10_000)]
+
+
 class TestStats:
     def test_fresh_server_all_zero(self):
         server, _ = make_server()
@@ -521,8 +588,13 @@ def held(server):
 
     return [
         (epoch, decode_record(frame)[0])
-        for epoch, frame in zip(server._epochs, server._records, strict=True)
+        for epoch, frame in zip(held_epochs(server), server._records, strict=True)
     ]
+
+
+def held_epochs(server):
+    """Each held record's epoch, in hold order."""
+    return record_epochs(server._boundaries, len(server._records))
 
 
 def frame_line(record):
@@ -613,7 +685,7 @@ class TestUploadBody:
                 assert wire.handle_request(server, body + junk)[0] == wire.STATUS_MALFORMED
         assert wire.handle_request(server, bodies[-1][:-1])[0] == wire.STATUS_MALFORMED
         assert log.read_bytes() == logged
-        assert len(server._records) == len(server._epochs) == 3
+        assert held_epochs(server) == [0] * 3
         # the same bodies without the junk are accepted, the TAN unspent
         for body in bodies:
             assert wire.handle_request(server, body)[0] == wire.STATUS_ACCEPTED
@@ -650,7 +722,7 @@ class TestUploadBody:
         response = wire.handle_request(server, head + count)
         assert response == bytes([wire.STATUS_MALFORMED]) + b"record list of 1025 exceeds 1024"
         assert log.read_bytes() == logged
-        assert len(server._records) == len(server._epochs) == 3
+        assert held_epochs(server) == [0] * 3
         # an upload at the cap is accepted with the unspent TAN, and a
         # feed is not capped
         body = wire.encode_upload_infected(tan, capped)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import match_oracle
 import wire_oracle
+from wire_oracle import per_record, record_epochs
 from tracecorona import cli, crypto, exposure, wire
 from tracecorona.authority import HealthAuthority
 from tracecorona.crypto import EncounterToken
@@ -161,13 +162,13 @@ class TestLog:
         path = tmp_path / "log"
         wire.append_log(path, [frames[0], wire.epoch_mark(3), frames[1]])
         assert path.read_bytes().hex() == GOLDEN_LOG
-        assert wire.read_log(path) == (3, [0, 3], frames)
+        assert per_record(wire.read_log(path)) == (3, [0, 3], frames)
 
     def test_read_log_with_epochs(self, tmp_path):
         records = [sample_record(i)[1] for i in range(4)]
         units = [wire.encode_record(r) for r in records]
         path = log_of(tmp_path / "log", [wire.epoch_mark(0), units[0], wire.epoch_mark(3), *units[1:]])
-        epoch, epochs, frames = wire.read_log(path)
+        epoch, epochs, frames = per_record(wire.read_log(path))
         assert epoch == 3
         assert epochs == [0, 3, 3, 3]
         assert frames == units
@@ -180,7 +181,7 @@ class TestLog:
             wire.read_log(path)
         # a torn one is the tail of a write a crash cut short, and is dropped
         log_of(path, [marks[0], frame, marks[2][:-1]])
-        assert wire.read_log(path) == (5, [5], [frame])
+        assert per_record(wire.read_log(path)) == (5, [5], [frame])
 
     def test_epoch_mark_with_nonzero_padding_rejected(self, tmp_path):
         frame = wire.encode_record(sample_record(1)[1])
@@ -203,7 +204,7 @@ class TestLog:
         frame = wire.encode_record(sample_record(1)[1])
         for cut in range(1, wire.FRAME_BYTES):
             log_of(path, [wire.epoch_mark(3), frame, wire.epoch_mark(7)[:cut]])
-            assert wire.read_log(path) == (3, [3], [frame])
+            assert per_record(wire.read_log(path)) == (3, [3], [frame])
 
     @pytest.mark.parametrize("torn", [40, 0], ids=["cut", "kept"])
     def test_mending_a_torn_tail_reads_only_the_end(self, tmp_path, torn):
@@ -784,7 +785,7 @@ def read_log_both(data, block):
             handle.write(data)
         saved, wire._LOG_BLOCK = wire._LOG_BLOCK, block
         try:
-            got = outcome(wire.read_log, path)
+            got = outcome(lambda log: per_record(wire.read_log(log)), path)
         finally:
             wire._LOG_BLOCK = saved
         return got, outcome(wire_oracle.read_log, path)
@@ -896,7 +897,8 @@ class TestBulkCheck:
             assert got == (("ok", expected),) * 2, cut
             log.write_bytes(data[:cut])
             wire.append_log(log, [extra])
-            assert wire.read_log(log) == (epoch, expected[1] + [epoch], expected[2] + [extra]), cut
+            replayed = per_record(wire.read_log(log))
+            assert replayed == (epoch, expected[1] + [epoch], expected[2] + [extra]), cut
 
     @pytest.mark.parametrize("block", [7, 1 << 22])
     def test_bad_frame_among_whole_record_lines_refused(self, block):
@@ -970,6 +972,12 @@ def lists_with_another_width(draw):
     return records, length
 
 
+def held_state(server):
+    """The server's held frames, each record's epoch and its stats."""
+    epochs = record_epochs(server._boundaries, len(server._records))
+    return list(server._records), epochs, server.stats_snapshot()
+
+
 class TestOneRecordWidth:
     """A ciphertext that is not 36 bytes is refused wherever a record
     enters: every upload opcode, a fetched feed, a log replay and
@@ -993,14 +1001,14 @@ class TestOneRecordWidth:
                 wire.encode_upload_second_level(secrets[0], records),
                 wire.encode_upload_superspreader(list(secrets), records),
             ]
-            state = (list(server._records), list(server._epochs), server.stats_snapshot())
+            state = held_state(server)
             logged = log.read_bytes()
             with mock.patch.object(os, "fsync") as fsync:
                 for body in bodies:
                     response = wire.handle_request(server, body)
                     assert response == bytes([wire.STATUS_MALFORMED]) + message.encode()
             fsync.assert_not_called()
-            assert (list(server._records), list(server._epochs), server.stats_snapshot()) == state
+            assert held_state(server) == state
             assert log.read_bytes() == logged
             assert server.authority.verify_tan(unspent)
 

@@ -68,3 +68,19 @@ def read_log(path):
             frames.append(unit)
             epochs.append(epoch)
     return epoch, epochs, frames
+
+
+def record_epochs(boundaries, count):
+    """Each of ``count`` held records' epoch, expanded from the (epoch,
+    index of its first record) boundaries a server or ``wire.read_log``
+    keeps."""
+    ends = [start for _, start in boundaries[1:]] + [count]
+    return [epoch for (epoch, start), end in zip(boundaries, ends) for _ in range(start, end)]
+
+
+def per_record(log):
+    """``wire.read_log``'s (epoch, boundaries, frames) with the
+    boundaries expanded into each record's epoch, as ``read_log`` here
+    gives them."""
+    epoch, boundaries, frames = log
+    return epoch, record_epochs(boundaries, len(frames)), frames
