@@ -16,9 +16,8 @@ from typing import NamedTuple
 
 from . import crypto
 
-#: 15-minute identifier intervals per day in the centralized scheme.
+#: Length of a centralized identifier interval: 15 minutes.
 CENTRAL_INTERVAL_SECONDS = 900
-CENTRAL_INTERVALS_PER_DAY = 96
 
 #: Observations match a published identifier when they fall inside its
 #: 10-minute validity slot widened by this many seconds on either side.

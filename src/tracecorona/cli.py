@@ -235,23 +235,16 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify_vectors(args) -> int:
-    data = json.loads(
-        (resources.files("tracecorona") / "vectors" / "crypto_vectors.json").read_text()
-    )
-    failures = 0
-
+def _vector_checks(data):
+    """(label, ok) for each golden vector, computed as it is asked for."""
     for entry in data["frame_keypairs"]:
         keypair = crypto.generate_frame_keypair(
             entry["frame_index"], random.Random(entry["seed"])
         )
-        ok = (
+        yield f"keypair seed={entry['seed']} frame={entry['frame_index']}", (
             keypair.private_key.hex() == entry["private_key"]
             and keypair.public_key.hex() == entry["public_key"]
         )
-        failures += not ok
-        print(f"keypair seed={entry['seed']} frame={entry['frame_index']}: "
-              f"{'ok' if ok else 'MISMATCH'}")
 
     for entry in data["tokens"]:
         private_a = bytes.fromhex(entry["private_a"])
@@ -259,7 +252,7 @@ def cmd_verify_vectors(args) -> int:
         public_a = bytes.fromhex(entry["public_a"])
         public_b = bytes.fromhex(entry["public_b"])
         token = crypto.derive_token(private_a, public_b)
-        ok = (
+        yield f"token seeds=({entry['seed_a']},{entry['seed_b']})", (
             token == crypto.derive_token(private_b, public_a)
             and token.hex() == entry["token_secret"]
             and crypto.token_hash(token).hex() == entry["token_hash"]
@@ -270,9 +263,6 @@ def cmd_verify_vectors(args) -> int:
             )
             == entry["start_time"]
         )
-        failures += not ok
-        print(f"token seeds=({entry['seed_a']},{entry['seed_b']}): "
-              f"{'ok' if ok else 'MISMATCH'}")
 
     tempids = data["tempids"]
     user = bytes.fromhex(tempids["user_id"])
@@ -281,27 +271,33 @@ def cmd_verify_vectors(args) -> int:
     iv = bytes.fromhex(tempids["iv"])
     auth_tag = bytes.fromhex(tempids["auth_tag"])
     for t_k, expected in tempids["centralized"].items():
-        ok = crypto.derive_tempid_centralized(user, int(t_k)).hex() == expected
-        failures += not ok
-        print(f"centralized t_k={t_k}: {'ok' if ok else 'MISMATCH'}")
+        yield f"centralized t_k={t_k}", (
+            crypto.derive_tempid_centralized(user, int(t_k)).hex() == expected
+        )
     for t_k, expected in tempids["bluetrace"].items():
-        ok = (
+        yield f"bluetrace t_k={t_k}", (
             crypto.derive_tempid_bluetrace(user, int(t_k), iv, auth_tag, master).hex()
             == expected
         )
-        failures += not ok
-        print(f"bluetrace t_k={t_k}: {'ok' if ok else 'MISMATCH'}")
-    for slot, expected in tempids["decentralized_day3_slots"].items():
-        ok = crypto.derive_tempid_decentralized(tek, 3, int(slot)).hex() == expected
-        failures += not ok
-        print(f"decentralized slot={slot}: {'ok' if ok else 'MISMATCH'}")
+    slots = tempids["decentralized_day3_slots"]
+    for slot, expected in slots.items():
+        yield f"decentralized slot={slot}", (
+            crypto.derive_tempid_decentralized(tek, 3, int(slot)).hex() == expected
+        )
     # the day table is what broadcasting and matching read
     table = crypto.derive_tempids_decentralized(tek, 3)
-    for slot, expected in tempids["decentralized_day3_slots"].items():
-        ok = table[int(slot)].hex() == expected
-        failures += not ok
-        print(f"decentralized table slot={slot}: {'ok' if ok else 'MISMATCH'}")
+    for slot, expected in slots.items():
+        yield f"decentralized table slot={slot}", table[int(slot)].hex() == expected
 
+
+def cmd_verify_vectors(args) -> int:
+    data = json.loads(
+        (resources.files("tracecorona") / "vectors" / "crypto_vectors.json").read_text()
+    )
+    failures = 0
+    for label, ok in _vector_checks(data):
+        failures += not ok
+        print(f"{label}: {'ok' if ok else 'MISMATCH'}")
     if failures:
         print(f"{failures} vector(s) failed", file=sys.stderr)
         return EXIT_RUNTIME

@@ -159,11 +159,6 @@ class Device:
                 del self._keypair_cache[min(self._keypair_cache)]
         return kp
 
-    def beacon(self, now: int) -> BeaconMessage:
-        return BeaconMessage(
-            uuid=APP_UUID, ephemeral_id=self.ephemeral_id(self.current_frame(now))
-        )
-
     def is_advertising(self, now: int) -> bool:
         return self.local_time(now) % ADVERTISE_PERIOD < ADVERTISE_ON
 

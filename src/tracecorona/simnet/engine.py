@@ -26,8 +26,7 @@ second of each advertising stretch per identifier.  A baseline client
 keeps each run it is handed as one entry (identifier, RSSI, the run's
 seconds on its own clock, provenance); no run crosses a cadence event,
 so midnight drops a prefix of whole runs.  Matching and the centralized
-upload read the runs; only a client that hears two beams at once gets
-an entry per second, which keeps its log in the oracle's order.
+upload read the runs.
 
 Determinism: all randomness flows from the scenario seed through named
 substreams (feed shuffles, TAN issuance, adversary noise, and channel
@@ -173,9 +172,8 @@ class _Beam:
         self.identifier = b""
         self.rssi = 0.0
         self.direction = direction
-        #: whether its beacons reach ``dst`` second by second with another
-        #: beam's: one from ``src`` over another link, or any into a
-        #: baseline client, whose log keeps the order
+        #: whether its beacons reach ``dst`` second by second with those
+        #: of another beam from ``src``, over another link
         self.interleaved = False
 
     def place(self, u: int, side: int | None = None) -> tuple:
@@ -274,11 +272,7 @@ class _Group:
             a, b = link.beams[0].src, link.beams[0].dst
             link.pair = [x for x in into[b] if x.src is a] + [x for x in into.get(a, ()) if x.src is b]
             for beam in link.beams:
-                beam.interleaved = any(
-                    other is not beam
-                    and (other.src is beam.src or isinstance(beam.dst, _BaselineClient))
-                    for other in into[beam.dst]
-                )
+                beam.interleaved = any(x is not beam and x.src is beam.src for x in link.pair)
 
 
 class _Client:

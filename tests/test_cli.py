@@ -130,6 +130,22 @@ class TestVerifyVectors:
         for slot in (0, 1, 143):
             assert f"decentralized table slot={slot}: ok" in out
 
+    def test_mismatch_exit_1(self, capsys, monkeypatch):
+        derive = crypto.derive_tempid_centralized
+
+        def wrong_at_95(user, t_k):
+            return bytes(16) if t_k == 95 else derive(user, t_k)
+
+        monkeypatch.setattr(crypto, "derive_tempid_centralized", wrong_at_95)
+        assert run_cli(["verify-vectors"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert [line for line in lines if not line.endswith(": ok")] == [
+            "centralized t_k=95: MISMATCH"
+        ]
+        assert len(lines) == 18
+        assert captured.err == "1 vector(s) failed\n"
+
 
 class TestKeys:
     def test_prints_deterministic_keypair(self, capsys):

@@ -24,6 +24,11 @@ def make_device(name, offset=0, mode="eager"):
     return Device(name, seed, clock_offset=offset, derive_mode=mode)
 
 
+def beacon(device, t):
+    """The beacon the device broadcasts at true time t."""
+    return BeaconMessage(APP_UUID, device.ephemeral_id(device.current_frame(t)))
+
+
 def run_encounter(a, b, start, seconds, rssi=-55.0):
     """Deliver beacons both ways each second; complete any handshakes
     immediately.  Returns completed tokens keyed by (device, peer)."""
@@ -32,7 +37,7 @@ def run_encounter(a, b, start, seconds, rssi=-55.0):
         for src, dst in ((a, b), (b, a)):
             if not (src.is_advertising(t) and dst.is_scanning(t)):
                 continue
-            request = dst.on_beacon(src.beacon(t), rssi, t)
+            request = dst.on_beacon(beacon(src, t), rssi, t)
             if request is None:
                 continue
             src_frame = src.current_frame(t)
@@ -64,7 +69,7 @@ class TestClockActions:
     def test_frame_rotation_changes_ephemeral_id(self):
         device = make_device("a")
         assert device.current_frame(10) != device.current_frame(901)
-        assert device.beacon(901).ephemeral_id != device.beacon(10).ephemeral_id
+        assert beacon(device, 901).ephemeral_id != beacon(device, 10).ephemeral_id
 
     def test_duty_cycle_shapes(self):
         device = make_device("a")
@@ -80,9 +85,9 @@ class TestClockActions:
             b = make_device("b", offset=offset)
             for t in range(0, 120):
                 if a.is_advertising(t) and b.is_scanning(t):
-                    b.on_beacon(a.beacon(t), -55.0, t)
+                    b.on_beacon(beacon(a, t), -55.0, t)
                 if b.is_advertising(t) and a.is_scanning(t):
-                    a.on_beacon(b.beacon(t), -55.0, t)
+                    a.on_beacon(beacon(b, t), -55.0, t)
             assert a._neighbors and b._neighbors
 
 
@@ -90,14 +95,14 @@ class TestOnBeacon:
     def test_first_sighting_no_handshake(self):
         a, b = make_device("a"), make_device("b")
         t = 0
-        assert b.on_beacon(a.beacon(t), -50.0, t) is None
+        assert b.on_beacon(beacon(a, t), -50.0, t) is None
 
     def test_handshake_after_min_duration(self):
         a, b = make_device("a"), make_device("b")
         request = None
         for t in range(0, 400):
             if a.is_advertising(t) and b.is_scanning(t):
-                request = b.on_beacon(a.beacon(t), -50.0, t)
+                request = b.on_beacon(beacon(a, t), -50.0, t)
                 if request:
                     break
         assert request is not None
@@ -106,21 +111,21 @@ class TestOnBeacon:
     def test_gap_resets_duration_counter(self):
         a, b = make_device("a"), make_device("b")
         # sightings at 0 and 100, then silence beyond the gap, then resume
-        b.on_beacon(a.beacon(0), -50.0, 0)
-        b.on_beacon(a.beacon(100), -50.0, 100)
+        b.on_beacon(beacon(a, 0), -50.0, 0)
+        b.on_beacon(beacon(a, 100), -50.0, 100)
         resume = 100 + CONTINUITY_GAP + 60
         requests = []
         t = resume
         while t < resume + 400:
             if a.is_advertising(t) and b.is_scanning(t):
-                request = b.on_beacon(a.beacon(t), -50.0, t)
+                request = b.on_beacon(beacon(a, t), -50.0, t)
                 if request:
                     requests.append((t, request))
                     break
             t += 1
         # the dwell clock restarted at `resume`-ish, not at 0
         assert requests
-        first_seen = b._neighbors[a.beacon(0).ephemeral_id].first_seen
+        first_seen = b._neighbors[beacon(a, 0).ephemeral_id].first_seen
         assert first_seen >= resume
         assert requests[0][0] - first_seen >= 300
 
@@ -137,7 +142,7 @@ class TestOnBeacon:
         expected = next(t for t in sightings if t - dwell_start >= 300)
         got = None
         for t in sightings:
-            if b.on_beacon(a.beacon(t), -50.0, t):
+            if b.on_beacon(beacon(a, t), -50.0, t):
                 got = t
                 break
         assert got == expected
@@ -152,7 +157,7 @@ class TestOnBeacon:
         a, b = make_device("a"), make_device("b")
         t = 35  # scan idle window
         assert not b.is_scanning(t)
-        assert b.on_beacon(a.beacon(t), -50.0, t) is None
+        assert b.on_beacon(beacon(a, t), -50.0, t) is None
 
 
 class TestCompleteHandshake:
@@ -168,13 +173,13 @@ class TestCompleteHandshake:
         a, b = make_device("a"), make_device("b")
         for t in range(0, 301):
             if a.is_advertising(t) and b.is_scanning(t):
-                b.on_beacon(a.beacon(t), -50.0, t)
+                b.on_beacon(beacon(a, t), -50.0, t)
         with pytest.raises(FrameMismatch):
             b.complete_handshake(
                 a.keypair(0).public_key,
                 a.current_frame(300) - 1,
                 300,
-                peer_ephemeral_id=a.beacon(300).ephemeral_id,
+                peer_ephemeral_id=beacon(a, 300).ephemeral_id,
             )
 
     def test_two_tokens_across_frame_boundary(self):
@@ -206,7 +211,7 @@ class TestCompleteHandshake:
         for t, rssi in heard.items():
             if not (a.is_advertising(t) and b.is_scanning(t)):
                 continue
-            request = b.on_beacon(a.beacon(t), rssi, t)
+            request = b.on_beacon(beacon(a, t), rssi, t)
             if request and not completed:
                 frame = b.current_frame(t)
                 b.complete_handshake(

@@ -65,13 +65,20 @@ def held(engine: Engine, client) -> list | None:
 def device_state(engine: Engine) -> dict:
     """What each device holds at the end: tokens with their metadata and
     ground truth (peer and relay), and a baseline device's observations
-    with their provenance."""
+    with their provenance, sender by sender.  The order between senders
+    is the order in which the radio hands their runs over, which no
+    report reads (``test_simnet`` ``TestBaselineRuns`` permutes it); the
+    order within a sender is read, as a decentralized fetch takes the
+    first match per published key."""
     state = {}
     for client in engine.clients.values():
         tokens = sorted(
             (key, vars(token)) for key, token in client.device.store.items()
         )
-        state[client.id] = (tokens, held(engine, client))
+        observations = held(engine, client)
+        if observations is not None:
+            observations.sort(key=lambda entry: entry[1]["source"])
+        state[client.id] = (tokens, observations)
     return state
 
 

@@ -2,6 +2,7 @@
 
 import bisect
 import heapq
+import itertools
 import json
 import random
 import re
@@ -909,7 +910,8 @@ def crowded_baseline_configs(draw):
     """Four days of a baseline scheme with a one-day retention: two
     links that share device a and overlap, up to two more links and a
     relay at random, each window ending up to two hours after a cadence
-    event, loss 0, 0.1 or 0.5."""
+    event, loss 0, 0.1 or 0.5, and one device whose positive result
+    comes on day 1, 2 or 3, so that runs are matched."""
 
     def window():
         at = draw(st.integers(1, 2)) * DAY + int(draw(st.sampled_from(CADENCE_HOURS)) * 3600)
@@ -936,7 +938,10 @@ def crowded_baseline_configs(draw):
             "start": start, "end": end, "latency_s": draw(st.integers(0, 5)),
         })
     return ScenarioConfig.from_dict(config_dict(
-        seed=draw(st.integers(0, 99)), duration_days=4, retention_days=1, infections=[],
+        seed=draw(st.integers(0, 99)), duration_days=4, retention_days=1,
+        infections=[{"device": draw(st.sampled_from("abc")), "day": draw(st.integers(0, 2))}],
+        disease_timeline={"incubation_to_contagious_days": 0, "contagious_to_symptoms_days": 1,
+                          "symptoms_to_test_days": 0, "test_to_result_days": 0},
         scheme=draw(st.sampled_from(["decentralized", "centralized"])),
         devices=[{"id": i, "clock_offset_s": draw(st.integers(-30, 30))} for i in "abc"],
         colocation_schedule=schedule, adversaries=adversaries,
@@ -1022,6 +1027,66 @@ class TestBaselineRuns:
 
         Checked(config).run()
         assert midnights == [0, 1, 2, 3]
+
+    @settings(max_examples=40, deadline=None)
+    @given(crowded_baseline_configs())
+    def test_reports_do_not_read_the_order_between_senders(self, config):
+        """At every midnight each client's runs taken since the midnight
+        before are put in reverse sender order, day by day, each sender's
+        own runs in the order taken: the report stays the same, byte for
+        byte.  With a two-day retention a fetch or an upload reads runs
+        taken before the midnight; reordering them within a sender
+        changes about one report in ten."""
+        config = config.replace(retention_days=2)
+        #: client -> runs held after the midnight before
+        kept = {}
+
+        class Permuted(Engine):
+            def _midnight(self, day):
+                for client in self.clients.values():
+                    offset, runs = client.device.clock_offset, client.runs
+                    taken = runs[kept.get(client.id, 0) :]
+                    taken.sort(key=lambda run: run.provenance["source"], reverse=True)
+                    taken.sort(key=lambda run: (run.times[0] - offset) // DAY)
+                    runs[len(runs) - len(taken) :] = taken
+                super()._midnight(day)
+                kept.update((c.id, len(c.runs)) for c in self.clients.values())
+
+        assert Permuted(config).run().to_json() == Engine(config).run().to_json()
+
+    @pytest.mark.parametrize("loss", [0.0, 0.1])
+    @pytest.mark.parametrize("scheme", ["decentralized", "centralized"])
+    def test_crowded_room_hands_over_whole_runs(self, scheme, loss):
+        """In the room each client hears nine senders at once and holds
+        from each what it holds when their link runs alone, in as many
+        runs or one more, so in at most nine more runs in all.  The crowd
+        adds one place to stop a run: the first ticks of the other links,
+        which all start at the room's start second.  A beam's run that
+        starts there may be cut once more, after its first second; later
+        no run is cut at another sender's beacons."""
+        config = room(loss).replace(scheme=scheme)
+
+        class Alone(Engine):
+            """The room with only the link between two devices."""
+
+            def __init__(self, pair):
+                super().__init__(config)
+                self.pair = pair
+
+            def _links(self):
+                return [link for link in super()._links() if {link.a, link.b} == self.pair]
+
+        crowded = Engine(config)
+        crowded.run()
+        for pair in itertools.combinations(crowded.clients, 2):
+            alone = Alone(set(pair))
+            alone.run()
+            for dst, src in (pair, pair[::-1]):
+                held = alone.clients[dst].runs
+                runs = crowded.clients[dst].runs
+                heard = [run for run in runs if run.provenance["source"] == src]
+                assert held and match_oracle.expand(heard) == match_oracle.expand(held)
+                assert len(held) <= len(heard) <= len(held) + 1
 
 
 #: decentralized configs for the derivation count: the first publishes
