@@ -45,6 +45,12 @@ class Run(NamedTuple):
     provenance: object = None
 
 
+def run_interval(run: Run) -> int:
+    """The centralized interval a held run lies in, that of its first
+    second: the radio cuts runs wherever the holder's identifier changes."""
+    return run.times[0] // CENTRAL_INTERVAL_SECONDS
+
+
 @dataclass(frozen=True)
 class DecentralizedDailyKey:
     tek: bytes
@@ -68,18 +74,13 @@ class BaselineMatch(NamedTuple):
 # -- centralized scheme -------------------------------------------------------
 
 
-@dataclass
-class CentralizedUpload:
-    uploader: bytes
-    observations: list[tuple[bytes, int]]
-
-
 class CentralizedServer:
     """Tracing provider of the centralized baseline.
 
     Holds the full pseudonym registry, so it can rederive every user's
     identifiers and reconstruct who met whom; that power is the privacy
-    weakness the comparison scenarios demonstrate.
+    weakness the comparison scenarios demonstrate.  Of an upload it keeps
+    only that graph's edges, until ``forget_before`` drops its day.
     """
 
     def __init__(self, rng, bluetrace: bool = False):
@@ -88,7 +89,8 @@ class CentralizedServer:
         self._master_key = rng.randbytes(32) if bluetrace else None
         #: user id -> the user's identifiers by interval, each derived once
         self._registry: dict[bytes, dict[int, bytes]] = {}
-        self._uploads: list[CentralizedUpload] = []
+        #: (infected uploader, matched user) -> day of the upload
+        self._edges: dict[tuple[bytes, bytes], int] = {}
 
     def register(self) -> bytes:
         while True:
@@ -120,36 +122,36 @@ class CentralizedServer:
             tempids[t_k] = tempid
         return tempid
 
-    def match(self, uploaded: list[tuple[bytes, int]]) -> list[bytes]:
-        """UserIDs whose derived identifiers equal the uploaded ones at
-        the uploaded timestamps.  The uploader is TAN-verified upstream.
-        The upload is indexed by interval once: a user costs one
-        identifier per distinct uploaded interval, not one per observation."""
+    def match(self, runs: list[Run]) -> list[bytes]:
+        """UserIDs whose derived identifiers equal the uploaded ones in
+        the uploaded intervals.  The uploader is TAN-verified upstream.
+        The upload is indexed by ``run_interval`` once: a user costs one
+        identifier per distinct uploaded interval."""
         by_interval: dict[int, set[bytes]] = {}
-        for tempid, timestamp in uploaded:
-            by_interval.setdefault(timestamp // CENTRAL_INTERVAL_SECONDS, set()).add(tempid)
+        for run in runs:
+            by_interval.setdefault(run_interval(run), set()).add(run.tempid)
         return [
             user_id
             for user_id in self._registry
             if any(self.tempid_for(user_id, t_k) in heard for t_k, heard in by_interval.items())
         ]
 
-    def ingest_upload(
-        self, uploader: bytes, uploaded: list[tuple[bytes, int]]
-    ) -> list[bytes]:
-        """Store an infected user's observation upload and return the
-        matched contacts to notify."""
-        self._uploads.append(CentralizedUpload(uploader, list(uploaded)))
-        return self.match(uploaded)
+    def ingest_upload(self, uploader: bytes, runs: list[Run], day: int) -> list[bytes]:
+        """Match an infected user's upload of held runs, keep the edges it
+        adds to the contact graph, and return the matched contacts to
+        notify."""
+        matched = self.match(runs)
+        self._edges.update(((uploader, user_id), day) for user_id in matched)
+        return matched
+
+    def forget_before(self, day: int) -> None:
+        """Drop the edges of uploads made before ``day``."""
+        self._edges = {edge: d for edge, d in self._edges.items() if d >= day}
 
     def contact_edges(self) -> set[tuple[bytes, bytes]]:
         """The encounter graph the server can reconstruct from its own
         state: one edge per (infected uploader, matched user)."""
-        edges = set()
-        for upload in self._uploads:
-            for user_id in self.match(upload.observations):
-                edges.add((upload.uploader, user_id))
-        return edges
+        return set(self._edges)
 
 
 # -- decentralized scheme -----------------------------------------------------
@@ -157,15 +159,26 @@ class CentralizedServer:
 
 @dataclass
 class DecentralizedServer:
-    """Pass-through key publisher of the decentralized baseline."""
+    """Pass-through key publisher of the decentralized baseline.  Keys
+    are numbered in the order published, so a reader that keeps the count
+    it has read gets each later key once, whatever ``forget_before`` drops."""
 
-    published: list[DecentralizedDailyKey] = field(default_factory=list)
+    #: number -> key, for the keys still held
+    published: dict[int, DecentralizedDailyKey] = field(default_factory=dict, init=False)
+    #: keys ever published
+    count: int = field(default=0, init=False)
 
     def publish(self, teks: list[DecentralizedDailyKey]) -> None:
-        self.published.extend(teks)
+        self.published.update(enumerate(teks, self.count))
+        self.count += len(teks)
 
-    def download(self) -> list[DecentralizedDailyKey]:
-        return list(self.published)
+    def download(self, since: int = 0) -> list[DecentralizedDailyKey]:
+        """The held keys numbered ``since`` or later, in publication order."""
+        return [self.published[n] for n in range(since, self.count) if n in self.published]
+
+    def forget_before(self, day: int) -> None:
+        """Drop the keys of days before ``day``."""
+        self.published = {n: key for n, key in self.published.items() if key.day >= day}
 
 
 def new_daily_key(identity_seed: bytes, day: int) -> DecentralizedDailyKey:

@@ -24,9 +24,10 @@ dwell threshold and wherever the order within a second can matter
 reports match the oracle byte for byte.  Sensors log the first and last
 second of each advertising stretch per identifier.  A baseline client
 keeps each run it is handed as one entry (identifier, RSSI, the run's
-seconds on its own clock, provenance); no run crosses a cadence event,
-so midnight drops a prefix of whole runs.  Matching and the centralized
-upload read the runs.
+seconds on its own clock, provenance).  No run crosses a cadence event
+or an identifier interval of its holder, so midnight drops a prefix of
+whole runs, and the centralized upload is the runs.  At midnight the
+baseline servers, too, forget what is older than the retention period.
 
 Determinism: all randomness flows from the scenario seed through named
 substreams (feed shuffles, TAN issuance, adversary noise, and channel
@@ -226,7 +227,7 @@ class _Beam:
 
     def next_rule(self) -> float:
         """No pending beacon before this second may ask for a handshake."""
-        if not self.pending:
+        if not self.pending or not self.dst.handshakes:
             return math.inf
         return max(self.pending[0], min(self.until, self.run_end))
 
@@ -284,6 +285,8 @@ class _Client:
 
     #: seconds of the device's clock between identifier changes
     rotation_period: int
+    #: whether a beacon it hears may ask for a handshake
+    handshakes = True
 
     def __init__(self, spec, config: ScenarioConfig):
         self.id = spec.id
@@ -491,6 +494,8 @@ class _BaselineClient(_Client):
     retention period.  A run carries its provenance (source and relay),
     which only the engine's reporting reads."""
 
+    handshakes = False
+
     def __init__(self, spec, config: ScenarioConfig):
         super().__init__(spec, config)
         self.runs: list[baselines.Run] = []
@@ -523,7 +528,6 @@ class _DecentralizedClient(_BaselineClient):
     def __init__(self, spec, config: ScenarioConfig):
         super().__init__(spec, config)
         self.last_key_count = 0
-        self.notified_keys: set[tuple[bytes, int]] = set()
         #: local day -> that day's key; broadcasting, the upload and every
         #: reader of the published key share its identifier table
         self.keys: dict[int, baselines.DecentralizedDailyKey] = {}
@@ -551,7 +555,7 @@ class _DecentralizedClient(_BaselineClient):
     def fake_claims(engine: Engine, attempts: int) -> int:
         """Nothing authenticates a claimed exposure: every attempt succeeds
         once any key is published."""
-        return attempts if engine.dec_server.published else 0
+        return attempts if engine.dec_server.count else 0
 
     def upload(self, engine: Engine, t: int, day: int) -> None:
         first = max(0, day - engine.config.retention_days + 1)
@@ -561,11 +565,11 @@ class _DecentralizedClient(_BaselineClient):
         engine.payload_up += 4 + 1 + len(keys) * 20
 
     def fetch(self, engine: Engine, t: int) -> None:
-        published = engine.dec_server.published
-        if len(published) == self.last_key_count:
+        server = engine.dec_server
+        if server.count == self.last_key_count:
             return
-        new_keys = published[self.last_key_count :]
-        self.last_key_count = len(published)
+        new_keys = server.download(self.last_key_count)
+        self.last_key_count = server.count
         engine.payload_up += 4 + 5
         engine.payload_down += 4 + 1 + 20 * len(new_keys)
         matches = baselines.match_observations(
@@ -574,17 +578,14 @@ class _DecentralizedClient(_BaselineClient):
             replay_window=engine.config.replay_window,
             kiss_bug=engine.config.kiss_bug,
         )
-        fresh = []
+        fresh = {}
         for match in matches:
-            dedupe = (match.key.tek, match.key.day)
-            if dedupe not in self.notified_keys:
-                self.notified_keys.add(dedupe)
-                fresh.append(match)
+            fresh.setdefault(match.key, match)
         if not fresh:
             return
         owners = {(key.tek, key.day): owner for owner, key in engine.gt_published_keys}
         provenance = baselines.provenance_lookup(self.runs)
-        for match in fresh:
+        for match in fresh.values():
             owner = owners.get((match.key.tek, match.key.day))
             prov = provenance(match.observation.tempid, match.observation.time)
             engine.record_notification(
@@ -611,43 +612,40 @@ class _CentralizedClient(_BaselineClient):
         tan = engine.authority.issue_tan(self.id, t)
         if not engine.authority.verify_tan(tan.value):
             return
-        uploaded = [(run.tempid, t) for run in self.runs for t in run.times]
-        engine.payload_up += 4 + 2 + len(tan.value) + 24 * len(uploaded)
-        matched = self.cen_server.ingest_upload(self.user_id, uploaded)
+        engine.payload_up += 4 + 2 + len(tan.value) + 24 * sum(len(r.times) for r in self.runs)
+        matched = self.cen_server.ingest_upload(self.user_id, self.runs, day)
         by_user = {
             c.user_id: c for c in engine.clients.values() if isinstance(c, _CentralizedClient)
         }
         provenance = baselines.provenance_lookup(self.runs)
         for user_id in matched:
-            target = by_user.get(user_id)
-            if target is None:
-                continue
-            genuine, via = self._match_provenance(target, uploaded, provenance)
+            genuine, via = self._match_provenance(by_user[user_id], provenance)
             engine.payload_down += 21
             engine.record_notification(
-                target, t, "direct", False,
+                by_user[user_id], t, "direct", False,
                 matched=user_id.hex(),
                 source=self.id,
                 via=via,
                 genuine=genuine,
             )
 
-    def _match_provenance(self, target, uploaded, provenance):
+    def _match_provenance(self, target, provenance):
         """Did any genuinely observed identifier of `target` trigger the
         match, or only relayed ones?"""
         best_via = None
-        # one derivation per interval, asked for in the upload's order
+        # one derivation per interval, in the order held
         tempids: dict[int, bytes] = {}
-        for tempid, timestamp in uploaded:
-            t_k = timestamp // baselines.CENTRAL_INTERVAL_SECONDS
+        for run in self.runs:
+            t_k = baselines.run_interval(run)
             if t_k not in tempids:
                 tempids[t_k] = self.cen_server.tempid_for(target.user_id, t_k)
-            if tempids[t_k] != tempid:
+            if tempids[t_k] != run.tempid:
                 continue
-            prov = provenance(tempid, timestamp)
-            if prov["via"] is None and prov["source"] == target.id:
-                return True, None
-            best_via = prov["via"]
+            for t in run.times:
+                prov = provenance(run.tempid, t)
+                if prov["via"] is None and prov["source"] == target.id:
+                    return True, None
+                best_via = prov["via"]
         return False, best_via
 
 
@@ -1004,6 +1002,10 @@ class Engine:
 
     def _midnight(self, day: int) -> None:
         self.server.advance_epoch(day)
+        horizon = day - self.config.retention_days
+        self.cen_server.forget_before(horizon)
+        # a key stays while it can match a held run, up to replay_window past its day
+        self.dec_server.forget_before(horizon - 1 - self.config.replay_window // SECONDS_PER_DAY)
         for client in self.clients.values():
             client.midnight(day)
 

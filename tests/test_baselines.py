@@ -19,6 +19,8 @@ from tracecorona.baselines import (
     provenance_lookup,
     tempid_at,
 )
+from tracecorona.simnet.config import ScenarioConfig
+from tracecorona.simnet.engine import Engine
 
 DAY = 86400
 
@@ -39,14 +41,14 @@ class TestCentralized:
         server = CentralizedServer(random.Random(2))
         alice, bob, carol = (server.register() for _ in range(3))
         t = 36000
-        observed = [(server.tempid_for(bob, t // 900), t)]
+        observed = [Run(server.tempid_for(bob, t // 900), (t,), -55.0)]
         assert server.match(observed) == [bob]
         assert carol not in server.match(observed)
 
     def test_unregistered_tempid_no_match(self):
         server = CentralizedServer(random.Random(3))
         server.register()
-        assert server.match([(bytes(16), 1000)]) == []
+        assert server.match([Run(bytes(16), (1000,), -55.0)]) == []
 
     def test_empty_upload_empty_result(self):
         server = CentralizedServer(random.Random(4))
@@ -61,31 +63,38 @@ class TestCentralized:
         victim = server.register()
         slot_time = 7 * 900 + 100
         relayed = server.tempid_for(victim, slot_time // 900)
-        matched = server.ingest_upload(infected, [(relayed, slot_time + 60)])
+        matched = server.ingest_upload(infected, [Run(relayed, (slot_time + 60,), -70.0)], 0)
         assert victim in matched
 
-    def test_contact_graph_reconstruction(self):
+    def test_contact_graph_reconstruction(self, monkeypatch):
         server = CentralizedServer(random.Random(6))
         users = [server.register() for _ in range(4)]
         infected = users[0]
         contacts = users[1:3]
         observed = [
-            (server.tempid_for(u, 40), 40 * 900 + 5) for u in contacts
+            Run(server.tempid_for(u, 40), range(40 * 900 + 5, 40 * 900 + 65), -55.0)
+            for u in contacts
         ]
-        server.ingest_upload(infected, observed)
+        server.ingest_upload(infected, observed, 3)
+        # the edges are kept at ingest, not found by matching the upload again
+        monkeypatch.setattr(server, "match", None)
         assert server.contact_edges() == {(infected, u) for u in contacts}
 
     @pytest.mark.parametrize("bluetrace", [False, True])
     def test_match_derives_once_per_user_and_uploaded_interval(self, monkeypatch, bluetrace):
         server = CentralizedServer(random.Random(8), bluetrace=bluetrace)
         users = [server.register() for _ in range(5)]
-        # every second of three intervals: a contact's identifier in the
-        # middle one, a stranger's everywhere else
+        # a run over each of three intervals, cut in two halves: a
+        # contact's identifier in the middle one, a stranger's everywhere else
         heard = {40: bytes(16), 41: server.tempid_for(users[2], 41), 43: bytes(16)}
-        uploaded = [(heard[t_k], t) for t_k in heard for t in range(t_k * 900, t_k * 900 + 900)]
+        uploaded = [
+            Run(heard[t_k], range(t_k * 900 + half, t_k * 900 + half + 450), -55.0)
+            for t_k in heard for half in (0, 450)
+        ]
         expected = [
             u for u in users
-            if any(server.tempid_for(u, t // 900) == tempid for tempid, t in uploaded)
+            if any(server.tempid_for(u, t // 900) == run.tempid
+                   for run in uploaded for t in run.times)
         ]
         calls = []
         tempid_for = server.tempid_for
@@ -168,6 +177,65 @@ class TestDecentralized:
         derived = set(crypto.derive_tempids_decentralized(key.tek, key.day))
         assert broadcast == derived
         assert len(derived) == 144
+
+
+class TestRetention:
+    @pytest.mark.parametrize("replay_window", [0, 7200, DAY])
+    @pytest.mark.parametrize("retention_days", [1, 14])
+    def test_servers_keep_a_day_for_the_retention_period(self, retention_days, replay_window):
+        """An edge uploaded on day d is held at the midnight of day
+        d + retention_days and dropped at the next.  A key of day d
+        matches runs up to replay_window seconds past its day, and a
+        client holds a run for retention_days after the run's day, so the
+        key is held one day longer, and a day more per whole day of the
+        window: as long as a held run could match it."""
+        engine = Engine(ScenarioConfig.from_dict({
+            "name": "retention", "seed": 1, "duration_days": 30, "scheme": "centralized",
+            "devices": [{"id": "a"}], "retention_days": retention_days,
+            "replay_window": replay_window,
+        }))
+        day, central = 3, engine.cen_server
+        key = new_daily_key(b"x", day)
+        engine.dec_server.publish([key])
+        infected, contact = central.register(), central.register()
+        central.ingest_upload(infected, [Run(central.tempid_for(contact, 7), (6400,), -55.0)], day)
+        engine._midnight(day + retention_days)
+        assert central.contact_edges() == {(infected, contact)}
+        engine._midnight(day + retention_days + 1)
+        assert central.contact_edges() == set()
+        late = 1 + replay_window // DAY
+        engine._midnight(day + retention_days + late)
+        assert engine.dec_server.download() == [key]
+        engine._midnight(day + retention_days + late + 1)
+        assert engine.dec_server.download() == [] and engine.dec_server.count == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("publish"), st.lists(st.integers(0, 9), max_size=4)),
+        st.tuples(st.just("forget"), st.integers(0, 10)),
+        st.tuples(st.just("read"), st.none()),
+    ), max_size=12))
+    def test_read_position_spans_expiries(self, steps):
+        """A reader that keeps the count it has read gets each key
+        published after its last read once, unless it was dropped before
+        this read, whatever was dropped in between."""
+        server, published, read, position = DecentralizedServer(), [], [], 0
+        for step, arg in steps + [("read", None)]:
+            if step == "publish":
+                keys = [new_daily_key(bytes([len(published) + i]), d) for i, d in enumerate(arg)]
+                server.publish(keys)
+                published += [[key, True] for key in keys]
+            elif step == "forget":
+                server.forget_before(arg)
+                for entry in published:
+                    entry[1] = entry[1] and entry[0].day >= arg
+            else:
+                got = server.download(position)
+                assert got == [key for key, held in published[position:] if held]
+                read += got
+                position = server.count
+        assert server.count == len(published)
+        assert len(read) == len(set(read))
 
 
 #: Published keys for the matching property: two devices on day 1, one on day 2.

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import match_oracle
 from test_report_digests import room
 
-from tracecorona import crypto, wire
+from tracecorona import baselines, crypto, wire
 from tracecorona.device import MAX_OPEN_CHANNELS, HandshakeRequest
 from tracecorona.simnet import engine as engine_module
 from tracecorona.simnet.config import ConfigError, InfectionSpec, ScenarioConfig
@@ -636,7 +636,7 @@ class TestInvariants:
             notes = engine.run().notifications
             assert notes
             published = {
-                tempid.hex() for key in engine.dec_server.published for tempid in key.tempids
+                tempid.hex() for key in engine.dec_server.download() for tempid in key.tempids
             }
             for note in notes:
                 assert note["matched"] in published
@@ -1000,7 +1000,9 @@ class TestBaselineRuns:
     def test_held_runs_cross_no_cadence_event_and_stay_in_window_order(self, config):
         """At every midnight each baseline client's runs lie each within
         one cadence window, in window order, so the midnight drops
-        exactly the observations before the retention horizon."""
+        exactly the observations before the retention horizon; and each
+        within one identifier interval of the client's own clock, so a
+        centralized upload is matched by each run's first second."""
         midnights = []
 
         class Checked(Engine):
@@ -1015,6 +1017,8 @@ class TestBaselineRuns:
                         )
                         assert first == last
                         windows.append(first)
+                        period = client.rotation_period
+                        assert run.times[0] // period == run.times[-1] // period
                     assert windows == sorted(windows)
                     horizon = client.device.local_time(day * DAY) - client.retention_s
                     expected[client.id] = [
@@ -1053,6 +1057,89 @@ class TestBaselineRuns:
                 kept.update((c.id, len(c.runs)) for c in self.clients.values())
 
         assert Permuted(config).run().to_json() == Engine(config).run().to_json()
+
+    @pytest.mark.parametrize("loss", [0.0, 0.1])
+    @pytest.mark.parametrize("scheme", ["decentralized", "centralized"])
+    def test_pair_alone_holds_the_runs_it_loads(self, monkeypatch, scheme, loss):
+        """Two baseline clients alone for two hours hold each run the
+        radio loads as one: neither asks for a handshake, so no run is
+        cut where one might complete."""
+        loaded = []
+        load = engine_module._Beam.load
+
+        def counted(beam):
+            load(beam)
+            loaded.extend(beam.pending[:1])
+
+        monkeypatch.setattr(engine_module._Beam, "load", counted)
+        start = 3 * DAY + 9 * 3600
+        engine = Engine(ScenarioConfig.from_dict(config_dict(
+            scheme=scheme, infections=[], channel_loss=loss,
+            colocation_schedule=[{"device_a": "a", "device_b": "b", "start": start,
+                                  "end": start + 7200, "rssi_profile": -55}],
+        )))
+        engine.run()
+        assert loaded and sum(len(c.runs) for c in engine.clients.values()) == len(loaded)
+
+    @pytest.mark.parametrize("scheme", ["decentralized", "centralized"])
+    def test_server_state_flat_past_retention(self, scheme):
+        """Device i meets h on day i - 1 and uploads at noon of day i, for
+        i from 1 to 28 of a 30-day run.  From day 15 on, a midnight leaves
+        the server no more than the last 15 days' uploads added: the keys
+        (decentralized) or the contact-graph edges (centralized)."""
+        ids = range(1, 29)
+        config = ScenarioConfig.from_dict(config_dict(
+            scheme=scheme, duration_days=30, channel_loss=0.0,
+            devices=[{"id": "h"}, *({"id": f"d{i}"} for i in ids)],
+            colocation_schedule=[
+                {"device_a": f"d{i}", "device_b": "h", "start": (i - 1) * DAY + 36000,
+                 "end": (i - 1) * DAY + 36600}
+                for i in ids
+            ],
+            infections=[{"device": f"d{i}", "day": i - 1} for i in ids],
+            disease_timeline={"incubation_to_contagious_days": 0, "contagious_to_symptoms_days": 1,
+                              "symptoms_to_test_days": 0, "test_to_result_days": 0},
+        ))
+        added, held = {}, {}
+
+        class Recording(Engine):
+            def _noon_uploads(self, day):
+                before = len(self.gt_published_keys) + len(self.cen_server.contact_edges())
+                super()._noon_uploads(day)
+                after = len(self.gt_published_keys) + len(self.cen_server.contact_edges())
+                added[day] = after - before
+
+            def _midnight(self, day):
+                super()._midnight(day)
+                held[day] = len(self.dec_server.published) + len(self.cen_server.contact_edges())
+
+        Recording(config).run()
+        assert [day for day, n in added.items() if n] == list(ids)
+        for day in range(15, 30):
+            assert 0 < held[day] <= sum(added[d] for d in range(day - 15, day))
+
+    @pytest.mark.parametrize("cadence", [DAY, 40 * 3600, 2 * DAY, 3 * DAY, 7 * DAY])
+    def test_key_expiry_loses_no_notification(self, monkeypatch, cadence):
+        """Whatever the feed cadence, the server's key expiry changes no
+        notification.  With retention_days 2, a (an hour behind) tests
+        positive on day 3 and publishes its keys of days 2 and 3; b heard
+        a at 00:10 of day 3 broadcasting its key of day 2, which matches
+        within the replay window.  The day-2 key outlives b's day-3 runs:
+        with a 3-day cadence b first fetches at 23:00 of day 5, after a
+        key kept only for day 2's retention would have gone."""
+        config = ScenarioConfig.from_dict(config_dict(
+            scheme="decentralized", duration_days=9, feed_cadence=cadence, retention_days=2,
+            channel_loss=0.0, devices=[{"id": "a", "clock_offset_s": -3600}, {"id": "b"}],
+            colocation_schedule=[{"device_a": "a", "device_b": "b", "start": 3 * DAY + 600,
+                                  "end": 3 * DAY + 2400, "rssi_profile": -55}],
+            infections=[{"device": "a", "day": 2}],
+            disease_timeline={"incubation_to_contagious_days": 0, "contagious_to_symptoms_days": 1,
+                              "symptoms_to_test_days": 0, "test_to_result_days": 0},
+        ))
+        notes = Engine(config).run().notifications
+        monkeypatch.setattr(baselines.DecentralizedServer, "forget_before", lambda self, day: None)
+        assert notes == Engine(config).run().notifications
+        assert len(notes) == (cadence < 7 * DAY)
 
     @pytest.mark.parametrize("loss", [0.0, 0.1])
     @pytest.mark.parametrize("scheme", ["decentralized", "centralized"])
@@ -1176,8 +1263,6 @@ class TestDerivationCounts:
         """Crediting a centralized notification asks the server for the
         notified user's identifier once per uploaded interval, not once
         per uploaded observation."""
-        from tracecorona import baselines
-        from tracecorona.simnet import engine as engine_module
 
         # a hears c for 20 minutes on day 3 and b on day 4: crediting b
         # passes every observation of c first
@@ -1201,12 +1286,14 @@ class TestDerivationCounts:
                 calls[-1][(user_id, t_k)] += 1
             return tempid_for(server, user_id, t_k)
 
-        def counted_match(client, target, uploaded, provenance):
+        def counted_match(client, target, provenance):
             calls.append(Counter())
-            intervals.append(len({t // baselines.CENTRAL_INTERVAL_SECONDS for _, t in uploaded}))
+            intervals.append(len({
+                t // baselines.CENTRAL_INTERVAL_SECONDS for run in client.runs for t in run.times
+            }))
             inside.append(True)
             try:
-                return match_provenance(client, target, uploaded, provenance)
+                return match_provenance(client, target, provenance)
             finally:
                 inside.pop()
 
