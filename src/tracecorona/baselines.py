@@ -144,9 +144,12 @@ class CentralizedServer:
         self._edges.update(((uploader, user_id), day) for user_id in matched)
         return matched
 
-    def forget_before(self, day: int) -> None:
-        """Drop the edges of uploads made before ``day``."""
+    def forget_before(self, day: int, interval: int) -> None:
+        """Drop the edges of uploads made before ``day`` and the
+        identifiers of intervals before ``interval``."""
         self._edges = {edge: d for edge, d in self._edges.items() if d >= day}
+        for user_id, tempids in self._registry.items():
+            self._registry[user_id] = {t_k: i for t_k, i in tempids.items() if t_k >= interval}
 
     def contact_edges(self) -> set[tuple[bytes, bytes]]:
         """The encounter graph the server can reconstruct from its own

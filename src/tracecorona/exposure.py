@@ -41,6 +41,8 @@ class ExposureNotification:
     encounter_time: int
     duration: int
     risk_score: float
+    #: the store's token that matched
+    token: EncounterToken
 
 
 def risk_score(duration: int, max_rssi: float) -> float:
@@ -107,6 +109,7 @@ def match_feed(
                     encounter_time=token.start_time,
                     duration=token.duration,
                     risk_score=risk_score(token.duration, token.max_signal_strength),
+                    token=token,
                 )
             )
     notifications.sort(key=lambda n: (n.encounter_time, n.matched_hash, n.level.value))

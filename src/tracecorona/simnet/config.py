@@ -242,15 +242,6 @@ class ColocationInterval:
         default=-55.0, metadata={"codec": (_parse_profile, _dump_profile)}
     )
 
-    def rssi_at(self, t: int) -> float:
-        if isinstance(self.rssi_profile, (int, float)):
-            return float(self.rssi_profile)
-        value = float(self.rssi_profile[0][1])
-        for offset, dbm in self.rssi_profile:
-            if self.start + offset <= t:
-                value = float(dbm)
-        return value
-
     def validate(self, config: "ScenarioConfig") -> None:
         schemes = config._schemes
         _require(self.device_a in schemes, "device_a", "unknown device id")

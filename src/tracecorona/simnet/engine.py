@@ -38,11 +38,11 @@ deliverable second in time order, so it depends on the seed, the link,
 the direction and the second only, never on the order of events.
 Attack bookkeeping (which encounters were injected) lives where the
 encounter does: a token carries its peer and the relay its handshake
-ran through (``EncounterToken.peer_hint`` and ``via``), a baseline
-client's runs carry their provenance, and the engine keeps only what
-outlives them (which uploader published which record, the published
-keys, infections).  No scheme step reads any of it.  The report's
-tallies are read from the notification list.
+ran through (``EncounterToken.peer_hint`` and ``via``), read off the
+token a TraceCORONA notification matched; a baseline client's runs
+carry their provenance; the engine keeps only which uploader published
+which key, and infections.  No scheme step reads any of it.  The
+report's tallies are read from the notification list.
 
 Nominal wire sizes for the baseline schemes, used for payload
 accounting: a published daily key frames as 4-byte day || 16-byte key;
@@ -62,6 +62,7 @@ import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 
 from .. import baselines, crypto, exposure, payload, wire
 from ..authority import HealthAuthority
@@ -88,6 +89,7 @@ CLAIM_TIME = 23 * 3600 + 45 * 60
 _FORGED = struct.Struct(f"{wire.PROOF_BYTES}s{wire.TOKEN_HASH_BYTES}s{wire.CIPHERTEXT_BYTES}s")
 #: Forged claims taken per draw: a fixed chunk bounds a draw's memory.
 _FORGED_CHUNK = 256
+_OFFSET = itemgetter(0)
 
 
 def _sub_seed(seed: int, *labels) -> int:
@@ -117,7 +119,8 @@ class _Link:
     key: tuple
     latency: int = 0
     adversary: int | None = None
-    rssi: object = -55.0  # float or ColocationInterval
+    #: (offset from start, dBm) segments, the first at offset 0
+    rssi: tuple = ((0, -55.0),)
     #: position in the engine's link list
     index: int = 0
     beams: list = field(default_factory=list)
@@ -126,16 +129,17 @@ class _Link:
     pair: list = field(default_factory=list)
 
     def rssi_at(self, t: int) -> float:
-        if isinstance(self.rssi, (int, float)):
-            return float(self.rssi)
-        return self.rssi.rssi_at(t)
+        return self.rssi[bisect.bisect_right(self.rssi, t - self.start, key=_OFFSET) - 1][1]
 
     def rssi_change_after(self, t: int) -> float:
         """The first second after t at which the RSSI changes."""
-        profile = getattr(self.rssi, "rssi_profile", ())
-        if not isinstance(profile, tuple):
-            return math.inf
-        return next((self.start + o for o, _ in profile if self.start + o > t), math.inf)
+        i = bisect.bisect_right(self.rssi, t - self.start, key=_OFFSET)
+        return self.start + self.rssi[i][0] if i < len(self.rssi) else math.inf
+
+
+def _segments(rssi) -> tuple:
+    """An RSSI profile as ``_Link.rssi`` segments: a constant is one."""
+    return rssi if isinstance(rssi, tuple) else ((0, float(rssi)),)
 
 
 class _Beam:
@@ -336,8 +340,9 @@ class _TraceCoronaClient(_Client):
         self.rotation_period = config.frame_period
         self.next_since = 0
         self.last_record_count = 0
-        #: whole record frames, as one uploader's copies of a token differ
-        #: only by tag (the last byte)
+        #: the frames a fetch skips: the last feed's (a fetch serves no
+        #: earlier epoch) and its own uploads since, whole, as one
+        #: uploader's copies of a token differ only by tag (the last byte)
         self.seen_records: set[bytes] = set()
         self.matched_direct_hashes: set[bytes] = set()
         self.second_level_done = False
@@ -356,45 +361,35 @@ class _TraceCoronaClient(_Client):
             engine.start_handshake(self, src, request, seconds[0], link)
         return until
 
-    def _eligible_tokens(self, engine: Engine):
-        self.device.charge()
-        drops = [r for r in engine.config.redactions if r.device == self.id]
-        return exposure.redact_tokens(
-            self.device.store,
-            lambda token: any(r.drop_start <= token.start_time < r.drop_end for r in drops),
-        )
-
-    def _submit(self, engine: Engine, encode, pairs) -> None:
-        """Send one upload of the (token, record) pairs; once it is
-        accepted, record each record's provenance under its uploader: the
-        token's peer, and its relay for a DIRECT record.  A client never
-        re-matches its own uploads."""
-        body = encode([record for _, record in pairs])
+    def _submit(self, engine: Engine, encode, records) -> None:
+        """Send one upload of the records; once it is accepted, its frames
+        join those the next fetch skips: a client never re-matches its own
+        uploads."""
+        body = encode(records)
         response = wire.handle_request(engine.server, body)
         engine.payload_up += 4 + len(body)
         engine.payload_down += 4 + len(response)
-        if response[0] != wire.STATUS_ACCEPTED:
-            return
-        for token, record in pairs:
-            self.seen_records.add(wire.encode_record(record))
-            engine.gt_record_origin.setdefault(record.hash, {})[self.id] = {
-                "peer": token.peer_hint,
-                "via": token.via if record.tag is wire.Tag.DIRECT else None,
-            }
+        if response[0] == wire.STATUS_ACCEPTED:
+            self.seen_records.update(map(wire.encode_record, records))
 
-    def _pairs(self, engine: Engine, tag: wire.Tag, skip_hashes=()) -> list:
-        """(token, record) for each eligible token, the record carrying
-        the tag the server publishes it under."""
-        tokens = self._eligible_tokens(engine)
+    def _records(self, engine: Engine, tag: wire.Tag, skip_hashes=()) -> list:
+        """A record under ``tag`` for each token the client may upload (not
+        redacted) whose hash is not skipped."""
+        self.device.charge()
+        drops = [r for r in engine.config.redactions if r.device == self.id]
+        tokens = exposure.redact_tokens(
+            self.device.store,
+            lambda token: any(r.drop_start <= token.start_time < r.drop_end for r in drops),
+        )
         records = exposure.build_upload_records(tokens, tag)
-        return [pair for pair in zip(tokens, records) if pair[1].hash not in skip_hashes]
+        return [record for record in records if record.hash not in skip_hashes]
 
     def upload(self, engine: Engine, t: int, day: int) -> None:
-        pairs = self._pairs(engine, wire.Tag.DIRECT)
-        if not pairs:
+        records = self._records(engine, wire.Tag.DIRECT)
+        if not records:
             return
         tan = engine.authority.issue_tan(self.id, t)
-        self._submit(engine, partial(wire.encode_upload_infected, tan.value), pairs)
+        self._submit(engine, partial(wire.encode_upload_infected, tan.value), records)
 
     def fetch(self, engine: Engine, t: int) -> None:
         stats = engine.server.stats_snapshot()
@@ -409,33 +404,32 @@ class _TraceCoronaClient(_Client):
         engine.payload_down += 4 + len(response)
         feed = wire.read_feed(response)
         self.next_since = feed.feed_epoch
-        unseen = [f for f in dict.fromkeys(feed.frames) if f not in self.seen_records]
-        self.seen_records.update(unseen)
+        frames = dict.fromkeys(feed.frames)
+        unseen = [f for f in frames if f not in self.seen_records]
+        self.seen_records = set(frames)
         if not unseen:
             return
         feed = wire.PublishedFeed.from_frames(unseen, feed.feed_epoch)
         found = exposure.match_feed(self.device.store, feed, engine.config.epsilon)
-        got_direct = False
         for notification in found:
-            # Both sides of an encounter may upload its token; the
-            # notification comes from the other side's record.
-            origins = engine.gt_record_origin.get(notification.matched_hash, {})
-            source = next((u for u in origins if u != self.id), None)
-            origin = origins.get(source)
+            # Only the token's two ends hold its secret and a client skips
+            # its own uploads, so the record came from the token's peer.
+            token = notification.token
+            direct = notification.level is exposure.NotificationLevel.DIRECT
+            via = token.via if direct and not notification.superspreader_flag else None
             engine.record_notification(
                 self, t, notification.level.value, notification.superspreader_flag,
                 matched=notification.matched_hash.hex(),
-                source=source,
-                via=origin["via"] if origin else None,
-                genuine=bool(origin and origin["via"] is None and origin["peer"] == self.id),
+                source=token.peer_hint,
+                via=via,
+                genuine=via is None,
             )
             engine.server.report_notification(
                 notification.level.value, notification.superspreader_flag
             )
-            if notification.level is exposure.NotificationLevel.DIRECT:
-                got_direct = True
+            if direct:
                 self.matched_direct_hashes.add(notification.matched_hash)
-        if got_direct:
+        if any(n.level is exposure.NotificationLevel.DIRECT for n in found):
             self._react_to_direct(engine, t)
 
     def _react_to_direct(self, engine: Engine, t: int) -> None:
@@ -458,15 +452,16 @@ class _TraceCoronaClient(_Client):
         if not (second_level or superspreader):
             return
         secrets = exposure.detect_superspreader_candidate(self.device.store, matched)
+        secrets = secrets[: wire.MAX_PROOFS]  # all an upload can carry
         if not secrets:
             return
         if second_level:
             encode = partial(wire.encode_upload_second_level, secrets[0])
-            self._submit(engine, encode, self._pairs(engine, wire.Tag.SECOND_LEVEL, matched))
+            self._submit(engine, encode, self._records(engine, wire.Tag.SECOND_LEVEL, matched))
         if superspreader and len(secrets) >= config.superspreader_threshold:
             encode = partial(wire.encode_upload_superspreader, secrets)
             tag = wire.Tag.POSSIBLE_SUPERSPREADER
-            self._submit(engine, encode, self._pairs(engine, tag, matched))
+            self._submit(engine, encode, self._records(engine, tag, matched))
 
     @staticmethod
     def fake_claims(engine: Engine, attempts: int) -> int:
@@ -561,7 +556,7 @@ class _DecentralizedClient(_BaselineClient):
         first = max(0, day - engine.config.retention_days + 1)
         keys = [self.daily_key(d) for d in range(first, day + 1)]
         engine.dec_server.publish(keys)
-        engine.gt_published_keys.extend((self.id, key) for key in keys)
+        engine.gt_published_keys.update(dict.fromkeys(keys, self.id))
         engine.payload_up += 4 + 1 + len(keys) * 20
 
     def fetch(self, engine: Engine, t: int) -> None:
@@ -583,10 +578,9 @@ class _DecentralizedClient(_BaselineClient):
             fresh.setdefault(match.key, match)
         if not fresh:
             return
-        owners = {(key.tek, key.day): owner for owner, key in engine.gt_published_keys}
         provenance = baselines.provenance_lookup(self.runs)
         for match in fresh.values():
-            owner = owners.get((match.key.tek, match.key.day))
+            owner = engine.gt_published_keys.get(match.key)
             prov = provenance(match.observation.tempid, match.observation.time)
             engine.record_notification(
                 self, t, "direct", False,
@@ -700,9 +694,9 @@ class Engine:
         }
 
         # ground truth, invisible to scheme state
-        #: record hash -> uploader -> provenance of that uploader's record
-        self.gt_record_origin: dict[bytes, dict[str, dict]] = {}
-        self.gt_published_keys: list[tuple[str, baselines.DecentralizedDailyKey]] = []
+        #: published key -> its owner, in publication order; a device
+        #: uploads once, so each key is published once
+        self.gt_published_keys: dict[baselines.DecentralizedDailyKey, str] = {}
         self.gt_infections: dict[str, _Infection] = {}
 
         self.sensor_log: list[tuple[str, int, str, bytes]] = []
@@ -758,7 +752,7 @@ class Engine:
                 start=interval.start,
                 end=interval.end,
                 key=("colocation", i),
-                rssi=interval,
+                rssi=_segments(interval.rssi_profile),
             )
             for i, interval in enumerate(config.colocation_schedule)
         ]
@@ -775,7 +769,7 @@ class Engine:
                     key=("relay", index, victim),
                     latency=adv.latency_s,
                     adversary=index,
-                    rssi=adv.emit_rssi,
+                    rssi=_segments(adv.emit_rssi),
                 )
                 for victim in adv.victims
             ]
@@ -1003,7 +997,9 @@ class Engine:
     def _midnight(self, day: int) -> None:
         self.server.advance_epoch(day)
         horizon = day - self.config.retention_days
-        self.cen_server.forget_before(horizon)
+        # no client holds a run, or broadcasts, before its clock's horizon
+        local = min(c.device.local_time(horizon * SECONDS_PER_DAY) for c in self.clients.values())
+        self.cen_server.forget_before(horizon, local // baselines.CENTRAL_INTERVAL_SECONDS)
         # a key stays while it can match a held run, up to replay_window past its day
         self.dec_server.forget_before(horizon - 1 - self.config.replay_window // SECONDS_PER_DAY)
         for client in self.clients.values():
@@ -1070,7 +1066,7 @@ class Engine:
         gt_ids: dict[str, dict] = {}
         # Every published key is its owner's true key, so the identifiers an
         # observer recovers from it are the owner's ground truth as well.
-        for owner, key in self.gt_published_keys:
+        for key, owner in self.gt_published_keys.items():
             times = [t for tempid in key.tempids for t in by_identifier.get((owner, tempid), ())]
             if times:
                 spans[owner] = max(spans[owner], max(times) - min(times))

@@ -78,12 +78,15 @@ CIPHERTEXT_BYTES = 36
 #: A record frame's length: hash, ciphertext length, ciphertext, tag.
 FRAME_BYTES = TOKEN_HASH_BYTES + 4 + CIPHERTEXT_BYTES + 1
 PROOF_BYTES = 32
+#: Most possession proofs one superspreader upload may carry: its count
+#: is one byte.
+MAX_PROOFS = 255
 #: Most records one upload may carry.  The paper's upload is 14 days of
 #: 20 encounters, 280 records; the cap leaves room for busier contacts.
 MAX_UPLOAD_RECORDS = 1024
-#: Largest request the server reads: the longest upload header (255
-#: superspreader proofs), then ``MAX_UPLOAD_RECORDS`` frames.
-MAX_REQUEST_BYTES = 2 + 255 * PROOF_BYTES + 4 + MAX_UPLOAD_RECORDS * FRAME_BYTES
+#: Largest request the server reads: the longest upload header
+#: (``MAX_PROOFS`` proofs), then ``MAX_UPLOAD_RECORDS`` frames.
+MAX_REQUEST_BYTES = 2 + MAX_PROOFS * PROOF_BYTES + 4 + MAX_UPLOAD_RECORDS * FRAME_BYTES
 #: Most connections the socket server serves at once, one thread each.
 MAX_CONNECTIONS = 64
 
@@ -440,8 +443,8 @@ def encode_upload_superspreader(
 ) -> bytes:
     if any(len(p) != PROOF_BYTES for p in proofs):
         raise WireError("possession proofs must be 32 bytes")
-    if len(proofs) > 255:
-        raise WireError(f"{len(proofs)} possession proofs exceed 255")
+    if len(proofs) > MAX_PROOFS:
+        raise WireError(f"{len(proofs)} possession proofs exceed {MAX_PROOFS}")
     return (
         bytes([OP_UPLOAD_SUPERSPREADER, len(proofs)])
         + b"".join(proofs)

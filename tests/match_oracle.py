@@ -72,6 +72,7 @@ def match_feed_records(tokens, records, epsilon):
                 encounter_time=token.start_time,
                 duration=token.duration,
                 risk_score=exposure.risk_score(token.duration, token.max_signal_strength),
+                token=token,
             ))
     hits.sort(key=lambda n: (n.encounter_time, n.matched_hash, n.level.value))
     return hits

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import tracecorona
+from test_report_digests import long_contact
 from tracecorona import cli, crypto, wire
 
 
@@ -25,6 +26,17 @@ class TestRun:
         assert run_cli(["run", "--config", "honest_pair", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert len(report["notifications"]) == 1
+
+    def test_more_matches_than_one_bundle_carries(self, tmp_path):
+        # b matches 288 of a's records; its superspreader upload carries
+        # the first 255 possession proofs
+        config = tmp_path / "long.json"
+        config.write_text(long_contact().canonical_json())
+        out = tmp_path / "report.json"
+        assert run_cli(["run", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert len(report["notifications"]) == 288
+        assert report["server_stats"]["superspreader_flags"] == 1
 
     def test_malformed_config_exit_2_with_field_path(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

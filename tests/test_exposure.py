@@ -58,6 +58,13 @@ class TestMatchFeed:
         assert note.encounter_time == 5000
         assert note.matched_hash == crypto.token_hash(secret)
 
+    def test_notification_carries_the_store_token(self):
+        rng = random.Random(2)
+        secret = rng.randbytes(32)
+        tokens = [token_with(rng.randbytes(32), 5000), token_with(secret, 5000)]
+        (note,) = exposure.match_feed(store_of(tokens), feed_of([record_from(secret, 5010)]), 30)
+        assert note.token is tokens[1]
+
     def test_relayed_timestamp_rejected(self):
         secret = random.Random(2).randbytes(32)
         store = store_of([token_with(secret, 5000)])

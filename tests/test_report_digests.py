@@ -4,11 +4,12 @@ Pins the SHA-256 of ``run_scenario(config).to_json()`` for every bundled
 scenario at seed 1 under each scheme its config accepts, plus one
 centralized BlueTrace variant, as bundled (10% channel loss) and
 lossless.  The lossless set adds three seeded populations per scheme,
-built by the benchmark's generator.  A change meant to alter only what a
-run costs must leave every digest as it is; a change that alters what a
-run computes must say why and update the digests it moves.  Without
-loss a report depends on no random draw of the radio, so the lossless
-digests also hold across changes to how loss is drawn.
+built by the benchmark's generator, a crowded room, a relay whose victim
+re-uploads what was relayed, and a day-long contact.  A change meant to
+alter only what a run costs must leave every digest as it is; a change
+that alters what a run computes must say why and update the digests it
+moves.  Without loss a report depends on no random draw of the radio,
+so the lossless digests also hold across changes to how loss is drawn.
 """
 
 import hashlib
@@ -86,10 +87,47 @@ def room(channel_loss: float) -> ScenarioConfig:
     })
 
 
+#: Infection to positive result in one day: contagious at once,
+#: symptoms the next day, tested and told the same day.
+FAST_TIMELINE = {"incubation_to_contagious_days": 0, "contagious_to_symptoms_days": 1,
+                 "symptoms_to_test_days": 0, "test_to_result_days": 0}
+
+
+def relay_reaction(clock_offset_s: int = 3) -> ScenarioConfig:
+    """w and v meet from 10:00 to 10:30 while a two-way relay tunnels v
+    to c; w and v are infected on day 0 and upload on day 1, and v,
+    warned by w's record, uploads its tokens again at second level.
+    c's direct matches of v's records ran through the relay."""
+    return ScenarioConfig.from_dict({
+        "name": "relay_reaction", "seed": 1, "duration_days": 3, "scheme": "tracecorona",
+        "devices": [{"id": "w"}, {"id": "v", "clock_offset_s": clock_offset_s}, {"id": "c"}],
+        "colocation_schedule": [{"device_a": "w", "device_b": "v", "start": 36000, "end": 37800}],
+        "adversaries": [{"kind": "relay_twoway", "capture": "c", "victims": ["v"],
+                         "start": 36000, "end": 37800, "latency_s": 1}],
+        "infections": [{"device": "w", "day": 0}, {"device": "v", "day": 0}],
+        "disease_timeline": FAST_TIMELINE, "second_level_enabled": True, "channel_loss": 0.0,
+    })
+
+
+def long_contact() -> ScenarioConfig:
+    """a and b together all of day 0 with 5-minute frames: b matches 288
+    of a's records, more possession proofs than one upload carries."""
+    return ScenarioConfig.from_dict({
+        "name": "long_contact", "seed": 1, "duration_days": 3, "scheme": "tracecorona",
+        "devices": [{"id": "a"}, {"id": "b", "clock_offset_s": 3}],
+        "colocation_schedule": [{"device_a": "a", "device_b": "b", "start": 0, "end": 86400}],
+        "infections": [{"device": "a", "day": 0}],
+        "frame_period": 300, "min_encounter_duration": 60,
+        "disease_timeline": FAST_TIMELINE, "channel_loss": 0.0,
+    })
+
+
 LOSSLESS = {
     **{case: config.replace(channel_loss=0.0) for case, config in CONFIGS.items()},
     **populations(0.0),
     "room-tracecorona": room(0.0),
+    "relay_reaction-tracecorona": relay_reaction(),
+    "long_contact-tracecorona": long_contact(),
 }
 
 DIGESTS = {
@@ -157,6 +195,8 @@ LOSSLESS_DIGESTS = {
     "kiss_replay-decentralized":
         "7f35ac07ffbef46e8fbd2d918c14110358cdd95760ae6e91d5eb0efc17f747c7",
     "kiss_replay-tracecorona": "fd0f6c7f277a53cfe648ff4310dcbc298c1be17e86382f091efcf119565795f7",
+    "long_contact-tracecorona":
+        "9e1a420b4b34c18a33129fa34644c52a51776485b561b57194274d35201a2156",
     "population-centralized-1": "2063c891341031fdec22f2892bb7335ee79ea7d130afe9c9e88c86e52f394c42",
     "population-centralized-2": "a2f58eb6fb76378858037e8cec4df47309d964386f3f08752b926fb7fc7fbf34",
     "population-centralized-3": "0547c081d41a250c7541d6051a0e4ba21d8e5f1379bcf55c5dcad360d602546f",
@@ -177,6 +217,8 @@ LOSSLESS_DIGESTS = {
     "relay_r2-centralized": "7b2c5afa91e71b332d3a1f2d4be0c0c78a21dafa7e65b2efe7acaacdee3ea78d",
     "relay_r2-decentralized": "599ac63d62f2e49e6fcd188443674206bf680b8193461a3a631c4118a9d8de2f",
     "relay_r2-tracecorona": "3bc5eb94ff9ca46366a16c1518f45869e74ca955e96192cf43e6977ed6c22883",
+    "relay_reaction-tracecorona":
+        "c9a55249f12935418bd40ee7996d343c94d7702cd4af50cf0459d264ccf553e8",
     "room-tracecorona": "79eac6c77cf93cf262071ffa0bb2b74ca920a07aeb49031a7aa80f0eeb8d3cb1",
     "timeline_chain-centralized":
         "c233d3a312f4cf19f3469405401374f3a79e569535a3e743d1f7545b52936434",

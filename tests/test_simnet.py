@@ -4,6 +4,7 @@ import bisect
 import heapq
 import itertools
 import json
+import math
 import random
 import re
 import tracemalloc
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import match_oracle
-from test_report_digests import room
+from test_report_digests import FAST_TIMELINE, relay_reaction, room
 
 from tracecorona import baselines, crypto, wire
 from tracecorona.device import MAX_OPEN_CHANNELS, HandshakeRequest
@@ -214,10 +215,10 @@ class TestConfig:
     def test_rssi_profile_segments(self):
         good = config_dict()
         good["colocation_schedule"][0]["rssi_profile"] = [[0, -70], [600, -50]]
-        config = ScenarioConfig.from_dict(good)
-        interval = config.colocation_schedule[0]
-        assert interval.rssi_at(interval.start + 10) == -70
-        assert interval.rssi_at(interval.start + 700) == -50
+        (link,) = Engine(ScenarioConfig.from_dict(good))._links()
+        assert link.rssi_at(link.start + 10) == -70
+        assert link.rssi_at(link.start + 700) == -50
+        assert link.rssi_change_after(link.start + 10) == link.start + 600
 
     def test_infection_day_inside_duration(self):
         with pytest.raises(ConfigError, match=r"infections\[0\].day"):
@@ -834,6 +835,39 @@ class TestProvenance:
         assert got == [("a", "b", True), ("b", "a", True)]
         assert report.false_notification_count == 0
 
+    @pytest.mark.parametrize("offset", [3, 0])
+    def test_relayed_record_stays_relayed(self, offset):
+        # v's records reach c through the relay; v later uploads the same
+        # tokens again at second level, which changes nothing about how
+        # the direct ones reached c
+        report = run_scenario(relay_reaction(offset))
+        direct = [
+            (n["source"], n["genuine"]) for n in report.notifications
+            if n["device"] == "c" and n["level"] == "direct"
+        ]
+        assert direct == [("v", False)] * 2
+        assert report.attack_success_rate == 1.0
+
+    @pytest.mark.parametrize("offset", [3, 0])
+    def test_peer_upload_after_the_feed_moved_on(self, offset):
+        # a uploads on day 4, b on day 7; c and d upload on days 5 and 6,
+        # so by day 7 a's feed no longer serves its own upload, and b's
+        # record is matched whether or not the clocks make it byte for
+        # byte a's
+        config = ScenarioConfig.from_dict(config_dict(
+            devices=[{"id": "a"}, {"id": "b", "clock_offset_s": offset},
+                     {"id": "c", "clock_offset_s": 5}, {"id": "d", "clock_offset_s": 7}],
+            colocation_schedule=[
+                {"device_a": x, "device_b": y, "start": 36000, "end": 37800}
+                for x, y in ("ab", "cd")
+            ],
+            infections=[{"device": x, "day": day} for x, day in zip("abcd", (0, 3, 1, 2))],
+            disease_timeline=dict(FAST_TIMELINE, symptoms_to_test_days=3),
+            channel_loss=0.0,
+        ))
+        got = {(n["device"], n["source"], n["day"]) for n in run_scenario(config).notifications}
+        assert {("a", "b", 7), ("b", "a", 4)} <= got
+
 
 class TestCentralizedScheme:
     def test_honest_pair_notified_on_upload_day(self):
@@ -899,6 +933,27 @@ def held_past_retention(scheme, held_by, clients=False):
 
     Recording(config).run()
     return held, sizes
+
+
+def daily_uploads(scheme, partners, channel_loss=0.0):
+    """Device d_i meets each of ``partners`` (h, or e_i for "e") from
+    10:00 to 10:10 of day i - 1 and uploads at noon of day i, for i from
+    1 to 28 of a 30-day run."""
+    ids = range(1, 29)
+    met = [(i, p if p == "h" else f"{p}{i}") for i in ids for p in partners]
+    return ScenarioConfig.from_dict(config_dict(
+        scheme=scheme, duration_days=30, channel_loss=channel_loss,
+        devices=[{"id": d} for d in dict.fromkeys(
+            ["h", *(f"d{i}" for i in ids), *(p for _, p in met)]
+        )],
+        colocation_schedule=[
+            {"device_a": f"d{i}", "device_b": p, "start": (i - 1) * DAY + 36000,
+             "end": (i - 1) * DAY + 36600}
+            for i, p in met
+        ],
+        infections=[{"device": f"d{i}", "day": i - 1} for i in ids],
+        disease_timeline=FAST_TIMELINE,
+    ))
 
 
 #: the cadence events of a day that radio windows are drawn around
@@ -1086,21 +1141,10 @@ class TestBaselineRuns:
         """Device i meets h on day i - 1 and uploads at noon of day i, for
         i from 1 to 28 of a 30-day run.  From day 15 on, a midnight leaves
         the server no more than the last 15 days' uploads added: the keys
-        (decentralized) or the contact-graph edges (centralized)."""
-        ids = range(1, 29)
-        config = ScenarioConfig.from_dict(config_dict(
-            scheme=scheme, duration_days=30, channel_loss=0.0,
-            devices=[{"id": "h"}, *({"id": f"d{i}"} for i in ids)],
-            colocation_schedule=[
-                {"device_a": f"d{i}", "device_b": "h", "start": (i - 1) * DAY + 36000,
-                 "end": (i - 1) * DAY + 36600}
-                for i in ids
-            ],
-            infections=[{"device": f"d{i}", "day": i - 1} for i in ids],
-            disease_timeline={"incubation_to_contagious_days": 0, "contagious_to_symptoms_days": 1,
-                              "symptoms_to_test_days": 0, "test_to_result_days": 0},
-        ))
-        added, held = {}, {}
+        (decentralized) or the contact-graph edges (centralized), and no
+        identifier of an interval before the retention horizon."""
+        config = daily_uploads(scheme, ["h"])
+        added, held, oldest = {}, {}, {}
 
         class Recording(Engine):
             def _noon_uploads(self, day):
@@ -1112,11 +1156,36 @@ class TestBaselineRuns:
             def _midnight(self, day):
                 super()._midnight(day)
                 held[day] = len(self.dec_server.published) + len(self.cen_server.contact_edges())
+                intervals = (t_k for ids in self.cen_server._registry.values() for t_k in ids)
+                oldest[day] = min(intervals, default=math.inf)
 
         Recording(config).run()
-        assert [day for day, n in added.items() if n] == list(ids)
+        assert [day for day, n in added.items() if n] == list(range(1, 29))
         for day in range(15, 30):
             assert 0 < held[day] <= sum(added[d] for d in range(day - 15, day))
+            assert oldest[day] >= (day - 14) * DAY // baselines.CENTRAL_INTERVAL_SECONDS
+
+    @pytest.mark.parametrize("loss", [0.0, 0.1])
+    def test_frame_set_flat_past_retention(self, loss):
+        """Device i meets h and e_i on day i - 1 and uploads at noon of
+        day i, for i from 1 to 28 of a 30-day run.  At each midnight from
+        day 8 on, a client skips no more frames than the last two epochs
+        published: its last feed and its own uploads since.  (Before it a
+        day may publish nothing, and a fetch that finds nothing new keeps
+        the frames of the feed before.)"""
+        config = daily_uploads("tracecorona", ["h", "e"], channel_loss=loss)
+        published, largest = [], []
+
+        class Recording(Engine):
+            def _midnight(self, day):
+                super()._midnight(day)
+                published.append(self.server.stats_snapshot()["records_published"])
+                largest.append(max(len(c.seen_records) for c in self.clients.values()))
+
+        Recording(config).run()
+        assert published[-1] > published[-3] > published[-5]
+        for day in range(8, 30):
+            assert largest[day] <= published[day] - published[day - 2]
 
     @pytest.mark.parametrize("cadence", [DAY, 40 * 3600, 2 * DAY, 3 * DAY, 7 * DAY])
     def test_key_expiry_loses_no_notification(self, monkeypatch, cadence):
