@@ -26,7 +26,7 @@ from importlib import resources
 from . import crypto
 from .authority import HealthAuthority
 from .server import TracingServer
-from .simnet.config import SCHEMES, ConfigError, ScenarioConfig
+from .simnet.config import MAX_RELAY_FANOUT, SCHEMES, ConfigError, ScenarioConfig
 from .simnet.engine import run_scenario
 from .simnet.report import ScenarioReport
 from .wire import (
@@ -204,7 +204,7 @@ def cmd_report(args) -> int:
             if kind == "relay_oneway":
                 verdict = "vulnerable" if succeeded else "resist"
             elif kind == "relay_twoway":
-                verdict = "vulnerable" if succeeded and max_fanout > 8 else "resist"
+                verdict = "vulnerable" if succeeded and max_fanout > MAX_RELAY_FANOUT else "resist"
             elif kind == "fake_claimer":
                 row["fake_claim"] = "vulnerable" if succeeded else "resist"
                 continue

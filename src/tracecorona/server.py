@@ -22,8 +22,8 @@ so beside the frames each epoch is one boundary: (epoch, first index).
 The hash index for possession proofs maps each direct record's hash to
 the index of its last holder and keeps a list of earlier indices only
 for a hash held more than once (both sides of an encounter upload the
-same hash).  It is built, and extended per upload, by C-level passes
-over the held frames.
+same hash).  It is built, and extended per upload, by one loop over
+the held frames in hold order.
 
 Second-level uploads are checked as a batch, one or many
 (``upload_second_level_each``; ``upload_second_level`` is a batch of
@@ -38,8 +38,6 @@ no state to undo.
 
 from __future__ import annotations
 
-import itertools
-import operator
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -52,19 +50,10 @@ from .wire import (
     TOKEN_HASH_BYTES,
     PublishedFeed,
     Tag,
-    TokenUploadRecord,
     append_log,
     epoch_mark,
     read_log,
 )
-
-__all__ = [
-    "Tag",
-    "TokenUploadRecord",
-    "PublishedFeed",
-    "UploadResult",
-    "TracingServer",
-]
 
 REASON_INVALID_TAN = "invalid_tan"
 REASON_MALFORMED_RECORD = "malformed_record"
@@ -77,10 +66,6 @@ class UploadResult:
     accepted: bool
     reason: str | None = None
     stored: int = 0
-
-
-_TAG_OF = operator.itemgetter(-1)
-_HASH_OF = operator.itemgetter(slice(TOKEN_HASH_BYTES))
 
 
 class TracingServer:
@@ -161,24 +146,18 @@ class TracingServer:
             return result
 
     def _index_direct(self, start: int) -> None:
-        """Index the direct records among the held frames from ``start`` on.
-        The frames are filtered and the index updated by C-level passes;
-        only a record whose hash is held more than once takes a Python
-        step, to keep its index among the earlier ones."""
-        records, held, earlier = self._records, self._direct_by_hash, self._direct_earlier
-        # a direct record's tag byte is 0
-        tags = map(_TAG_OF, records[start:])
-        direct = list(itertools.compress(range(start, len(records)), map(operator.not_, tags)))
-        hashes = list(map(_HASH_OF, map(records.__getitem__, direct)))
-        last = dict(zip(hashes, direct))
-        for digest in held.keys() & last.keys():
-            earlier.setdefault(digest, []).append(held[digest])
-        if len(last) < len(direct):
-            # a hash twice in this batch: every index but its last is earlier
-            not_last = map(operator.ne, map(last.__getitem__, hashes), direct)
-            for digest, index in itertools.compress(zip(hashes, direct), not_last):
-                earlier.setdefault(digest, []).append(index)
-        held.update(last)
+        """Index the direct records among the held frames from ``start`` on,
+        in hold order: a hash already indexed keeps its last index among
+        the earlier ones."""
+        held, earlier = self._direct_by_hash, self._direct_earlier
+        for index in range(start, len(self._records)):
+            frame = self._records[index]
+            if frame[-1]:  # a direct record's tag byte is 0
+                continue
+            digest = frame[:TOKEN_HASH_BYTES]
+            if digest in held:
+                earlier.setdefault(digest, []).append(held[digest])
+            held[digest] = index
 
     def _direct_index(self) -> dict[bytes, int]:
         """The hash index of the direct records, built on first use."""
@@ -297,18 +276,13 @@ class TracingServer:
     # -- persistence -----------------------------------------------------------------
 
     @classmethod
-    def replay_log(
-        cls,
-        log_path,
-        authority: HealthAuthority,
-        superspreader_threshold: int = 3,
-    ) -> "TracingServer":
+    def replay_log(cls, log_path, authority: HealthAuthority) -> "TracingServer":
         """Rebuild the published store from an append-only log, which
         is created empty if it is missing.
 
         Upload counters other than record totals are not part of the
         log (they would group records) and restart at zero.
         """
-        server = cls(authority, superspreader_threshold, log_path)
+        server = cls(authority, log_path=log_path)
         _, server._boundaries, server._records = read_log(log_path)
         return server

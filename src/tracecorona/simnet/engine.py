@@ -324,7 +324,8 @@ class _Client:
         raise NotImplementedError
 
     def upload(self, engine: Engine, t: int, day: int) -> None:
-        """The upload at noon of the device's test-result day."""
+        """The upload at the first noon on or after the device's test-result
+        day: a result that a warning moves to today comes after today's noon."""
         raise NotImplementedError
 
     def midnight(self, day: int) -> None:
@@ -453,8 +454,6 @@ class _TraceCoronaClient(_Client):
             return
         secrets = exposure.detect_superspreader_candidate(self.device.store, matched)
         secrets = secrets[: wire.MAX_PROOFS]  # all an upload can carry
-        if not secrets:
-            return
         if second_level:
             encode = partial(wire.encode_upload_second_level, secrets[0])
             self._submit(engine, encode, self._records(engine, wire.Tag.SECOND_LEVEL, matched))
@@ -604,8 +603,7 @@ class _CentralizedClient(_BaselineClient):
 
     def upload(self, engine: Engine, t: int, day: int) -> None:
         tan = engine.authority.issue_tan(self.id, t)
-        if not engine.authority.verify_tan(tan.value):
-            return
+        engine.authority.verify_tan(tan.value)  # spends the TAN
         engine.payload_up += 4 + 2 + len(tan.value) + 24 * sum(len(r.times) for r in self.runs)
         matched = self.cen_server.ingest_upload(self.user_id, self.runs, day)
         by_user = {
@@ -1012,7 +1010,7 @@ class Engine:
     def _noon_uploads(self, day: int) -> None:
         t = day * SECONDS_PER_DAY + NOON
         for device_id, infection in self.gt_infections.items():
-            if infection.uploaded or infection.result_day != day:
+            if infection.uploaded or infection.result_day > day:
                 continue
             infection.uploaded = True
             self.clients[device_id].upload(self, t, day)

@@ -51,10 +51,13 @@ Socket protocol (``WireServer``, ``WireClient``): each message is a
 Request bodies start with a 1-byte opcode; responses with a 1-byte
 status (0 accepted, 1 rejected, 2 malformed).  The server closes a
 connection whose request prefix exceeds ``MAX_REQUEST_BYTES`` without
-reading the body, and one that arrives while ``MAX_CONNECTIONS`` others
-are open without reading anything.  An upload whose record count is
-over ``MAX_UPLOAD_RECORDS`` is malformed, refused before its frames are
-read; responses, such as the feed, are not capped.
+reading the body, one that arrives while ``MAX_CONNECTIONS`` others
+are open without reading anything, and one that leaves any read waiting
+``IDLE_SECONDS`` (30), so a silent client gives its slot back.  The
+deadline is per read, not per message: a client that trickles bytes
+keeps its slot.  An upload whose record count is over
+``MAX_UPLOAD_RECORDS`` is malformed, refused before its frames are read;
+responses, such as the feed, are not capped.
 """
 
 from __future__ import annotations
@@ -89,6 +92,9 @@ MAX_UPLOAD_RECORDS = 1024
 MAX_REQUEST_BYTES = 2 + MAX_PROOFS * PROOF_BYTES + 4 + MAX_UPLOAD_RECORDS * FRAME_BYTES
 #: Most connections the socket server serves at once, one thread each.
 MAX_CONNECTIONS = 64
+#: Seconds the socket server waits on any one read of a connection
+#: before it closes the connection and frees its slot.
+IDLE_SECONDS = 30
 
 
 class Tag(enum.IntEnum):
@@ -567,8 +573,9 @@ def handle_request(server, body: bytes) -> bytes:
 class WireServer(socketserver.ThreadingTCPServer):
     """Threaded TCP front end for a TracingServer: one thread per
     connection, for at most ``MAX_CONNECTIONS`` at once; a connection
-    over the bound is closed at once, unread.  The server answers each
-    connection itself (``finish_request``), so no handler class is built."""
+    over the bound is closed at once, unread, and an idle one after
+    ``IDLE_SECONDS``.  The server answers each connection itself
+    (``finish_request``), so no handler class is built."""
 
     daemon_threads = True
 
@@ -598,7 +605,9 @@ class WireServer(socketserver.ThreadingTCPServer):
             self._slots.release()
 
     def finish_request(self, request, client_address) -> None:
-        """Answer the connection's requests until it closes or breaks the protocol."""
+        """Answer the connection's requests until it closes, breaks the
+        protocol or leaves a read waiting ``IDLE_SECONDS``."""
+        request.settimeout(IDLE_SECONDS)
         try:
             while True:
                 body = _recv_message(request, MAX_REQUEST_BYTES)

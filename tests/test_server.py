@@ -22,10 +22,9 @@ from tracecorona.server import (
     REASON_INVALID_TAN,
     REASON_MALFORMED_RECORD,
     REASON_NO_MATCHING_TOKEN,
-    Tag,
-    TokenUploadRecord,
     TracingServer,
 )
+from tracecorona.wire import Tag, TokenUploadRecord
 
 
 def make_server(seed=0, log_path=None, threshold=3):

@@ -1187,6 +1187,26 @@ class TestBaselineRuns:
         for day in range(8, 30):
             assert largest[day] <= published[day] - published[day - 2]
 
+    def test_result_moved_to_today_uploads_next_noon(self):
+        """With zero test delays a warning moves a device's result day to
+        the day it is warned, after that day's noon: d4, infected on day
+        3, is warned at 23:00 of day 3 and uploads at noon of day 4, so
+        every infected device uploads."""
+        config = daily_uploads("tracecorona", ["h", "e"])
+        uploads = {}
+
+        class Recording(Engine):
+            def _noon_uploads(self, day):
+                before = {d for d, i in self.gt_infections.items() if i.uploaded}
+                super()._noon_uploads(day)
+                for d, i in self.gt_infections.items():
+                    if i.uploaded and d not in before:
+                        uploads[d] = (day, i.result_day)
+
+        report = Recording(config).run()
+        assert uploads["d4"] == (4, 3)
+        assert len(uploads) == report.server_stats["infected_uploads"] == 28
+
     @pytest.mark.parametrize("cadence", [DAY, 40 * 3600, 2 * DAY, 3 * DAY, 7 * DAY])
     def test_key_expiry_loses_no_notification(self, monkeypatch, cadence):
         """Whatever the feed cadence, the server's key expiry changes no

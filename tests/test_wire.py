@@ -398,6 +398,31 @@ class TestConnectionBound:
             first.close()
             wire_server.shutdown()
 
+    def test_silent_connections_give_their_slots_back(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_CONNECTIONS", 3)
+        monkeypatch.setattr(wire, "IDLE_SECONDS", 0.5)
+        wire_server = wire.WireServer(TracingServer(HealthAuthority(random.Random(0))))
+        wire_server.start()
+        silent = [socket.create_connection(wire_server.address, timeout=10) for _ in range(3)]
+        try:
+            # every slot is held by a client that sends nothing; once the
+            # deadline passes, a fourth client is answered
+            deadline = time.monotonic() + 10
+            while True:
+                try:
+                    with wire.WireClient(*wire_server.address) as fourth:
+                        assert fourth.stats()["records_published"] == 0
+                    break
+                except (wire.WireError, OSError):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.05)
+            # the server closed each silent connection
+            assert [sock.recv(1) for sock in silent] == [b""] * 3
+        finally:
+            for sock in silent:
+                sock.close()
+            wire_server.shutdown()
+
 
 class TestUploadEncoding:
     def test_tan_over_255_bytes_refused(self):
