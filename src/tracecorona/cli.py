@@ -8,6 +8,12 @@ recomputes the golden crypto vectors.  ``ingest --input`` reads a file
 in the log's own format, whole 57-byte units (its epoch marks are
 checked, not copied), and appends its frames to ``--log``.
 
+Only ``run``, ``attack`` and ``report`` import the simulator, and only
+``run --jobs`` imports ``concurrent.futures``, each when it runs.  The
+other commands load the server stack alone (``wire``, ``server``,
+``authority``, ``crypto``), so a ``serve`` restart replays its log
+without loading the simulator.
+
 Exit codes: 0 success, 1 runtime failure, 2 configuration or usage
 error.  ``TC_LOG_LEVEL`` controls logging verbosity.
 """
@@ -15,20 +21,18 @@ error.  ``TC_LOG_LEVEL`` controls logging verbosity.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import os
 import random
 import sys
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from . import crypto
 from .authority import HealthAuthority
 from .server import TracingServer
-from .simnet.config import MAX_RELAY_FANOUT, SCHEMES, ConfigError, ScenarioConfig
-from .simnet.engine import run_scenario
-from .simnet.report import ScenarioReport
+from .simnet import SCHEMES, ConfigError
 from .wire import (
     FRAME_BYTES,
     Tag,
@@ -39,6 +43,10 @@ from .wire import (
     last_log_epoch,
     read_log,
 )
+
+if TYPE_CHECKING:
+    from .simnet.config import ScenarioConfig
+    from .simnet.report import ScenarioReport
 
 log = logging.getLogger("tracecorona")
 
@@ -51,6 +59,8 @@ ATTACK_SCENARIOS = ("relay_r1", "relay_r2", "kiss_replay", "fake_claim")
 
 def _load_config(ref: str) -> ScenarioConfig:
     """A config reference is a file path or a bundled scenario name."""
+    from .simnet.config import ScenarioConfig
+
     if os.path.exists(ref):
         return ScenarioConfig.load(ref)
     candidate = resources.files("tracecorona") / "scenarios" / f"{ref}.json"
@@ -60,6 +70,8 @@ def _load_config(ref: str) -> ScenarioConfig:
 
 
 def _run_one(ref: str, seed: int | None, scheme: str | None) -> ScenarioReport:
+    from .simnet.engine import run_scenario
+
     config = _load_config(ref)
     changes = {}
     if seed is not None:
@@ -89,6 +101,8 @@ def _write_report(report: ScenarioReport, out: str | None, multi: bool) -> None:
 def cmd_run(args) -> int:
     refs = args.config
     if args.jobs > 1 and len(refs) > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(
                 pool.map(_run_one, refs, [args.seed] * len(refs), [args.scheme] * len(refs))
@@ -187,6 +201,9 @@ def cmd_report(args) -> int:
     bound leaves the scheme at "resist" (the attack is possible but
     cannot scale).
     """
+    from .simnet.config import MAX_RELAY_FANOUT
+    from .simnet.report import ScenarioReport
+
     if not args.reports:
         print("no report files given", file=sys.stderr)
         return EXIT_CONFIG

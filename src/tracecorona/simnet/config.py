@@ -20,7 +20,9 @@ import types
 import typing
 from dataclasses import dataclass, field
 
-SCHEMES = ("tracecorona", "centralized", "decentralized")
+# the package holds both, so the command line reads them without this module
+from . import SCHEMES, ConfigError
+
 MAX_RELAY_FANOUT = 8
 
 SECONDS_PER_DAY = 86400
@@ -35,25 +37,6 @@ _ADVERSARY_KEYS = {
     "fake_claimer": ((), ("attempts", "at_day"), ()),
 }
 ADVERSARY_KINDS = tuple(_ADVERSARY_KEYS)
-
-
-class ConfigError(Exception):
-    """Invalid scenario configuration; message starts with the field path."""
-
-    def __init__(self, path: str, problem: str):
-        self.path = path
-        self.problem = problem
-        super().__init__(f"{path}: {problem}")
-
-    def __reduce__(self):
-        # Rebuilt from both arguments, so the error survives a worker process.
-        return ConfigError, (self.path, self.problem)
-
-    def within(self, prefix: str) -> "ConfigError":
-        """The same error, its path read from the object that holds ``prefix``."""
-        if not self.path or self.path.startswith("["):
-            return ConfigError(prefix + self.path, self.problem)
-        return ConfigError(f"{prefix}.{self.path}", self.problem)
 
 
 def _require(condition: bool, path: str, problem: str) -> None:

@@ -24,10 +24,12 @@ One record width: a ciphertext is a sealed timestamp, 36 bytes
 ciphertext of <n> bytes, not 36``: such a record could never match, and
 an upload of one unusual width would stand out as a batch in the
 shuffled feed.  A record list is checked in bulk (``_check_frames``):
-strided slices check every frame's length field and tag byte at once,
-and the list is cut (or scanned for hashes) every 57 bytes by
-``struct.iter_unpack``, with no Python step per frame; only a list that
-fails is walked frame by frame, to raise the first bad frame's error.
+strided slices check every frame's length field and tag byte at once;
+only a list that fails is walked frame by frame, to raise the first
+bad frame's error.  A checked list is cut into frames (or scanned for
+hashes) a batch of ``_BATCH`` (1,024) frames per ``struct`` call, the
+format of one frame repeated, and the tail of fewer frame by frame
+(``_each_frame``), with no Python step per frame.
 ``read_log`` checks each run of records between epoch marks the same
 way.
 
@@ -52,10 +54,12 @@ Request bodies start with a 1-byte opcode; responses with a 1-byte
 status (0 accepted, 1 rejected, 2 malformed).  The server closes a
 connection whose request prefix exceeds ``MAX_REQUEST_BYTES`` without
 reading the body, one that arrives while ``MAX_CONNECTIONS`` others
-are open without reading anything, and one that leaves any read waiting
-``IDLE_SECONDS`` (30), so a silent client gives its slot back.  The
-deadline is per read, not per message: a client that trickles bytes
-keeps its slot.  An upload whose record count is over
+are open without reading anything, and one that has not sent a whole
+request ``IDLE_SECONDS`` (30) after the server began to wait for it.
+The deadline is per message, not per read: every read of a request
+waits only for the time left, so a silent client and one that trickles
+bytes both give their slot back.  ``WireClient`` keeps no deadline.  An
+upload whose record count is over
 ``MAX_UPLOAD_RECORDS`` is malformed, refused before its frames are read;
 responses, such as the feed, are not capped.
 """
@@ -72,6 +76,7 @@ import socket
 import socketserver
 import struct
 import threading
+import time
 from dataclasses import dataclass
 
 TOKEN_HASH_BYTES = 16
@@ -92,8 +97,9 @@ MAX_UPLOAD_RECORDS = 1024
 MAX_REQUEST_BYTES = 2 + MAX_PROOFS * PROOF_BYTES + 4 + MAX_UPLOAD_RECORDS * FRAME_BYTES
 #: Most connections the socket server serves at once, one thread each.
 MAX_CONNECTIONS = 64
-#: Seconds the socket server waits on any one read of a connection
-#: before it closes the connection and frees its slot.
+#: Seconds the socket server waits for one whole request, from the wait
+#: for its length prefix to its last byte, before it closes the
+#: connection and frees its slot.
 IDLE_SECONDS = 30
 
 
@@ -144,11 +150,10 @@ class PublishedFeed:
 
     def hits(self, hashes):
         """The hash, start offset and tag offset in ``buffer`` of each
-        frame whose hash is in ``hashes``, in feed order, found in one
-        C-level pass over the frames' hashes."""
+        frame whose hash is in ``hashes``, in feed order.  The frames'
+        hashes are cut a batch per ``struct`` call (``_each_frame``)."""
         buf = self.buffer
-        digests = struct.iter_unpack(f"{TOKEN_HASH_BYTES}s{FRAME_BYTES - TOKEN_HASH_BYTES}x", buf)
-        hit = map(hashes.__contains__, itertools.chain.from_iterable(digests))
+        hit = map(hashes.__contains__, _each_frame(_HASHES, buf))
         starts = itertools.compress(itertools.count(0, FRAME_BYTES), hit)
         return (
             (bytes(buf[start : start + TOKEN_HASH_BYTES]), start, start + FRAME_BYTES - 1)
@@ -242,10 +247,33 @@ def _check_frames(buf: bytes, offset: int, count: int) -> int:
     return end
 
 
+#: Frames cut by one ``struct`` call.
+_BATCH = 1024
+#: The formats that take a frame whole and a frame's hash, each for one
+#: frame and for a batch.
+_FRAMES, _HASHES = (
+    (struct.Struct(one), struct.Struct(one * _BATCH))
+    for one in (f"{FRAME_BYTES}s", f"{TOKEN_HASH_BYTES}s{FRAME_BYTES - TOKEN_HASH_BYTES}x")
+)
+
+
+def _each_frame(formats, buf):
+    """The one value that ``formats`` unpacks from each frame filling
+    ``buf``: a batch of ``_BATCH`` frames per ``struct`` call, then the
+    tail of fewer frame by frame."""
+    one, batch = formats
+    view = memoryview(buf)
+    whole = len(view) - len(view) % batch.size
+    return itertools.chain(
+        itertools.chain.from_iterable(batch.iter_unpack(view[:whole])),
+        itertools.chain.from_iterable(one.iter_unpack(view[whole:])),
+    )
+
+
 def _split(buf):
-    """The checked frames that fill ``buf``, each copied out, cut in one
-    C-level pass."""
-    return itertools.chain.from_iterable(struct.iter_unpack(f"{FRAME_BYTES}s", buf))
+    """The checked frames that fill ``buf``, each copied out, a batch
+    per ``struct`` call (``_each_frame``)."""
+    return _each_frame(_FRAMES, buf)
 
 
 def _joined(head: bytes, frames: list[bytes]) -> bytes:
@@ -495,12 +523,19 @@ def _send_message(sock: socket.socket, body: bytes) -> None:
             parts[0] = parts[0][sent:]
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
+def _recv_exact(sock: socket.socket, n: int, deadline: float | None = None) -> bytes:
     # MSG_WAITALL fills one buffer, so a whole message arrives as one
     # chunk and the join returns that chunk itself; the loop is for the
-    # short reads a signal or a socket timeout can still give
+    # short reads a signal or a socket timeout can still give.  With a
+    # deadline (a ``time.monotonic`` instant) each read waits only for
+    # the time left.
     chunks = []
     while n:
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("message deadline passed")
+            sock.settimeout(left)
         chunk = sock.recv(n, socket.MSG_WAITALL)
         if not chunk:
             raise WireError("connection closed mid-message")
@@ -509,11 +544,13 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def _recv_message(sock: socket.socket, limit: int | None = None) -> bytes:
-    (length,) = struct.unpack(">I", _recv_exact(sock, 4))
+def _recv_message(
+    sock: socket.socket, limit: int | None = None, deadline: float | None = None
+) -> bytes:
+    (length,) = struct.unpack(">I", _recv_exact(sock, 4, deadline))
     if limit is not None and length > limit:
         raise WireError(f"message of {length} bytes exceeds {limit}")
-    return _recv_exact(sock, length)
+    return _recv_exact(sock, length, deadline)
 
 
 def handle_request(server, body: bytes) -> bytes:
@@ -573,8 +610,9 @@ def handle_request(server, body: bytes) -> bytes:
 class WireServer(socketserver.ThreadingTCPServer):
     """Threaded TCP front end for a TracingServer: one thread per
     connection, for at most ``MAX_CONNECTIONS`` at once; a connection
-    over the bound is closed at once, unread, and an idle one after
-    ``IDLE_SECONDS``.  The server answers each connection itself
+    over the bound is closed at once, unread, and one that has not sent a
+    whole request ``IDLE_SECONDS`` after the server began to wait for it
+    is closed too.  The server answers each connection itself
     (``finish_request``), so no handler class is built."""
 
     daemon_threads = True
@@ -606,11 +644,13 @@ class WireServer(socketserver.ThreadingTCPServer):
 
     def finish_request(self, request, client_address) -> None:
         """Answer the connection's requests until it closes, breaks the
-        protocol or leaves a read waiting ``IDLE_SECONDS``."""
-        request.settimeout(IDLE_SECONDS)
+        protocol or takes more than ``IDLE_SECONDS`` to send a whole
+        request; each write of a response may wait ``IDLE_SECONDS``."""
         try:
             while True:
-                body = _recv_message(request, MAX_REQUEST_BYTES)
+                deadline = time.monotonic() + IDLE_SECONDS
+                body = _recv_message(request, MAX_REQUEST_BYTES, deadline)
+                request.settimeout(IDLE_SECONDS)
                 _send_message(request, handle_request(self.tracing_server, body))
         except (WireError, ConnectionError, OSError):
             return

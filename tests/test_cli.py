@@ -279,6 +279,28 @@ class TestIngestAndStats:
         assert run_cli(["dump-stats", "--log", "/nonexistent/log"]) == 2
 
 
+class TestImports:
+    #: Modules only the simulator commands, or ``run --jobs``, need.
+    NOT_AT_IMPORT = (
+        "tracecorona.simnet.engine", "tracecorona.simnet.config", "tracecorona.simnet.report",
+        "tracecorona.device", "tracecorona.baselines", "tracecorona.exposure",
+        "concurrent.futures",
+    )
+
+    def test_cli_loads_only_the_server_stack(self):
+        """A fresh interpreter that imports the command line, as ``serve``
+        does, holds the server stack and none of the simulator."""
+        src = Path(tracecorona.__file__).resolve().parents[1]
+        probe = "import sys, tracecorona.cli; print(*sorted(sys.modules))"
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.split()
+        assert {"tracecorona.server", "tracecorona.wire"} <= set(loaded)
+        assert [name for name in self.NOT_AT_IMPORT if name in loaded] == []
+
+
 class TestServe:
     """``tracecorona serve`` in a subprocess, one at a time."""
 

@@ -423,6 +423,42 @@ class TestConnectionBound:
                 sock.close()
             wire_server.shutdown()
 
+    def test_trickling_connection_gives_its_slot_back(self, monkeypatch):
+        """The deadline bounds a whole request: a client that sends a
+        100-byte length prefix, then one byte every 0.3 s, never waits
+        out a single read, and is closed all the same."""
+        monkeypatch.setattr(wire, "MAX_CONNECTIONS", 1)
+        monkeypatch.setattr(wire, "IDLE_SECONDS", 0.5)
+        wire_server = wire.WireServer(TracingServer(HealthAuthority(random.Random(0))))
+        wire_server.start()
+        trickler = socket.create_connection(wire_server.address, timeout=10)
+        try:
+            trickler.sendall((100).to_bytes(4, "big"))
+            closed = False
+            deadline = time.monotonic() + 10
+            while True:
+                time.sleep(0.3)
+                try:
+                    trickler.sendall(b"x")
+                except OSError:
+                    closed = True
+                try:
+                    with wire.WireClient(*wire_server.address) as next_client:
+                        assert next_client.stats()["records_published"] == 0
+                    break
+                except (wire.WireError, OSError):
+                    assert time.monotonic() < deadline
+            # the server closed the trickling connection without an answer
+            if not closed:
+                try:
+                    closed = trickler.recv(1) == b""
+                except ConnectionResetError:
+                    closed = True
+            assert closed
+        finally:
+            trickler.close()
+            wire_server.shutdown()
+
 
 class TestUploadEncoding:
     def test_tan_over_255_bytes_refused(self):
@@ -816,6 +852,12 @@ def read_log_both(data, block):
         return got, outcome(wire_oracle.read_log, path)
 
 
+#: Frame counts around the batch ``wire._each_frame`` cuts per ``struct``
+#: call: none, one, one short of a batch, a batch, one past it, and one
+#: past two.
+BATCH_COUNTS = [0, 1, wire._BATCH - 1, wire._BATCH, wire._BATCH + 1, 2 * wire._BATCH + 1]
+
+
 class TestBulkCheck:
     """A record list is checked at once, and walked frame by frame only
     when that check fails: either way every reader gives what the
@@ -966,6 +1008,61 @@ class TestBulkCheck:
             calls.clear()
             assert read() == frames, name
             assert len(calls) <= 2, name
+
+    @pytest.mark.parametrize("count", BATCH_COUNTS)
+    def test_lists_around_a_batch_as_the_walk(self, count):
+        """Lists of no frame, one, and one short of, at and one past one
+        or two ``struct`` batches are cut and scanned as the walk does."""
+        frames = self.equal_width_frames(count)
+        body = count.to_bytes(4, "big") + b"".join(frames)
+        read = ("ok", (frames, len(body)))
+        assert outcome(wire.read_frames, body) == outcome(wire_oracle.read_frames, body) == read
+        response = bytes([wire.STATUS_ACCEPTED]) + wire._FEED_HEAD.pack(7, count) + body[4:]
+        fed = ("ok", (7, frames))
+        assert outcome(feed_outcome, response) == outcome(wire_oracle.read_feed, response) == fed
+        hashes = {frame[:16] for frame in frames[::3] + frames[-1:]}
+        joined = wire.PublishedFeed.from_frames(frames, 7)
+        assert joined.frames == frames
+        for feed in (wire.read_feed(response), joined):
+            assert list(feed.hits(hashes)) == oracle_hits(frames, hashes)
+
+    @pytest.mark.parametrize("count", BATCH_COUNTS)
+    @pytest.mark.parametrize(
+        "block", [(wire._BATCH + 300) * wire.FRAME_BYTES, 3 * wire._BATCH // 2 * wire.FRAME_BYTES + 11]
+    )
+    def test_log_around_a_batch_as_unit_by_unit(self, count, block):
+        """A log whose epoch marks fall inside a batch, read in blocks of
+        a unit count that is not a multiple of the batch (the second
+        with a partial unit at each block's end), replays as the walk."""
+        frames = self.equal_width_frames(count)
+        first, second = count // 3, 2 * count // 3
+        units = [*frames[:first], wire.epoch_mark(2), *frames[first:second],
+                 wire.epoch_mark(5), *frames[second:]]
+        got, expected = read_log_both(b"".join(units), block)
+        epochs = [0] * first + [2] * (second - first) + [5] * (count - second)
+        assert got == expected == ("ok", (5, epochs, frames))
+
+    @pytest.mark.parametrize("at", [wire._BATCH + 1, 2 * wire._BATCH])
+    def test_bad_frame_past_the_first_batch_refused(self, at):
+        """One bad frame in the second batch or in the tail after two
+        batches raises its error from every reader, as the walk does."""
+        frames = self.equal_width_frames(2 * wire._BATCH + 1)
+        good = frames[at]
+        bad_frames = {
+            "record ciphertext of 35 bytes, not 36": good[:16] + bytes([0, 0, 0, 35]) + good[20:],
+            "unknown record tag 7": good[:-1] + bytes([7]),
+        }
+        for message, bad in bad_frames.items():
+            damaged = frames[:at] + [bad] + frames[at + 1 :]
+            body = len(damaged).to_bytes(4, "big") + b"".join(damaged)
+            response = bytes([wire.STATUS_ACCEPTED]) + wire._FEED_HEAD.pack(0, len(damaged)) + body[4:]
+            refused = ("error", message)
+            assert outcome(wire.read_frames, body) == outcome(wire_oracle.read_frames, body) == refused
+            assert outcome(feed_outcome, response) == outcome(wire_oracle.read_feed, response) == refused
+            assert outcome(wire.PublishedFeed.from_frames, damaged, 0) == refused
+            units = [wire.epoch_mark(1), *damaged[:10], wire.epoch_mark(3), *damaged[10:]]
+            got, expected = read_log_both(b"".join(units), (wire._BATCH + 300) * wire.FRAME_BYTES)
+            assert got == expected == refused
 
     @pytest.mark.parametrize("reader", ["read_frames", "read_feed"])
     def test_huge_count_refused_without_a_count_sized_allocation(self, reader):
