@@ -9,6 +9,7 @@ scheme where clients match published keys locally.
 from __future__ import annotations
 
 import bisect
+import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -64,7 +65,7 @@ class DecentralizedDailyKey:
 
 
 class BaselineMatch(NamedTuple):
-    """One client-side match of an observation against published keys."""
+    """A published key's client-side match: its first heard slot identifier."""
 
     key: "DecentralizedDailyKey"
     slot: int
@@ -186,8 +187,6 @@ class DecentralizedServer:
 
 def new_daily_key(identity_seed: bytes, day: int) -> DecentralizedDailyKey:
     """Deterministic per-device daily key for simulation use."""
-    import hashlib
-
     tek = hashlib.sha256(b"tc-tek" + identity_seed + day.to_bytes(8, "big")).digest()[
         :16
     ]
@@ -208,26 +207,25 @@ def match_observations(
     kiss_bug: bool = False,
 ) -> list[BaselineMatch]:
     """Client-side matching of published daily keys against recorded
-    sighting runs.
+    sighting runs: at most one match per entry of ``teks``, in order.
 
     An observation matches when its identifier appears among a key's
     derived slot identifiers and its timestamp lies within the slot's
     validity widened by ``replay_window`` seconds.  With ``kiss_bug``
     set, any observation made on the key's own day matches regardless
-    of slot timing (the same-day acceptance flaw).  Matches come in key
-    order, then observation order: run order, then second order.  The
-    runs are indexed by identifier once, so each key costs its 144
-    lookups, and a run's matching seconds are one stretch of its
-    times, found by bisection; only they become observations.
+    of slot timing (the same-day acceptance flaw).  A key's match is
+    its first heard second in run order: the earliest matching second
+    of the first run that holds one.  The runs are indexed by
+    identifier once, so each key costs its 144 lookups, and a run's
+    matching seconds are one stretch of its times, found by bisection.
     """
     positions: dict[bytes, list[int]] = {}
     for i, run in enumerate(runs):
         positions.setdefault(run.tempid, []).append(i)
     matches = []
     for key in teks:
-        slots = {tempid: slot for slot, tempid in enumerate(key.tempids)}
         hits = sorted(
-            (i, slot) for tempid, slot in slots.items() for i in positions.get(tempid, ())
+            (i, slot) for slot, tempid in enumerate(key.tempids) for i in positions.get(tempid, ())
         )
         day_start = key.day * 86400
         for i, slot in hits:
@@ -240,8 +238,11 @@ def match_observations(
                 # day overlap: their union is one stretch
                 first, last = min(first, day_start), max(last, day_start + 86399)
             times = run.times
-            for t in times[bisect.bisect_left(times, first) : bisect.bisect_right(times, last)]:
-                matches.append(BaselineMatch(key, slot, Observation(run.tempid, t, run.rssi)))
+            at = bisect.bisect_left(times, first)
+            if at < len(times) and times[at] <= last:
+                heard = Observation(run.tempid, times[at], run.rssi)
+                matches.append(BaselineMatch(key, slot, heard))
+                break
     return matches
 
 

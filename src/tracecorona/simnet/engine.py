@@ -572,13 +572,10 @@ class _DecentralizedClient(_BaselineClient):
             replay_window=engine.config.replay_window,
             kiss_bug=engine.config.kiss_bug,
         )
-        fresh = {}
-        for match in matches:
-            fresh.setdefault(match.key, match)
-        if not fresh:
+        if not matches:
             return
         provenance = baselines.provenance_lookup(self.runs)
-        for match in fresh.values():
+        for match in matches:
             owner = engine.gt_published_keys.get(match.key)
             prov = provenance(match.observation.tempid, match.observation.time)
             engine.record_notification(

@@ -447,8 +447,8 @@ OP_UPLOAD_SECOND_LEVEL = 2
 OP_UPLOAD_SUPERSPREADER = 3
 OP_FETCH_FEED = 4
 OP_STATS = 5
-# Out-of-band health-authority channel, exposed here so an operator (or
-# the simulator) can hand TANs to verified-infected users.
+# Out-of-band health-authority channel: an operator hands TANs to
+# verified-infected users over it. The simulator calls its authority directly.
 OP_ISSUE_TAN = 6
 
 STATUS_ACCEPTED = 0

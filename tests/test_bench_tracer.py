@@ -96,7 +96,8 @@ def traced_pair(scheme):
 def test_traced_decentralized_matches():
     report, totals = traced_pair("decentralized")
     assert [n["device"] for n in report.notifications] == ["b"]
-    # b matches every heard second of a's key against its runs
+    # b matches each of a's published keys against its runs, once, at
+    # the first second it heard of one of the key's identifiers
     assert totals["baselines.match_observations.calls"] >= 1
     assert totals["baselines.matches"] >= len(report.notifications)
     assert 0 < totals["baselines.observations_max"] <= totals["baselines.pairs_scanned"]
