@@ -2,23 +2,27 @@
 
 The authority never sees encounter tokens.  Its state is the live TANs
 alone: the value and expiry of each TAN issued and not yet verified.
-A verified TAN is dropped, and the context a TAN is issued for is not
-kept.
+A verified TAN is dropped, an expired one is dropped at the next issue,
+and the context a TAN is issued for is not kept.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import takewhile
 
 TAN_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ234567"
 TAN_LENGTH = 12
+#: Lifetime of a TAN the served authority issues (``tracecorona serve``):
+#: one hour on the process's monotonic clock.
+SERVED_TAN_EXPIRY_SECONDS = 3600
 
 
 @dataclass
 class Tan:
     value: str
-    expires_at: int | None = None
+    expires_at: float | None = None
 
 
 class HealthAuthority:
@@ -32,14 +36,20 @@ class HealthAuthority:
     def __init__(self, rng, expiry_seconds: int | None = None):
         self._rng = rng
         self._expiry_seconds = expiry_seconds
-        #: value -> expiry time (None: never) of each live TAN
-        self._live: dict[str, int | None] = {}
+        #: value -> expiry time (None: never) of each live TAN, in issue order
+        self._live: dict[str, float | None] = {}
         self._lock = threading.Lock()
 
-    def issue_tan(self, user_context: str, now: int) -> Tan:
+    def issue_tan(self, user_context: str, now: float) -> Tan:
         """A fresh TAN, unique among the live ones.  ``user_context``
-        names who it is issued for; the authority does not keep it."""
+        names who it is issued for; the authority does not keep it.
+        The TANs expired at ``now`` are dropped first: with ``now`` not
+        going back, issue order is expiry order, so they are the oldest."""
         with self._lock:
+            if self._expiry_seconds is not None:
+                expired = list(takewhile(lambda v: self._live[v] < now, self._live))
+                for value in expired:
+                    del self._live[value]
             while True:
                 value = "".join(
                     TAN_ALPHABET[self._rng.randrange(len(TAN_ALPHABET))]
@@ -53,7 +63,7 @@ class HealthAuthority:
             self._live[value] = expires
             return Tan(value=value, expires_at=expires)
 
-    def verify_tan(self, value: str, now: int | None = None) -> bool:
+    def verify_tan(self, value: str, now: float | None = None) -> bool:
         """Accept iff the TAN is live and unexpired; an accepted TAN is
         consumed and dropped."""
         with self._lock:

@@ -37,8 +37,11 @@ class Run(NamedTuple):
     """A sighting run as a listening device holds it: one identifier
     heard at one RSSI at each local second of ``times`` (increasing),
     that is the observations ``(tempid, t, rssi) for t in times``.
-    ``provenance`` is the holder's note of where the beacons came from;
-    matching never reads it."""
+    ``times`` is a ``range`` when no second of the run was lost, else a
+    packed ``array('q')``, never a list of boxed ints; readers index,
+    bisect, measure and iterate it.  ``provenance`` is the holder's note
+    of where the beacons came from, which runs may share; matching never
+    reads it."""
 
     tempid: bytes
     times: Sequence[int]

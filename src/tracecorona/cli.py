@@ -30,7 +30,7 @@ from importlib import resources
 from typing import TYPE_CHECKING
 
 from . import crypto
-from .authority import HealthAuthority
+from .authority import SERVED_TAN_EXPIRY_SECONDS, HealthAuthority
 from .server import TracingServer
 from .simnet import SCHEMES, ConfigError
 from .wire import (
@@ -115,7 +115,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    server = TracingServer.replay_log(args.log, HealthAuthority(random.Random(args.seed)))
+    authority = HealthAuthority(random.Random(args.seed), SERVED_TAN_EXPIRY_SECONDS)
+    server = TracingServer.replay_log(args.log, authority)
     wire_server = WireServer(server, host=args.host, port=args.port)
     host, port = wire_server.address
     print(f"serving on {host}:{port}, log {args.log}", flush=True)

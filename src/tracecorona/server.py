@@ -135,11 +135,15 @@ class TracingServer:
             self._index_direct(len(self._records) - len(frames))
         return UploadResult(True, stored=len(frames))
 
-    def upload_infected(self, tan_value: str, frames: list[bytes]) -> UploadResult:
+    def upload_infected(
+        self, tan_value: str, frames: list[bytes], now: float | None = None
+    ) -> UploadResult:
+        """Store the frames if the TAN verifies at ``now`` (None: no
+        expiry is checked)."""
         if not frames:
             return UploadResult(False, REASON_MALFORMED_RECORD)
         with self._ingest_lock:
-            if not self.authority.verify_tan(tan_value):
+            if not self.authority.verify_tan(tan_value, now):
                 return UploadResult(False, REASON_INVALID_TAN)
             result = self._store(frames, Tag.DIRECT)
             self._infected_uploads += 1

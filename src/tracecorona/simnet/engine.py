@@ -59,6 +59,7 @@ import heapq
 import math
 import random
 import struct
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
@@ -485,8 +486,12 @@ class _TraceCoronaClient(_Client):
 class _BaselineClient(_Client):
     """What the two baseline schemes share: a log of the identifiers
     heard, one ``baselines.Run`` per sighting run handed in, kept for the
-    retention period.  A run carries its provenance (source and relay),
-    which only the engine's reporting reads."""
+    retention period.  A run's local seconds are a ``range`` when no
+    second of it was lost, else one packed ``array('q')``: 8 bytes per
+    held second and an 80-byte header, where a list of boxed ints takes
+    about 40 bytes a second.  A run carries its provenance (source and
+    relay), which only the engine's reporting reads: one dict per
+    (source, relay) pair heard, shared by its runs."""
 
     handshakes = False
 
@@ -494,15 +499,20 @@ class _BaselineClient(_Client):
         super().__init__(spec, config)
         self.runs: list[baselines.Run] = []
         self.retention_s = config.retention_days * SECONDS_PER_DAY
+        #: (source, relay) -> the provenance every run heard from it shares
+        self.provenances: dict[tuple, dict] = {}
 
     def on_run(self, engine, src, identifier, rssi, seconds, link) -> float:
         """The run whole, at the local seconds of the device's clock."""
         offset = self.device.clock_offset
-        if offset and isinstance(seconds, range):
+        if isinstance(seconds, range):
             seconds = range(seconds.start + offset, seconds.stop + offset)
-        elif offset:
-            seconds = [t + offset for t in seconds]
-        prov = {"source": src.id, "via": link.adversary}
+        else:
+            seconds = array("q", [t + offset for t in seconds] if offset else seconds)
+        pair = (src.id, link.adversary)
+        prov = self.provenances.get(pair)
+        if prov is None:
+            prov = self.provenances[pair] = {"source": src.id, "via": link.adversary}
         self.runs.append(baselines.Run(identifier, seconds, rssi, prov))
         return math.inf
 

@@ -78,6 +78,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 
 TOKEN_HASH_BYTES = 16
 #: The one record ciphertext length: 12-byte nonce, 8-byte timestamp
@@ -553,9 +554,10 @@ def _recv_message(
     return _recv_exact(sock, length, deadline)
 
 
-def handle_request(server, body: bytes) -> bytes:
+def handle_request(server, body: bytes, clock=time.monotonic) -> bytes:
     """Dispatch one request body against a TracingServer instance and
-    return the response body."""
+    return the response body.  TANs are issued and verified at
+    ``clock()``, the time the server's authority counts expiry in."""
     if not body:
         return bytes([STATUS_MALFORMED]) + b"empty request"
     op = body[0]
@@ -563,7 +565,8 @@ def handle_request(server, body: bytes) -> bytes:
         if op == OP_UPLOAD_INFECTED:
             tan_len = body[1]
             tan = body[2 : 2 + tan_len].decode("ascii")
-            upload, credential, offset = server.upload_infected, tan, 2 + tan_len
+            upload = partial(server.upload_infected, now=clock())
+            credential, offset = tan, 2 + tan_len
         elif op == OP_UPLOAD_SECOND_LEVEL:
             proof = body[1 : 1 + PROOF_BYTES]
             if len(proof) != PROOF_BYTES:
@@ -591,7 +594,7 @@ def handle_request(server, body: bytes) -> bytes:
             ).encode("ascii")
         elif op == OP_ISSUE_TAN:
             context = body[1:].decode("ascii", "replace")
-            tan = server.authority.issue_tan(context, 0)
+            tan = server.authority.issue_tan(context, clock())
             return bytes([STATUS_ACCEPTED]) + tan.value.encode("ascii")
         else:
             return bytes([STATUS_MALFORMED]) + f"unknown opcode {op}".encode()

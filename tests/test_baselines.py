@@ -2,6 +2,7 @@
 
 import bisect
 import random
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -318,7 +319,8 @@ def held_runs(draw):
     """Published keys, a replay window, the kiss flag, and the runs a
     device holds: slot identifiers of KEYS or strangers' heard near the
     window's or the day's edges or anywhere within a day of the slot,
-    some with seconds lost as channel loss leaves them, some repeating
+    some with seconds lost as channel loss leaves them (held as a list
+    or as the packed ``array('q')`` a client holds), some repeating
     an identifier already heard over the same seconds or near them, all
     trimmed at a horizon as midnight leaves them.  Each run's
     provenance is its index."""
@@ -345,6 +347,8 @@ def held_runs(draw):
         if length > 1 and draw(st.booleans()):
             lost = draw(st.sets(st.integers(1, length - 1), max_size=length // 2))
             times = [t for t in times if t - start not in lost]
+            if draw(st.booleans()):
+                times = array("q", times)
         runs.append(Run(tempid, times, -55.0 - i, i))
     horizon = draw(st.integers(min(r.times[0] for r in runs) - 1, max(r.times[-1] for r in runs)))
     trimmed = [

@@ -14,6 +14,7 @@ import pytest
 import tracecorona
 from test_report_digests import long_contact
 from tracecorona import cli, crypto, wire
+from tracecorona.authority import SERVED_TAN_EXPIRY_SECONDS
 
 
 def run_cli(args):
@@ -305,6 +306,38 @@ class TestServe:
     """``tracecorona serve`` in a subprocess, one at a time."""
 
     TIMEOUT_S = 30
+
+    def test_served_tans_expire(self, tmp_path, monkeypatch):
+        """The served authority's TANs live ``SERVED_TAN_EXPIRY_SECONDS``
+        on the clock the socket hands it: after 1,000 issues and a clock
+        past their expiry, an expired TAN is refused for upload, and the
+        next issue leaves one live TAN, which is accepted."""
+        served = []
+
+        class Unbound:
+            def __init__(self, server, host, port):
+                served.append(server)
+                self.address = (host, port)
+
+            def serve_forever(self):
+                pass
+
+        monkeypatch.setattr(cli, "WireServer", Unbound)
+        assert cli.main(["serve", "--log", str(tmp_path / "server.log")]) == cli.EXIT_OK
+        server, now = served[0], [0.0]
+        issue = bytes([wire.OP_ISSUE_TAN]) + b"patient"
+
+        def request(body):
+            return wire.handle_request(server, body, clock=lambda: now[0])
+
+        tans = [request(issue)[1:].decode("ascii") for _ in range(1_000)]
+        assert len(server.authority._live) == 1_000
+        records = [wire.TokenUploadRecord(crypto.token_hash(bytes(32)), bytes(36))]
+        now[0] = SERVED_TAN_EXPIRY_SECONDS + 0.5
+        assert request(wire.encode_upload_infected(tans[-1], records))[0] == wire.STATUS_REJECTED
+        fresh = request(issue)[1:].decode("ascii")
+        assert list(server.authority._live) == [fresh]
+        assert request(wire.encode_upload_infected(fresh, records))[0] == wire.STATUS_ACCEPTED
 
     @contextlib.contextmanager
     def serving(self, log):

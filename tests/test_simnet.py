@@ -7,7 +7,9 @@ import json
 import math
 import random
 import re
+import sys
 import tracemalloc
+from array import array
 from collections import Counter
 from importlib import resources
 from types import SimpleNamespace
@@ -1263,6 +1265,45 @@ class TestBaselineRuns:
                 heard = [run for run in runs if run.provenance["source"] == src]
                 assert held and match_oracle.expand(heard) == match_oracle.expand(held)
                 assert len(held) <= len(heard) <= len(held) + 1
+
+    @pytest.mark.parametrize("scheme", ["decentralized", "centralized"])
+    def test_lossy_runs_held_packed(self, scheme):
+        """At 10% loss with every clock offset, a and b meet for an hour
+        on each of three days while a two-way relay tunnels b to c.  Each
+        held run's seconds are a ``range`` or one ``array('q')``, about 8
+        bytes a second (a list of boxed ints takes about 40), and the
+        runs from one (source, relay) pair share one provenance."""
+        config = ScenarioConfig.from_dict(config_dict(
+            scheme=scheme, duration_days=4, channel_loss=0.1,
+            devices=[{"id": "a", "clock_offset_s": -7}, {"id": "b", "clock_offset_s": 3},
+                     {"id": "c", "clock_offset_s": 11}],
+            colocation_schedule=[
+                {"device_a": "a", "device_b": "b", "start": d * DAY + 36000,
+                 "end": d * DAY + 39600}
+                for d in range(3)
+            ],
+            adversaries=[{"kind": "relay_twoway", "capture": "c", "victims": ["b"],
+                          "start": 36000, "end": 39600, "latency_s": 1}],
+            infections=[{"device": "a", "day": 0}], disease_timeline=FAST_TIMELINE,
+        ))
+        engine = Engine(config)
+        engine.run()
+        runs = [run for client in engine.clients.values() for run in client.runs]
+        assert any(isinstance(run.times, array) for run in runs)
+        for run in runs:
+            assert isinstance(run.times, range) or (
+                isinstance(run.times, array) and run.times.typecode == "q"
+            )
+        # a list's bytes are its slots and the ints they box
+        held = sum(
+            sys.getsizeof(run.times)
+            + (sum(map(sys.getsizeof, run.times)) if isinstance(run.times, list) else 0)
+            for run in runs
+        )
+        assert held <= 16 * sum(len(run.times) for run in runs)
+        pairs = {(run.provenance["source"], run.provenance["via"]) for run in runs}
+        assert any(via is not None for _, via in pairs)
+        assert len({id(run.provenance) for run in runs}) == len(pairs)
 
 
 #: decentralized configs for the derivation count: the first publishes
