@@ -36,12 +36,13 @@ class Observation(NamedTuple):
 class Run(NamedTuple):
     """A sighting run as a listening device holds it: one identifier
     heard at one RSSI at each local second of ``times`` (increasing),
-    that is the observations ``(tempid, t, rssi) for t in times``.
-    ``times`` is a ``range`` when no second of the run was lost, else a
-    packed ``array('q')``, never a list of boxed ints; readers index,
-    bisect, measure and iterate it.  ``provenance`` is the holder's note
-    of where the beacons came from, which runs may share; matching never
-    reads it."""
+    that is the observations ``(tempid, t, rssi) for t in times``.  The
+    seconds may skip the duty-cycle gaps and lost beacons, so ``times``
+    is a ``range`` only when the run is contiguous and lost nothing; the
+    simulator holds a packed ``array('q')``, never a list of boxed ints.
+    Readers index, bisect, measure and iterate it.  ``provenance`` is the
+    holder's note of where the beacons came from, which runs may share;
+    matching never reads it."""
 
     tempid: bytes
     times: Sequence[int]

@@ -115,7 +115,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    authority = HealthAuthority(random.Random(args.seed), SERVED_TAN_EXPIRY_SECONDS)
+    # unseeded, TANs come from the OS: a seeded stream is guessable
+    rng = random.SystemRandom() if args.seed is None else random.Random(args.seed)
+    authority = HealthAuthority(rng, SERVED_TAN_EXPIRY_SECONDS)
     server = TracingServer.replay_log(args.log, authority)
     wire_server = WireServer(server, host=args.host, port=args.port)
     host, port = wire_server.address
@@ -344,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--log", required=True, help="append-only log path")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=0)
-    p_serve.add_argument("--seed", type=int, default=0, help="TAN issuance seed")
+    p_serve.add_argument("--seed", type=int, default=None,
+                         help="TAN issuance seed (default: the OS's randomness)")
     p_serve.set_defaults(fn=cmd_serve)
 
     p_ingest = sub.add_parser("ingest", help="append framed records to a log")

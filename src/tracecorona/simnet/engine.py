@@ -12,7 +12,9 @@ fixed, so the engine finds the stretches of deliverable seconds by
 arithmetic.  A run is such a stretch cut at every frame (identifier)
 boundary of either clock and every RSSI change, so that a receiver can
 take it whole: the first beacon with the per-beacon rules, the rest as
-one extension of the sighting (``Device.on_sighting_run``).  Links
+one extension of the sighting (``Device.on_sighting_run``).  A
+receiver that never asks for a handshake (a baseline one) takes the
+stretches up to the next such cut as one run, gaps and all.  Links
 that share a device while either may still deliver a beacon or
 complete a handshake form a group (``_Group``), most often of one link.
 A group's event hands over its beams' runs in the order in which the
@@ -149,14 +151,17 @@ class _Beam:
 
     An arrival second is deliverable when ``src`` advertises at the
     beacon second and ``dst`` scans at arrival.  The beam walks the
-    deliverable seconds as sighting runs, each a stretch of consecutive
-    deliverable seconds cut at frame boundaries of both clocks and at
-    RSSI changes, so that identifier, frames and RSSI are constant over
-    a run.  Loss is drawn from the beam's own generator, once per
-    deliverable second in time order, so what is lost does not depend on
-    the order in which the engine handles other links.  The runs are the
-    engine's one statement of what ``dst`` hears, handed over whole or in
-    parts with the run's identifier and RSSI.
+    deliverable seconds as sighting runs, cut at frame boundaries of
+    both clocks and at RSSI changes, so that identifier, frames and RSSI
+    are constant over a run.  A run of a receiver that may ask for a
+    handshake is one stretch of consecutive deliverable seconds; any
+    other receiver's run holds every deliverable second up to the next
+    cut, duty-cycle gaps between them.  Loss is drawn from the beam's
+    own generator, once per deliverable second in time order, so what is
+    lost does not depend on the order in which the engine handles other
+    links.  The runs are the engine's one statement of what ``dst``
+    hears, handed over whole or in parts with the run's identifier and
+    RSSI.
     """
 
     def __init__(self, link: _Link, src: _Client, dst: _Client, direction: int, config):
@@ -196,12 +201,10 @@ class _Beam:
         # before queued after up to four completions
         return (*_ticks(link, u), *((4, self.direction) if lat == 0 else (self.direction,)))
 
-    def load(self) -> None:
-        """Move to the next run with a heard beacon; none left leaves
-        ``pending`` empty."""
-        u, lat = self.run_end, self.link.latency
-        src_period, dst_period = self.src.rotation_period, self.dst.rotation_period
-        while u < self.hi:
+    def window(self, u: int) -> tuple[int, int]:
+        """The first stretch ``[start, end)`` of deliverable seconds from
+        second u on."""
+        while True:
             adv = (u + self.src_shift) % ADVERTISE_PERIOD
             if adv >= ADVERTISE_ON:
                 u += ADVERTISE_PERIOD - adv
@@ -210,24 +213,47 @@ class _Beam:
             if scan >= SCAN_ON:
                 u += SCAN_PERIOD - scan
                 continue
-            end = min(
+            return u, u + min(ADVERTISE_ON - adv, SCAN_ON - scan)
+
+    def draw(self, u: int, end: int) -> Sequence[int]:
+        """The deliverable seconds ``[u, end)`` that are not lost."""
+        if not self.loss:
+            return range(u, end)
+        self.rng = rng = self.rng or random.Random(self.seed)
+        return [t for t in range(u, end) if rng.random() >= self.loss]
+
+    def load(self) -> None:
+        """Move to the next run with a heard beacon; none left leaves
+        ``pending`` empty.  A run ends at the link's end, an identifier
+        boundary of ``src``, a frame boundary of ``dst`` or an RSSI
+        change.  For a receiver that may ask for a handshake, which it
+        does at the first beacon after a gap, it also ends where a duty
+        cycle stops delivering; another receiver's run spans the gaps."""
+        lat = self.link.latency
+        src_period, dst_period = self.src.rotation_period, self.dst.rotation_period
+        u, end = self.window(self.run_end)
+        while u < self.hi:
+            stop = min(
                 self.hi,
-                u + ADVERTISE_ON - adv,
-                u + SCAN_ON - scan,
                 u + src_period - (u + self.src_shift) % src_period,
                 u + dst_period - (u + self.dst_shift) % dst_period,
                 self.link.rssi_change_after(u - lat) + lat,
             )
-            heard = range(u, end)
-            if self.loss:
-                self.rng = rng = self.rng or random.Random(self.seed)
-                heard = [t for t in heard if rng.random() >= self.loss]
-            self.run_end = u = end
+            if self.dst.handshakes:
+                stop = min(stop, end)
+                heard = self.draw(u, stop)
+            else:
+                heard = []
+                while u < stop:
+                    heard += self.draw(u, min(end, stop))
+                    u, end = self.window(end)
+            self.run_end = stop
             if heard:
                 self.pending, self.until = heard, 0
                 self.identifier = self.src.identifier_at(heard[0] - lat)
                 self.rssi = self.link.rssi_at(heard[0] - lat)
                 return
+            u, end = self.window(stop)
         self.pending, self.rng = (), None
 
     def next_rule(self) -> float:
@@ -486,12 +512,13 @@ class _TraceCoronaClient(_Client):
 class _BaselineClient(_Client):
     """What the two baseline schemes share: a log of the identifiers
     heard, one ``baselines.Run`` per sighting run handed in, kept for the
-    retention period.  A run's local seconds are a ``range`` when no
-    second of it was lost, else one packed ``array('q')``: 8 bytes per
-    held second and an 80-byte header, where a list of boxed ints takes
-    about 40 bytes a second.  A run carries its provenance (source and
-    relay), which only the engine's reporting reads: one dict per
-    (source, relay) pair heard, shared by its runs."""
+    retention period.  Neither scheme asks for a handshake, so a run
+    spans the duty-cycle gaps within one sender identifier, receiver
+    frame and RSSI.  Its local seconds are one packed ``array('q')``: 8
+    bytes per held second and an 80-byte header, where a list of boxed
+    ints takes about 40 bytes a second.  A run carries its provenance
+    (source and relay), which only the engine's reporting reads: one
+    dict per (source, relay) pair heard, shared by its runs."""
 
     handshakes = False
 
@@ -505,10 +532,7 @@ class _BaselineClient(_Client):
     def on_run(self, engine, src, identifier, rssi, seconds, link) -> float:
         """The run whole, at the local seconds of the device's clock."""
         offset = self.device.clock_offset
-        if isinstance(seconds, range):
-            seconds = range(seconds.start + offset, seconds.stop + offset)
-        else:
-            seconds = array("q", [t + offset for t in seconds] if offset else seconds)
+        seconds = array("q", [t + offset for t in seconds] if offset else seconds)
         pair = (src.id, link.adversary)
         prov = self.provenances.get(pair)
         if prov is None:

@@ -340,12 +340,12 @@ class TestServe:
         assert request(wire.encode_upload_infected(fresh, records))[0] == wire.STATUS_ACCEPTED
 
     @contextlib.contextmanager
-    def serving(self, log):
+    def serving(self, log, *options):
         """A client of a server started on ``log``, stopped on exit."""
         src = Path(tracecorona.__file__).resolve().parents[1]
         proc = subprocess.Popen(
             [sys.executable, "-m", "tracecorona.cli", "serve", "--log", str(log),
-             "--port", "0"],
+             "--port", "0", *options],
             env=dict(os.environ, PYTHONPATH=str(src)),
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
@@ -367,6 +367,18 @@ class TestServe:
                 proc.kill()
                 proc.wait()
             proc.stdout.close()
+
+    def test_unseeded_servers_issue_different_tans(self, tmp_path):
+        """Without ``--seed`` each fresh server draws its TANs from the
+        OS, so two issue different first TANs; one ``--seed`` gives one
+        first TAN."""
+
+        def first_tan(*options):
+            with self.serving(tmp_path / "server.log", *options) as client:
+                return client.issue_tan()
+
+        assert first_tan() != first_tan()
+        assert first_tan("--seed", "7") == first_tan("--seed", "7")
 
     def test_starts_on_a_missing_log_and_restarts_on_it(self, tmp_path):
         records = [

@@ -202,12 +202,22 @@ def relay(offset_a, offset_b, start, length, latency, scheme):
 @given(offsets, offsets, st.integers(60, DAY - 3600), st.integers(1, 3600), st.integers(0, 5),
        st.sampled_from(SCHEMES))
 def test_runs_are_the_deliverable_seconds(offset_a, offset_b, start, length, latency, scheme):
+    """The runs a beam loads are its deliverable seconds, each run of one
+    identifier and one frame of the receiver's clock.  A receiver that
+    may ask for a handshake takes runs of consecutive seconds, two that
+    touch differing in identifier or frame; any other takes one run until
+    the identifier, the frame or the RSSI changes, across duty-cycle
+    gaps."""
     engine = Engine(relay(offset_a, offset_b, start, length, latency, scheme))
     for client in engine.clients.values():
         client.register(engine)  # a centralized identifier needs the server's pseudonym
     (link,) = engine._links()
     for beam in link.beams:
         src, dst = beam.src.device, beam.dst.device
+
+        def frame(u):
+            return dst.local_time(u) // beam.dst.rotation_period
+
         deliverable = [
             u for u in range(start + latency, min(start + length + latency, DAY))
             if src.is_advertising(u - latency) and dst.is_scanning(u)
@@ -219,14 +229,19 @@ def test_runs_are_the_deliverable_seconds(offset_a, offset_b, start, length, lat
             beam.load()
         assert [u for seconds, _, _ in runs for u in seconds] == deliverable
         for seconds, identifier, _ in runs:
-            assert list(seconds) == list(range(seconds[0], seconds[-1] + 1))
             assert {beam.src.identifier_at(u - latency) for u in seconds} == {identifier}
-            assert len({dst.current_frame(u) for u in seconds}) == 1
-        # maximal: two runs that touch differ in identifier or frame
-        for (before, id_before, _), (after, id_after, _) in zip(runs, runs[1:]):
-            if before[-1] + 1 == after[0]:
-                assert (id_before, dst.current_frame(before[-1])) != (
-                    id_after, dst.current_frame(after[0]))
+            assert len({frame(u) for u in seconds}) == 1
+            if beam.dst.handshakes:
+                assert list(seconds) == list(range(seconds[0], seconds[-1] + 1))
+        # maximal: two runs that touch differ in identifier or frame; for
+        # a receiver that never handshakes, any two in a row differ in
+        # identifier, frame or RSSI
+        for (before, id_before, rssi_before), (after, id_after, rssi_after) in zip(runs, runs[1:]):
+            if beam.dst.handshakes and before[-1] + 1 == after[0]:
+                assert (id_before, frame(before[-1])) != (id_after, frame(after[0]))
+            elif not beam.dst.handshakes:
+                assert (id_before, frame(before[-1]), rssi_before) != (
+                    id_after, frame(after[0]), rssi_after)
 
 
 @pytest.mark.parametrize("scheme", ["decentralized", "centralized"])

@@ -1138,6 +1138,33 @@ class TestBaselineRuns:
         engine.run()
         assert loaded and sum(len(c.runs) for c in engine.clients.values()) == len(loaded)
 
+    @pytest.mark.parametrize("loss", [0.0, 0.1])
+    @pytest.mark.parametrize("scheme", ["decentralized", "centralized"])
+    def test_pair_alone_holds_a_run_per_identifier(self, scheme, loss):
+        """Two baseline clients alone for two hours across noon hold, in
+        each direction, at most one run per sender identifier, receiver
+        frame and RSSI segment the contact covers, and one more per cadence
+        event inside it: a run spans the duty-cycle gaps."""
+        start = 3 * DAY + 11 * 3600
+        end = start + 7200
+        engine = Engine(ScenarioConfig.from_dict(config_dict(
+            scheme=scheme, infections=[], channel_loss=loss,
+            devices=[{"id": "a", "clock_offset_s": -7}, {"id": "b", "clock_offset_s": 3}],
+            colocation_schedule=[{"device_a": "a", "device_b": "b", "start": start,
+                                  "end": end, "rssi_profile": -55}],
+        )))
+        engine.run()
+        cadence = {t for t in engine._cadence if start < t < end}
+        bound = 0
+        for pair in (("a", "b"), ("b", "a")):
+            cuts = set(cadence)
+            for client in map(engine.clients.get, pair):
+                period, shift = client.rotation_period, client.device.clock_offset
+                cuts.update(u for u in range(start + 1, end) if (u + shift) % period == 0)
+            bound += 1 + len(cuts)
+        held = sum(len(client.runs) for client in engine.clients.values())
+        assert cadence and 0 < held <= bound
+
     @pytest.mark.parametrize("scheme", ["decentralized", "centralized"])
     def test_server_state_flat_past_retention(self, scheme):
         """Device i meets h on day i - 1 and uploads at noon of day i, for

@@ -13,6 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
 import match_oracle
 import wire_oracle
@@ -505,6 +506,122 @@ class TestHandleRequest:
             wire.STATUS_REJECTED,
             wire.STATUS_MALFORMED,
         )
+
+
+#: Secrets whose records the request sequences upload, a record each.
+SEQUENCE_RECORDS = [sample_record(i) for i in range(6)]
+STATUSES = (wire.STATUS_ACCEPTED, wire.STATUS_REJECTED, wire.STATUS_MALFORMED)
+RANDOM_BODIES = st.one_of(
+    st.binary(max_size=64),
+    st.tuples(st.integers(0, 7), st.binary(max_size=300)).map(
+        lambda parts: bytes([parts[0]]) + parts[1]
+    ),
+)
+
+
+class RequestSequence(RuleBasedStateMachine):
+    """Any sequence of request bodies against one server whose TANs
+    expire, on a clock the sequence moves: random bodies, uploads whole
+    and truncated, fetches and TAN issues.  Every body gets a status
+    byte and no exception escapes; the records published are those of
+    the accepted uploads, and the live TANs are never more than the TANs
+    issued in the expiry window that ends at the last issue."""
+
+    EXPIRY = 100
+    tans = Bundle("tans")
+
+    def __init__(self):
+        super().__init__()
+        self.server = TracingServer(HealthAuthority(random.Random(0), self.EXPIRY))
+        self.now = 0
+        #: value -> expiry of each TAN issued and neither used nor dropped
+        self.live: dict[str, int] = {}
+        self.issued: list[int] = []
+        self.published = 0
+        #: indices into SEQUENCE_RECORDS of the records held as direct
+        self.direct: set[int] = set()
+
+    def request(self, body: bytes) -> bytes:
+        response = wire.handle_request(self.server, body, clock=lambda: self.now)
+        assert response and response[0] in STATUSES
+        return response
+
+    def upload(self, body: bytes, count: int) -> bool:
+        accepted = self.request(body)[0] == wire.STATUS_ACCEPTED
+        self.published += count if accepted else 0
+        return accepted
+
+    @rule(seconds=st.sampled_from([1, EXPIRY - 1, EXPIRY, EXPIRY + 1]))
+    def wait(self, seconds):
+        self.now += seconds
+
+    def issued_tan(self, response: bytes) -> str:
+        """The TAN an issue answered with; the expired ones are gone."""
+        assert response[0] == wire.STATUS_ACCEPTED
+        self.live = {v: at for v, at in self.live.items() if at >= self.now}
+        tan = response[1:].decode("ascii")
+        self.live[tan] = self.now + self.EXPIRY
+        self.issued.append(self.now)
+        return tan
+
+    @rule(target=tans, context=st.binary(max_size=8))
+    def issue_tan(self, context):
+        return self.issued_tan(self.request(bytes([wire.OP_ISSUE_TAN]) + context))
+
+    @rule(body=RANDOM_BODIES)
+    def random_body(self, body):
+        # a drawn upload holds no live TAN and no proof of a held record,
+        # so it publishes nothing
+        response = self.request(body)
+        if body[:1] == bytes([wire.OP_ISSUE_TAN]):
+            self.issued_tan(response)
+
+    @rule(tan=tans, chosen=st.lists(st.integers(0, 5), max_size=4))
+    def upload_infected(self, tan, chosen):
+        records = [SEQUENCE_RECORDS[i][1] for i in chosen]
+        expected = bool(chosen) and self.live.get(tan, -1) >= self.now
+        accepted = self.upload(wire.encode_upload_infected(tan, records), len(chosen))
+        assert accepted == expected
+        if accepted:
+            del self.live[tan]
+            self.direct.update(chosen)
+
+    @rule(proof=st.integers(0, 5), chosen=st.lists(st.integers(0, 5), max_size=4))
+    def upload_second_level(self, proof, chosen):
+        records = [SEQUENCE_RECORDS[i][1] for i in chosen]
+        body = wire.encode_upload_second_level(SEQUENCE_RECORDS[proof][0], records)
+        assert self.upload(body, len(chosen)) == (proof in self.direct)
+
+    @rule(tan=tans, proof=st.integers(0, 5), second_level=st.booleans(), data=st.data())
+    def truncated_upload(self, tan, proof, second_level, data):
+        records = [SEQUENCE_RECORDS[i][1] for i in range(3)]
+        body = (
+            wire.encode_upload_second_level(SEQUENCE_RECORDS[proof][0], records)
+            if second_level
+            else wire.encode_upload_infected(tan, records)
+        )
+        cut = data.draw(st.integers(1, len(body) - 1))
+        assert not self.upload(body[:cut], 3)
+
+    @rule(since=st.sampled_from([0, 1, 2**32 - 1]), seed=st.integers(-(2**63), 2**63 - 1))
+    def fetch(self, since, seed):
+        feed = wire.read_feed(self.request(wire.encode_fetch_feed(since, seed)))
+        assert len(feed.frames) == (self.published if since == 0 else 0)
+
+    @invariant()
+    def published_records_are_the_accepted(self):
+        assert self.server.stats_snapshot()["records_published"] == self.published
+
+    @invariant()
+    def live_tans_bounded_by_the_expiry_window(self):
+        live = self.server.authority._live
+        assert list(live) == list(self.live)
+        last = self.issued[-1] if self.issued else 0
+        assert len(live) <= sum(at >= last - self.EXPIRY for at in self.issued)
+
+
+TestRequestSequence = RequestSequence.TestCase
+TestRequestSequence.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)
 
 
 class TestReadFeed:
