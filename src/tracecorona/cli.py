@@ -35,6 +35,7 @@ from .server import TracingServer
 from .simnet import SCHEMES, ConfigError
 from .wire import (
     FRAME_BYTES,
+    MAX_EPOCH,
     Tag,
     WireError,
     WireServer,
@@ -140,6 +141,9 @@ def cmd_ingest(args) -> int:
         return EXIT_CONFIG
     epoch = []
     if args.epoch is not None:
+        if args.epoch > MAX_EPOCH:
+            print(f"epoch {args.epoch} is above the feed's largest, {MAX_EPOCH}", file=sys.stderr)
+            return EXIT_CONFIG
         # replay refuses an epoch mark that goes back
         current = last_log_epoch(args.log) if os.path.exists(args.log) else 0
         if args.epoch < current:

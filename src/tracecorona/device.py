@@ -198,16 +198,17 @@ class Device:
         self, beacon: BeaconMessage, rssi: float, seconds
     ) -> tuple[HandshakeRequest | None, float]:
         """Record the beacons of one peer heard at the true times in
-        ``seconds``: increasing, within one frame of this device, at one
-        RSSI and less than ``CONTINUITY_GAP`` apart.
+        ``seconds``: increasing, within one frame of this device and at
+        one RSSI.
 
         The first beacon takes ``on_beacon``'s rules.  If it asks for a
         handshake the rest are left to the caller, since the next beacon
         asks again should the handshake fail to start.  Otherwise the
         beacons before the dwell threshold, or all of them once it is
-        crossed, only extend the sighting: RSSI is constant and a
-        refresh only moves the token forward, so one update of
-        ``last_seen`` and one refresh stand for them all.
+        crossed, only extend the sighting up to the first silence longer
+        than ``CONTINUITY_GAP``, whose next beacon starts a new one:
+        RSSI is constant and a refresh only moves the token forward, so
+        one update of ``last_seen`` and one refresh stand for them all.
 
         Returns the request, if any, and the true time before which
         every beacon was recorded and later ones of the run need no
@@ -221,7 +222,12 @@ class Device:
             return request, now + 1
         dwell = obs.first_seen + self.policy.min_encounter_duration
         until = dwell - self.clock_offset if local < dwell else math.inf
-        last = seconds[bisect.bisect_left(seconds, until) - 1]
+        stop = bisect.bisect_left(seconds, until)
+        for i in range(1, stop):
+            if seconds[i] - seconds[i - 1] > CONTINUITY_GAP:
+                until, stop = seconds[i], i
+                break
+        last = seconds[stop - 1]
         if last != now:
             obs.last_seen = self.local_time(last)
             if local >= dwell:

@@ -301,6 +301,7 @@ class AdversarySpec:
                 )
             _require(0 <= self.start < self.end, "end", "window must satisfy 0 <= start < end")
             _require_clocks_started(config, self.start, (self.capture, *self.victims))
+            _require(self.latency_s >= 0, "latency_s", "must be >= 0")
             _require(
                 1 <= self.fanout_limit <= MAX_RELAY_FANOUT,
                 "fanout_limit",

@@ -9,12 +9,11 @@ The radio works in sighting runs.  A beacon is deliverable when its
 source advertises at the beacon second and its receiver scans at
 arrival, clock offsets and relay latency applied; both duty cycles are
 fixed, so the engine finds the stretches of deliverable seconds by
-arithmetic.  A run is such a stretch cut at every frame (identifier)
-boundary of either clock and every RSSI change, so that a receiver can
-take it whole: the first beacon with the per-beacon rules, the rest as
-one extension of the sighting (``Device.on_sighting_run``).  A
-receiver that never asks for a handshake (a baseline one) takes the
-stretches up to the next such cut as one run, gaps and all.  Links
+arithmetic.  A run is the deliverable seconds up to the next frame
+(identifier) boundary of either clock or RSSI change, duty-cycle gaps
+and all, so that a receiver can take it whole: the first beacon with
+the per-beacon rules, the rest as one extension of the sighting up to a
+silence that breaks continuity (``Device.on_sighting_run``).  Links
 that share a device while either may still deliver a beacon or
 complete a handshake form a group (``_Group``), most often of one link.
 A group's event hands over its beams' runs in the order in which the
@@ -153,15 +152,13 @@ class _Beam:
     beacon second and ``dst`` scans at arrival.  The beam walks the
     deliverable seconds as sighting runs, cut at frame boundaries of
     both clocks and at RSSI changes, so that identifier, frames and RSSI
-    are constant over a run.  A run of a receiver that may ask for a
-    handshake is one stretch of consecutive deliverable seconds; any
-    other receiver's run holds every deliverable second up to the next
-    cut, duty-cycle gaps between them.  Loss is drawn from the beam's
-    own generator, once per deliverable second in time order, so what is
-    lost does not depend on the order in which the engine handles other
-    links.  The runs are the engine's one statement of what ``dst``
-    hears, handed over whole or in parts with the run's identifier and
-    RSSI.
+    are constant over a run.  A run holds every deliverable second up to
+    the next cut, duty-cycle gaps between them.  Loss is drawn from the
+    beam's own generator, once per deliverable second in time order, so
+    what is lost does not depend on the order in which the engine
+    handles other links.  The runs are the engine's one statement of
+    what ``dst`` hears, handed over whole or in parts with the run's
+    identifier and RSSI.
     """
 
     def __init__(self, link: _Link, src: _Client, dst: _Client, direction: int, config):
@@ -226,9 +223,7 @@ class _Beam:
         """Move to the next run with a heard beacon; none left leaves
         ``pending`` empty.  A run ends at the link's end, an identifier
         boundary of ``src``, a frame boundary of ``dst`` or an RSSI
-        change.  For a receiver that may ask for a handshake, which it
-        does at the first beacon after a gap, it also ends where a duty
-        cycle stops delivering; another receiver's run spans the gaps."""
+        change, and spans the duty-cycle gaps before it."""
         lat = self.link.latency
         src_period, dst_period = self.src.rotation_period, self.dst.rotation_period
         u, end = self.window(self.run_end)
@@ -239,14 +234,10 @@ class _Beam:
                 u + dst_period - (u + self.dst_shift) % dst_period,
                 self.link.rssi_change_after(u - lat) + lat,
             )
-            if self.dst.handshakes:
-                stop = min(stop, end)
-                heard = self.draw(u, stop)
-            else:
-                heard = []
-                while u < stop:
-                    heard += self.draw(u, min(end, stop))
-                    u, end = self.window(end)
+            heard = []
+            while u < stop:
+                heard += self.draw(u, min(end, stop))
+                u, end = self.window(end)
             self.run_end = stop
             if heard:
                 self.pending, self.until = heard, 0
@@ -512,13 +503,12 @@ class _TraceCoronaClient(_Client):
 class _BaselineClient(_Client):
     """What the two baseline schemes share: a log of the identifiers
     heard, one ``baselines.Run`` per sighting run handed in, kept for the
-    retention period.  Neither scheme asks for a handshake, so a run
-    spans the duty-cycle gaps within one sender identifier, receiver
-    frame and RSSI.  Its local seconds are one packed ``array('q')``: 8
-    bytes per held second and an 80-byte header, where a list of boxed
-    ints takes about 40 bytes a second.  A run carries its provenance
-    (source and relay), which only the engine's reporting reads: one
-    dict per (source, relay) pair heard, shared by its runs."""
+    retention period.  Neither scheme asks for a handshake, so no run is
+    cut where one might complete.  Its local seconds are one packed
+    ``array('q')``: 8 bytes per held second and an 80-byte header, where
+    a list of boxed ints takes about 40 bytes a second.  A run carries
+    its provenance (source and relay), which only the engine's reporting
+    reads: one dict per (source, relay) pair heard, shared by its runs."""
 
     handshakes = False
 

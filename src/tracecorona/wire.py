@@ -489,6 +489,8 @@ def encode_upload_superspreader(
 
 #: A feed response's epoch and record count, after its status byte.
 _FEED_HEAD = struct.Struct(">II")
+#: The largest epoch a feed response can carry.
+MAX_EPOCH = 2**32 - 1
 #: Where a feed response's first frame starts.
 _FEED_AT = 1 + _FEED_HEAD.size
 

@@ -14,7 +14,8 @@ import pytest
 import tracecorona
 from test_report_digests import long_contact
 from tracecorona import cli, crypto, wire
-from tracecorona.authority import SERVED_TAN_EXPIRY_SECONDS
+from tracecorona.authority import SERVED_TAN_EXPIRY_SECONDS, HealthAuthority
+from tracecorona.server import TracingServer
 
 
 def run_cli(args):
@@ -230,6 +231,24 @@ class TestIngestAndStats:
         assert stats["records_by_tag"] == {
             "direct": 0, "second_level": 4, "possible_superspreader": 2,
         }
+
+    def test_epoch_past_the_feed_head_refused(self, tmp_path, capsys):
+        # a feed response carries the epoch in 4 bytes: a larger one would
+        # make every later fetch malformed, and epochs never go back
+        input_file = tmp_path / "records.log"
+        input_file.write_bytes(wire.encode_record(wire.TokenUploadRecord(bytes(16), bytes(36))))
+        log = tmp_path / "server.log"
+        ingest = ["ingest", "--log", str(log), "--input", str(input_file), "--epoch"]
+        assert run_cli(ingest + [str(2**32)]) == 2
+        assert not log.exists()
+        assert run_cli(ingest + [str(2**32 - 1)]) == 0
+        before = log.read_bytes()
+        assert run_cli(ingest + [str(2**32)]) == 2
+        assert log.read_bytes() == before
+        capsys.readouterr()
+        server = TracingServer.replay_log(str(log), HealthAuthority(random.Random(0)))
+        feed = wire.read_feed(wire.handle_request(server, wire.encode_fetch_feed(0, 1)))
+        assert (feed.feed_epoch, len(feed.frames)) == (2**32 - 1, 1)
 
     @pytest.mark.parametrize("block", [1, 2, 1 << 16])
     def test_epoch_read_back_from_the_log_tail(self, tmp_path, monkeypatch, block):

@@ -1,5 +1,6 @@
 """Client protocol: duty cycles, neighbor tracking, handshakes, store."""
 
+import bisect
 import hashlib
 from collections import Counter
 
@@ -146,6 +147,25 @@ class TestOnBeacon:
                 got = t
                 break
         assert got == expected
+
+    @pytest.mark.parametrize("end", [400, 600])
+    def test_sighting_run_matches_beacon_by_beacon(self, end):
+        # heard 0-20 and 150-end: a 130 s silence before the 300 s dwell,
+        # so the sighting starts again at 150 and crosses the dwell at 450
+        a, by_run, by_beacon = make_device("a"), make_device("b"), make_device("b")
+        heard = beacon(a, 0)
+        seconds = [t for t in (*range(21), *range(150, end + 1)) if by_run.is_scanning(t)]
+        requests, rest = [], seconds
+        while rest:
+            request, until = by_run.on_sighting_run(heard, -50.0, rest)
+            if request is not None:
+                requests.append((rest[0], request))
+            rest = rest[bisect.bisect_left(rest, until) :]
+        expected = [(t, r) for t in seconds if (r := by_beacon.on_beacon(heard, -50.0, t))]
+        assert requests == expected
+        assert [t for t, _ in requests] == ([450] if end > 450 else [])
+        assert by_run._neighbors == by_beacon._neighbors
+        assert by_run._neighbors[heard.ephemeral_id].first_seen == 150
 
     def test_ignores_foreign_uuid(self):
         b = make_device("b")

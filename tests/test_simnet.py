@@ -82,6 +82,9 @@ BAD_CONFIGS = [
     (config_dict(adversaries=[dict(RELAY, victims=[3])]), "adversaries[0].victims[0]", None),
     (config_dict(version=2), "version", "unsupported config version"),
     (config_dict(adversaries=[{"kind": 3}]), "adversaries[0].kind", None),
+    # a relay cannot deliver a beacon before it was sent
+    (config_dict(adversaries=[dict(RELAY, latency_s=-5)]), "adversaries[0].latency_s",
+     "must be >= 0"),
 ]
 
 #: ``config_digest`` of each bundled scenario; a change here changes every
@@ -368,6 +371,38 @@ class TestHonestPair:
         )
         report = run_scenario(config)
         assert report.device_token_counts == {"a": 2, "b": 2}
+
+    @pytest.mark.parametrize("loss", [0.0, 0.1])
+    def test_pair_alone_takes_few_sighting_runs(self, monkeypatch, loss):
+        """Two devices alone for two hours across noon take at most four
+        sighting runs per direction in each segment that frame boundaries
+        of either clock and cadence events cut the contact into: a run
+        spans the duty-cycle gaps, and the first beacon, the dwell, a
+        request and a completion cut it."""
+        calls = []
+        on_sighting_run = engine_module.Device.on_sighting_run
+
+        def counted(device, *args):
+            calls.append(device.device_id)
+            return on_sighting_run(device, *args)
+
+        monkeypatch.setattr(engine_module.Device, "on_sighting_run", counted)
+        start = 3 * DAY + 11 * 3600
+        end = start + 7200
+        engine = Engine(ScenarioConfig.from_dict(config_dict(
+            channel_loss=loss,
+            devices=[{"id": "a", "clock_offset_s": -7}, {"id": "b", "clock_offset_s": 3}],
+            colocation_schedule=[{"device_a": "a", "device_b": "b", "start": start,
+                                  "end": end, "rssi_profile": -55}],
+        )))
+        engine.run()
+        cuts = {t for t in engine._cadence if start < t < end}
+        for client in engine.clients.values():
+            period, shift = client.rotation_period, client.device.clock_offset
+            cuts.update(u for u in range(start + 1, end) if (u + shift) % period == 0)
+        assert len(cuts) + 1 == 18
+        assert 0 < len(calls) <= 4 * 2 * 18
+        assert set(calls) == {"a", "b"}
 
     def test_stats_match_ground_truth(self):
         report = run_scenario(ScenarioConfig.from_dict(config_dict()))

@@ -8,12 +8,13 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, initialize, invariant, rule
 
 import match_oracle
 import wire_oracle
@@ -524,8 +525,10 @@ class RequestSequence(RuleBasedStateMachine):
     expire, on a clock the sequence moves: random bodies, uploads whole
     and truncated, fetches and TAN issues.  Every body gets a status
     byte and no exception escapes; the records published are those of
-    the accepted uploads, and the live TANs are never more than the TANs
-    issued in the expiry window that ends at the last issue."""
+    the accepted uploads, a superspreader upload is accepted iff each of
+    its proofs opens a held direct copy of its own, and the live TANs
+    are never more than the TANs issued in the expiry window that ends
+    at the last issue."""
 
     EXPIRY = 100
     tans = Bundle("tans")
@@ -538,8 +541,8 @@ class RequestSequence(RuleBasedStateMachine):
         self.live: dict[str, int] = {}
         self.issued: list[int] = []
         self.published = 0
-        #: indices into SEQUENCE_RECORDS of the records held as direct
-        self.direct: set[int] = set()
+        #: index into SEQUENCE_RECORDS -> direct copies held of that record
+        self.direct: Counter[int] = Counter()
 
     def request(self, body: bytes) -> bytes:
         response = wire.handle_request(self.server, body, clock=lambda: self.now)
@@ -550,6 +553,12 @@ class RequestSequence(RuleBasedStateMachine):
         accepted = self.request(body)[0] == wire.STATUS_ACCEPTED
         self.published += count if accepted else 0
         return accepted
+
+    @initialize(chosen=st.lists(st.integers(0, 5), max_size=6))
+    def hold_direct_records(self, chosen):
+        # held direct copies for the proofs of later uploads to open
+        tan = self.issued_tan(self.request(bytes([wire.OP_ISSUE_TAN])))
+        self.upload_infected(tan, chosen)
 
     @rule(seconds=st.sampled_from([1, EXPIRY - 1, EXPIRY, EXPIRY + 1]))
     def wait(self, seconds):
@@ -591,6 +600,19 @@ class RequestSequence(RuleBasedStateMachine):
         records = [SEQUENCE_RECORDS[i][1] for i in chosen]
         body = wire.encode_upload_second_level(SEQUENCE_RECORDS[proof][0], records)
         assert self.upload(body, len(chosen)) == (proof in self.direct)
+
+    @rule(data=st.data(), chosen=st.lists(st.integers(0, 5), max_size=4))
+    def upload_superspreader(self, data, chosen):
+        # proofs mostly of held records, a record the more often the more
+        # copies of it are held
+        held = st.sampled_from(sorted(self.direct.elements())) if self.direct else st.nothing()
+        proofs = data.draw(st.lists(st.one_of(held, held, held, st.integers(0, 5)), max_size=5))
+        records = [SEQUENCE_RECORDS[i][1] for i in chosen]
+        body = wire.encode_upload_superspreader([SEQUENCE_RECORDS[i][0] for i in proofs], records)
+        expected = len(proofs) >= 3 and all(
+            n <= self.direct[i] for i, n in Counter(proofs).items()
+        )
+        assert self.upload(body, len(chosen)) == expected
 
     @rule(tan=tans, proof=st.integers(0, 5), second_level=st.booleans(), data=st.data())
     def truncated_upload(self, tan, proof, second_level, data):
